@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race test-disk test-dist test-daemon vet fmt-check docs-check bench bench-query bench-update bench-dist bench-serve fuzz clean
+.PHONY: all build test test-race test-disk test-dist test-daemon vet fmt-check docs-check bench bench-kernel bench-query bench-update bench-dist bench-serve fuzz clean
 
 all: build test vet fmt-check docs-check
 
@@ -65,7 +65,8 @@ docs-check:
 	$(GO) run ./cmd/docscheck README.md ARCHITECTURE.md ROADMAP.md
 
 # Brief fuzz shake of the odcodec round-trip, manifest, delta-segment
-# and federation-manifest decoding, plus the odrpc wire frames.
+# and federation-manifest decoding, the odrpc wire frames, and the
+# edit-distance kernels against their textbook references.
 fuzz:
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 20s ./internal/od/odcodec/
 	$(GO) test -fuzz FuzzOpenManifest -fuzztime 20s ./internal/od/odcodec/
@@ -76,9 +77,23 @@ fuzz:
 	$(GO) test -fuzz FuzzTraceSegment -fuzztime 20s ./internal/od/odcodec/
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 20s ./internal/od/odrpc/
 	$(GO) test -fuzz FuzzServerConn -fuzztime 20s ./internal/od/odrpc/
+	$(GO) test -fuzz FuzzEditKernels -fuzztime 20s ./internal/strdist/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
+
+# The Step 4–5 kernel layer by layer, with ns/op, B/op and allocs/op:
+# the edit-distance kernels and the neighborhood probe (strdist), the
+# two similar-value lookup tiers and the blocking-set merge (od), one
+# scored pair and one filter bound (sim), and the whole pipeline at the
+# reference benchmark's detect_cd_mem shape (core). CI smoke-runs it
+# with BENCHTIME=1x.
+BENCHTIME ?= 1s
+bench-kernel:
+	$(GO) test -run '^$$' -bench 'Kernels|NeighborIndexLookup' -benchmem -benchtime $(BENCHTIME) ./internal/strdist/
+	$(GO) test -run '^$$' -bench 'TypeIndexCollect|NeighborsOf' -benchmem -benchtime $(BENCHTIME) ./internal/od/
+	$(GO) test -run '^$$' -bench 'KernelScore|KernelFilter' -benchmem -benchtime $(BENCHTIME) ./internal/sim/
+	$(GO) test -run '^$$' -bench 'DetectKernel' -benchmem -benchtime $(BENCHTIME) ./internal/core/
 
 # Regenerate the committed query-path latency artifact: SimilarValues
 # p50/p99 and retained heap per backend, plus the persisted

@@ -414,12 +414,6 @@ func (p *pipelineRun) compare() (int, error) {
 	cfg := p.d.cfg
 	n := p.store.Size()
 
-	type batchOut struct {
-		pairs    []Pair
-		possible []Pair
-		traces   []tracedPair
-		compared int64
-	}
 	numBatches := (n + compareBatchSize - 1) / compareBatchSize
 	outs := make([]batchOut, numBatches)
 
@@ -454,7 +448,7 @@ func (p *pipelineRun) compare() (int, error) {
 			oi := p.store.OD(i)
 			compare := func(j int32) {
 				out.compared++
-				score := p.scorePair(oi, p.store.OD(j), i, j, &out.traces)
+				score := p.scorePair(out, oi, p.store.OD(j), i, j)
 				switch p.comparator.Classify(score) {
 				case sim.ClassDuplicate:
 					out.pairs = append(out.pairs, Pair{I: i, J: j, Score: score})
@@ -504,19 +498,32 @@ type tracedPair struct {
 	tr  sim.PairTrace
 }
 
+// batchOut is what one Step 5 batch produces; the batches' outputs merge
+// in batch order.
+type batchOut struct {
+	pairs    []Pair
+	possible []Pair
+	traces   []tracedPair
+	compared int64
+	scratch  sim.PairTrace // every traced pair of the batch is scored into it
+}
+
 // scorePair scores one candidate pair, recording its replay trace when
 // incremental recording is on. Traces are kept only for pairs with at
 // least one similar match — a pair without one scores 0 under any
-// corpus size, so there is nothing to patch later.
-func (p *pipelineRun) scorePair(oi, oj *od.OD, i, j int32, traces *[]tracedPair) float64 {
+// corpus size, so there is nothing to patch later — and a kept trace is
+// one exact-size copy out of the batch's scratch.
+func (p *pipelineRun) scorePair(out *batchOut, oi, oj *od.OD, i, j int32) float64 {
 	if p.inc == nil {
 		return p.comparator.Compare(p.store, oi, oj)
 	}
-	res, tr := sim.SimilarityTrace(p.store, oi, oj, p.d.cfg.ThetaTuple)
-	if len(tr.SimU) > 0 {
-		*traces = append(*traces, tracedPair{key: pairKey(i, j), tr: tr})
+	tr := &out.scratch
+	score := sim.ScoreTrace(p.store, oi, oj, p.d.cfg.ThetaTuple, tr)
+	if ns := len(tr.SimU); ns > 0 {
+		unions := append(append(make([]int32, 0, ns+len(tr.ConU)), tr.SimU...), tr.ConU...)
+		out.traces = append(out.traces, tracedPair{key: pairKey(i, j), tr: sim.PairTrace{SimU: unions[:ns:ns], ConU: unions[ns:]}})
 	}
-	return res.Score
+	return score
 }
 
 // clusterPairs is Step 6, duplicate clustering via transitive closure.

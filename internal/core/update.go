@@ -463,12 +463,6 @@ func (p *pipelineRun) updateCompare() (int, error) {
 		}
 	}
 
-	type batchOut struct {
-		pairs    []Pair
-		possible []Pair
-		traces   []tracedPair
-		compared int64
-	}
 	numBatches := (len(list) + compareBatchSize - 1) / compareBatchSize
 	outs := make([]batchOut, numBatches)
 	// Same batch-prefetch hook as the full compare stage: one pipelined
@@ -497,7 +491,7 @@ func (p *pipelineRun) updateCompare() (int, error) {
 					x, y = y, x
 				}
 				out.compared++
-				score := p.scorePair(p.store.OD(x), p.store.OD(y), x, y, &out.traces)
+				score := p.scorePair(out, p.store.OD(x), p.store.OD(y), x, y)
 				switch p.comparator.Classify(score) {
 				case sim.ClassDuplicate:
 					out.pairs = append(out.pairs, Pair{I: x, J: y, Score: score})

@@ -3,6 +3,7 @@ package od
 import (
 	"fmt"
 	"sort"
+	"unicode/utf8"
 
 	"repro/internal/strdist"
 )
@@ -38,18 +39,20 @@ import (
 // live maximum so diagnostics still converge to what a fresh build
 // reports.
 
-// addedVal is one overlay value with its rune length hoisted out of the
-// query path: the length-window pruning in collectAdded runs once per
-// overlay value per query, so recomputing len([]rune(v)) there made
-// every similar-value query over a mutated store pay a decode linear in
-// the overlay size. The length is fixed at insertion.
+// addedVal is one overlay value with its runes decoded at insertion:
+// the length-window pruning and the distance check in collectAdded run
+// once per overlay value per query, so decoding there made every
+// similar-value query over a mutated store pay a decode linear in the
+// overlay size.
 type addedVal struct {
-	val     string
-	runeLen int
+	val   string
+	runes []rune
+	sig   uint64 // strdist.Signature(runes)
 }
 
 func newAddedVal(v string) addedVal {
-	return addedVal{val: v, runeLen: len([]rune(v))}
+	runes := []rune(v)
+	return addedVal{val: v, runes: runes, sig: strdist.Signature(runes)}
 }
 
 // typeDelta is the mutation overlay of one type's value table (for
@@ -88,49 +91,55 @@ func (d *typeDelta) add(val string, newToBase bool) {
 // collectAdded emits every overlay value of one type whose normalized
 // edit distance to q is strictly below theta, with the same per-value
 // length-window pruning as the base scan paths.
-func collectAdded(added []addedVal, q string, theta float64, emit func(v string)) {
-	qLen := len([]rune(q))
+func collectAdded(added []addedVal, q query, theta float64, emit func(av addedVal)) {
+	qLen := len(q.runes)
 	for _, av := range added {
-		m := qLen
-		if av.runeLen > m {
-			m = av.runeLen
-		}
-		budget := strdist.MaxEditsBelow(theta, m)
-		if budget < 0 || strdist.Abs(qLen-av.runeLen) > budget {
+		budget := strdist.MaxEditsBelow(theta, max(qLen, len(av.runes)))
+		if budget < 0 || strdist.Abs(qLen-len(av.runes)) > budget {
 			continue
 		}
-		if strdist.NormalizedBelow(q, av.val, theta) {
-			emit(av.val)
+		if strdist.NormalizedBelowSig(q.runes, av.runes, q.sig, av.sig, theta) {
+			emit(av)
 		}
 	}
 }
 
-// collectLive emits every live value of one type whose normalized edit
-// distance to q is strictly below theta — the overlay-aware query path
-// MemStore and each ShardedStore shard share. The base index collect
-// runs as built when no delta exists; with one, postings re-resolve
-// through the live occurrence lists (values that emptied drop out) and
-// the overlay values are scanned linearly.
-func collectLive(ti *typeIndex, d *typeDelta, typ, q string, theta float64, postings func(key string) []int32, emit func(ValueMatch)) {
-	withPostings := func(v string) {
-		ids := postings(occKeyOf(typ, v))
-		if len(ids) == 0 {
-			return
-		}
-		emit(ValueMatch{Value: v, Objects: ids, Dist: strdist.Normalized(q, v)})
-	}
+// collectLive appends to out every live value of one type whose
+// normalized edit distance to q is strictly below theta — the
+// overlay-aware query path MemStore and each ShardedStore shard share.
+// The base index collect runs as built when no delta exists; with one,
+// postings re-resolve through the live occurrence lists (values that
+// emptied drop out) and the overlay values are scanned linearly.
+func collectLive(out []ValueMatch, ti *typeIndex, d *typeDelta, typ string, q query, theta float64, occ map[string][]int32) []ValueMatch {
 	if ti != nil {
-		ti.collect(q, theta, func(idx int32) {
-			if d == nil {
-				emit(ti.match(q, idx))
-				return
+		var stack [64]int32
+		for _, idx := range ti.collect(stack[:0], q, theta) {
+			m := ti.match(q, idx)
+			if d != nil {
+				m.Objects = occLookup(occ, typ, m.Value)
 			}
-			withPostings(ti.values[idx])
-		})
+			if len(m.Objects) > 0 {
+				out = append(out, m)
+			}
+		}
 	}
 	if d != nil {
-		collectAdded(d.added, q, theta, withPostings)
+		collectAdded(d.added, q, theta, func(av addedVal) {
+			if ids := occLookup(occ, typ, av.val); len(ids) > 0 {
+				out = append(out, ValueMatch{Value: av.val, Objects: ids, Dist: strdist.NormalizedRunes(q.runes, av.runes)})
+			}
+		})
 	}
+	return out
+}
+
+// occLookup returns occ[typ+"\x00"+val]. The key is assembled in a
+// buffer on the stack and never becomes a string, so the lookups of the
+// query paths allocate nothing (keys past the buffer spill to the heap).
+func occLookup(occ map[string][]int32, typ, val string) []int32 {
+	var buf [128]byte
+	key := append(append(append(buf[:0], typ...), 0), val...)
+	return occ[string(key)]
 }
 
 // occKeyOf builds the occurrence key of a (type, value) pair.
@@ -194,7 +203,7 @@ func liveValueTable(base *typeIndex, d *typeDelta, postings func(val string) []i
 			return
 		}
 		m[v] = ids
-		if l := len([]rune(v)); l > maxLen {
+		if l := utf8.RuneCountInString(v); l > maxLen {
 			maxLen = l
 		}
 	}

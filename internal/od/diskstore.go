@@ -2,6 +2,7 @@ package od
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -70,8 +71,8 @@ type DiskStore struct {
 	dirty bool
 
 	odCache  *shardedLRU[int32, *OD]
-	occCache *shardedLRU[string, []int32]
-	simCache *shardedLRU[string, []ValueMatch]
+	occCache *shardedLRU[valueKey, []int32]
+	simCache *simCache
 
 	allMu  sync.Mutex
 	allODs []*OD // materialized by ODs() on demand
@@ -334,8 +335,8 @@ func (s *DiskStore) serveFrom(r *odcodec.Reader) {
 		})
 	}
 	s.odCache = newShardedLRU[int32, *OD](diskODCacheSize, hashID)
-	s.occCache = newShardedLRU[string, []int32](diskOccCacheSize, hashKey)
-	s.simCache = newShardedLRU[string, []ValueMatch](diskSimCacheSize, hashKey)
+	s.occCache = newShardedLRU[valueKey, []int32](diskOccCacheSize, hashValueKey)
+	s.simCache = newSimCache()
 }
 
 // overlay returns the mutation overlay, creating it on first use.
@@ -387,6 +388,12 @@ func (s *DiskStore) AddAfterFinalize(ods []*OD) error {
 	m.seq++
 	s.dirty = true
 	s.commitAdded(staged)
+	for _, st := range staged {
+		for _, k := range st.keys {
+			typ, _ := splitOccKey(k)
+			s.simCache.touch(typ)
+		}
+	}
 	s.invalidate()
 	return nil
 }
@@ -404,12 +411,23 @@ func (s *DiskStore) Remove(ids []int32) error {
 	m := s.overlay()
 	sorted := append([]int32(nil), ids...)
 	sortInt32s(sorted)
+	// The removed objects' types, read while the objects still resolve:
+	// their cached similar-value answers are the ones this batch stales.
+	var touched []string
+	for _, id := range sorted {
+		for _, t := range s.OD(id).NonEmptyTuples() {
+			touched = append(touched, t.Type)
+		}
+	}
 	if err := odcodec.WriteDelta(s.dir, odcodec.Delta{Seq: m.seq + 1, Removed: sorted}); err != nil {
 		return fmt.Errorf("od: DiskStore: %w", err)
 	}
 	m.seq++
 	s.dirty = true
 	s.applyRemoved(sorted)
+	for _, typ := range touched {
+		s.simCache.touch(typ)
+	}
 	s.invalidate()
 	return nil
 }
@@ -532,12 +550,13 @@ func (s *DiskStore) replayDelta(d odcodec.Delta) error {
 	return nil
 }
 
-// invalidate drops every cache whose entries can mix base and overlay
-// state. The OD cache survives: base records are immutable and removed
-// IDs are filtered before the cache is consulted.
+// invalidate drops the posting-list cache and the materialized OD set,
+// whose entries can mix base and overlay state; the similar-value cache
+// is invalidated per touched type by the mutation itself. The OD cache
+// survives: base records are immutable and removed IDs are filtered
+// before the cache is consulted.
 func (s *DiskStore) invalidate() {
-	s.occCache = newShardedLRU[string, []int32](diskOccCacheSize, hashKey)
-	s.simCache = newShardedLRU[string, []ValueMatch](diskSimCacheSize, hashKey)
+	s.occCache = newShardedLRU[valueKey, []int32](diskOccCacheSize, hashValueKey)
 	s.allMu.Lock()
 	s.allODs = nil
 	s.allMu.Unlock()
@@ -555,7 +574,7 @@ func (s *DiskStore) forEachLiveValue(typ string, fn func(v string, ids []int32))
 		if err != nil {
 			return true, err
 		}
-		if merged := m.mergePostings(occKeyOf(typ, v), ids); merged != nil {
+		if merged := m.mergePostings(typ, v, ids); merged != nil {
 			fn(v, merged)
 		}
 		return false, nil
@@ -564,7 +583,7 @@ func (s *DiskStore) forEachLiveValue(typ string, fn func(v string, ids []int32))
 		return err
 	}
 	for _, av := range m.addedVals[typ] {
-		if merged := m.mergePostings(occKeyOf(typ, av.val), nil); merged != nil {
+		if merged := m.mergePostings(typ, av.val, nil); merged != nil {
 			fn(av.val, merged)
 		}
 	}
@@ -574,8 +593,8 @@ func (s *DiskStore) forEachLiveValue(typ string, fn func(v string, ids []int32))
 // mergePostings overlays one value's base posting list: removed IDs are
 // filtered out and appended IDs (all larger than any base ID) merged in,
 // preserving ascending order. Returns nil when nothing lives.
-func (m *diskOverlay) mergePostings(key string, base []int32) []int32 {
-	add := m.addOcc[key]
+func (m *diskOverlay) mergePostings(typ, val string, base []int32) []int32 {
+	add := occLookup(m.addOcc, typ, val)
 	if len(m.removed) == 0 && len(add) == 0 {
 		if len(base) == 0 {
 			return nil
@@ -660,7 +679,7 @@ func (s *DiskStore) ODs() []*OD {
 // entry is the merged (base minus removed plus appended) posting list.
 func (s *DiskStore) ObjectsWithExact(t Tuple) []int32 {
 	s.mustBeFinal()
-	key := t.occKey()
+	key := valueKey{t.Type, t.Value}
 	if ids, ok := s.occCache.get(key); ok {
 		return ids
 	}
@@ -672,7 +691,7 @@ func (s *DiskStore) ObjectsWithExact(t Tuple) []int32 {
 		ids = nil
 	}
 	if s.mut != nil {
-		ids = s.mut.mergePostings(key, ids)
+		ids = s.mut.mergePostings(t.Type, t.Value, ids)
 	}
 	s.occCache.put(key, ids)
 	return ids
@@ -701,25 +720,22 @@ func (s *DiskStore) SimilarValues(t Tuple) []ValueMatch {
 	if _, ok := s.typeMeta[t.Type]; !ok && len(addedVals) == 0 {
 		return nil
 	}
-	cacheKey := t.occKey()
-	if m, ok := s.simCache.get(cacheKey); ok {
+	if m, ok := s.simCache.get(t); ok {
 		return m
 	}
-	q := t.Value
-	qLen := len([]rune(q))
-	out, ok := s.similarFromIndex(t.Type, q, qLen)
+	var stack [64]rune
+	q := newQuery(stack[:0], t.Value)
+	out, ok := s.similarFromIndex(t.Type, q)
 	if !ok {
-		out = s.similarFromScan(t.Type, q, qLen)
+		out = s.similarFromScan(t.Type, q)
 	}
-	collectAdded(addedVals, q, s.theta, func(v string) {
-		ids := s.mut.mergePostings(occKeyOf(t.Type, v), nil)
-		if ids == nil {
-			return
+	collectAdded(addedVals, q, s.theta, func(av addedVal) {
+		if ids := s.mut.mergePostings(t.Type, av.val, nil); ids != nil {
+			out = append(out, ValueMatch{Value: av.val, Objects: ids, Dist: strdist.NormalizedRunes(q.runes, av.runes)})
 		}
-		out = append(out, ValueMatch{Value: v, Objects: ids, Dist: strdist.Normalized(q, v)})
 	})
 	sortMatches(out)
-	s.simCache.put(cacheKey, out)
+	s.simCache.put(t, out)
 	return out
 }
 
@@ -728,14 +744,13 @@ func (s *DiskStore) SimilarValues(t Tuple) []ValueMatch {
 // own deletion variants select candidate value ordinals (FastSS — two
 // strings within the edit budget always share a variant, so the
 // candidate set is complete), each candidate is decoded by ordinal and
-// verified with the banded edit distance and the exact θtuple check.
-// Reports ok=false — sending the caller to the sequential scan — when
-// the snapshot has no neighbor segment for the type, the benchmarking
-// knob disabled it, or the query could out-range the index: the same
-// coverage rule typeIndex.collect applies in memory (the budget demanded
-// by max(query length, longest indexed value) must not exceed the
-// persisted budget).
-func (s *DiskStore) similarFromIndex(typ, q string, qLen int) ([]ValueMatch, bool) {
+// verified with the exact θtuple check. Reports ok=false — sending the
+// caller to the sequential scan — when the snapshot has no neighbor
+// segment for the type, the benchmarking knob disabled it, or the query
+// could out-range the index: the same coverage rule typeIndex.collect
+// applies in memory (the budget demanded by max(query length, longest
+// indexed value) must not exceed the persisted budget).
+func (s *DiskStore) similarFromIndex(typ string, q query) ([]ValueMatch, bool) {
 	if s.opts.DisableNeighborIndex || !s.r.HasNeighbors(typ) {
 		return nil, false
 	}
@@ -743,73 +758,71 @@ func (s *DiskStore) similarFromIndex(typ, q string, qLen int) ([]ValueMatch, boo
 	if !ok {
 		return nil, false
 	}
-	m := qLen
-	if tm.MaxLen > m {
-		m = tm.MaxLen
-	}
-	if need := strdist.MaxEditsBelow(s.theta, m); need < 0 || need > tm.Budget {
+	if need := strdist.MaxEditsBelow(s.theta, max(len(q.runes), tm.MaxLen)); need < 0 || need > tm.Budget {
 		return nil, false
 	}
-	seen := map[int32]bool{}
-	var out []ValueMatch
-	for _, variant := range strdist.DeletionVariants(q, tm.Budget) {
-		ords, err := s.r.NeighborLookup(typ, variant)
+	var cands []int32
+	strdist.EachDeletion(q.val, tm.Budget, func(variant []byte) {
+		ords, err := s.r.NeighborLookup(typ, string(variant))
 		if err != nil {
 			panic(fmt.Sprintf("od: DiskStore: %v", err))
 		}
-		for _, ord := range ords {
-			if seen[ord] {
-				continue
-			}
-			seen[ord] = true
-			v, _, ids, err := s.r.ValueAt(typ, ord)
-			if err != nil {
-				panic(fmt.Sprintf("od: DiskStore: %v", err))
-			}
-			if _, within := strdist.LevenshteinBounded(q, v, tm.Budget); !within {
-				continue
-			}
-			if !strdist.NormalizedBelow(q, v, s.theta) {
-				continue
-			}
-			if s.mut != nil {
-				if ids = s.mut.mergePostings(occKeyOf(typ, v), ids); ids == nil {
-					continue
-				}
-			}
-			out = append(out, ValueMatch{Value: v, Objects: ids, Dist: strdist.Normalized(q, v)})
+		cands = append(cands, ords...)
+	})
+	slices.Sort(cands)
+	var out []ValueMatch
+	var stack [64]rune
+	for _, ord := range slices.Compact(cands) {
+		v, _, ids, err := s.r.ValueAt(typ, ord)
+		if err != nil {
+			panic(fmt.Sprintf("od: DiskStore: %v", err))
+		}
+		vr := strdist.AppendRunes(stack[:0], v)
+		if !strdist.NormalizedBelowSig(q.runes, vr, q.sig, strdist.Signature(vr), s.theta) {
+			continue
+		}
+		if m, ok := s.match(typ, q, v, vr, ids); ok {
+			out = append(out, m)
 		}
 	}
 	return out, true
 }
 
+// match turns a base value that passed the θtuple check into the
+// ValueMatch either lookup path reports: its live postings (merged
+// through the overlay; no match when none live) and its distance.
+func (s *DiskStore) match(typ string, q query, v string, vr []rune, ids []int32) (ValueMatch, bool) {
+	if s.mut != nil {
+		if ids = s.mut.mergePostings(typ, v, ids); ids == nil {
+			return ValueMatch{}, false
+		}
+	}
+	return ValueMatch{Value: v, Objects: ids, Dist: strdist.NormalizedRunes(q.runes, vr)}, true
+}
+
 // similarFromScan is the sequential fallback: every base value of the
 // type streams past the same length-window pruning and θtuple re-check
 // the in-memory scan path applies.
-func (s *DiskStore) similarFromScan(typ, q string, qLen int) []ValueMatch {
+func (s *DiskStore) similarFromScan(typ string, q query) []ValueMatch {
 	var out []ValueMatch
+	var stack [64]rune
+	qLen := len(q.runes)
 	err := s.r.ScanType(typ, func(v string, runeLen int, postings func() ([]int32, error)) (bool, error) {
-		m := qLen
-		if runeLen > m {
-			m = runeLen
-		}
-		budget := strdist.MaxEditsBelow(s.theta, m)
+		budget := strdist.MaxEditsBelow(s.theta, max(qLen, runeLen))
 		if budget < 0 || strdist.Abs(qLen-runeLen) > budget {
 			return false, nil
 		}
-		if !strdist.NormalizedBelow(q, v, s.theta) {
+		vr := strdist.AppendRunes(stack[:0], v)
+		if !strdist.NormalizedBelowSig(q.runes, vr, q.sig, strdist.Signature(vr), s.theta) {
 			return false, nil
 		}
 		ids, err := postings()
 		if err != nil {
 			return true, err
 		}
-		if s.mut != nil {
-			if ids = s.mut.mergePostings(occKeyOf(typ, v), ids); ids == nil {
-				return false, nil
-			}
+		if m, ok := s.match(typ, q, v, vr, ids); ok {
+			out = append(out, m)
 		}
-		out = append(out, ValueMatch{Value: v, Objects: ids, Dist: strdist.Normalized(q, v)})
 		return false, nil
 	})
 	if err != nil {
@@ -821,11 +834,7 @@ func (s *DiskStore) similarFromScan(typ, q string, qLen int) []ValueMatch {
 // SoftIDF implements Store.
 func (s *DiskStore) SoftIDF(a, b Tuple) float64 {
 	s.mustBeFinal()
-	oa := s.ObjectsWithExact(a)
-	if a.occKey() == b.occKey() {
-		return softIDF(s.size, len(oa))
-	}
-	return softIDF(s.size, unionSizeSorted(oa, s.ObjectsWithExact(b)))
+	return softIDF(s.size, OccUnion(s, a, b))
 }
 
 // SoftIDFSingle implements Store.
@@ -933,14 +942,15 @@ func (s *DiskStore) routingFilters() []VariantFilter {
 
 // CacheStats reports each bounded cache's counters, keyed "od" (decoded
 // object descriptions), "occ" (posting lists) and "sim" (similar-value
-// results). Counters reset when a cache is invalidated by a mutation
-// batch or an in-place merge.
+// results). The "occ" counters reset with every mutation batch, all of
+// them with an in-place merge; "sim" survives batches — a batch orphans
+// the answers of the types it touched, nothing else.
 func (s *DiskStore) CacheStats() map[string]CacheStats {
 	s.mustBeFinal()
 	return map[string]CacheStats{
 		"od":  s.odCache.stats(),
 		"occ": s.occCache.stats(),
-		"sim": s.simCache.stats(),
+		"sim": s.simCache.lru.stats(),
 	}
 }
 

@@ -6,9 +6,10 @@ import (
 )
 
 // This file holds the one bounded cache implementation every backend in
-// this package shares: a generic LRU sharded by key hash. DiskStore
-// caches decoded ODs, posting lists and similar-value results through
-// it; PartitionedStore caches merged fan-out answers. Correctness never
+// this package shares: a generic LRU sharded by key hash. Every
+// single-node backend caches similar-value results through it (simCache),
+// DiskStore also decoded ODs and posting lists; PartitionedStore caches
+// merged fan-out answers. Correctness never
 // depends on a cache — every entry is recomputable from the segment
 // files or the members — so eviction policy only affects speed, and the
 // hit/miss/eviction counters exist to make that speed observable
@@ -43,7 +44,9 @@ type lruEntry[K comparable, V any] struct {
 }
 
 func newLRUShard[K comparable, V any](capacity int) *lruShard[K, V] {
-	return &lruShard[K, V]{cap: capacity, m: make(map[K]*lruEntry[K, V], capacity)}
+	// The map grows on demand: every single-node store carries these
+	// caches now, and most never come near their capacity.
+	return &lruShard[K, V]{cap: capacity, m: map[K]*lruEntry[K, V]{}}
 }
 
 func (c *lruShard[K, V]) get(k K) (V, bool) {
@@ -181,21 +184,74 @@ func (s *shardedLRU[K, V]) stats() CacheStats {
 	return st
 }
 
+// valueKey names one (type, value) — what an occurrence key names,
+// without the concatenation, so the hot cache lookups build no string.
+type valueKey struct{ typ, val string }
+
+func hashValueKey(k valueKey) uint32 { return fnv1aOcc(k.typ, k.val, 0) }
+
+// epochKey is a cache key for an answer that a mutation batch can
+// stale: a (type, value) under the owning type's mutation epoch. A batch
+// bumps the epochs of exactly the types it touched, which orphans their
+// cached answers (they age out) and leaves every other type's entries
+// hit. A struct, not a concatenation, so the hit path builds no string.
+type epochKey struct {
+	epoch    uint64
+	typ, val string
+}
+
+func hashEpochKey(k epochKey) uint32 { return fnv1aOcc(k.typ, k.val, uint32(k.epoch)) }
+
+// simCache is the bounded similar-value cache of the single-node
+// backends: SimilarValues answers by (type, value) in a shardedLRU of
+// diskSimCacheSize entries, keyed under the type's epoch — only a value
+// of the same type entering, leaving or changing its postings can alter
+// an answer. Bumps happen inside mutation batches, which never overlap
+// queries, so the epochs need no lock.
+type simCache struct {
+	lru    *shardedLRU[epochKey, []ValueMatch]
+	epochs map[string]uint64
+}
+
+func newSimCache() *simCache {
+	return &simCache{
+		lru:    newShardedLRU[epochKey, []ValueMatch](diskSimCacheSize, hashEpochKey),
+		epochs: map[string]uint64{},
+	}
+}
+
+func (c *simCache) key(t Tuple) epochKey { return epochKey{c.epochs[t.Type], t.Type, t.Value} }
+
+func (c *simCache) get(t Tuple) ([]ValueMatch, bool) { return c.lru.get(c.key(t)) }
+
+func (c *simCache) put(t Tuple, matches []ValueMatch) { c.lru.put(c.key(t), matches) }
+
+// touch orphans the cached answers of one type.
+func (c *simCache) touch(typ string) { c.epochs[typ]++ }
+
 // hashID routes int32 OD ids (Fibonacci hashing so sequential ids
 // spread across shards).
 func hashID(id int32) uint32 { return uint32(id) * 2654435761 }
-
-// hashKey routes string occurrence keys.
-func hashKey(key string) uint32 { return fnv1a(key, 0) }
 
 // fnv1a is the one FNV-1a implementation every string-keyed routing
 // decision in this package shares — LRU cache buckets, ShardedStore's
 // shard choice, PartitionedStore's partition choice (the only seeded
 // user; the seed is part of a federation's identity).
 func fnv1a(key string, seed uint32) uint32 {
-	h := uint32(2166136261) ^ seed
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
+	return fnv1aAdd(uint32(2166136261)^seed, key)
+}
+
+// fnv1aOcc is fnv1a over the occurrence key of (typ, val) without
+// building it: fnv1aOcc(typ, val, seed) == fnv1a(typ+"\x00"+val, seed).
+func fnv1aOcc(typ, val string, seed uint32) uint32 {
+	h := fnv1aAdd(uint32(2166136261)^seed, typ)
+	h *= 16777619 // the separator: h ^= 0 leaves h as it is
+	return fnv1aAdd(h, val)
+}
+
+func fnv1aAdd(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
 		h *= 16777619
 	}
 	return h

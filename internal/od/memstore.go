@@ -1,9 +1,5 @@
 package od
 
-import (
-	"sync"
-)
-
 // MemStore is the single-map in-memory Store: one occurrence index and one
 // typeIndex per real-world type, built serially in Finalize. It is the
 // reference implementation every other backend must agree with.
@@ -20,11 +16,10 @@ type MemStore struct {
 	finalized bool
 	mutated   bool // any post-Finalize mutation happened
 
-	occ      map[string][]int32 // occKey -> sorted unique live object ids
-	types    map[string]*typeIndex
-	deltas   map[string]*typeDelta // per-type mutation overlay; empty until mutated
-	cacheMu  sync.RWMutex
-	simCache map[string][]ValueMatch
+	occ    map[string][]int32 // occKey -> sorted unique live object ids
+	types  map[string]*typeIndex
+	deltas map[string]*typeDelta // per-type mutation overlay; empty until mutated
+	sim    *simCache
 }
 
 var _ MutableStore = (*MemStore)(nil)
@@ -32,9 +27,9 @@ var _ MutableStore = (*MemStore)(nil)
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
 	return &MemStore{
-		occ:      map[string][]int32{},
-		types:    map[string]*typeIndex{},
-		simCache: map[string][]ValueMatch{},
+		occ:   map[string][]int32{},
+		types: map[string]*typeIndex{},
+		sim:   newSimCache(),
 	}
 }
 
@@ -97,7 +92,6 @@ func (s *MemStore) AddAfterFinalize(ods []*OD) error {
 		return nil
 	}
 	s.mutated = true
-	s.clearSimCache()
 	seen := map[string]bool{}
 	touched := map[string]bool{}
 	for _, o := range ods {
@@ -131,7 +125,6 @@ func (s *MemStore) Remove(ids []int32) error {
 		return nil
 	}
 	s.mutated = true
-	s.clearSimCache()
 	seen := map[string]bool{}
 	touched := map[string]bool{}
 	for _, id := range ids {
@@ -164,11 +157,14 @@ func (s *MemStore) delta(typ string) *typeDelta {
 	return d
 }
 
-// maybeCompact folds the overlay of every touched type whose churn
-// crossed the threshold back into a freshly built base index — the
-// scoped rebuild the delta design bounds its query overhead with.
+// maybeCompact closes a mutation batch: the cached similar-value
+// answers of every touched type are orphaned, and the overlay of each
+// one whose churn crossed the threshold is folded back into a freshly
+// built base index — the scoped rebuild the delta design bounds its
+// query overhead with.
 func (s *MemStore) maybeCompact(touched map[string]bool) {
 	for typ := range touched {
+		s.sim.touch(typ)
 		d := s.deltas[typ]
 		base := s.types[typ]
 		baseVals := 0
@@ -190,16 +186,10 @@ func (s *MemStore) maybeCompact(touched map[string]bool) {
 	}
 }
 
-func (s *MemStore) clearSimCache() {
-	s.cacheMu.Lock()
-	s.simCache = map[string][]ValueMatch{}
-	s.cacheMu.Unlock()
-}
-
 // ObjectsWithExact implements Store.
 func (s *MemStore) ObjectsWithExact(t Tuple) []int32 {
 	s.mustBeFinal()
-	return s.occ[t.occKey()]
+	return occLookup(s.occ, t.Type, t.Value)
 }
 
 // SimilarValues implements Store. On a mutated type the base index
@@ -216,21 +206,14 @@ func (s *MemStore) SimilarValues(t Tuple) []ValueMatch {
 	if ti == nil && d == nil {
 		return nil
 	}
-	cacheKey := t.occKey()
-	s.cacheMu.RLock()
-	cached, ok := s.simCache[cacheKey]
-	s.cacheMu.RUnlock()
-	if ok {
+	if cached, ok := s.sim.get(t); ok {
 		return cached
 	}
-	var out []ValueMatch
-	collectLive(ti, d, t.Type, t.Value, s.theta,
-		func(key string) []int32 { return s.occ[key] },
-		func(m ValueMatch) { out = append(out, m) })
+	var stack [64]rune
+	q := newQuery(stack[:0], t.Value)
+	out := collectLive(nil, ti, d, t.Type, q, s.theta, s.occ)
 	sortMatches(out)
-	s.cacheMu.Lock()
-	s.simCache[cacheKey] = out
-	s.cacheMu.Unlock()
+	s.sim.put(t, out)
 	return out
 }
 
@@ -239,11 +222,7 @@ func (s *MemStore) SimilarValues(t Tuple) []ValueMatch {
 // union counts it as one phantom occurrence so the value stays finite.
 func (s *MemStore) SoftIDF(a, b Tuple) float64 {
 	s.mustBeFinal()
-	oa := s.occ[a.occKey()]
-	if a.occKey() == b.occKey() {
-		return softIDF(s.Size(), len(oa))
-	}
-	return softIDF(s.Size(), unionSizeSorted(oa, s.occ[b.occKey()]))
+	return softIDF(s.Size(), OccUnion(s, a, b))
 }
 
 // SoftIDFSingle implements Store.

@@ -37,10 +37,16 @@
 package od
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 
+	"repro/internal/strdist"
 	"repro/internal/xmltree"
 )
 
@@ -76,19 +82,106 @@ type OD struct {
 	Source int    // which input document the candidate came from
 	Tuples []Tuple
 	Node   *xmltree.Node
+
+	compiled atomic.Value // *Compiled, see Compiled()
 }
 
 // NonEmptyTuples returns the tuples carrying actual data. Tuples with empty
 // values exist (complex content without text) but are never similar nor
-// contradictory — the rationale behind Condition 1.
+// contradictory — the rationale behind Condition 1. The slice belongs to
+// the OD's compiled form (see Compiled) and must not be modified.
 func (o *OD) NonEmptyTuples() []Tuple {
-	out := make([]Tuple, 0, len(o.Tuples))
-	for _, t := range o.Tuples {
+	return o.Compiled().NonEmpty
+}
+
+// Compiled is an object description decoded once for the Step 4–5
+// kernel: the tuples that carry data, and the same tuples grouped by
+// real-world type with their values as runes. Comparing two ODs walks
+// the two group lists in step; nothing is decoded, grouped or sorted per
+// pair. A Compiled is immutable once built and shared by every reader
+// of its OD.
+type Compiled struct {
+	// NonEmpty holds the tuples with a non-empty value, in OD order. It
+	// is the OD's own Tuples slice when none is empty.
+	NonEmpty []Tuple
+	// Groups holds the same tuples by ascending Type; within a group
+	// they keep OD order.
+	Groups []TypeGroup
+
+	src []Tuple // the Tuples slice this was compiled from
+}
+
+// TypeGroup is the tuples of one real-world type within one OD.
+type TypeGroup struct {
+	Type   string
+	Tuples []CompiledTuple
+}
+
+// CompiledTuple is one non-empty tuple ready for distance computations.
+type CompiledTuple struct {
+	Runes []rune // the value, decoded
+	Sig   uint64 // strdist.Signature(Runes)
+	Slot  int    // index of the tuple in Compiled.NonEmpty
+}
+
+// Compiled returns the OD's compiled form, building it on first use — in
+// the pipeline that is the object's first filter bound or comparison, on
+// whichever worker gets there; every later call is a load. Concurrent
+// first calls may both build — the results are equal and either is
+// kept. An OD whose Tuples slice was replaced since recompiles; editing
+// tuple values in place after first use is not supported (tuples are
+// final at Add time, see Store).
+func (o *OD) Compiled() *Compiled {
+	if c, _ := o.compiled.Load().(*Compiled); c != nil && len(c.src) == len(o.Tuples) &&
+		(len(c.src) == 0 || &c.src[0] == &o.Tuples[0]) {
+		return c
+	}
+	c := compile(o.Tuples)
+	o.compiled.Store(c)
+	return c
+}
+
+func compile(tuples []Tuple) *Compiled {
+	c := &Compiled{src: tuples, NonEmpty: tuples}
+	n, nRunes := 0, 0
+	for _, t := range tuples {
 		if t.Value != "" {
-			out = append(out, t)
+			n++
+			nRunes += len(t.Value) // bytes bound runes from above
 		}
 	}
-	return out
+	if n < len(tuples) {
+		c.NonEmpty = make([]Tuple, 0, n)
+		for _, t := range tuples {
+			if t.Value != "" {
+				c.NonEmpty = append(c.NonEmpty, t)
+			}
+		}
+	}
+	if n == 0 {
+		return c
+	}
+	runes := make([]rune, 0, nRunes)
+	all := make([]CompiledTuple, n)
+	for i, t := range c.NonEmpty {
+		from := len(runes)
+		runes = strdist.AppendRunes(runes, t.Value)
+		all[i] = CompiledTuple{Runes: runes[from:len(runes):len(runes)], Slot: i}
+		all[i].Sig = strdist.Signature(all[i].Runes)
+	}
+	slices.SortStableFunc(all, func(x, y CompiledTuple) int {
+		return strings.Compare(c.NonEmpty[x.Slot].Type, c.NonEmpty[y.Slot].Type)
+	})
+	for lo := 0; lo < n; {
+		typ := c.NonEmpty[all[lo].Slot].Type
+		hi := lo + 1
+		for hi < n && c.NonEmpty[all[hi].Slot].Type == typ {
+			hi++
+		}
+		c.Groups = append(c.Groups, TypeGroup{Type: typ, Tuples: all[lo:hi:hi]})
+		lo = hi
+	}
+	return c
 }
 
 // ValueMatch is one distinct value similar to a queried value.
@@ -224,10 +317,10 @@ func SoftIDFValue(size, union int) float64 {
 // Definition 8, from the store's exact occurrence postings.
 func OccUnion(s Store, a, b Tuple) int {
 	oa := s.ObjectsWithExact(a)
-	if a.occKey() == b.occKey() {
+	if a.Type == b.Type && a.Value == b.Value {
 		return len(oa)
 	}
-	return unionSizeSorted(oa, s.ObjectsWithExact(b))
+	return UnionSize(oa, s.ObjectsWithExact(b))
 }
 
 // softIDF computes log(|ΩT| / union) with the phantom-occurrence guard of
@@ -239,8 +332,9 @@ func softIDF(size, union int) float64 {
 	return math.Log(float64(size) / float64(union))
 }
 
-// unionSizeSorted returns |a ∪ b| for two sorted id slices.
-func unionSizeSorted(oa, ob []int32) int {
+// UnionSize returns |a ∪ b| for two ascending id slices — Definition 8's
+// union cardinality for callers that already hold both posting lists.
+func UnionSize(oa, ob []int32) int {
 	i, j, n := 0, 0, 0
 	for i < len(oa) && j < len(ob) {
 		switch {
@@ -258,47 +352,72 @@ func unionSizeSorted(oa, ob []int32) int {
 	return n
 }
 
+// idSet is a reusable bitset over object ids: the scratch neighborsOf
+// merges posting lists through. Pooled, because Store.Neighbors carries
+// no scratch argument.
+type idSet struct{ words []uint64 }
+
+var idSetPool = sync.Pool{New: func() any { return new(idSet) }}
+
 // neighborsOf is the blocking-set computation shared by the stores: any
 // object pair with sim > 0 shares at least one similar tuple pair, so the
-// union of SimilarValues object sets over o's tuples is lossless.
+// union of SimilarValues object sets over o's tuples is lossless. The
+// posting lists are ORed into a pooled bitset and read back ascending —
+// no per-call set, no sort. Only the window of words the call touched is
+// read back and zeroed, so the cost follows the neighbours' id spread,
+// not the largest id the pooled set ever held.
 func neighborsOf(s Store, id int32) []int32 {
-	o := s.OD(id)
-	seen := map[int32]bool{}
-	var out []int32
-	for _, t := range o.NonEmptyTuples() {
+	// The set goes back to the pool only once it has been read back to
+	// all zeroes; a store panicking mid-merge leaves it to the collector.
+	set := idSetPool.Get().(*idSet)
+	n, lo, hi := 0, math.MaxInt, -1
+	for _, t := range s.OD(id).NonEmptyTuples() {
 		for _, m := range s.SimilarValues(t) {
 			for _, other := range m.Objects {
-				if other == id || seen[other] {
-					continue
+				w := int(other >> 6)
+				if w >= len(set.words) {
+					set.words = append(set.words, make([]uint64, w+1-len(set.words))...)
 				}
-				seen[other] = true
-				out = append(out, other)
+				if bit := uint64(1) << (other & 63); other != id && set.words[w]&bit == 0 {
+					set.words[w] |= bit
+					n++
+					lo, hi = min(lo, w), max(hi, w)
+				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if n == 0 {
+		idSetPool.Put(set)
+		return nil
+	}
+	out := make([]int32, 0, n)
+	for w := lo; w <= hi; w++ {
+		for word := set.words[w]; word != 0; word &= word - 1 {
+			out = append(out, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+		set.words[w] = 0
+	}
+	idSetPool.Put(set)
 	return out
 }
 
 // sortMatches orders SimilarValues results canonically: ascending distance,
 // then lexicographic value. Values are distinct, so the order is total.
 func sortMatches(out []ValueMatch) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
+	slices.SortFunc(out, func(x, y ValueMatch) int {
+		if c := cmp.Compare(x.Dist, y.Dist); c != 0 {
+			return c
 		}
-		return out[i].Value < out[j].Value
+		return strings.Compare(x.Value, y.Value)
 	})
 }
 
 // sortInt32s sorts ids ascending.
-func sortInt32s(ids []int32) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
+func sortInt32s(ids []int32) { slices.Sort(ids) }
 
 // sortTypeStats orders diagnostics rows by type name.
 func sortTypeStats(out []TypeStats) {
-	sort.Slice(out, func(i, j int) bool { return out[i].Type < out[j].Type })
+	slices.SortFunc(out, func(x, y TypeStats) int { return strings.Compare(x.Type, y.Type) })
 }
 
 // splitOccKey splits an occurrence key back into (type, value).

@@ -154,6 +154,44 @@ func TestNeighbors(t *testing.T) {
 	}
 }
 
+// neighborsOf reads back only the words of its pooled bitset that the
+// call touched; a bit left behind would surface as a stranger in a later
+// call's set. Visit the objects far-apart-first so consecutive windows
+// differ, and compare with the plain union.
+func TestNeighborsMatchPlainUnion(t *testing.T) {
+	s := NewMemStore()
+	for _, o := range cdODs(400, 31) {
+		s.Add(o)
+	}
+	s.Finalize(0.15)
+	n := int32(s.Size())
+	for i := int32(0); i < n; i++ {
+		id := i / 2
+		if i%2 == 1 {
+			id = n - 1 - i/2
+		}
+		seen := map[int32]bool{}
+		for _, tu := range s.OD(id).NonEmptyTuples() {
+			for _, m := range s.SimilarValues(tu) {
+				for _, other := range m.Objects {
+					if other != id {
+						seen[other] = true
+					}
+				}
+			}
+		}
+		var want []int32
+		for other := int32(0); other < n; other++ {
+			if seen[other] {
+				want = append(want, other)
+			}
+		}
+		if got := s.Neighbors(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Neighbors(%d) = %v, want %v", id, got, want)
+		}
+	}
+}
+
 func TestNonEmptyTuples(t *testing.T) {
 	o := &OD{Tuples: []Tuple{
 		{Value: "x", Type: "T"},

@@ -272,12 +272,13 @@ func StoreInfo(s Store) PartitionInfo {
 	return info
 }
 
-// partitionIndex routes an occurrence key to its owning partition:
-// seeded FNV-1a over the key, modulo the partition count. The seed is
-// part of a federation's identity (SavePartitioned records it) — all
-// coordinators of one federation must agree on it.
-func partitionIndex(key string, seed uint32, n int) int {
-	return int(fnv1a(key, seed) % uint32(n))
+// partitionOf routes a (type, value) to its owning partition: seeded
+// FNV-1a over the occurrence key (hashed without building it), modulo
+// the partition count. The seed is part of a federation's identity
+// (SavePartitioned records it) — all coordinators of one federation
+// must agree on it.
+func partitionOf(typ, val string, seed uint32, n int) int {
+	return int(fnv1aOcc(typ, val, seed) % uint32(n))
 }
 
 // Batch bounding lives in the transports now: the coordinator hands
@@ -356,8 +357,8 @@ type PartitionedStore struct {
 	// type's mutation epoch, so an Update/Remove batch invalidates
 	// exactly the touched types' entries (they become unreachable and
 	// age out) while every other cached merge survives.
-	occCache *shardedLRU[string, []int32]
-	simCache *shardedLRU[string, []ValueMatch]
+	occCache *shardedLRU[epochKey, []int32]
+	simCache *shardedLRU[epochKey, []ValueMatch]
 
 	// typeEpochs counts mutation batches per touched type; written only
 	// inside mutation calls, which the MutableStore contract serializes
@@ -662,7 +663,7 @@ func (s *PartitionedStore) shadowODs(ods []*OD) [][]*OD {
 			if t.Value == "" {
 				continue
 			}
-			pi := partitionIndex(t.occKey(), s.seed, len(s.parts))
+			pi := partitionOf(t.Type, t.Value, s.seed, len(s.parts))
 			owned[pi] = append(owned[pi], t)
 		}
 		for i := range out {
@@ -887,8 +888,8 @@ func (s *PartitionedStore) IDSpan() int32 { return s.dir.span() }
 // capacities are DiskStore's, chosen for the same reason — keep the
 // compare stage's working set resident, nothing more.
 func (s *PartitionedStore) clearCaches() {
-	s.occCache = newShardedLRU[string, []int32](diskOccCacheSize, hashKey)
-	s.simCache = newShardedLRU[string, []ValueMatch](diskSimCacheSize, hashKey)
+	s.occCache = newShardedLRU[epochKey, []int32](diskOccCacheSize, hashEpochKey)
+	s.simCache = newShardedLRU[epochKey, []ValueMatch](diskSimCacheSize, hashEpochKey)
 }
 
 // CacheStats reports the coordinator's merged-answer cache counters,
@@ -904,17 +905,10 @@ func (s *PartitionedStore) CacheStats() map[string]CacheStats {
 	}
 }
 
-// cacheKey derives a merged-answer cache key from a tuple: the owning
-// type's mutation epoch, base36, then an \x01 separator (base36 never
-// contains it, so distinct epochs cannot collide), then the occurrence
-// key. A mutation batch bumps the touched types' epochs, orphaning
-// exactly their cached merges.
-func (s *PartitionedStore) cacheKey(t Tuple) string {
-	var epoch uint64
-	if s.typeEpochs != nil {
-		epoch = s.typeEpochs[t.Type]
-	}
-	return strconv.FormatUint(epoch, 36) + "\x01" + t.occKey()
+// cacheKey derives a merged-answer cache key from a tuple: its (type,
+// value) under the owning type's mutation epoch (see epochKey).
+func (s *PartitionedStore) cacheKey(t Tuple) epochKey {
+	return epochKey{s.typeEpochs[t.Type], t.Type, t.Value}
 }
 
 // bumpEpochs advances the mutation epoch of every touched type. Called
@@ -950,12 +944,11 @@ func tupleTypes(set map[string]bool, ods []*OD) {
 func (s *PartitionedStore) ObjectsWithExact(t Tuple) []int32 {
 	s.mustBeFinal()
 	s.mustBeHealthy()
-	occKey := t.occKey()
 	key := s.cacheKey(t)
 	if ids, ok := s.occCache.get(key); ok {
 		return ids
 	}
-	pi := partitionIndex(occKey, s.seed, len(s.parts))
+	pi := partitionOf(t.Type, t.Value, s.seed, len(s.parts))
 	if !s.routingOff && s.routing != nil &&
 		s.routing[pi].types[t.Type].canSkipExact(t.Value) {
 		s.statExactSkips.Add(1)
@@ -1060,10 +1053,10 @@ func (s *PartitionedStore) PrefetchSimilar(ts []Tuple) {
 	s.mustBeHealthy()
 	type pendingQuery struct {
 		t   Tuple
-		key string
+		key epochKey
 	}
 	var pend []pendingQuery
-	seen := map[string]bool{}
+	seen := map[epochKey]bool{}
 	for _, t := range ts {
 		if t.Value == "" {
 			continue

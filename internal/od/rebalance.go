@@ -88,7 +88,7 @@ func (s *PartitionedStore) Rebalance(parts []Partition, seed uint32) (*Partition
 					return nil, fmt.Errorf("od: rebalance: partition %d has no shadow for live object %d — federation state diverged", i, lo+j)
 				}
 				for _, t := range e.Tuples {
-					k := partitionIndex(t.occKey(), seed, len(parts))
+					k := partitionOf(t.Type, t.Value, seed, len(parts))
 					owned[k] = append(owned[k], t)
 				}
 			}

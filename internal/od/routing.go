@@ -324,7 +324,7 @@ type WireCounter interface {
 // contract survives the collapsing.
 type simFlight struct {
 	mu sync.Mutex
-	m  map[string]*flightCall
+	m  map[epochKey]*flightCall
 }
 
 type flightCall struct {
@@ -335,10 +335,10 @@ type flightCall struct {
 
 // do runs fn once per concurrent key, reporting whether the result was
 // shared from another caller's flight.
-func (g *simFlight) do(key string, fn func() []ValueMatch) ([]ValueMatch, bool) {
+func (g *simFlight) do(key epochKey, fn func() []ValueMatch) ([]ValueMatch, bool) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = map[string]*flightCall{}
+		g.m = map[epochKey]*flightCall{}
 	}
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()

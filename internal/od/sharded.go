@@ -2,15 +2,16 @@ package od
 
 import (
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/conc"
 )
 
 // ShardedStore partitions the occurrence and distinct-value indexes across
 // N shards keyed by a hash of (type, value). Each shard carries its own
-// lock and similarity cache, so index construction fans out across
-// GOMAXPROCS workers and concurrent neighbor queries do not contend on a
-// single cache mutex. Query results are bit-identical to MemStore's: the
+// lock, so index construction fans out across GOMAXPROCS workers; the
+// similar-value cache is the lock-striped simCache every single-node
+// backend shares. Query results are bit-identical to MemStore's: the
 // shards partition *values*, every similar-value query fans out to all
 // shards, and the merged matches are sorted into the same canonical order.
 //
@@ -37,17 +38,17 @@ type ShardedStore struct {
 	// grow-only between compactions: shard-scoped rebuilds must size their
 	// edit budgets from the global maximum, never a shard-local one.
 	typeMaxLen map[string]int
+
+	sim *simCache // merged cross-shard SimilarValues answers
 }
 
 type storeShard struct {
 	mu      sync.Mutex // guards pending during the parallel Finalize scan
 	pending []occEntry
 
-	occ      map[string][]int32 // occKey -> sorted unique live object ids
-	types    map[string]*typeIndex
-	deltas   map[string]*typeDelta
-	cacheMu  sync.RWMutex
-	simCache map[string][]ValueMatch
+	occ    map[string][]int32 // occKey -> sorted unique live object ids
+	types  map[string]*typeIndex
+	deltas map[string]*typeDelta
 }
 
 type occEntry struct {
@@ -67,6 +68,7 @@ func NewShardedStore(shards int) *ShardedStore {
 	return &ShardedStore{
 		nShards: shards,
 		shards:  make([]storeShard, shards),
+		sim:     newSimCache(),
 	}
 }
 
@@ -111,6 +113,11 @@ func (s *ShardedStore) IDSpan() int32 { return int32(len(s.ods)) }
 // shardOf maps an occurrence key to its owning shard (FNV-1a).
 func (s *ShardedStore) shardOf(key string) int {
 	return int(fnv1a(key, 0) % uint32(s.nShards))
+}
+
+// shardOfValue is shardOf(occKeyOf(typ, val)) without building the key.
+func (s *ShardedStore) shardOfValue(typ, val string) int {
+	return int(fnv1aOcc(typ, val, 0) % uint32(s.nShards))
 }
 
 // Finalize implements Store. The build runs in four parallel phases:
@@ -163,7 +170,6 @@ func (s *ShardedStore) Finalize(theta float64) {
 			for _, ids := range sh.occ {
 				sortInt32s(ids)
 			}
-			sh.simCache = map[string][]ValueMatch{}
 		}
 	})
 
@@ -174,7 +180,7 @@ func (s *ShardedStore) Finalize(theta float64) {
 			m := map[string]int{}
 			for key := range s.shards[i].occ {
 				typ, val := splitOccKey(key)
-				if l := len([]rune(val)); l > m[typ] {
+				if l := utf8.RuneCountInString(val); l > m[typ] {
 					m[typ] = l
 				}
 			}
@@ -221,7 +227,8 @@ func (s *ShardedStore) AddAfterFinalize(ods []*OD) error {
 			sh := s.shardOf(k)
 			buf[sh] = append(buf[sh], occEntry{key: k, id: o.ID})
 			typ, val := splitOccKey(k)
-			if l := len([]rune(val)); l > s.typeMaxLen[typ] {
+			s.sim.touch(typ)
+			if l := utf8.RuneCountInString(val); l > s.typeMaxLen[typ] {
 				s.typeMaxLen[typ] = l
 			}
 		})
@@ -247,6 +254,8 @@ func (s *ShardedStore) Remove(ids []int32) error {
 		scanODTuples(o, seen, func(k string) {
 			sh := s.shardOf(k)
 			buf[sh] = append(buf[sh], occEntry{key: k, id: id})
+			typ, _ := splitOccKey(k)
+			s.sim.touch(typ)
 		})
 		s.ods[id] = nil
 		s.live--
@@ -263,12 +272,6 @@ func (s *ShardedStore) applyShardEntries(buf [][]occEntry, add bool) {
 	conc.Ranges(s.Workers, s.nShards, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sh := &s.shards[i]
-			// Every shard's cache goes: SimilarValues caches the merged
-			// cross-shard result in the query key's owner shard, so a
-			// mutation in any shard can stale entries in all of them.
-			sh.cacheMu.Lock()
-			sh.simCache = map[string][]ValueMatch{}
-			sh.cacheMu.Unlock()
 			if len(buf[i]) == 0 {
 				continue
 			}
@@ -329,51 +332,35 @@ func (s *ShardedStore) applyShardEntries(buf [][]occEntry, add bool) {
 // ObjectsWithExact implements Store.
 func (s *ShardedStore) ObjectsWithExact(t Tuple) []int32 {
 	s.mustBeFinal()
-	k := t.occKey()
-	return s.shards[s.shardOf(k)].occ[k]
+	return occLookup(s.shards[s.shardOfValue(t.Type, t.Value)].occ, t.Type, t.Value)
 }
 
 // SimilarValues implements Store. The query fans out to every shard's
-// slice of the type's values; the merged result is cached in the shard
-// owning the query key, so concurrent queries for different values mostly
-// touch different cache locks.
+// slice of the type's values and the merged result is cached.
 func (s *ShardedStore) SimilarValues(t Tuple) []ValueMatch {
 	s.mustBeFinal()
 	if t.Value == "" {
 		return nil
 	}
-	cacheKey := t.occKey()
-	owner := &s.shards[s.shardOf(cacheKey)]
-	owner.cacheMu.RLock()
-	cached, ok := owner.simCache[cacheKey]
-	owner.cacheMu.RUnlock()
-	if ok {
+	if cached, ok := s.sim.get(t); ok {
 		return cached
 	}
+	var stack [64]rune
+	q := newQuery(stack[:0], t.Value)
 	var out []ValueMatch
 	for i := range s.shards {
 		sh := &s.shards[i]
-		collectLive(sh.types[t.Type], sh.deltas[t.Type], t.Type, t.Value, s.theta,
-			func(key string) []int32 { return sh.occ[key] },
-			func(m ValueMatch) { out = append(out, m) })
+		out = collectLive(out, sh.types[t.Type], sh.deltas[t.Type], t.Type, q, s.theta, sh.occ)
 	}
 	sortMatches(out)
-	owner.cacheMu.Lock()
-	owner.simCache[cacheKey] = out
-	owner.cacheMu.Unlock()
+	s.sim.put(t, out)
 	return out
 }
 
 // SoftIDF implements Store.
 func (s *ShardedStore) SoftIDF(a, b Tuple) float64 {
 	s.mustBeFinal()
-	ka := a.occKey()
-	oa := s.shards[s.shardOf(ka)].occ[ka]
-	kb := b.occKey()
-	if ka == kb {
-		return softIDF(s.Size(), len(oa))
-	}
-	return softIDF(s.Size(), unionSizeSorted(oa, s.shards[s.shardOf(kb)].occ[kb]))
+	return softIDF(s.Size(), OccUnion(s, a, b))
 }
 
 // SoftIDFSingle implements Store.

@@ -469,18 +469,18 @@ func (s *DiskStore) exportLiveTypes(w *odcodec.Writer, remap []int32) error {
 				return true, err
 			}
 			for next < len(addedSorted) && addedSorted[next] < v {
-				if err := emit(addedSorted[next], m.mergePostings(occKeyOf(typ, addedSorted[next]), nil)); err != nil {
+				if err := emit(addedSorted[next], m.mergePostings(typ, addedSorted[next], nil)); err != nil {
 					return true, err
 				}
 				next++
 			}
-			return false, emit(v, m.mergePostings(occKeyOf(typ, v), ids))
+			return false, emit(v, m.mergePostings(typ, v, ids))
 		})
 		if err != nil {
 			return err
 		}
 		for ; next < len(addedSorted); next++ {
-			if err := emit(addedSorted[next], m.mergePostings(occKeyOf(typ, addedSorted[next]), nil)); err != nil {
+			if err := emit(addedSorted[next], m.mergePostings(typ, addedSorted[next], nil)); err != nil {
 				return err
 			}
 		}

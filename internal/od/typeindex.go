@@ -10,13 +10,32 @@ import (
 // real-world type (or, in a ShardedStore, for the slice of them one shard
 // owns). It is built once during Finalize and read-only afterwards.
 type typeIndex struct {
-	values   []string
-	objects  [][]int32
-	byValue  map[string]int32
-	maxLen   int // longest value indexed here (shard-local)
-	budget   int // strict edit budget for the type's longest value overall
+	values  []string
+	objects [][]int32
+	byValue map[string]int32
+	// runes holds every value decoded once, back to back; value idx spans
+	// runes[runeOff[idx]:runeOff[idx+1]]. Neither lookup tier decodes an
+	// indexed value again.
+	runes    []rune
+	runeOff  []int32
+	sigs     []uint64 // strdist.Signature per value, the first gate of both tiers
+	maxLen   int      // longest value indexed here (shard-local)
+	budget   int      // strict edit budget for the type's longest value overall
 	neighbor *strdist.NeighborIndex
 	byLen    map[int][]int32
+}
+
+// query is one similar-value question with its value decoded and its
+// signature folded once.
+type query struct {
+	val   string
+	runes []rune
+	sig   uint64
+}
+
+func newQuery(buf []rune, val string) query {
+	runes := strdist.AppendRunes(buf, val)
+	return query{val: val, runes: runes, sig: strdist.Signature(runes)}
 }
 
 // buildTypeIndex indexes the value -> sorted-object-ids table of one type.
@@ -31,12 +50,16 @@ func buildTypeIndex(m map[string][]int32, theta float64, budgetLen int) *typeInd
 		vals = append(vals, v)
 	}
 	sort.Strings(vals) // deterministic ordering
+	ti.runeOff = make([]int32, 1, len(vals)+1)
 	for _, v := range vals {
 		id := int32(len(ti.values))
 		ti.values = append(ti.values, v)
 		ti.objects = append(ti.objects, m[v])
 		ti.byValue[v] = id
-		l := len([]rune(v))
+		ti.runes = strdist.AppendRunes(ti.runes, v)
+		ti.runeOff = append(ti.runeOff, int32(len(ti.runes)))
+		ti.sigs = append(ti.sigs, strdist.Signature(ti.runesOf(id)))
+		l := len(ti.runesOf(id))
 		ti.byLen[l] = append(ti.byLen[l], id)
 		if l > ti.maxLen {
 			ti.maxLen = l
@@ -55,16 +78,18 @@ func (ti *typeIndex) has(v string) bool {
 	return ok
 }
 
-// collect calls add(idx) for every indexed value whose normalized edit
-// distance to q is strictly below theta. add re-verifies the threshold, so
-// either lookup path (deletion-neighborhood index or length-windowed scan)
-// yields the same result set.
-func (ti *typeIndex) collect(q string, theta float64, add func(idx int32)) {
-	check := func(idx int32) {
-		if strdist.NormalizedBelow(q, ti.values[idx], theta) {
-			add(idx)
-		}
-	}
+// runesOf returns the decoded runes of value idx.
+func (ti *typeIndex) runesOf(idx int32) []rune {
+	return ti.runes[ti.runeOff[idx]:ti.runeOff[idx+1]]
+}
+
+// collect appends to dst the index of every value whose normalized edit
+// distance to q is strictly below theta. Both lookup paths (deletion-
+// neighborhood index or length-windowed scan) verify each candidate
+// against the threshold, so they yield the same result set; its order is
+// unspecified.
+func (ti *typeIndex) collect(dst []int32, q query, theta float64) []int32 {
+	qLen := len(q.runes)
 	// The deletion-neighborhood index is complete only when its budget
 	// covers every possible match against q: a match needs at most
 	// MaxEditsBelow(θ, max(|q|, |v|)) edits and |v| <= ti.maxLen. For
@@ -73,52 +98,46 @@ func (ti *typeIndex) collect(q string, theta float64, add func(idx int32)) {
 	// possible through the public API and routine for a mutable store
 	// whose values grew past the budget the base index was built with —
 	// falls back to the complete length-windowed scan.
-	covered := true
 	if ti.neighbor != nil {
-		qLen := len([]rune(q))
-		m := qLen
-		if ti.maxLen > m {
-			m = ti.maxLen
-		}
-		if need := strdist.MaxEditsBelow(theta, m); need < 0 || need > ti.budget {
-			covered = false
-		}
-	}
-	if ti.neighbor != nil && covered {
-		// Complete: budget covers the largest value of the type.
-		if exact, ok := ti.byValue[q]; ok {
-			check(exact)
-		}
-		for _, idx := range ti.neighbor.Lookup(q, -1) {
-			if ti.values[idx] == q {
-				continue
+		if need := strdist.MaxEditsBelow(theta, max(qLen, ti.maxLen)); need >= 0 && need <= ti.budget {
+			start := len(dst)
+			dst = ti.neighbor.Candidates(dst, q.val)
+			kept := dst[:start]
+			for _, idx := range dst[start:] {
+				if strdist.NormalizedBelowSig(q.runes, ti.runesOf(idx), q.sig, ti.sigs[idx], theta) {
+					kept = append(kept, idx)
+				}
 			}
-			check(idx)
+			return kept
 		}
-		return
 	}
-	// Scan within the feasible length window.
-	qLen := len([]rune(q))
+	// Scan within the feasible length window with NormalizedBelowSig's
+	// gates hoisted: budget and length once per bucket, then the stored
+	// signature — it rejects most of a bucket without touching its runes
+	// — and only then the banded DP. Neither queries nor indexed values
+	// are ever empty, so the bucket budget is the strict one.
 	for l, ids := range ti.byLen {
-		m := qLen
-		if l > m {
-			m = l
-		}
-		budget := strdist.MaxEditsBelow(theta, m)
+		budget := strdist.MaxEditsBelow(theta, max(qLen, l))
 		if budget < 0 || strdist.Abs(qLen-l) > budget {
 			continue
 		}
 		for _, idx := range ids {
-			check(idx)
+			if strdist.SignatureBound(q.sig, ti.sigs[idx]) > budget {
+				continue
+			}
+			if _, ok := strdist.LevenshteinBoundedRunes(q.runes, ti.runesOf(idx), budget); ok {
+				dst = append(dst, idx)
+			}
 		}
 	}
+	return dst
 }
 
 // match converts an index hit into the ValueMatch the Store API returns.
-func (ti *typeIndex) match(q string, idx int32) ValueMatch {
+func (ti *typeIndex) match(q query, idx int32) ValueMatch {
 	return ValueMatch{
 		Value:   ti.values[idx],
 		Objects: ti.objects[idx],
-		Dist:    strdist.Normalized(q, ti.values[idx]),
+		Dist:    strdist.NormalizedRunes(q.runes, ti.runesOf(idx)),
 	}
 }

@@ -54,9 +54,12 @@ type Classifier struct {
 
 var _ Comparator = Classifier{}
 
-// Compare implements Comparator with Similarity.
+// Compare implements Comparator with the Similarity score — bit for bit
+// Similarity(...).Score — without materializing the matched pairs.
 func (c Classifier) Compare(store od.Store, a, b *od.OD) float64 {
-	return Similarity(store, a, b, c.ThetaTuple).Score
+	k := borrowKernel(store, c.ThetaTuple)
+	defer k.giveBack()
+	return k.compare(a, b, false, nil)
 }
 
 // Classify implements Comparator.

@@ -23,20 +23,16 @@
 // bound whose postings are untouched by an update needs only its trace.
 package sim
 
-import (
-	"sort"
-	"strconv"
-
-	"repro/internal/od"
-	"repro/internal/strdist"
-)
+import "repro/internal/od"
 
 // MatchedPair is one matched tuple pair together with its distance and
 // softIDF contribution.
 type MatchedPair struct {
 	A, B od.Tuple
-	Dist float64
-	IDF  float64
+	// SlotA and SlotB locate A and B in their objects' NonEmptyTuples().
+	SlotA, SlotB int
+	Dist         float64
+	IDF          float64
 }
 
 // Result is the full breakdown of one pairwise comparison.
@@ -62,9 +58,21 @@ type PairTrace = od.PairTrace
 
 // SimilarityTrace is Similarity plus the pair's replay trace.
 func SimilarityTrace(store od.Store, a, b *od.OD, thetaTuple float64) (Result, PairTrace) {
+	k := borrowKernel(store, thetaTuple)
+	defer k.giveBack()
 	var tr PairTrace
-	res := similarity(store, a, b, thetaTuple, &tr)
-	return res, tr
+	return k.breakdown(a, b, &tr), tr
+}
+
+// ScoreTrace is the score of SimilarityTrace without the matched pairs:
+// the union sizes are appended to tr's slices after truncating them, so
+// a caller that keeps few traces scores every pair into one PairTrace
+// and copies the ones it keeps.
+func ScoreTrace(store od.Store, a, b *od.OD, thetaTuple float64, tr *PairTrace) float64 {
+	k := borrowKernel(store, thetaTuple)
+	defer k.giveBack()
+	tr.SimU, tr.ConU = tr.SimU[:0], tr.ConU[:0]
+	return k.compare(a, b, false, tr)
 }
 
 // ReplayScore recomputes a traced pair's score under a corpus of the
@@ -89,163 +97,9 @@ func ReplayScore(size int, tr PairTrace) float64 {
 // is symmetric: arguments are ordered canonically before matching, so
 // sim(a,b) == sim(b,a) bit for bit.
 func Similarity(store od.Store, a, b *od.OD, thetaTuple float64) Result {
-	return similarity(store, a, b, thetaTuple, nil)
-}
-
-func similarity(store od.Store, a, b *od.OD, thetaTuple float64, trace *PairTrace) Result {
-	if b.ID < a.ID || (b.ID == a.ID && b.Object < a.Object) {
-		a, b = b, a
-	}
-	type group struct {
-		as, bs []od.Tuple
-	}
-	groups := map[string]*group{}
-	var order []string
-	for _, t := range a.NonEmptyTuples() {
-		g, ok := groups[t.Type]
-		if !ok {
-			g = &group{}
-			groups[t.Type] = g
-			order = append(order, t.Type)
-		}
-		g.as = append(g.as, t)
-	}
-	for _, t := range b.NonEmptyTuples() {
-		g, ok := groups[t.Type]
-		if !ok {
-			g = &group{}
-			groups[t.Type] = g
-			order = append(order, t.Type)
-		}
-		g.bs = append(g.bs, t)
-	}
-	sort.Strings(order) // deterministic across runs
-
-	var res Result
-	for _, typ := range order {
-		g := groups[typ]
-		if len(g.as) == 0 || len(g.bs) == 0 {
-			continue // present on one side only: non-specified data
-		}
-		matchGroup(store, g.as, g.bs, thetaTuple, &res, trace)
-	}
-	for _, m := range res.Similar {
-		res.SimilarIDF += m.IDF
-	}
-	for _, m := range res.Contradictory {
-		res.ContraIDF += m.IDF
-	}
-	if res.SimilarIDF+res.ContraIDF > 0 {
-		res.Score = res.SimilarIDF / (res.SimilarIDF + res.ContraIDF)
-	}
-	return res
-}
-
-// pairDist is a scored candidate pairing inside one comparable group.
-type pairDist struct {
-	i, j int
-	dist float64
-}
-
-func matchGroup(store od.Store, as, bs []od.Tuple, thetaTuple float64, res *Result, trace *PairTrace) {
-	// Full distance matrix; groups are small (element multiplicities).
-	pairs := make([]pairDist, 0, len(as)*len(bs))
-	for i, ta := range as {
-		for j, tb := range bs {
-			pairs = append(pairs, pairDist{i, j, strdist.Normalized(ta.Value, tb.Value)})
-		}
-	}
-
-	usedA := make([]bool, len(as))
-	usedB := make([]bool, len(bs))
-
-	// idf resolves one matched pair's softIDF term. In trace mode the
-	// union cardinality is fetched explicitly and the term recomputed
-	// from it — bit-identical to store.SoftIDF by construction (see
-	// od.SoftIDFValue) — so the union can be recorded for replay.
-	idf := func(ta, tb od.Tuple, sink *[]int32) float64 {
-		if trace == nil {
-			return store.SoftIDF(ta, tb)
-		}
-		u := od.OccUnion(store, ta, tb)
-		*sink = append(*sink, int32(u))
-		return od.SoftIDFValue(store.Size(), u)
-	}
-
-	// Similar matching: ascending distance, 1:1.
-	simPairs := filterPairs(pairs, func(p pairDist) bool { return p.dist < thetaTuple })
-	sortPairs(simPairs, as, bs, true)
-	for _, p := range simPairs {
-		if usedA[p.i] || usedB[p.j] {
-			continue
-		}
-		usedA[p.i] = true
-		usedB[p.j] = true
-		var sink *[]int32
-		if trace != nil {
-			sink = &trace.SimU
-		}
-		res.Similar = append(res.Similar, MatchedPair{
-			A: as[p.i], B: bs[p.j], Dist: p.dist,
-			IDF: idf(as[p.i], bs[p.j], sink),
-		})
-	}
-
-	// Contradictory matching: descending distance over the leftovers, 1:1,
-	// bounded by min leftover cardinality (the cities example).
-	conPairs := filterPairs(pairs, func(p pairDist) bool {
-		return !usedA[p.i] && !usedB[p.j]
-	})
-	sortPairs(conPairs, as, bs, false)
-	for _, p := range conPairs {
-		if usedA[p.i] || usedB[p.j] {
-			continue
-		}
-		usedA[p.i] = true
-		usedB[p.j] = true
-		var sink *[]int32
-		if trace != nil {
-			sink = &trace.ConU
-		}
-		res.Contradictory = append(res.Contradictory, MatchedPair{
-			A: as[p.i], B: bs[p.j], Dist: p.dist,
-			IDF: idf(as[p.i], bs[p.j], sink),
-		})
-	}
-}
-
-func filterPairs(pairs []pairDist, keep func(pairDist) bool) []pairDist {
-	out := make([]pairDist, 0, len(pairs))
-	for _, p := range pairs {
-		if keep(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func sortPairs(pairs []pairDist, as, bs []od.Tuple, ascending bool) {
-	sort.Slice(pairs, func(x, y int) bool {
-		px, py := pairs[x], pairs[y]
-		if px.dist != py.dist {
-			if ascending {
-				return px.dist < py.dist
-			}
-			return px.dist > py.dist
-		}
-		ax, ay := as[px.i], as[py.i]
-		if ax.Value != ay.Value {
-			return ax.Value < ay.Value
-		}
-		bx, by := bs[px.j], bs[py.j]
-		if bx.Value != by.Value {
-			return bx.Value < by.Value
-		}
-		if px.i != py.i {
-			return px.i < py.i
-		}
-		return px.j < py.j
-	})
+	k := borrowKernel(store, thetaTuple)
+	defer k.giveBack()
+	return k.breakdown(a, b, nil)
 }
 
 // Classify implements the XML duplicate classifier of Definition 6:
@@ -308,46 +162,54 @@ func ReplayFilter(size int, steps []FilterStep) float64 {
 
 func filter(store od.Store, o *od.OD, traced bool) (float64, []FilterStep) {
 	var sharedIDF, uniqueIDF float64
+	tuples := o.NonEmptyTuples()
 	var steps []FilterStep
+	if traced {
+		steps = make([]FilterStep, 0, len(tuples))
+	}
 	size := store.Size()
-	for _, t := range o.NonEmptyTuples() {
-		best := -1.0
-		bestU := int32(0)
+	for _, t := range tuples {
+		// A similar value's postings travel with the match, so the only
+		// store question besides SimilarValues is the tuple's own list.
+		own := store.ObjectsWithExact(t)
+		best, bestU := -1.0, 0
 		for _, m := range store.SimilarValues(t) {
-			othered := false
-			for _, obj := range m.Objects {
-				if obj != o.ID {
-					othered = true
-					break
-				}
-			}
-			if !othered {
+			if !heldByOther(m.Objects, o.ID) {
 				continue
 			}
-			u := od.OccUnion(store, t, od.Tuple{Value: m.Value, Type: t.Type})
-			idf := od.SoftIDFValue(size, u)
-			if idf > best {
-				best = idf
-				bestU = int32(u)
+			u := len(own)
+			if m.Value != t.Value {
+				u = od.UnionSize(own, m.Objects)
+			}
+			if idf := od.SoftIDFValue(size, u); idf > best {
+				best, bestU = idf, u
 			}
 		}
-		if best >= 0 {
+		shared := best >= 0
+		if shared {
 			sharedIDF += best
-			if traced {
-				steps = append(steps, FilterStep{Shared: true, Union: bestU})
-			}
 		} else {
-			u := od.OccUnion(store, t, t)
-			uniqueIDF += od.SoftIDFValue(size, u)
-			if traced {
-				steps = append(steps, FilterStep{Shared: false, Union: int32(u)})
-			}
+			bestU = len(own)
+			uniqueIDF += od.SoftIDFValue(size, bestU)
+		}
+		if traced {
+			steps = append(steps, FilterStep{Shared: shared, Union: int32(bestU)})
 		}
 	}
 	if sharedIDF+uniqueIDF == 0 {
 		return 0, steps
 	}
 	return sharedIDF / (sharedIDF + uniqueIDF), steps
+}
+
+// heldByOther reports whether some object besides self is in ids.
+func heldByOther(ids []int32, self int32) bool {
+	for _, id := range ids {
+		if id != self {
+			return true
+		}
+	}
+	return false
 }
 
 // FilterExact computes f(ODi) literally as Equation 9 defines it, by
@@ -359,24 +221,22 @@ func filter(store od.Store, o *od.OD, traced bool) (float64, []FilterStep) {
 // j (proof sketch in the package tests). Cost is one sim() per partner, so
 // it exists for validation and small data; the pipeline uses Filter.
 func FilterExact(store od.Store, o *od.OD, thetaTuple float64) float64 {
-	n := store.Size()
-	if n <= 1 {
+	if store.Size() <= 1 {
 		return 0
 	}
-	sharedMax := map[string]float64{} // tuple key -> max similar idf
-	uniqueMin := map[string]float64{} // tuple key -> min contradictory idf
-	alwaysCon := map[string]bool{}    // tuple key -> contradictory vs every j so far
-	keys := map[string]int{}          // tuple key -> count (for init)
-	keyOf := func(t od.Tuple, idx int) string {
-		// index disambiguates duplicate tuples within the OD
-		return t.Type + "\x00" + t.Value + "\x00" + t.Name + "\x00" + strconv.Itoa(idx)
+	k := borrowKernel(store, thetaTuple)
+	defer k.giveBack()
+	// Per tuple of o, by its slot in o.NonEmptyTuples().
+	n := len(o.NonEmptyTuples())
+	sharedMax := make([]float64, n) // max similar idf against any partner
+	uniqueMin := make([]float64, n) // min contradictory idf, valid where conSeen
+	conSeen := make([]bool, n)
+	alwaysCon := make([]bool, n) // contradictory vs every partner so far
+	for i := range alwaysCon {
+		alwaysCon[i] = true
 	}
-	tuples := o.NonEmptyTuples()
-	for idx, t := range tuples {
-		k := keyOf(t, idx)
-		keys[k] = idx
-		alwaysCon[k] = true
-	}
+	inContra := make([]bool, n)
+	contraIDF := make([]float64, n)
 	// FilterExact inherently visits every OD, so the materialized slice
 	// beats per-id fetches: on a disk store, ODs() memoizes the full set
 	// once instead of thrashing the fixed-size OD cache n times. On a
@@ -386,80 +246,42 @@ func FilterExact(store od.Store, o *od.OD, thetaTuple float64) float64 {
 		if other == nil || other.ID == o.ID {
 			continue
 		}
-		res := Similarity(store, o, other, thetaTuple)
-		// Similarity orders its arguments canonically by ID, so o's tuples
+		k.compare(o, other, true, nil)
+		// The kernel orders its arguments canonically by ID, so o's tuples
 		// sit on the A side iff o has the lower ID.
-		oTuple := func(m MatchedPair) od.Tuple {
+		oSlot := func(m MatchedPair) int {
 			if o.ID < other.ID {
-				return m.A
+				return m.SlotA
 			}
-			return m.B
+			return m.SlotB
 		}
-		inSimilar := map[string]bool{}
-		inContra := map[string]float64{}
-		for _, m := range res.Similar {
-			k := findKey(tuples, oTuple(m), inSimilar, nil)
-			if k != "" {
-				inSimilar[k] = true
-				if m.IDF > sharedMax[k] {
-					sharedMax[k] = m.IDF
-				}
-			}
+		clear(inContra)
+		for _, m := range k.res.Similar {
+			slot := oSlot(m)
+			sharedMax[slot] = max(sharedMax[slot], m.IDF)
 		}
-		for _, m := range res.Contradictory {
-			k := findKey(tuples, oTuple(m), inSimilar, inContra)
-			if k != "" {
-				inContra[k] = m.IDF
-			}
+		for _, m := range k.res.Contradictory {
+			slot := oSlot(m)
+			inContra[slot], contraIDF[slot] = true, m.IDF
 		}
-		for k := range keys {
-			if inSimilar[k] {
-				alwaysCon[k] = false
-				continue
-			}
-			idf, contra := inContra[k]
-			if !contra {
-				alwaysCon[k] = false // non-specified vs this partner
-				continue
-			}
-			if cur, ok := uniqueMin[k]; !ok || idf < cur {
-				uniqueMin[k] = idf
+		for slot := 0; slot < n; slot++ {
+			switch {
+			case !inContra[slot]:
+				alwaysCon[slot] = false // similar or non-specified vs this partner
+			case !conSeen[slot] || contraIDF[slot] < uniqueMin[slot]:
+				conSeen[slot], uniqueMin[slot] = true, contraIDF[slot]
 			}
 		}
 	}
 	var sharedIDF, uniqueIDF float64
-	for _, v := range sharedMax {
-		sharedIDF += v
-	}
-	for k, stillCon := range alwaysCon {
-		if stillCon {
-			uniqueIDF += uniqueMin[k]
+	for slot := 0; slot < n; slot++ {
+		sharedIDF += sharedMax[slot]
+		if alwaysCon[slot] {
+			uniqueIDF += uniqueMin[slot]
 		}
 	}
 	if sharedIDF+uniqueIDF == 0 {
 		return 0
 	}
 	return sharedIDF / (sharedIDF + uniqueIDF)
-}
-
-// findKey locates the positional key of tuple t within tuples, skipping
-// keys already claimed in the provided sets, so duplicate tuple values map
-// to distinct slots.
-func findKey(tuples []od.Tuple, t od.Tuple, claimed map[string]bool, claimedIDF map[string]float64) string {
-	for idx, cand := range tuples {
-		if cand.Type != t.Type || cand.Value != t.Value || cand.Name != t.Name {
-			continue
-		}
-		k := cand.Type + "\x00" + cand.Value + "\x00" + cand.Name + "\x00" + strconv.Itoa(idx)
-		if claimed != nil && claimed[k] {
-			continue
-		}
-		if claimedIDF != nil {
-			if _, ok := claimedIDF[k]; ok {
-				continue
-			}
-		}
-		return k
-	}
-	return ""
 }

@@ -14,45 +14,86 @@ package strdist
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
+
+// stackRunes is the rune length up to which the kernels below run
+// entirely on the caller's stack: decoded runes and DP rows live in
+// fixed-size arrays, so inputs this short never touch the heap. Longer
+// inputs fall back to one make per buffer.
+const stackRunes = 64
+
+// AppendRunes appends the runes of s to dst, decoding exactly like
+// []rune(s) (one U+FFFD per invalid byte). Callers that compare one
+// value against many decode it once and use the *Runes kernels.
+func AppendRunes(dst []rune, s string) []rune {
+	for _, r := range s {
+		dst = append(dst, r)
+	}
+	return dst
+}
 
 // Levenshtein returns the edit distance (insertions, deletions,
 // substitutions, unit cost) between a and b.
 func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	return levRunes(ra, rb)
+	var sa, sb [stackRunes]rune
+	return LevenshteinRunes(AppendRunes(sa[:0], a), AppendRunes(sb[:0], b))
 }
 
-func levRunes(ra, rb []rune) int {
-	if len(ra) == 0 {
-		return len(rb)
+// trimCommon strips the longest common prefix and suffix of ra and rb.
+// Edit distance is invariant under it, and near-duplicate values — the
+// common case on the similar side — shrink to the few runes that differ.
+func trimCommon(ra, rb []rune) ([]rune, []rune) {
+	for len(ra) > 0 && len(rb) > 0 && ra[0] == rb[0] {
+		ra, rb = ra[1:], rb[1:]
+	}
+	for len(ra) > 0 && len(rb) > 0 && ra[len(ra)-1] == rb[len(rb)-1] {
+		ra, rb = ra[:len(ra)-1], rb[:len(rb)-1]
+	}
+	return ra, rb
+}
+
+// LevenshteinRunes is Levenshtein over pre-decoded runes. It allocates
+// nothing when the shorter input has at most 64 runes.
+func LevenshteinRunes(ra, rb []rune) int {
+	ra, rb = trimCommon(ra, rb)
+	if len(ra) < len(rb) {
+		ra, rb = rb, ra
 	}
 	if len(rb) == 0 {
 		return len(ra)
 	}
-	if len(ra) < len(rb) {
-		ra, rb = rb, ra
+	// One DP row over the shorter string; diag carries row[j-1] of the
+	// previous row.
+	var stack [stackRunes + 1]int
+	row := stack[:]
+	if len(rb) >= len(row) {
+		row = make([]int, len(rb)+1)
 	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
+	row = row[:len(rb)+1]
+	for j := range row {
+		row[j] = j
 	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
+	for i, ca := range ra {
+		diag := row[0]
+		row[0] = i + 1
+		left := i + 1
+		for j, cb := range rb {
+			up := row[j+1]
+			v := diag
+			if ca != cb {
+				v = min(diag, up, left) + 1
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			row[j+1] = v
+			diag, left = up, v
 		}
-		prev, cur = cur, prev
 	}
-	return prev[len(rb)]
+	return row[len(rb)]
 }
 
 // LevenshteinBounded returns the edit distance between a and b if it is
@@ -60,20 +101,34 @@ func levRunes(ra, rb []rune) int {
 // width 2*maxDist+1 and early termination, so the cost is O(maxDist *
 // min(len)) rather than O(len(a)*len(b)).
 func LevenshteinBounded(a, b string, maxDist int) (int, bool) {
+	var sa, sb [stackRunes]rune
+	return LevenshteinBoundedRunes(AppendRunes(sa[:0], a), AppendRunes(sb[:0], b), maxDist)
+}
+
+// LevenshteinBoundedRunes is LevenshteinBounded over pre-decoded runes.
+// It allocates nothing when the shorter input has at most 64 runes.
+func LevenshteinBoundedRunes(ra, rb []rune, maxDist int) (int, bool) {
 	if maxDist < 0 {
 		return 0, false
 	}
-	ra, rb := []rune(a), []rune(b)
 	if Abs(len(ra)-len(rb)) > maxDist {
 		return maxDist + 1, false
 	}
+	ra, rb = trimCommon(ra, rb)
 	if len(ra) < len(rb) {
 		ra, rb = rb, ra
 	}
+	if len(rb) == 0 {
+		return len(ra), true // the length gate above bounds it by maxDist
+	}
 	// prev/cur are full-width rows but only the band is computed.
 	const inf = 1 << 29
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
+	var stackPrev, stackCur [stackRunes + 1]int
+	prev, cur := stackPrev[:], stackCur[:]
+	if len(rb) >= len(prev) {
+		prev, cur = make([]int, len(rb)+1), make([]int, len(rb)+1)
+	}
+	prev, cur = prev[:len(rb)+1], cur[:len(rb)+1]
 	for j := range prev {
 		if j <= maxDist {
 			prev[j] = j
@@ -82,8 +137,8 @@ func LevenshteinBounded(a, b string, maxDist int) (int, bool) {
 		}
 	}
 	for i := 1; i <= len(ra); i++ {
-		lo := max2(1, i-maxDist)
-		hi := min2(len(rb), i+maxDist)
+		lo := max(1, i-maxDist)
+		hi := min(len(rb), i+maxDist)
 		if lo > 1 {
 			cur[lo-1] = inf
 		}
@@ -93,12 +148,12 @@ func LevenshteinBounded(a, b string, maxDist int) (int, bool) {
 			cur[0] = inf
 		}
 		rowMin := cur[0]
+		ca := ra[i-1]
 		for j := lo; j <= hi; j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
+			v := prev[j-1]
+			if ca != rb[j-1] {
+				v++
 			}
-			v := prev[j-1] + cost
 			if prev[j]+1 < v {
 				v = prev[j] + 1
 			}
@@ -129,21 +184,43 @@ func LevenshteinBounded(a, b string, maxDist int) (int, bool) {
 // length (in runes) of the longer string, as in Definition 7 of the paper.
 // Two empty strings have distance 0.
 func Normalized(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	m := max2(la, lb)
+	var sa, sb [stackRunes]rune
+	return NormalizedRunes(AppendRunes(sa[:0], a), AppendRunes(sb[:0], b))
+}
+
+// NormalizedRunes is Normalized over pre-decoded runes.
+func NormalizedRunes(ra, rb []rune) float64 {
+	m := max(len(ra), len(rb))
 	if m == 0 {
 		return 0
 	}
-	return float64(Levenshtein(a, b)) / float64(m)
+	return float64(LevenshteinRunes(ra, rb)) / float64(m)
 }
 
 // NormalizedBelow reports whether ned(a,b) < theta, computing at most the
 // bounded edit distance implied by theta. It applies the length-difference
-// and bag-distance lower bounds first, so most non-matches never reach the
-// DP. This is the comparison-reduction trick of [18].
+// lower bound and a relaxation of the bag-distance lower bound (see
+// SignatureBound) first, so most non-matches never reach the DP. This is
+// the comparison-reduction trick of [18]. The decision is lev <=
+// MaxEditsBelow(theta, m), the budget the index tiers are sized by; it
+// differs from comparing the rounded quotient lev/m only where that
+// rounds onto theta itself (theta 0.55, m 100, lev 55), and there it
+// errs towards "below".
 func NormalizedBelow(a, b string, theta float64) bool {
-	la, lb := len([]rune(a)), len([]rune(b))
-	m := max2(la, lb)
+	var sa, sb [stackRunes]rune
+	return NormalizedBelowRunes(AppendRunes(sa[:0], a), AppendRunes(sb[:0], b), theta)
+}
+
+// NormalizedBelowRunes is NormalizedBelow over pre-decoded runes.
+func NormalizedBelowRunes(ra, rb []rune, theta float64) bool {
+	return NormalizedBelowSig(ra, rb, Signature(ra), Signature(rb), theta)
+}
+
+// NormalizedBelowSig is NormalizedBelowRunes for callers that keep each
+// value's Signature next to its runes: comparing one query against many
+// stored values then costs no pass over either string before the DP.
+func NormalizedBelowSig(ra, rb []rune, sigA, sigB uint64, theta float64) bool {
+	m := max(len(ra), len(rb))
 	if m == 0 {
 		return 0 < theta // ned = 0
 	}
@@ -152,14 +229,36 @@ func NormalizedBelow(a, b string, theta float64) bool {
 	if maxDist < 0 {
 		return false
 	}
-	if Abs(la-lb) > maxDist {
+	if Abs(len(ra)-len(rb)) > maxDist {
 		return false
 	}
-	if BagDistance(a, b) > maxDist {
+	if SignatureBound(sigA, sigB) > maxDist {
 		return false
 	}
-	_, ok := LevenshteinBounded(a, b, maxDist)
+	_, ok := LevenshteinBoundedRunes(ra, rb, maxDist)
 	return ok
+}
+
+// Signature folds the set of runes of a string into 64 bits, one per
+// residue of the code point. Callers comparing one value against many
+// keep it next to the decoded runes.
+func Signature(runes []rune) uint64 {
+	var sig uint64
+	for _, r := range runes {
+		sig |= 1 << (uint32(r) & 63)
+	}
+	return sig
+}
+
+// SignatureBound returns a lower bound on the edit distance between two
+// strings from their signatures: a bit set on one side only stands for a
+// rune the other string has no equal of, which costs an edit. It never
+// exceeds the bag distance — folding runes together and counting each
+// once can only lose differences — but costs two popcounts where the bag
+// distance counts every rune, which on the similar-value scans is more
+// than the banded DP it is meant to save.
+func SignatureBound(a, b uint64) int {
+	return max(bits.OnesCount64(a&^b), bits.OnesCount64(b&^a))
 }
 
 // strictBudget returns the largest integer d with d < theta*m, i.e. the
@@ -188,29 +287,35 @@ func MaxEditsBelow(theta float64, m int) int {
 
 // LengthLowerBound returns |len(a)-len(b)|, a lower bound on Levenshtein.
 func LengthLowerBound(a, b string) int {
-	return Abs(len([]rune(a)) - len([]rune(b)))
+	return Abs(utf8.RuneCountInString(a) - utf8.RuneCountInString(b))
 }
 
 // BagDistance returns the bag (multiset) distance between a and b:
 // max(|bag(a)-bag(b)|, |bag(b)-bag(a)|). It is a lower bound on the
-// Levenshtein distance and costs O(len(a)+len(b)).
+// Levenshtein distance. The two rune bags are sorted and merged — every
+// rune that finds an unclaimed equal on the other side is matched — on
+// the stack up to 64 runes a side. The filter chain gates with the
+// cheaper SignatureBound; this is the bound of [18] itself, kept for
+// reference and tests.
 func BagDistance(a, b string) int {
-	counts := map[rune]int{}
-	for _, r := range a {
-		counts[r]++
-	}
-	for _, r := range b {
-		counts[r]--
-	}
-	pos, neg := 0, 0
-	for _, c := range counts {
-		if c > 0 {
-			pos += c
-		} else {
-			neg -= c
+	var sa, sb [stackRunes]rune
+	ra, rb := AppendRunes(sa[:0], a), AppendRunes(sb[:0], b)
+	slices.Sort(ra)
+	slices.Sort(rb)
+	matched := 0
+	for i, j := 0, 0; i < len(ra) && j < len(rb); {
+		switch {
+		case ra[i] == rb[j]:
+			matched++
+			i++
+			j++
+		case ra[i] < rb[j]:
+			i++
+		default:
+			j++
 		}
 	}
-	return max2(pos, neg)
+	return max(len(ra), len(rb)) - matched
 }
 
 // Jaro returns the Jaro similarity in [0,1].
@@ -223,7 +328,7 @@ func Jaro(a, b string) float64 {
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	window := max2(la, lb)/2 - 1
+	window := max(la, lb)/2 - 1
 	if window < 0 {
 		window = 0
 	}
@@ -231,8 +336,8 @@ func Jaro(a, b string) float64 {
 	matchB := make([]bool, lb)
 	matches := 0
 	for i := 0; i < la; i++ {
-		lo := max2(0, i-window)
-		hi := min2(lb-1, i+window)
+		lo := max(0, i-window)
+		hi := min(lb-1, i+window)
 		for j := lo; j <= hi; j++ {
 			if matchB[j] || ra[i] != rb[j] {
 				continue
@@ -353,22 +458,6 @@ func SortedTokens(s string) string {
 	})
 	sort.Strings(toks)
 	return strings.Join(toks, " ")
-}
-
-func min3(a, b, c int) int { return min2(min2(a, b), c) }
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Abs returns |x|. Exported because length-window pruning around edit
