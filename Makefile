@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -fuzz FuzzFederation -fuzztime 20s ./internal/od/odcodec/
 	$(GO) test -fuzz FuzzNeighborIndexRoundTrip -fuzztime 20s ./internal/od/odcodec/
 	$(GO) test -fuzz FuzzCompressedSegment -fuzztime 20s ./internal/od/odcodec/
+	$(GO) test -fuzz FuzzIndexCursor -fuzztime 20s ./internal/od/odcodec/
 	$(GO) test -fuzz FuzzTraceSegment -fuzztime 20s ./internal/od/odcodec/
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 20s ./internal/od/odrpc/
 	$(GO) test -fuzz FuzzServerConn -fuzztime 20s ./internal/od/odrpc/
@@ -84,14 +85,16 @@ bench:
 
 # The Step 4–5 kernel layer by layer, with ns/op, B/op and allocs/op:
 # the edit-distance kernels and the neighborhood probe (strdist), the
-# two similar-value lookup tiers and the blocking-set merge (od), one
-# scored pair and one filter bound (sim), and the whole pipeline at the
-# reference benchmark's detect_cd_mem shape (core). CI smoke-runs it
+# two similar-value lookup tiers and the blocking-set merge in memory,
+# the same tiers on disk by mmap and by pread, one posting-list question
+# and the shared cache's hit path (od), one scored pair and one filter
+# bound (sim), and the whole pipeline at the reference benchmark's
+# detect_cd_mem shape on MemStore and on DiskStore (core). CI smoke-runs it
 # with BENCHTIME=1x.
 BENCHTIME ?= 1s
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'Kernels|NeighborIndexLookup' -benchmem -benchtime $(BENCHTIME) ./internal/strdist/
-	$(GO) test -run '^$$' -bench 'TypeIndexCollect|NeighborsOf' -benchmem -benchtime $(BENCHTIME) ./internal/od/
+	$(GO) test -run '^$$' -bench 'TypeIndexCollect|NeighborsOf|DiskSimilarValues|DiskObjectsWithExact|ShardedLRUGet' -benchmem -benchtime $(BENCHTIME) ./internal/od/
 	$(GO) test -run '^$$' -bench 'KernelScore|KernelFilter' -benchmem -benchtime $(BENCHTIME) ./internal/sim/
 	$(GO) test -run '^$$' -bench 'DetectKernel' -benchmem -benchtime $(BENCHTIME) ./internal/core/
 

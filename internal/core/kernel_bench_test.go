@@ -7,6 +7,7 @@ import (
 	"repro/internal/dirty"
 	"repro/internal/experiments"
 	"repro/internal/heuristics"
+	"repro/internal/od"
 )
 
 // BenchmarkDetectKernel is Dataset 1 at the reference benchmark's
@@ -14,7 +15,8 @@ import (
 // filter on, MemStore) through the whole in-process pipeline. Reduce and
 // compare are ~95 % of it, so its ns/op and B/op track the Step 4–5
 // kernel; the traced variant records replay traces the way -update and
-// the daemon do.
+// the daemon do, and the disk variant runs the same corpus on a fresh
+// DiskStore — what it costs over "score" is the disk tier's.
 //
 //	go test ./internal/core -run xxx -bench DetectKernel -benchmem
 func BenchmarkDetectKernel(b *testing.B) {
@@ -26,20 +28,21 @@ func BenchmarkDetectKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, traced := range []bool{false, true} {
-		name := "score"
-		if traced {
-			name = "traced"
-		}
+	for _, name := range []string{"score", "traced", "disk"} {
 		b.Run(name, func(b *testing.B) {
-			det, err := core.NewDetector(ds.Mapping, core.Config{
+			cfg := core.Config{
 				Heuristic:   h,
 				ThetaTuple:  experiments.ThetaTuple,
 				ThetaCand:   experiments.ThetaCand,
 				UseFilter:   true,
 				Workers:     1,
-				Incremental: traced,
-			})
+				Incremental: name == "traced",
+			}
+			if name == "disk" {
+				dir := b.TempDir()
+				cfg.NewStore = func() od.Store { return od.NewDiskStore(dir) }
+			}
+			det, err := core.NewDetector(ds.Mapping, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -384,159 +384,6 @@ func TestRestartReplayPartitioned(t *testing.T) {
 	assertReplayMatch(t, restarted, inproc)
 }
 
-// downgradeToV3 transcodes a committed v4 snapshot into the legacy
-// version-3 format (no neighbor segment, no shared string heap) through
-// the public codec API, byte-faithful in every record the two versions
-// share — exactly what a pre-upgrade binary's od.Save left on disk.
-func downgradeToV3(t *testing.T, srcDir string) string {
-	t.Helper()
-	r, err := odcodec.Open(srcDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	dst := t.TempDir()
-	w, err := odcodec.NewWriterVersion(dst, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Abort()
-	for id := int32(0); id < int32(r.NumODs()); id++ {
-		obj, src, tuples, err := r.OD(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.AddOD(obj, src, tuples); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, tm := range r.Types() {
-		if err := w.BeginType(tm.Name, tm.MaxLen, tm.Budget); err != nil {
-			t.Fatal(err)
-		}
-		err := r.ScanType(tm.Name, func(v string, rl int, postings func() ([]int32, error)) (bool, error) {
-			ids, err := postings()
-			if err != nil {
-				return true, err
-			}
-			return false, w.AddValue(v, ids)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	meta := r.Meta()
-	if err := w.Commit(odcodec.Meta{Fingerprint: meta.Fingerprint, Theta: meta.Theta}); err != nil {
-		t.Fatal(err)
-	}
-	return dst
-}
-
-// TestRestartReplayFromV3Upgrade: a legacy v3 snapshot adopted and
-// updated in place upgrades to the current format and gains a trace
-// segment; the restart after that update replays it, and both the
-// restarted and in-process chains match a from-scratch run.
-func TestRestartReplayFromV3Upgrade(t *testing.T) {
-	sc := updateScenarios(t)[0]
-
-	// Build the v3 starting state: detect the initial corpus into a
-	// fresh v4 snapshot, then transcode it down.
-	seedDir := t.TempDir()
-	seedCfg := sc.cfg
-	seedCfg.NewStore = func() od.Store { return od.NewDiskStore(seedDir) }
-	seedDet, err := core.NewDetector(sc.mapping, seedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := seedDet.DetectInputs(sc.typeName, docInputs(t, []string{sc.names(0)}, sc.initial)...); err != nil {
-		t.Fatal(err)
-	}
-	dirV3 := downgradeToV3(t, seedDir)
-
-	// Adopt the v3 store and update it in place: no traces exist yet
-	// (the format predates them), so this update full-recompares — and
-	// its snapshot stage upgrades the directory to the current format,
-	// after which the traces stage records the segment.
-	cfg := sc.cfg
-	cfg.Incremental = true
-	cfg.Snapshot = &core.SnapshotOptions{Dir: dirV3, Save: true}
-	det, err := core.NewDetector(sc.mapping, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v3store, err := od.OpenDiskStore(dirV3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adopted0, err := core.Adopt(sc.typeName, v3store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, ok := adopted0.StageByName(core.StageAdopt); !ok || st.Items != 0 {
-		t.Fatalf("v3 snapshot yielded traces from nowhere (stage %+v)", st)
-	}
-	res1, err := det.Update(adopted0, core.UpdateBatch{Add: docInputs(t, []string{sc.names(1)}, sc.batch1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Stats.TraceSource != "none" {
-		t.Fatalf("first update over a v3 store reported TraceSource %q, want \"none\"", res1.Stats.TraceSource)
-	}
-
-	// Restart from the upgraded-in-place directory.
-	dirB := copyDir(t, dirV3)
-	store, err := od.OpenDiskStore(dirB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adopted, err := core.Adopt(sc.typeName, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, ok := adopted.StageByName(core.StageAdopt); !ok || st.Items == 0 {
-		t.Fatalf("upgraded snapshot restored no traces (stage %+v, found %v)", st, ok)
-	}
-	cfgB := cfg
-	cfgB.Snapshot = &core.SnapshotOptions{Dir: dirB, Save: true}
-	detB, err := core.NewDetector(sc.mapping, cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch2 := func() []core.SourceInput { return docInputs(t, []string{sc.names(2)}, sc.batch2) }
-	restarted, err := detB.Update(adopted, core.UpdateBatch{
-		Add: batch2(), Remove: trailingIDs(t, adopted, 0, 2),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inproc, err := det.Update(res1, core.UpdateBatch{
-		Add: batch2(), Remove: trailingIDs(t, res1, 0, 2),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertReplayMatch(t, restarted, inproc)
-
-	// Both must also match the from-scratch reference over the final
-	// live corpus.
-	freshCorpora := [][]byte{trimTrailing(t, sc.initial[0], 2), sc.batch1[0], sc.batch2[0]}
-	freshDet, err := core.NewDetector(sc.mapping, sc.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := freshDet.DetectInputs(sc.typeName,
-		docInputs(t, []string{sc.names(0), sc.names(1), sc.names(2)}, freshCorpora)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh.Pairs) == 0 {
-		t.Fatal("reference run found no duplicates; equivalence would be vacuous")
-	}
-	if got, want := canonicalResult(t, restarted), canonicalResult(t, fresh); got != want {
-		t.Errorf("restarted chain diverges from from-scratch run\n got: %s\nwant: %s", got, want)
-	}
-}
-
 // TestRestartCorruptTraceFallsBack: a flipped byte in the trace segment
 // must not poison anything — Adopt reports zero restored traces, the
 // next update recompares everything, and the answer still matches the

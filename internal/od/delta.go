@@ -136,7 +136,7 @@ func collectLive(out []ValueMatch, ti *typeIndex, d *typeDelta, typ string, q qu
 // occLookup returns occ[typ+"\x00"+val]. The key is assembled in a
 // buffer on the stack and never becomes a string, so the lookups of the
 // query paths allocate nothing (keys past the buffer spill to the heap).
-func occLookup(occ map[string][]int32, typ, val string) []int32 {
+func occLookup[S string | []byte](occ map[string][]int32, typ string, val S) []int32 {
 	var buf [128]byte
 	key := append(append(append(buf[:0], typ...), 0), val...)
 	return occ[string(key)]

@@ -27,14 +27,17 @@ import (
 // Similar-value queries are served from the persisted deletion-
 // neighborhood segment (the same FastSS buckets MemStore builds in
 // memory), falling back to a sequential segment scan only when the
-// snapshot predates the neighbor segment, the type's edit budget is
-// out of the indexable range, or a query out-ranges the index — the
-// exact coverage rule typeIndex.collect applies. Segments are memory-
-// mapped when the platform allows it (DiskOptions.Mmap), so value
-// decodes are pointer arithmetic into the page cache instead of
-// positioned reads. Finalize still materializes the tables while
-// building, so the build peak matches MemStore's — it is the
-// post-build footprint and the OpenDiskStore path that are bounded.
+// type's edit budget is out of the indexable range or a query
+// out-ranges the index — the exact coverage rule typeIndex.collect
+// applies. Both tiers walk the segments through an odcodec.Cursor and
+// gate each value where it is stored — persisted rune length, then
+// signature and edit distance over the mapped bytes — so only a value
+// that matches is copied out and has its postings decoded. Segments are
+// memory-mapped when the platform allows it (DiskOptions.Mmap); nothing
+// the store returns or caches aliases the mapping, which an in-place
+// Save replaces under the live store. Finalize still materializes the
+// tables while building, so the build peak matches MemStore's — it is
+// the post-build footprint and the OpenDiskStore path that are bounded.
 // Pick this backend when indexes must outlive the process (warm
 // starts), when the *retained* indexes of a long-lived server must not
 // scale with corpus size, or as the serialization substrate for
@@ -463,7 +466,8 @@ func (s *DiskStore) stageAdded(ods []*OD) ([]stagedAdd, error) {
 				st.newVals = append(st.newVals, false)
 				return
 			}
-			_, inBase, lerr := s.r.LookupValue(typ, val)
+			var ids [64]int32
+			_, inBase, lerr := s.r.LookupValue(typ, val, ids[:0])
 			if lerr != nil {
 				err = fmt.Errorf("od: DiskStore: %w", lerr)
 				return
@@ -562,45 +566,67 @@ func (s *DiskStore) invalidate() {
 	s.allMu.Unlock()
 }
 
-// forEachLiveValue calls fn for every live value of one type of a
-// mutated store with its merged posting list — the base segment scan
-// followed by the overlay's appended values, in no particular order.
-// Stats and the snapshot export's measuring pass share it so "live
-// values of a type" has exactly one definition.
-func (s *DiskStore) forEachLiveValue(typ string, fn func(v string, ids []int32)) error {
+// forEachLiveValue calls fn with the rune length of every live value of
+// one type of a mutated store — the base segment's values (their
+// persisted lengths) that keep a live posting, then the overlay's
+// appended ones, in no particular order. Stats and the snapshot export's
+// measuring pass share it so "live values of a type" has exactly one
+// definition.
+func (s *DiskStore) forEachLiveValue(typ string, fn func(runeLen int)) error {
 	m := s.mut
-	err := s.r.ScanType(typ, func(v string, runeLen int, postings func() ([]int32, error)) (bool, error) {
-		ids, err := postings()
-		if err != nil {
-			return true, err
+	err := s.scanBase(typ, func(v []byte, runeLen int, ids []int32) error {
+		if anyLive(m, typ, v, ids) {
+			fn(runeLen)
 		}
-		if merged := m.mergePostings(typ, v, ids); merged != nil {
-			fn(v, merged)
-		}
-		return false, nil
+		return nil
 	})
 	if err != nil {
 		return err
 	}
 	for _, av := range m.addedVals[typ] {
-		if merged := m.mergePostings(typ, av.val, nil); merged != nil {
-			fn(av.val, merged)
+		if anyLive(m, typ, av.val, nil) {
+			fn(len(av.runes))
 		}
 	}
 	return nil
 }
 
+// scanBase streams one type's base value table to fn in ascending value
+// order. v is a view of the segment and ids decode scratch, both valid
+// during the call only.
+func (s *DiskStore) scanBase(typ string, fn func(v []byte, runeLen int, ids []int32) error) error {
+	c := s.r.Values(typ)
+	defer c.Close()
+	var ids []int32
+	for c.Next() {
+		v, err := c.Value()
+		if err != nil {
+			return err
+		}
+		if ids, err = c.AppendPostings(ids[:0]); err != nil {
+			return err
+		}
+		if err := fn(v, c.RuneLen(), ids); err != nil {
+			return err
+		}
+	}
+	return c.Err()
+}
+
+// anyLive reports whether mergePostings would keep anything of one
+// value's base posting list, without building the merged list.
+func anyLive[S string | []byte](m *diskOverlay, typ string, val S, base []int32) bool {
+	alive := func(id int32) bool { return !m.removed[id] }
+	return slices.ContainsFunc(base, alive) || slices.ContainsFunc(occLookup(m.addOcc, typ, val), alive)
+}
+
 // mergePostings overlays one value's base posting list: removed IDs are
 // filtered out and appended IDs (all larger than any base ID) merged in,
-// preserving ascending order. Returns nil when nothing lives.
+// preserving ascending order. The result never shares base's array —
+// base is decode scratch the next value overwrites. Returns nil when
+// nothing lives.
 func (m *diskOverlay) mergePostings(typ, val string, base []int32) []int32 {
 	add := occLookup(m.addOcc, typ, val)
-	if len(m.removed) == 0 && len(add) == 0 {
-		if len(base) == 0 {
-			return nil
-		}
-		return base
-	}
 	out := make([]int32, 0, len(base)+len(add))
 	for _, id := range base {
 		if !m.removed[id] {
@@ -616,6 +642,19 @@ func (m *diskOverlay) mergePostings(typ, val string, base []int32) []int32 {
 		return nil
 	}
 	return out
+}
+
+// livePostings turns a base posting list decoded into scratch into the
+// list a match or a cache keeps: merged through the overlay when there
+// is one, copied out otherwise. Returns nil when nothing lives.
+func (s *DiskStore) livePostings(typ, val string, base []int32) []int32 {
+	if s.mut != nil {
+		return s.mut.mergePostings(typ, val, base)
+	}
+	if len(base) == 0 {
+		return nil
+	}
+	return slices.Clone(base)
 }
 
 // Close releases the segment file handles. Queries after Close fail;
@@ -683,16 +722,12 @@ func (s *DiskStore) ObjectsWithExact(t Tuple) []int32 {
 	if ids, ok := s.occCache.get(key); ok {
 		return ids
 	}
-	ids, ok, err := s.r.LookupValue(t.Type, t.Value)
+	var scratch [64]int32
+	base, _, err := s.r.LookupValue(t.Type, t.Value, scratch[:0])
 	if err != nil {
 		panic(fmt.Sprintf("od: DiskStore: %v", err))
 	}
-	if !ok {
-		ids = nil
-	}
-	if s.mut != nil {
-		ids = s.mut.mergePostings(t.Type, t.Value, ids)
-	}
+	ids := s.livePostings(t.Type, t.Value, base)
 	s.occCache.put(key, ids)
 	return ids
 }
@@ -743,13 +778,13 @@ func (s *DiskStore) SimilarValues(t Tuple) []ValueMatch {
 // by probing the persisted deletion-neighborhood segment: the query's
 // own deletion variants select candidate value ordinals (FastSS — two
 // strings within the edit budget always share a variant, so the
-// candidate set is complete), each candidate is decoded by ordinal and
-// verified with the exact θtuple check. Reports ok=false — sending the
-// caller to the sequential scan — when the snapshot has no neighbor
-// segment for the type, the benchmarking knob disabled it, or the query
-// could out-range the index: the same coverage rule typeIndex.collect
-// applies in memory (the budget demanded by max(query length, longest
-// indexed value) must not exceed the persisted budget).
+// candidate set is complete), and the cursor seeks each candidate in
+// ascending order for verify. Reports ok=false — sending the caller to
+// the sequential scan — when the snapshot has no neighbor segment for
+// the type, the benchmarking knob disabled it, or the query could
+// out-range the index: the same coverage rule typeIndex.collect applies
+// in memory (the budget demanded by max(query length, longest indexed
+// value) must not exceed the persisted budget).
 func (s *DiskStore) similarFromIndex(typ string, q query) ([]ValueMatch, bool) {
 	if s.opts.DisableNeighborIndex || !s.r.HasNeighbors(typ) {
 		return nil, false
@@ -761,72 +796,86 @@ func (s *DiskStore) similarFromIndex(typ string, q query) ([]ValueMatch, bool) {
 	if need := strdist.MaxEditsBelow(s.theta, max(len(q.runes), tm.MaxLen)); need < 0 || need > tm.Budget {
 		return nil, false
 	}
-	var cands []int32
+	var stack [128]int32
+	cands := stack[:0]
 	strdist.EachDeletion(q.val, tm.Budget, func(variant []byte) {
-		ords, err := s.r.NeighborLookup(typ, string(variant))
-		if err != nil {
+		var err error
+		if cands, err = s.r.NeighborLookup(typ, variant, cands); err != nil {
 			panic(fmt.Sprintf("od: DiskStore: %v", err))
 		}
-		cands = append(cands, ords...)
 	})
 	slices.Sort(cands)
 	var out []ValueMatch
-	var stack [64]rune
+	var runes [64]rune
+	lo, hi := lengthWindow(s.theta, len(q.runes), tm.MaxLen)
+	c := s.r.Values(typ)
+	defer c.Close()
 	for _, ord := range slices.Compact(cands) {
-		v, _, ids, err := s.r.ValueAt(typ, ord)
-		if err != nil {
+		if err := c.Seek(ord); err != nil {
 			panic(fmt.Sprintf("od: DiskStore: %v", err))
 		}
-		vr := strdist.AppendRunes(stack[:0], v)
-		if !strdist.NormalizedBelowSig(q.runes, vr, q.sig, strdist.Signature(vr), s.theta) {
-			continue
-		}
-		if m, ok := s.match(typ, q, v, vr, ids); ok {
-			out = append(out, m)
+		if l := c.RuneLen(); lo <= l && l <= hi {
+			out = s.verify(out, typ, q, &c, runes[:0])
 		}
 	}
 	return out, true
 }
 
-// match turns a base value that passed the θtuple check into the
-// ValueMatch either lookup path reports: its live postings (merged
-// through the overlay; no match when none live) and its distance.
-func (s *DiskStore) match(typ string, q query, v string, vr []rune, ids []int32) (ValueMatch, bool) {
-	if s.mut != nil {
-		if ids = s.mut.mergePostings(typ, v, ids); ids == nil {
-			return ValueMatch{}, false
-		}
-	}
-	return ValueMatch{Value: v, Objects: ids, Dist: strdist.NormalizedRunes(q.runes, vr)}, true
-}
-
 // similarFromScan is the sequential fallback: every base value of the
-// type streams past the same length-window pruning and θtuple re-check
-// the in-memory scan path applies.
+// type whose persisted rune length falls into the query's length window
+// — the same pruning the in-memory scan applies, decided without
+// reading a value byte — goes to verify.
 func (s *DiskStore) similarFromScan(typ string, q query) []ValueMatch {
 	var out []ValueMatch
-	var stack [64]rune
-	qLen := len(q.runes)
-	err := s.r.ScanType(typ, func(v string, runeLen int, postings func() ([]int32, error)) (bool, error) {
-		budget := strdist.MaxEditsBelow(s.theta, max(qLen, runeLen))
-		if budget < 0 || strdist.Abs(qLen-runeLen) > budget {
-			return false, nil
+	var runes [64]rune
+	lo, hi := lengthWindow(s.theta, len(q.runes), s.typeMeta[typ].MaxLen)
+	c := s.r.Values(typ)
+	defer c.Close()
+	for c.Next() {
+		if l := c.RuneLen(); lo <= l && l <= hi {
+			out = s.verify(out, typ, q, &c, runes[:0])
 		}
-		vr := strdist.AppendRunes(stack[:0], v)
-		if !strdist.NormalizedBelowSig(q.runes, vr, q.sig, strdist.Signature(vr), s.theta) {
-			return false, nil
-		}
-		ids, err := postings()
-		if err != nil {
-			return true, err
-		}
-		if m, ok := s.match(typ, q, v, vr, ids); ok {
-			out = append(out, m)
-		}
-		return false, nil
-	})
+	}
+	if err := c.Err(); err != nil {
+		panic(fmt.Sprintf("od: DiskStore: %v", err))
+	}
+	return out
+}
+
+// lengthWindow returns the rune lengths [lo, hi] a stored value of at
+// most maxLen runes can have within θ of a query of qLen runes: l passes
+// when the budget of the longer of the two covers their difference,
+// which stops holding for good once it fails above qLen.
+func lengthWindow(theta float64, qLen, maxLen int) (lo, hi int) {
+	lo, hi = qLen-max(strdist.MaxEditsBelow(theta, qLen), -1), qLen
+	for hi < maxLen && strdist.MaxEditsBelow(theta, hi+1) >= hi+1-qLen {
+		hi++
+	}
+	return lo, hi
+}
+
+// verify appends the cursor's current value to out when it matches q:
+// its runes are decoded from the heap view into the caller's scratch
+// for the signature and edit-distance check, and only a value that
+// passes is copied to a string and has its postings decoded — merged
+// through the overlay, no match when none live.
+func (s *DiskStore) verify(out []ValueMatch, typ string, q query, c *odcodec.Cursor, scratch []rune) []ValueMatch {
+	vb, err := c.Value()
 	if err != nil {
 		panic(fmt.Sprintf("od: DiskStore: %v", err))
+	}
+	vr := strdist.AppendRuneBytes(scratch, vb)
+	if !strdist.NormalizedBelowSig(q.runes, vr, q.sig, strdist.Signature(vr), s.theta) {
+		return out
+	}
+	var ids [64]int32
+	base, err := c.AppendPostings(ids[:0])
+	if err != nil {
+		panic(fmt.Sprintf("od: DiskStore: %v", err))
+	}
+	v := string(vb)
+	if ids := s.livePostings(typ, v, base); ids != nil {
+		out = append(out, ValueMatch{Value: v, Objects: ids, Dist: strdist.NormalizedRunes(q.runes, vr)})
 	}
 	return out
 }
@@ -869,11 +918,9 @@ func (s *DiskStore) Stats() []TypeStats {
 	var out []TypeStats
 	for typ := range types {
 		distinct, maxLen := 0, 0
-		err := s.forEachLiveValue(typ, func(v string, ids []int32) {
+		err := s.forEachLiveValue(typ, func(runeLen int) {
 			distinct++
-			if l := len([]rune(v)); l > maxLen {
-				maxLen = l
-			}
+			maxLen = max(maxLen, runeLen)
 		})
 		if err != nil {
 			panic(fmt.Sprintf("od: DiskStore: %v", err))
@@ -930,9 +977,7 @@ func (s *DiskStore) routingFilters() []VariantFilter {
 		// overlay; the member must always be consulted for them.
 		var maxLen int
 		for _, av := range s.mut.addedVals[typ] {
-			if l := len([]rune(av.val)); l > maxLen {
-				maxLen = l
-			}
+			maxLen = max(maxLen, len(av.runes))
 		}
 		out = append(out, VariantFilter{Type: typ, MaxLen: maxLen})
 	}

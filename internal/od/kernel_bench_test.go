@@ -1,11 +1,16 @@
 package od
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/od/odcodec"
+)
 
 // The benchmarks below time the store half of the Step 4–5 kernel on a
-// FreeDB-like MemStore: the two lookup tiers of a cold similar-value
-// query and the blocking-set merge. `make bench-kernel` runs them beside
-// the strdist and sim ones.
+// FreeDB-like corpus: the two lookup tiers of a cold similar-value
+// query and the blocking-set merge on MemStore, then the same tiers and
+// one posting-list question on a DiskStore. `make bench-kernel` runs
+// them beside the strdist and sim ones.
 
 func kernelBenchStore(b *testing.B) *MemStore {
 	b.Helper()
@@ -56,5 +61,87 @@ func BenchmarkNeighborsOf(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchIdx = neighborsOf(s, int32(i)%n)
+	}
+}
+
+// kernelBenchDisk is kernelBenchStore's corpus finalized to disk and
+// reopened in the given access mode, with each type's distinct values.
+func kernelBenchDisk(b *testing.B, mode odcodec.MmapMode) (*DiskStore, map[string][]string) {
+	b.Helper()
+	built := NewDiskStore(b.TempDir())
+	values := map[string][]string{}
+	seen := map[Tuple]bool{}
+	for _, o := range cdODs(1500, 2005) {
+		built.Add(o)
+		for _, t := range o.Tuples {
+			if k := (Tuple{Type: t.Type, Value: t.Value}); t.Value != "" && !seen[k] {
+				seen[k] = true
+				values[t.Type] = append(values[t.Type], t.Value)
+			}
+		}
+	}
+	built.Finalize(0.15)
+	built.Close()
+	disk, err := OpenDiskStoreWith(built.Dir(), DiskOptions{Mmap: mode})
+	if err != nil {
+		b.Skipf("access mode %v: %v", mode, err)
+	}
+	b.Cleanup(func() { disk.Close() })
+	return disk, values
+}
+
+var benchMatches []ValueMatch
+
+// BenchmarkDiskSimilarValues is BenchmarkTypeIndexCollect's disk tier:
+// one uncached similar-value lookup per iteration through the persisted
+// neighborhood segment ("index", DID) and through the segment scan
+// ("scan", TRACK), from the mapping and by positioned reads.
+func BenchmarkDiskSimilarValues(b *testing.B) {
+	for _, mode := range []struct {
+		name string
+		mode odcodec.MmapMode
+	}{{"mmap", odcodec.MmapOn}, {"pread", odcodec.MmapOff}} {
+		disk, values := kernelBenchDisk(b, mode.mode)
+		for _, tier := range []struct{ name, typ string }{{"index", "DID"}, {"scan", "TRACK"}} {
+			vals := values[tier.typ]
+			b.Run(tier.name+"/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var runes [64]rune
+				for i := 0; i < b.N; i++ {
+					q := newQuery(runes[:0], vals[i%len(vals)])
+					m, indexed := disk.similarFromIndex(tier.typ, q)
+					if indexed != (tier.name == "index") {
+						b.Fatalf("%s: fixture changed, index tier is %v", tier.typ, indexed)
+					}
+					if !indexed {
+						m = disk.similarFromScan(tier.typ, q)
+					}
+					benchMatches = m
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkDiskObjectsWithExact is one posting-list question: "hit"
+// from the posting cache, "miss" through the sparse directory and one
+// index block (the cache is dropped once per pass over the values).
+func BenchmarkDiskObjectsWithExact(b *testing.B) {
+	disk, values := kernelBenchDisk(b, odcodec.MmapOn)
+	vals := values["TRACK"]
+	for _, miss := range []bool{false, true} {
+		name := "hit"
+		if miss {
+			name = "miss"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if miss && i%len(vals) == 0 {
+					disk.invalidate()
+				}
+				benchIdx = disk.ObjectsWithExact(Tuple{Type: "TRACK", Value: vals[i%len(vals)]})
+			}
+		})
 	}
 }

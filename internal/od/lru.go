@@ -1,15 +1,12 @@
 package od
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // This file holds the one bounded cache implementation every backend in
-// this package shares: a generic LRU sharded by key hash. Every
-// single-node backend caches similar-value results through it (simCache),
-// DiskStore also decoded ODs and posting lists; PartitionedStore caches
-// merged fan-out answers. Correctness never
+// this package shares: a generic second-chance ("clock") cache sharded
+// by key hash. Every single-node backend caches similar-value results
+// through it (simCache), DiskStore also decoded ODs and posting lists;
+// PartitionedStore caches merged fan-out answers. Correctness never
 // depends on a cache — every entry is recomputable from the segment
 // files or the members — so eviction policy only affects speed, and the
 // hit/miss/eviction counters exist to make that speed observable
@@ -26,27 +23,30 @@ type CacheStats struct {
 	Capacity  int
 }
 
-// lruShard is one lock's worth of a shardedLRU: a mutex-guarded LRU
-// over an intrusive doubly-linked list (avoids container/list's
-// interface boxing on this hot path).
+// lruShard is one lock's worth of a shardedLRU: entries are linked into
+// a ring in insertion order, which grows to the shard's capacity and is
+// recycled from then on. A hit only sets the entry's reference bit —
+// the Step 5 loop hits these caches twice per matched tuple pair, and
+// relinking a recency list on each of them cost more than the lookup.
+// An insert into a full shard sweeps forward from the oldest entry,
+// clearing reference bits, and overwrites the first entry not hit since
+// the sweep last passed it.
 type lruShard[K comparable, V any] struct {
-	mu  sync.Mutex
-	cap int
-	m   map[K]*lruEntry[K, V]
-	// head = most recent.
-	head, tail *lruEntry[K, V]
+	mu   sync.Mutex
+	cap  int
+	m    map[K]*lruEntry[K, V]
+	last *lruEntry[K, V] // most recently written; last.next is where the sweep resumes
+
+	hits, misses, evictions uint64
+
+	_ [64]byte // shards sit in one array: keep their locks on separate cache lines
 }
 
 type lruEntry[K comparable, V any] struct {
-	key        K
-	val        V
-	prev, next *lruEntry[K, V]
-}
-
-func newLRUShard[K comparable, V any](capacity int) *lruShard[K, V] {
-	// The map grows on demand: every single-node store carries these
-	// caches now, and most never come near their capacity.
-	return &lruShard[K, V]{cap: capacity, m: map[K]*lruEntry[K, V]{}}
+	key  K
+	val  V
+	ref  bool
+	next *lruEntry[K, V]
 }
 
 func (c *lruShard[K, V]) get(k K) (V, bool) {
@@ -54,132 +54,92 @@ func (c *lruShard[K, V]) get(k K) (V, bool) {
 	defer c.mu.Unlock()
 	e, ok := c.m[k]
 	if !ok {
+		c.misses++
 		var zero V
 		return zero, false
 	}
-	c.moveToFront(e)
+	c.hits++
+	e.ref = true
 	return e.val, true
 }
 
-// put inserts or refreshes an entry, reporting whether another entry
-// was evicted to make room.
-func (c *lruShard[K, V]) put(k K, v V) bool {
+// put inserts or refreshes an entry.
+func (c *lruShard[K, V]) put(k K, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m[k]; ok {
 		e.val = v
-		c.moveToFront(e)
-		return false
-	}
-	e := &lruEntry[K, V]{key: k, val: v}
-	c.m[k] = e
-	c.pushFront(e)
-	if len(c.m) > c.cap {
-		evict := c.tail
-		c.unlink(evict)
-		delete(c.m, evict.key)
-		return true
-	}
-	return false
-}
-
-func (c *lruShard[K, V]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-func (c *lruShard[K, V]) pushFront(e *lruEntry[K, V]) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *lruShard[K, V]) unlink(e *lruEntry[K, V]) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-}
-
-func (c *lruShard[K, V]) moveToFront(e *lruEntry[K, V]) {
-	if c.head == e {
 		return
 	}
-	c.unlink(e)
-	c.pushFront(e)
+	// Ring and map grow on demand, one entry at a time: every
+	// single-node store carries these caches, and most never come near
+	// their capacity.
+	if len(c.m) < c.cap {
+		e := &lruEntry[K, V]{key: k, val: v}
+		if c.last == nil {
+			e.next = e
+		} else {
+			e.next, c.last.next = c.last.next, e
+		}
+		c.m[k], c.last = e, e
+		return
+	}
+	e := c.last.next
+	for ; e.ref; e = e.next {
+		e.ref = false
+	}
+	delete(c.m, e.key)
+	e.key, e.val = k, v
+	c.m[k], c.last = e, e
+	c.evictions++
 }
 
 // lruShardCount spreads a shardedLRU's lock across this many
 // independent shards (power of two for mask routing).
 const lruShardCount = 16
 
-// shardedLRU partitions an LRU by key hash so the parallel reduce and
-// compare stages don't serialize on a single cache mutex: every get
-// mutates recency under a lock, which made one global cache the
-// contention point of DiskStore's hot paths. The counters are shared
-// across shards and updated atomically — they are diagnostics, not
-// synchronization.
+// shardedLRU partitions the cache by key hash so the parallel reduce
+// and compare stages don't serialize on a single cache mutex. Each
+// shard counts its own hits, misses and evictions under the lock it
+// already holds: the counters are diagnostics, and one process-wide
+// atomic per get was a cache line every worker wrote.
 type shardedLRU[K comparable, V any] struct {
-	shards [lruShardCount]*lruShard[K, V]
+	shards [lruShardCount]lruShard[K, V]
 	hash   func(K) uint32
-
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
 }
 
 func newShardedLRU[K comparable, V any](capacity int, hash func(K) uint32) *shardedLRU[K, V] {
-	per := capacity / lruShardCount
-	if per < 64 {
-		per = 64
-	}
+	per := max(capacity/lruShardCount, 64)
 	s := &shardedLRU[K, V]{hash: hash}
 	for i := range s.shards {
-		s.shards[i] = newLRUShard[K, V](per)
+		s.shards[i].cap = per
+		s.shards[i].m = map[K]*lruEntry[K, V]{}
 	}
 	return s
 }
 
 func (s *shardedLRU[K, V]) get(k K) (V, bool) {
-	v, ok := s.shards[s.hash(k)&(lruShardCount-1)].get(k)
-	if ok {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
-	return v, ok
+	return s.shards[s.hash(k)&(lruShardCount-1)].get(k)
 }
 
 func (s *shardedLRU[K, V]) put(k K, v V) {
-	if s.shards[s.hash(k)&(lruShardCount-1)].put(k, v) {
-		s.evictions.Add(1)
-	}
+	s.shards[s.hash(k)&(lruShardCount-1)].put(k, v)
 }
 
-// stats snapshots the cache's counters and occupancy. The counters are
-// read individually, so a snapshot taken under concurrent queries is
+// stats sums the shards' counters and occupancy. Shards are read one
+// after another, so a snapshot taken under concurrent queries is
 // approximate — fine for diagnostics.
 func (s *shardedLRU[K, V]) stats() CacheStats {
-	st := CacheStats{
-		Hits:      s.hits.Load(),
-		Misses:    s.misses.Load(),
-		Evictions: s.evictions.Load(),
-	}
+	var st CacheStats
 	for i := range s.shards {
-		st.Entries += s.shards[i].len()
-		st.Capacity += s.shards[i].cap
+		c := &s.shards[i]
+		c.mu.Lock()
+		st.Hits += c.hits
+		st.Misses += c.misses
+		st.Evictions += c.evictions
+		st.Entries += len(c.m)
+		st.Capacity += c.cap
+		c.mu.Unlock()
 	}
 	return st
 }

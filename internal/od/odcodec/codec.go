@@ -70,9 +70,10 @@ import (
 
 // Version is the on-disk format version new snapshots are written at.
 // Readers accept MinReadVersion through Version and reject anything
-// newer: a snapshot written by a future binary is refused rather than
-// misdecoded, and a rebuild is always possible because snapshots are
-// rebuildable caches, not archives.
+// else: a snapshot written by a future binary — or by one that predates
+// MinReadVersion — is refused rather than misdecoded, and a rebuild is
+// always possible because snapshots are rebuildable caches, not
+// archives.
 // Version 2 added the manifest's delta watermark and the append-only
 // delta segments that carry post-Finalize mutations; version 3 added
 // the manifest's tombstone list (IDs removed but still occupying their
@@ -85,9 +86,8 @@ import (
 const (
 	Version = 4
 	// MinReadVersion is the oldest snapshot version this binary still
-	// reads. Version-3 snapshots open scan-only (no neighbor segment);
-	// od.Save rewrites them at the current version.
-	MinReadVersion = 3
+	// reads: the current one only, so every decoder has one layout.
+	MinReadVersion = 4
 )
 
 // Segment kinds, one per file.
@@ -104,8 +104,7 @@ const (
 )
 
 // Segment file names within a snapshot directory. Delta segments are
-// numbered delta-NNNNNNNN.odx; see DeltaFile. NeighborFile exists only
-// in version >= 4 snapshots.
+// numbered delta-NNNNNNNN.odx; see DeltaFile.
 const (
 	ManifestFile = "manifest.odx"
 	StringsFile  = "strings.odx"
@@ -114,18 +113,11 @@ const (
 	NeighborFile = "neighbor.odx"
 )
 
-// numSegments returns how many stamped data segments a snapshot of the
-// given version has.
-func numSegments(version byte) int {
-	if version >= 4 {
-		return 4
-	}
-	return 3
-}
-
 const (
-	headerSize = 8
-	footerSize = 8
+	// numSegments is how many stamped data segments a snapshot has.
+	numSegments = 4
+	headerSize  = 8
+	footerSize  = 8
 	// sparseEvery is the sparse-index stride of the per-type value
 	// directory: one directory entry per this many values bounds a point
 	// lookup's scan to at most sparseEvery entries.
@@ -289,30 +281,50 @@ func (r *byteReader) float64() (float64, error) {
 	return v, nil
 }
 
+// uvarintAt decodes the varint at b[pos:] and returns it with the
+// position after it, -1 when it is malformed or runs off b.
+func uvarintAt(b []byte, pos int) (uint64, int) {
+	v, n := binary.Uvarint(b[pos:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, pos + n
+}
+
 // decodePostings expands a delta-varint posting list (first ID, then
 // ascending gaps) back into absolute IDs.
 func decodePostings(r *byteReader, n int) ([]int32, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	out := make([]int32, n)
+	// Every ID takes at least one byte: a corrupt count sizes nothing.
+	if n > len(r.buf)-r.pos {
+		return nil, corrupt(r.file, "%d posting ids in %d bytes", n, len(r.buf)-r.pos)
+	}
+	out, pos, err := appendPostingIDs(make([]int32, 0, n), r.buf, r.pos, n, r.file)
+	if err != nil {
+		return nil, err
+	}
+	r.pos = pos
+	return out, nil
+}
+
+// appendPostingIDs decodes n delta-varint IDs at b[pos:] onto dst and
+// returns the position after them.
+func appendPostingIDs(dst []int32, b []byte, pos, n int, file string) ([]int32, int, error) {
 	var prev uint64
 	for i := 0; i < n; i++ {
-		d, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		d, next := uvarintAt(b, pos)
+		if next < 0 {
+			return dst, pos, corrupt(file, "bad varint at offset %d", pos)
 		}
-		if i == 0 {
-			prev = d
-		} else {
-			prev += d
+		pos = next
+		if prev += d; prev > math.MaxInt32 {
+			return dst, pos, corrupt(file, "posting id %d overflows int32", prev)
 		}
-		if prev > math.MaxInt32 {
-			return nil, corrupt(r.file, "posting id %d overflows int32", prev)
-		}
-		out[i] = int32(prev)
+		dst = append(dst, int32(prev))
 	}
-	return out, nil
+	return dst, pos, nil
 }
 
 // appendPostings encodes sorted IDs as delta varints.
@@ -333,31 +345,22 @@ func budgetToWire(budget int) uint64 { return uint64(budget + 1) }
 func budgetFromWire(v uint64) int { return int(v) - 1 }
 
 // verifyFraming checks a segment file's header and trailing magic and
-// returns the payload size and the header's format version. The CRC
-// itself is verified separately (streamed for data segments, in-memory
-// for the manifest). wantVersion pins the exact version the caller
-// expects (every data segment must match its manifest); 0 accepts any
-// version in [MinReadVersion, Version] — used for the manifest itself
-// and for standalone files (deltas, federation manifests) whose
-// payload layout is version-independent.
-func verifyFraming(file string, size int64, header []byte, kind, wantVersion byte) (int64, byte, error) {
+// returns the payload size. The CRC itself is verified separately
+// (streamed for data segments, in-memory for the manifest).
+func verifyFraming(file string, size int64, header []byte, kind byte) (int64, error) {
 	if size < headerSize+footerSize {
-		return 0, 0, corrupt(file, "file too short (%d bytes)", size)
+		return 0, corrupt(file, "file too short (%d bytes)", size)
 	}
 	if [4]byte(header[:4]) != magic {
-		return 0, 0, corrupt(file, "bad magic %q", header[:4])
+		return 0, corrupt(file, "bad magic %q", header[:4])
 	}
-	v := header[4]
-	if v < MinReadVersion || v > Version {
-		return 0, 0, corrupt(file, "unsupported format version %d (this binary reads %d..%d)", v, MinReadVersion, Version)
-	}
-	if wantVersion != 0 && v != wantVersion {
-		return 0, 0, corrupt(file, "format version %d, manifest expects %d", v, wantVersion)
+	if v := header[4]; v < MinReadVersion || v > Version {
+		return 0, corrupt(file, "unsupported format version %d (this binary reads %d..%d)", v, MinReadVersion, Version)
 	}
 	if header[5] != kind {
-		return 0, 0, corrupt(file, "segment kind %d, want %d", header[5], kind)
+		return 0, corrupt(file, "segment kind %d, want %d", header[5], kind)
 	}
-	return size - headerSize - footerSize, v, nil
+	return size - headerSize - footerSize, nil
 }
 
 func newHeader(kind, version byte) []byte {
@@ -386,24 +389,23 @@ func checkFooter(file string, footer []byte, wantCRC uint32) error {
 }
 
 // readFramedFile loads an entire segment file, verifies framing and CRC,
-// and returns the payload and header version. Used for the small
-// manifest; data segments are verified streaming and then served by
-// offset.
-func readFramedFile(path, name string, kind byte, r io.ReaderAt, size int64) ([]byte, byte, error) {
+// and returns the payload. Used for the small manifest; data segments
+// are verified streaming and then served by offset.
+func readFramedFile(path, name string, kind byte, r io.ReaderAt, size int64) ([]byte, error) {
 	if size < headerSize+footerSize {
-		return nil, 0, corrupt(name, "file too short (%d bytes)", size)
+		return nil, corrupt(name, "file too short (%d bytes)", size)
 	}
 	buf := make([]byte, size)
 	if _, err := r.ReadAt(buf, 0); err != nil {
-		return nil, 0, fmt.Errorf("odcodec: read %s: %w", path, err)
+		return nil, fmt.Errorf("odcodec: read %s: %w", path, err)
 	}
-	payloadLen, version, err := verifyFraming(name, size, buf[:headerSize], kind, 0)
+	payloadLen, err := verifyFraming(name, size, buf[:headerSize], kind)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	crc := crc32.Checksum(buf[:headerSize+payloadLen], crcTable)
 	if err := checkFooter(name, buf[headerSize+payloadLen:], crc); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return buf[headerSize : headerSize+payloadLen], version, nil
+	return buf[headerSize : headerSize+payloadLen], nil
 }

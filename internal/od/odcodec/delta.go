@@ -187,11 +187,7 @@ func readDelta(dir string, seq uint64) (Delta, error) {
 	if st.Size() > 1<<32 {
 		return Delta{}, corrupt(name, "implausible delta size %d", st.Size())
 	}
-	// The delta payload layout is identical across the supported
-	// versions, so any readable header version is accepted — a version-3
-	// base snapshot can replay deltas written by this binary and vice
-	// versa.
-	payload, _, err := readFramedFile(path, name, kindDelta, f, st.Size())
+	payload, err := readFramedFile(path, name, kindDelta, f, st.Size())
 	if err != nil {
 		return Delta{}, err
 	}

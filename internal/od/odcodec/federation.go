@@ -251,7 +251,7 @@ func ReadFederation(dir string) (Federation, error) {
 	if st.Size() > 1<<30 {
 		return f, corrupt(FederationFile, "implausible manifest size %d", st.Size())
 	}
-	payload, _, err := readFramedFile(path, FederationFile, kindFederation, fl, st.Size())
+	payload, err := readFramedFile(path, FederationFile, kindFederation, fl, st.Size())
 	if err != nil {
 		return f, err
 	}

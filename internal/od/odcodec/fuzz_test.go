@@ -6,9 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
+
+	"repro/internal/strdist"
 )
 
 // fuzzODs derives a deterministic OD set from raw fuzz bytes: a handful
@@ -147,21 +150,16 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		for typ, vals := range tables {
 			for v, ids := range vals {
-				got, ok, err := r.LookupValue(typ, v)
+				got, ok, err := r.LookupValue(typ, v, nil)
 				if err != nil || !ok || !reflect.DeepEqual(got, ids) {
 					t.Fatalf("LookupValue(%q, %q) = %v/%v/%v, want %v", typ, v, got, ok, err, ids)
 				}
 			}
-			var scanned []string
-			err := r.ScanType(typ, func(v string, rl int, postings func() ([]int32, error)) (bool, error) {
-				scanned = append(scanned, v)
-				if got, err := postings(); err != nil || !reflect.DeepEqual(got, vals[v]) {
-					t.Fatalf("scan postings(%q,%q) = %v/%v, want %v", typ, v, got, err, vals[v])
+			scanned, runeLens, postings := scanAll(t, r, typ)
+			for i, v := range scanned {
+				if !reflect.DeepEqual(postings[i], vals[v]) || runeLens[i] != len([]rune(v)) {
+					t.Fatalf("scan (%q,%q) = %d runes, postings %v, want %v", typ, v, runeLens[i], postings[i], vals[v])
 				}
-				return false, nil
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
 			if len(scanned) != len(vals) || !sort.StringsAreSorted(scanned) {
 				t.Fatalf("scan of %q yielded %v, want the %d values sorted", typ, scanned, len(vals))
@@ -254,6 +252,158 @@ func FuzzOpenManifest(f *testing.F) {
 			if _, _, _, err := r.OD(int32(id)); err != nil {
 				t.Fatalf("accepted manifest but OD(%d) fails: %v", id, err)
 			}
+		}
+	})
+}
+
+// cursorValues is the value table FuzzIndexCursor reads back: three
+// sparse blocks, multi-byte values among them.
+func cursorValues() []string {
+	values := make([]string, 150)
+	for i := range values {
+		values[i] = fmt.Sprintf("value-%04d", i)
+		if i%7 == 0 {
+			values[i] = fmt.Sprintf("valüe-%04d", i)
+		}
+	}
+	sort.Strings(values)
+	return values
+}
+
+// swapSegmentBytes makes an open segment serve file (a whole segment
+// file image, framing included) instead of what Open verified — the
+// way past the CRC to the block decoders. The returned function puts
+// the original back; call it before the Reader is closed.
+func swapSegmentBytes(t *testing.T, sr *segReader, file []byte) (restore func()) {
+	t.Helper()
+	if sr.data != nil {
+		orig := sr.data
+		sr.data = file
+		return func() { sr.data = orig }
+	}
+	path := filepath.Join(t.TempDir(), sr.name)
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := sr.f
+	sr.f = f
+	return func() { sr.f = orig; f.Close() }
+}
+
+// FuzzIndexCursor flips a byte in the data area of the index or the
+// neighbor segment of an open snapshot, or cuts its last block short,
+// and drives every block decoder over the damage in both access modes:
+// a full scan, ordinal seeks, exact lookups and neighbor probes. Each
+// must come back with a *CorruptError or an answer — never a panic, an
+// out-of-range slice or an allocation sized by a corrupt count — and on
+// an undamaged segment with the right answer.
+func FuzzIndexCursor(f *testing.F) {
+	f.Add(false, uint32(0), byte(0), uint16(0))
+	f.Add(false, uint32(1), byte(0x80), uint16(0))   // first entry's value handle
+	f.Add(false, uint32(3), byte(0xff), uint16(0))   // its rune length / posting count
+	f.Add(false, uint32(700), byte(0x41), uint16(0)) // a later block
+	f.Add(false, uint32(0), byte(0), uint16(3))      // last index block cut inside an entry
+	f.Add(false, uint32(0), byte(0), uint16(900))    // cut past whole blocks
+	f.Add(true, uint32(0), byte(0x7f), uint16(0))    // a restart variant's length
+	f.Add(true, uint32(13), byte(0x90), uint16(0))   // a front-coded prefix or ordinal
+	f.Add(true, uint32(0), byte(0), uint16(5))       // last neighbor block cut short
+	values := cursorValues()
+	tmpl := f.TempDir()
+	writeNeighborSnapshot(f, tmpl, 1, values) // posting list i is {i}
+	f.Fuzz(func(t *testing.T, neighbor bool, pos uint32, xor byte, cut uint16) {
+		name := IndexFile
+		if neighbor {
+			name = NeighborFile
+		}
+		image, err := os.ReadFile(filepath.Join(tmpl, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := image[headerSize : len(image)-footerSize]
+		payload[int(pos)%len(payload)] ^= xor
+		intact := xor == 0 && cut == 0
+
+		for _, mode := range []MmapMode{MmapAuto, MmapOff} {
+			r, err := OpenWith(tmpl, OpenOptions{Mmap: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr := r.index
+			if neighbor {
+				sr = r.neighbor
+			}
+			restore := swapSegmentBytes(t, sr, image)
+			// The directories are private to this Reader: shorten the
+			// type's segment to cut its last block.
+			if td := r.typeDirs["T"]; !neighbor {
+				td.segLen = max(0, td.segLen-int64(cut))
+			} else {
+				nd := r.nbrDirs["T"]
+				nd.segLen = max(0, nd.segLen-int64(cut))
+			}
+			check := func(what string, err error) bool {
+				if err != nil && !IsCorrupt(err) {
+					t.Fatalf("mode %v: %s: %v is not a *CorruptError", mode, what, err)
+				}
+				if err != nil && intact {
+					t.Fatalf("mode %v: %s on an intact segment: %v", mode, what, err)
+				}
+				return err == nil
+			}
+
+			c := r.Values("T")
+			n := 0
+			for c.Next() {
+				v, err := c.Value()
+				ids, perr := c.AppendPostings(nil)
+				if check("scan value", err) && check("scan postings", perr) && intact {
+					if string(v) != values[n] || c.RuneLen() != len([]rune(values[n])) || !reflect.DeepEqual(ids, []int32{int32(n)}) {
+						t.Fatalf("mode %v: entry %d = %q/%d/%v", mode, n, v, c.RuneLen(), ids)
+					}
+				}
+				n++
+			}
+			if check("scan", c.Err()) && intact && n != len(values) {
+				t.Fatalf("mode %v: scan yielded %d of %d values", mode, n, len(values))
+			}
+			for _, ord := range []int32{int32(pos % 150), 149, 64, 63, 0} {
+				if check("seek", c.Seek(ord)) {
+					v, err := c.Value()
+					if check("seek value", err) && intact && string(v) != values[ord] {
+						t.Fatalf("mode %v: Seek(%d) = %q", mode, ord, v)
+					}
+				}
+			}
+			c.Close()
+
+			var scratch [4]int32
+			for _, i := range []int{int(pos % 150), 0, 70, 149} {
+				ids, ok, err := r.LookupValue("T", values[i], scratch[:0])
+				if check("lookup", err) && intact && (!ok || !reflect.DeepEqual(ids, []int32{int32(i)})) {
+					t.Fatalf("mode %v: LookupValue(%q) = %v/%v", mode, values[i], ids, ok)
+				}
+				found := false
+				strdist.EachDeletion(values[i], 1, func(variant []byte) {
+					ords, err := r.NeighborLookup("T", variant, scratch[:0])
+					if check("neighbor lookup", err) {
+						found = found || slices.Contains(ords, int32(i))
+					}
+				})
+				if intact && !found {
+					t.Fatalf("mode %v: no neighbor bucket of %q holds its ordinal", mode, values[i])
+				}
+			}
+			buckets := 0
+			_, err = r.ScanNeighborVariants("T", func(string) { buckets++ })
+			if check("neighbor scan", err) && intact && buckets != r.NeighborBuckets("T") {
+				t.Fatalf("mode %v: scanned %d of %d buckets", mode, buckets, r.NeighborBuckets("T"))
+			}
+			restore()
+			r.Close()
 		}
 	})
 }

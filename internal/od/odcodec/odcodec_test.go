@@ -107,34 +107,52 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("Types() = %+v, want %+v", types, wantTypes)
 	}
 
-	ids, ok, err := r.LookupValue("ARTIST", "Led Zeppelin")
+	ids, ok, err := r.LookupValue("ARTIST", "Led Zeppelin", nil)
 	if err != nil || !ok || !reflect.DeepEqual(ids, []int32{0, 2}) {
 		t.Errorf("LookupValue = %v/%v/%v", ids, ok, err)
 	}
-	if _, ok, _ := r.LookupValue("ARTIST", "Lemon"); ok {
+	if _, ok, _ := r.LookupValue("ARTIST", "Lemon", nil); ok {
 		t.Error("LookupValue found a value that was never written")
 	}
-	if _, ok, _ := r.LookupValue("GENRE", "Rock"); ok {
+	if _, ok, _ := r.LookupValue("GENRE", "Rock", nil); ok {
 		t.Error("LookupValue found a type that was never written")
 	}
 
-	var scanned []string
-	err = r.ScanType("ARTIST", func(v string, rl int, postings func() ([]int32, error)) (bool, error) {
-		scanned = append(scanned, v)
-		if v == "Leo Zeppelin" {
-			ids, err := postings()
-			if err != nil || !reflect.DeepEqual(ids, []int32{1}) {
-				t.Errorf("postings(Leo Zeppelin) = %v/%v", ids, err)
-			}
-		}
-		return false, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	scanned, _, postings := scanAll(t, r, "ARTIST")
+	if !reflect.DeepEqual(postings, [][]int32{{0, 2}, {1}}) {
+		t.Errorf("scanned postings = %v", postings)
 	}
 	if !reflect.DeepEqual(scanned, []string{"Led Zeppelin", "Leo Zeppelin"}) {
 		t.Errorf("scan order = %v", scanned)
 	}
+}
+
+// scanAll walks one type with a cursor and copies out every entry:
+// values, persisted rune lengths and posting lists, in segment order.
+func scanAll(t testing.TB, r *Reader, typ string) (values []string, runeLens []int, postings [][]int32) {
+	t.Helper()
+	c := r.Values(typ)
+	defer c.Close()
+	for c.Next() {
+		v, err := c.Value()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, err := c.AppendPostings(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(c.Ordinal()) != len(values) {
+			t.Fatalf("entry %d reports ordinal %d", len(values), c.Ordinal())
+		}
+		values = append(values, string(v))
+		runeLens = append(runeLens, c.RuneLen())
+		postings = append(postings, ids)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return values, runeLens, postings
 }
 
 func TestOpenMissingSnapshot(t *testing.T) {

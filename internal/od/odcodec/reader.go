@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 )
 
 // MmapMode selects how segment files are accessed.
@@ -63,14 +64,13 @@ type OpenOptions struct {
 // neighbor buckets and OD records stay on disk until queried (and, when
 // mapped, are cached by the OS page cache rather than the application).
 type Reader struct {
-	dir     string
-	meta    Meta
-	version byte
+	dir  string
+	meta Meta
 
 	strings  *segReader
 	ods      *segReader
 	index    *segReader
-	neighbor *segReader // nil for version-3 snapshots
+	neighbor *segReader
 
 	odTableOff int64 // payload offset of the OD offset table
 
@@ -116,14 +116,13 @@ func Open(dir string) (*Reader, error) {
 
 // OpenWith is Open with explicit access-mode options.
 func OpenWith(dir string, opts OpenOptions) (*Reader, error) {
-	meta, stamps, version, err := readManifest(dir)
+	meta, stamps, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
 	r := &Reader{
 		dir:      dir,
 		meta:     meta,
-		version:  version,
 		typeDirs: map[string]*typeDir{},
 		nbrDirs:  map[string]*nbrDir{},
 	}
@@ -135,16 +134,10 @@ func OpenWith(dir string, opts OpenOptions) (*Reader, error) {
 		{StringsFile, kindStrings, &r.strings},
 		{ODsFile, kindODs, &r.ods},
 		{IndexFile, kindIndex, &r.index},
-	}
-	if version >= 4 {
-		files = append(files, struct {
-			name string
-			kind byte
-			dst  **segReader
-		}{NeighborFile, kindNeighbor, &r.neighbor})
+		{NeighborFile, kindNeighbor, &r.neighbor},
 	}
 	for i, fl := range files {
-		sr, err := openSegment(filepath.Join(dir, fl.name), fl.name, fl.kind, stamps[i], version, opts.Mmap)
+		sr, err := openSegment(filepath.Join(dir, fl.name), fl.name, fl.kind, stamps[i], opts.Mmap)
 		if err != nil {
 			r.Close()
 			return nil, err
@@ -194,9 +187,6 @@ func (r *Reader) Meta() Meta { return r.meta }
 
 // NumODs returns the object count.
 func (r *Reader) NumODs() int { return r.meta.NumODs }
-
-// Version returns the snapshot's on-disk format version.
-func (r *Reader) Version() int { return int(r.version) }
 
 // MmapActive reports whether the segments are served from a memory
 // mapping (false: positioned reads).
@@ -260,248 +250,347 @@ func (r *Reader) OD(id int32) (object string, source int32, tuples []Tuple, err 
 	return object, int32(src), tuples, nil
 }
 
-// LookupValue returns the posting list of one exact (type, value) pair,
-// or ok=false when the type or value is not indexed. Cost is a binary
-// search over the sparse directory plus a bounded scan of one block.
-func (r *Reader) LookupValue(typ, value string) (objects []int32, ok bool, err error) {
-	td := r.typeDirs[typ]
-	if td == nil || len(td.sparse) == 0 {
-		return nil, false, nil
+// LookupValue appends the posting list of one exact (type, value) pair
+// to dst, or reports ok=false when the type or value is not indexed.
+// Cost is a binary search over the sparse directory plus a walk of one
+// block's entry headers; the string heap is read only for entries of
+// the query's byte length, and those are compared in place.
+func (r *Reader) LookupValue(typ, value string, dst []int32) (objects []int32, ok bool, err error) {
+	c := r.Values(typ)
+	if c.td == nil {
+		return dst, false, nil
 	}
 	// Last sparse entry with value <= query.
-	i := sort.Search(len(td.sparse), func(i int) bool { return td.sparse[i].value > value }) - 1
-	if i < 0 {
-		return nil, false, nil
+	sparse := c.td.sparse
+	blk := sort.Search(len(sparse), func(i int) bool { return sparse[i].value > value }) - 1
+	if blk < 0 {
+		return dst, false, nil
 	}
-	startOff := td.segOff + int64(td.sparse[i].off)
-	endOff := td.segOff + td.segLen
-	if i+1 < len(td.sparse) {
-		endOff = td.segOff + int64(td.sparse[i+1].off)
+	defer c.Close()
+	if err := c.load(blk); err != nil {
+		return dst, false, err
 	}
-	err = r.scanRange(td, startOff, endOff, func(v string, runeLen int, postings func() ([]int32, error)) (bool, error) {
-		if v > value {
-			return true, nil
+	for c.pos < len(c.buf) {
+		if err := c.decode(); err != nil {
+			return dst, false, err
 		}
-		if v == value {
-			objects, err = postings()
-			ok = err == nil
-			return true, err
+		if c.vLen != uint64(len(value)) {
+			continue
 		}
-		return false, nil
-	})
-	return objects, ok, err
+		v, err := c.Value()
+		if err != nil {
+			return dst, false, err
+		}
+		if string(v) == value {
+			objects, err = c.AppendPostings(dst)
+			return objects, err == nil, err
+		}
+		if string(v) > value {
+			break
+		}
+	}
+	return dst, false, nil
 }
 
-// ScanType streams every (value, posting list) of one type in ascending
-// value order. fn receives the value, its rune length, and a postings
-// function that decodes the posting list — valid only until fn returns.
-// fn returns stop=true to end the scan early.
-func (r *Reader) ScanType(typ string, fn func(value string, runeLen int, postings func() ([]int32, error)) (stop bool, err error)) error {
-	td := r.typeDirs[typ]
-	if td == nil {
-		return nil
+// readScratch is what one positioned-read lookup needs in place of the
+// mapping: the block it walks and the value it is looking at. Pooled,
+// so a lookup without mmap costs its reads and no allocation.
+type readScratch struct{ block, value []byte }
+
+var scratchPool = sync.Pool{New: func() any { return new(readScratch) }}
+
+// view returns n payload bytes at payload offset off: a subslice of
+// the mapping, or — without mmap — exactly those bytes read into the
+// block (or value) buffer of *sc, which is taken from the pool on first
+// use and released by the caller. The bytes are valid until the next
+// view into the same buffer and never past the Reader's Close.
+func (s *segReader) view(off, n int64, sc **readScratch, value bool) ([]byte, error) {
+	if s.data != nil {
+		return s.bytesAt(off, n)
 	}
-	return r.scanRange(td, td.segOff, td.segOff+td.segLen, fn)
+	if err := s.checkRange(off, n); err != nil {
+		return nil, err
+	}
+	if *sc == nil {
+		*sc = scratchPool.Get().(*readScratch)
+	}
+	buf := &(*sc).block
+	if value {
+		buf = &(*sc).value
+	}
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	*buf = (*buf)[:n]
+	if _, err := s.f.ReadAt(*buf, headerSize+off); err != nil {
+		return nil, corrupt(s.name, "read %d bytes at %d: %v", n, off, err)
+	}
+	return *buf, nil
 }
 
-// scanRange decodes value entries in [startOff, endOff) of the index
-// payload sequentially.
-func (r *Reader) scanRange(td *typeDir, startOff, endOff int64, fn func(string, int, func() ([]int32, error)) (bool, error)) error {
-	var br interface {
-		io.ByteReader
-		io.Reader
-	}
-	if r.index.data != nil {
-		seg, err := r.index.bytesAt(startOff, endOff-startOff)
-		if err != nil {
-			return err
-		}
-		br = bytes.NewReader(seg)
-	} else {
-		sec := io.NewSectionReader(r.index.f, headerSize+startOff, endOff-startOff)
-		br = bufio.NewReaderSize(sec, 1<<16)
-	}
-	var scratch []byte
-	for {
-		var value string
-		if r.version >= 4 {
-			vOff, err := binary.ReadUvarint(br)
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return corrupt(IndexFile, "type %q: bad value handle: %v", td.meta.Name, err)
-			}
-			vLen, err := binary.ReadUvarint(br)
-			if err != nil {
-				return corrupt(IndexFile, "type %q: bad value handle length: %v", td.meta.Name, err)
-			}
-			if value, err = r.stringRange(vOff, vLen); err != nil {
-				return err
-			}
-		} else {
-			vlen, err := binary.ReadUvarint(br)
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return corrupt(IndexFile, "type %q: bad value length: %v", td.meta.Name, err)
-			}
-			if vlen > maxStringLen {
-				return corrupt(IndexFile, "type %q: value length %d exceeds limit", td.meta.Name, vlen)
-			}
-			if cap(scratch) < int(vlen) {
-				scratch = make([]byte, vlen)
-			}
-			vb := scratch[:vlen]
-			if _, err := io.ReadFull(br, vb); err != nil {
-				return corrupt(IndexFile, "type %q: truncated value: %v", td.meta.Name, err)
-			}
-			value = string(vb)
-		}
-		rl, err := binary.ReadUvarint(br)
-		if err != nil {
-			return corrupt(IndexFile, "type %q: bad rune length: %v", td.meta.Name, err)
-		}
-		nObjs, err := binary.ReadUvarint(br)
-		if err != nil || nObjs > maxCount {
-			return corrupt(IndexFile, "type %q value %q: bad posting count", td.meta.Name, value)
-		}
-		pLen, err := binary.ReadUvarint(br)
-		if err != nil || pLen > maxStringLen {
-			return corrupt(IndexFile, "type %q value %q: bad posting length", td.meta.Name, value)
-		}
-		if cap(scratch) < int(pLen) {
-			scratch = make([]byte, pLen)
-		}
-		pb := scratch[:pLen]
-		if _, err := io.ReadFull(br, pb); err != nil {
-			return corrupt(IndexFile, "type %q value %q: truncated postings: %v", td.meta.Name, value, err)
-		}
-		postings := func() ([]int32, error) {
-			pr := &byteReader{buf: pb, file: IndexFile}
-			return decodePostings(pr, int(nObjs))
-		}
-		stop, err := fn(value, int(rl), postings)
-		if err != nil {
-			return err
-		}
-		if stop {
-			return nil
-		}
+func releaseScratch(sc *readScratch) {
+	if sc != nil {
+		scratchPool.Put(sc)
 	}
 }
 
-// ValueAt returns one type's value by ordinal (its position in the
-// ascending value order), with its rune length and posting list. Cost
-// is bounded by one sparse block: the block holding the ordinal is
-// located through the sparse directory and decoded up to the target.
-// This is the random-access half of the persisted neighbor index, whose
-// buckets store value ordinals.
-func (r *Reader) ValueAt(typ string, ordinal int32) (value string, runeLen int, objects []int32, err error) {
-	td := r.typeDirs[typ]
-	if td == nil {
-		return "", 0, nil, corrupt(IndexFile, "ValueAt on unknown type %q", typ)
+// Cursor walks the value entries of one type's index segment in
+// ascending value order, one sparse block at a time: a block is a
+// subslice of the mapping (or, without mmap, one positioned read of
+// exactly the block into a pooled buffer), an entry's header — value
+// handle, rune length, posting count, posting bytes — is decoded in
+// place, and the value bytes and the posting list are only looked at
+// when asked for. Nothing a Cursor hands out may be kept: Value is a
+// view of the string heap, valid until the next Value, Next or Seek.
+// A Cursor is a plain value for one goroutine; Close it when done.
+type Cursor struct {
+	r   *Reader
+	typ string
+	td  *typeDir // nil: the type is not indexed, the cursor is empty
+	blk int      // sparse block held in buf, -1 before the first
+	buf []byte
+	pos int   // offset in buf of the entry after the current one
+	ord int32 // ordinal of the current entry
+
+	vOff, vLen uint64
+	runeLen    int
+	nObjs      int
+	postings   []byte
+
+	sc  *readScratch
+	err error
+}
+
+// Values returns a cursor before the first value of one type.
+func (r *Reader) Values(typ string) Cursor {
+	return Cursor{r: r, typ: typ, td: r.typeDirs[typ], blk: -1, ord: -1}
+}
+
+// Close returns the cursor's read buffers to the pool.
+func (c *Cursor) Close() {
+	releaseScratch(c.sc)
+	c.sc = nil
+}
+
+// Err returns the error that ended Next, if any.
+func (c *Cursor) Err() error { return c.err }
+
+// Next advances to the next entry; false at the end of the type or on
+// an error (see Err).
+func (c *Cursor) Next() bool {
+	if c.err != nil || c.td == nil {
+		return false
 	}
-	if ordinal < 0 || int(ordinal) >= td.meta.NumValues {
-		return "", 0, nil, corrupt(IndexFile, "type %q ordinal %d outside [0,%d)", typ, ordinal, td.meta.NumValues)
+	for c.pos >= len(c.buf) {
+		if c.blk+1 >= len(c.td.sparse) {
+			return false
+		}
+		if c.err = c.load(c.blk + 1); c.err != nil {
+			return false
+		}
+	}
+	c.err = c.decode()
+	return c.err == nil
+}
+
+// Seek positions the cursor on the entry with the given ordinal (its
+// position in the ascending value order) — the random-access half of
+// the persisted neighbor index, whose buckets store value ordinals.
+// Cost is bounded by one sparse block, whose earlier entries are
+// skipped header by header; ascending seeks within a block continue
+// where the last one stopped.
+func (c *Cursor) Seek(ordinal int32) error {
+	if c.td == nil {
+		return corrupt(IndexFile, "Seek on unknown type %q", c.typ)
+	}
+	if ordinal < 0 || int(ordinal) >= c.td.meta.NumValues {
+		return corrupt(IndexFile, "type %q ordinal %d outside [0,%d)", c.typ, ordinal, c.td.meta.NumValues)
 	}
 	blk := int(ordinal) / sparseEvery
-	if blk >= len(td.sparse) {
-		return "", 0, nil, corrupt(IndexFile, "type %q: sparse directory too short for ordinal %d", typ, ordinal)
+	if blk >= len(c.td.sparse) {
+		return corrupt(IndexFile, "type %q: sparse directory too short for ordinal %d", c.typ, ordinal)
 	}
-	startOff := td.segOff + int64(td.sparse[blk].off)
-	endOff := td.segOff + td.segLen
-	if blk+1 < len(td.sparse) {
-		endOff = td.segOff + int64(td.sparse[blk+1].off)
+	if c.err == nil && (blk != c.blk || ordinal < c.ord) {
+		c.err = c.load(blk)
 	}
-	skip := int(ordinal) % sparseEvery
-	found := false
-	err = r.scanRange(td, startOff, endOff, func(v string, rl int, postings func() ([]int32, error)) (bool, error) {
-		if skip > 0 {
-			skip--
-			return false, nil
+	for c.err == nil && c.ord < ordinal {
+		if c.pos >= len(c.buf) {
+			c.err = corrupt(IndexFile, "type %q: block ended before ordinal %d", c.typ, ordinal)
+			break
 		}
-		found = true
-		value, runeLen = v, rl
-		var perr error
-		objects, perr = postings()
-		return true, perr
-	})
-	if err == nil && !found {
-		return "", 0, nil, corrupt(IndexFile, "type %q: block ended before ordinal %d", typ, ordinal)
+		c.err = c.decode()
 	}
-	return value, runeLen, objects, err
+	return c.err
+}
+
+// load makes sparse block blk the cursor's buffer.
+func (c *Cursor) load(blk int) error {
+	td := c.td
+	start, end := int64(td.sparse[blk].off), td.segLen
+	if blk+1 < len(td.sparse) {
+		end = int64(td.sparse[blk+1].off)
+	}
+	if end < start {
+		return corrupt(IndexFile, "type %q: sparse block %d ends before it starts", c.typ, blk)
+	}
+	buf, err := c.r.index.view(td.segOff+start, end-start, &c.sc, false)
+	if err != nil {
+		return err
+	}
+	c.buf, c.pos, c.blk, c.ord = buf, 0, blk, int32(blk*sparseEvery)-1
+	return nil
+}
+
+// decode reads the header of the entry at pos and steps over it.
+func (c *Cursor) decode() error {
+	c.ord++
+	var f [5]uint64 // value offset and length, rune length, posting count, posting bytes
+	b, p := c.buf, c.pos
+	for i := range f {
+		if p < len(b) && b[p] < 0x80 { // one byte: every field but the heap offset, as a rule
+			f[i], p = uint64(b[p]), p+1
+		} else if f[i], p = uvarintAt(b, p); p < 0 {
+			return corrupt(IndexFile, "type %q: bad or truncated header of entry %d", c.typ, c.ord)
+		}
+	}
+	c.vOff, c.vLen, c.runeLen, c.nObjs = f[0], f[1], int(f[2]), int(f[3])
+	if heap := uint64(c.r.strings.payloadLen); c.vLen > maxStringLen || c.vOff > heap || c.vLen > heap-c.vOff {
+		return corrupt(StringsFile, "string handle [%d,+%d) beyond payload %d", c.vOff, c.vLen, heap)
+	}
+	if f[2] > c.vLen {
+		return corrupt(IndexFile, "type %q entry %d: %d runes in %d bytes", c.typ, c.ord, f[2], c.vLen)
+	}
+	// Every posting takes at least one byte, so the byte length bounds
+	// the count before anything is sized by it.
+	if f[3] > maxCount || f[3] > f[4] {
+		return corrupt(IndexFile, "type %q entry %d: bad posting count", c.typ, c.ord)
+	}
+	if f[4] > uint64(len(b)-p) {
+		return corrupt(IndexFile, "type %q entry %d: truncated postings", c.typ, c.ord)
+	}
+	c.postings, c.pos = b[p:p+int(f[4])], p+int(f[4])
+	return nil
+}
+
+// Ordinal returns the current entry's position in the value order.
+func (c *Cursor) Ordinal() int32 { return c.ord }
+
+// RuneLen returns the current value's persisted length in runes — the
+// gate a similar-value scan applies before it looks at the value.
+func (c *Cursor) RuneLen() int { return c.runeLen }
+
+// Value returns the current value's bytes in the string heap.
+func (c *Cursor) Value() ([]byte, error) {
+	return c.r.strings.view(int64(c.vOff), int64(c.vLen), &c.sc, true)
+}
+
+// AppendPostings decodes the current entry's posting list onto dst.
+func (c *Cursor) AppendPostings(dst []int32) ([]int32, error) {
+	dst, _, err := appendPostingIDs(dst, c.postings, 0, c.nObjs, IndexFile)
+	return dst, err
 }
 
 // HasNeighbors reports whether the snapshot persists a deletion-
-// neighborhood index for the type (version >= 4 and an edit budget of
-// 0..2 at write time).
+// neighborhood index for the type (an edit budget of 0..2 at write
+// time).
 func (r *Reader) HasNeighbors(typ string) bool {
 	_, ok := r.nbrDirs[typ]
 	return ok
 }
 
-// NeighborLookup returns the value ordinals bucketed under one deletion
-// variant, or nil when the type has no neighbor index or the variant no
-// bucket. Candidates are unverified — callers re-check the edit
-// distance exactly as with the in-memory index.
-func (r *Reader) NeighborLookup(typ, variant string) ([]int32, error) {
+// nbrBlock walks the buckets of one neighbor-segment block.
+type nbrBlock struct {
+	buf []byte
+	pos int
+}
+
+// next decodes the next bucket's header: variants are front-coded
+// against their predecessor, so the caller passes the previous variant
+// and gets the current one back, rebuilt in the same buffer (a caller's
+// stack array stays on the stack that way). The bucket's nOrds ordinals
+// follow at pos.
+func (b *nbrBlock) next(prev []byte) (cur []byte, nOrds int, err error) {
+	var p uint64
+	if b.pos > 0 { // a block restarts with a full variant
+		if p, b.pos = uvarintAt(b.buf, b.pos); b.pos < 0 || p > uint64(len(prev)) {
+			return prev, 0, corrupt(NeighborFile, "bad front-coded prefix length")
+		}
+	}
+	n, pos := uvarintAt(b.buf, b.pos)
+	if pos < 0 || n > maxStringLen || n > uint64(len(b.buf)-pos) {
+		return prev, 0, corrupt(NeighborFile, "variant overruns its block")
+	}
+	cur = append(prev[:p], b.buf[pos:pos+int(n)]...)
+	c, pos := uvarintAt(b.buf, pos+int(n))
+	if pos < 0 || c > maxCount || c > uint64(len(b.buf)-pos) {
+		return cur, 0, corrupt(NeighborFile, "bad ordinal count")
+	}
+	b.pos = pos
+	return cur, int(c), nil
+}
+
+// ords steps over the current bucket's n ordinals, appending them to
+// dst when keep is set.
+func (b *nbrBlock) ords(dst []int32, n int, keep bool) ([]int32, error) {
+	if keep {
+		var err error
+		dst, b.pos, err = appendPostingIDs(dst, b.buf, b.pos, n, NeighborFile)
+		return dst, err
+	}
+	for ; n > 0; n-- {
+		if _, b.pos = uvarintAt(b.buf, b.pos); b.pos < 0 {
+			return dst, corrupt(NeighborFile, "bad ordinal varint")
+		}
+	}
+	return dst, nil
+}
+
+// block returns sparse block i of a type's neighbor segment.
+func (r *Reader) neighborBlock(nd *nbrDir, i int, sc **readScratch) ([]byte, error) {
+	start, end := int64(nd.sparse[i].off), nd.segLen
+	if i+1 < len(nd.sparse) {
+		end = int64(nd.sparse[i+1].off)
+	}
+	return r.neighbor.view(nd.segOff+start, end-start, sc, false)
+}
+
+// NeighborLookup appends to dst the value ordinals bucketed under one
+// deletion variant — nothing when the type has no neighbor index or the
+// variant no bucket. Candidates are unverified — callers re-check the
+// edit distance exactly as with the in-memory index.
+func (r *Reader) NeighborLookup(typ string, variant []byte, dst []int32) ([]int32, error) {
 	nd := r.nbrDirs[typ]
-	if nd == nil || len(nd.sparse) == 0 {
-		return nil, nil
+	if nd == nil {
+		return dst, nil
 	}
 	// Last sparse entry with variant <= query.
-	i := sort.Search(len(nd.sparse), func(i int) bool { return nd.sparse[i].value > variant }) - 1
+	sparse := nd.sparse
+	i := sort.Search(len(sparse), func(i int) bool { return sparse[i].value > string(variant) }) - 1
 	if i < 0 {
-		return nil, nil
+		return dst, nil
 	}
-	startOff := nd.segOff + int64(nd.sparse[i].off)
-	endOff := nd.segOff + nd.segLen
-	if i+1 < len(nd.sparse) {
-		endOff = nd.segOff + int64(nd.sparse[i+1].off)
-	}
-	buf, err := r.neighbor.bytesAt(startOff, endOff-startOff)
+	var sc *readScratch
+	buf, err := r.neighborBlock(nd, i, &sc)
+	defer releaseScratch(sc)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	br := &byteReader{buf: buf, file: NeighborFile}
-	prev := ""
-	for j := 0; br.pos < len(br.buf); j++ {
-		var cur string
-		if j == 0 {
-			// Block restart: full variant.
-			if cur, err = br.str(); err != nil {
-				return nil, err
-			}
-		} else {
-			p, err := br.count(len(prev))
-			if err != nil {
-				return nil, corrupt(NeighborFile, "bad front-coded prefix length: %v", err)
-			}
-			rest, err := br.str()
-			if err != nil {
-				return nil, err
-			}
-			cur = prev[:p] + rest
+	var stack [128]byte
+	cur, b := stack[:0], nbrBlock{buf: buf}
+	for b.pos < len(b.buf) {
+		var n int
+		if cur, n, err = b.next(cur); err != nil {
+			return dst, err
 		}
-		prev = cur
-		nOrds, err := br.count(maxCount)
-		if err != nil {
-			return nil, err
+		cmp := bytes.Compare(cur, variant)
+		if cmp > 0 {
+			break
 		}
-		if cur > variant {
-			return nil, nil
-		}
-		ords, err := decodePostings(br, nOrds)
-		if err != nil {
-			return nil, err
-		}
-		if cur == variant {
-			return ords, nil
+		if dst, err = b.ords(dst, n, cmp == 0); err != nil || cmp == 0 {
+			return dst, err
 		}
 	}
-	return nil, nil
+	return dst, nil
 }
 
 // NeighborBuckets returns the number of variant buckets persisted for
@@ -526,69 +615,40 @@ func (r *Reader) ScanNeighborVariants(typ string, fn func(variant string)) (bool
 	if nd == nil {
 		return false, nil
 	}
+	var sc *readScratch
+	defer func() { releaseScratch(sc) }()
+	var cur []byte
 	for i := range nd.sparse {
-		startOff := nd.segOff + int64(nd.sparse[i].off)
-		endOff := nd.segOff + nd.segLen
-		if i+1 < len(nd.sparse) {
-			endOff = nd.segOff + int64(nd.sparse[i+1].off)
-		}
-		buf, err := r.neighbor.bytesAt(startOff, endOff-startOff)
+		buf, err := r.neighborBlock(nd, i, &sc)
 		if err != nil {
 			return false, err
 		}
-		br := &byteReader{buf: buf, file: NeighborFile}
-		prev := ""
-		for j := 0; br.pos < len(br.buf); j++ {
-			var cur string
-			if j == 0 {
-				if cur, err = br.str(); err != nil {
-					return false, err
-				}
-			} else {
-				p, err := br.count(len(prev))
-				if err != nil {
-					return false, corrupt(NeighborFile, "bad front-coded prefix length: %v", err)
-				}
-				rest, err := br.str()
-				if err != nil {
-					return false, err
-				}
-				cur = prev[:p] + rest
-			}
-			prev = cur
-			nOrds, err := br.count(maxCount)
-			if err != nil {
+		b := nbrBlock{buf: buf}
+		for b.pos < len(b.buf) {
+			var n int
+			if cur, n, err = b.next(cur); err != nil {
 				return false, err
 			}
-			if _, err := decodePostings(br, nOrds); err != nil {
+			if _, err := b.ords(nil, n, false); err != nil {
 				return false, err
 			}
-			fn(cur)
+			fn(string(cur))
 		}
 	}
 	return true, nil
 }
 
-// readHandle decodes a string-heap reference at the reader's version: a
-// single record offset for version 3, an (offset, length) pair for
-// version 4.
+// readHandle decodes an (offset, length) string-heap reference and
+// copies the string out.
 func (r *Reader) readHandle(br *byteReader) (string, error) {
 	off, err := br.uvarint()
 	if err != nil {
 		return "", err
 	}
-	if r.version >= 4 {
-		n, err := br.uvarint()
-		if err != nil {
-			return "", err
-		}
-		return r.stringRange(off, n)
+	n, err := br.uvarint()
+	if err != nil {
+		return "", err
 	}
-	return r.stringAt(off)
-}
-
-// stringRange reads n raw heap bytes at payload offset off (version 4).
-func (r *Reader) stringRange(off, n uint64) (string, error) {
 	if n > maxStringLen {
 		return "", corrupt(StringsFile, "string length %d exceeds limit", n)
 	}
@@ -603,34 +663,6 @@ func (r *Reader) stringRange(off, n uint64) (string, error) {
 		return "", err
 	}
 	return string(b), nil
-}
-
-// stringAt reads one length-prefixed string-table entry by payload
-// offset (legacy version 3).
-func (r *Reader) stringAt(ref uint64) (string, error) {
-	if int64(ref) >= r.strings.payloadLen {
-		return "", corrupt(StringsFile, "string ref %d beyond payload %d", ref, r.strings.payloadLen)
-	}
-	var head [binary.MaxVarintLen64]byte
-	hb := head[:]
-	if rem := r.strings.payloadLen - int64(ref); rem < int64(len(hb)) {
-		hb = hb[:rem]
-	}
-	if err := r.strings.readAt(hb, int64(ref)); err != nil {
-		return "", err
-	}
-	n, sz := binary.Uvarint(hb)
-	if sz <= 0 || n > maxStringLen {
-		return "", corrupt(StringsFile, "bad string length at ref %d", ref)
-	}
-	if int64(ref)+int64(sz)+int64(n) > r.strings.payloadLen {
-		return "", corrupt(StringsFile, "string at ref %d overruns payload", ref)
-	}
-	buf := make([]byte, n)
-	if err := r.strings.readAt(buf, int64(ref)+int64(sz)); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }
 
 // loadODTable locates the OD offset table from the trailing 8 bytes of
@@ -701,6 +733,9 @@ func (r *Reader) loadIndexDir() error {
 		if err != nil {
 			return err
 		}
+		if want := (td.meta.NumValues + sparseEvery - 1) / sparseEvery; nSparse != want {
+			return corrupt(IndexFile, "type %q: %d sparse entries for %d values", td.meta.Name, nSparse, td.meta.NumValues)
+		}
 		td.sparse = make([]sparseRef, nSparse)
 		for j := 0; j < nSparse; j++ {
 			if td.sparse[j].value, err = br.str(); err != nil {
@@ -725,11 +760,8 @@ func (r *Reader) loadIndexDir() error {
 }
 
 // loadNeighborDir reads the neighbor segment's per-type directory and
-// cross-checks it against the index directory (version >= 4 only).
+// cross-checks it against the index directory.
 func (r *Reader) loadNeighborDir() error {
-	if r.neighbor == nil {
-		return nil
-	}
 	if r.neighbor.payloadLen < 8 {
 		return corrupt(NeighborFile, "payload too short for directory offset")
 	}
@@ -826,12 +858,19 @@ func (s *segReader) readAt(b []byte, off int64) error {
 	return nil
 }
 
+func (s *segReader) checkRange(off, n int64) error {
+	if off < 0 || n < 0 || off+n > s.payloadLen {
+		return corrupt(s.name, "range [%d,+%d) outside payload %d", off, n, s.payloadLen)
+	}
+	return nil
+}
+
 // bytesAt returns n payload bytes at payload offset off: a zero-copy
 // subslice of the mapping when mapped, a fresh buffer otherwise. The
 // returned slice must not be modified.
 func (s *segReader) bytesAt(off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > s.payloadLen {
-		return nil, corrupt(s.name, "range [%d,+%d) outside payload %d", off, n, s.payloadLen)
+	if err := s.checkRange(off, n); err != nil {
+		return nil, err
 	}
 	if s.data != nil {
 		return s.data[headerSize+off : headerSize+off+n : headerSize+off+n], nil
@@ -844,10 +883,9 @@ func (s *segReader) bytesAt(off, n int64) ([]byte, error) {
 }
 
 // openSegment opens and fully verifies one data segment: the file size
-// and CRC must match the manifest's stamp, the header version must
-// match the manifest's, and the framing must be intact. mode selects
-// mmap vs pread access.
-func openSegment(path, name string, kind byte, stamp segmentStamp, version byte, mode MmapMode) (*segReader, error) {
+// and CRC must match the manifest's stamp and the framing must be
+// intact. mode selects mmap vs pread access.
+func openSegment(path, name string, kind byte, stamp segmentStamp, mode MmapMode) (*segReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -869,7 +907,7 @@ func openSegment(path, name string, kind byte, stamp segmentStamp, version byte,
 		f.Close()
 		return nil, corrupt(name, "short header: %v", err)
 	}
-	payloadLen, _, err := verifyFraming(name, st.Size(), header, kind, version)
+	payloadLen, err := verifyFraming(name, st.Size(), header, kind)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -933,82 +971,82 @@ func munmapIfSet(data []byte) {
 }
 
 // readManifest loads and verifies the manifest of a snapshot directory,
-// returning its record, segment stamps and format version.
-func readManifest(dir string) (Meta, []segmentStamp, byte, error) {
+// returning its record and segment stamps.
+func readManifest(dir string) (Meta, []segmentStamp, error) {
 	var meta Meta
 	path := filepath.Join(dir, ManifestFile)
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return meta, nil, 0, ErrNoSnapshot
+			return meta, nil, ErrNoSnapshot
 		}
-		return meta, nil, 0, fmt.Errorf("odcodec: %w", err)
+		return meta, nil, fmt.Errorf("odcodec: %w", err)
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return meta, nil, 0, fmt.Errorf("odcodec: %w", err)
+		return meta, nil, fmt.Errorf("odcodec: %w", err)
 	}
 	if st.Size() > 1<<30 {
-		return meta, nil, 0, corrupt(ManifestFile, "implausible manifest size %d", st.Size())
+		return meta, nil, corrupt(ManifestFile, "implausible manifest size %d", st.Size())
 	}
-	payload, version, err := readFramedFile(path, ManifestFile, kindManifest, f, st.Size())
+	payload, err := readFramedFile(path, ManifestFile, kindManifest, f, st.Size())
 	if err != nil {
-		return meta, nil, 0, err
+		return meta, nil, err
 	}
 	br := &byteReader{buf: payload, file: ManifestFile}
 	if meta.Fingerprint, err = br.str(); err != nil {
-		return meta, nil, 0, err
+		return meta, nil, err
 	}
 	if meta.Theta, err = br.float64(); err != nil {
-		return meta, nil, 0, err
+		return meta, nil, err
 	}
 	n, err := br.count(maxCount)
 	if err != nil {
-		return meta, nil, 0, err
+		return meta, nil, err
 	}
 	meta.NumODs = n
 	if meta.DeltaSeq, err = br.uvarint(); err != nil {
-		return meta, nil, 0, err
+		return meta, nil, err
 	}
 	nTomb, err := br.count(maxCount)
 	if err != nil {
-		return meta, nil, 0, err
+		return meta, nil, err
 	}
 	if meta.Tombstones, err = decodePostings(br, nTomb); err != nil {
-		return meta, nil, 0, err
+		return meta, nil, err
 	}
 	for i, id := range meta.Tombstones {
 		if int(id) >= meta.NumODs {
-			return meta, nil, 0, corrupt(ManifestFile, "tombstone %d outside [0,%d)", id, meta.NumODs)
+			return meta, nil, corrupt(ManifestFile, "tombstone %d outside [0,%d)", id, meta.NumODs)
 		}
 		if i > 0 && id <= meta.Tombstones[i-1] {
-			return meta, nil, 0, corrupt(ManifestFile, "tombstones not strictly ascending at %d", id)
+			return meta, nil, corrupt(ManifestFile, "tombstones not strictly ascending at %d", id)
 		}
 	}
 	fv, err := br.count(maxCount)
 	if err != nil {
-		return meta, nil, 0, err
+		return meta, nil, err
 	}
 	if fv > 0 {
 		if fv-1 != meta.NumODs {
-			return meta, nil, 0, corrupt(ManifestFile, "%d filter values for %d ODs", fv-1, meta.NumODs)
+			return meta, nil, corrupt(ManifestFile, "%d filter values for %d ODs", fv-1, meta.NumODs)
 		}
 		meta.FilterValues = make([]float64, fv-1)
 		for i := range meta.FilterValues {
 			if meta.FilterValues[i], err = br.float64(); err != nil {
-				return meta, nil, 0, err
+				return meta, nil, err
 			}
 		}
 	}
-	stamps := make([]segmentStamp, numSegments(version))
+	stamps := make([]segmentStamp, numSegments)
 	for i := range stamps {
 		sz, err := br.uvarint()
 		if err != nil {
-			return meta, nil, 0, err
+			return meta, nil, err
 		}
 		if br.pos+4 > len(br.buf) {
-			return meta, nil, 0, corrupt(ManifestFile, "truncated segment stamp")
+			return meta, nil, corrupt(ManifestFile, "truncated segment stamp")
 		}
 		stamps[i] = segmentStamp{
 			size: int64(sz),
@@ -1017,7 +1055,7 @@ func readManifest(dir string) (Meta, []segmentStamp, byte, error) {
 		br.pos += 4
 	}
 	if br.pos != len(br.buf) {
-		return meta, nil, 0, corrupt(ManifestFile, "%d trailing bytes", len(br.buf)-br.pos)
+		return meta, nil, corrupt(ManifestFile, "%d trailing bytes", len(br.buf)-br.pos)
 	}
-	return meta, stamps, version, nil
+	return meta, stamps, nil
 }

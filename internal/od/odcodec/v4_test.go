@@ -43,18 +43,11 @@ func TestMmapModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids, ok, err := r.LookupValue("ARTIST", "Led Zeppelin")
+			ids, ok, err := r.LookupValue("ARTIST", "Led Zeppelin", nil)
 			if err != nil || !ok {
 				t.Fatalf("LookupValue = %v/%v/%v", ids, ok, err)
 			}
-			var values []string
-			err = r.ScanType("ARTIST", func(v string, rl int, p func() ([]int32, error)) (bool, error) {
-				values = append(values, v)
-				return false, nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			values, _, _ := scanAll(t, r, "ARTIST")
 			answers = append(answers, answer{obj, ids, values})
 			if len(answers) > 1 && !reflect.DeepEqual(answers[0], answers[len(answers)-1]) {
 				t.Fatalf("mode %v answers differ: %+v vs %+v", mode, answers[0], answers[len(answers)-1])
@@ -151,8 +144,10 @@ func diskNeighborLookup(t testing.TB, r *Reader, q string, budget int) []int32 {
 	t.Helper()
 	seen := map[int32]bool{}
 	var out []int32
+	c := r.Values("T")
+	defer c.Close()
 	for _, variant := range strdist.DeletionVariants(q, budget) {
-		ords, err := r.NeighborLookup("T", variant)
+		ords, err := r.NeighborLookup("T", []byte(variant), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,11 +156,14 @@ func diskNeighborLookup(t testing.TB, r *Reader, q string, budget int) []int32 {
 				continue
 			}
 			seen[ord] = true
-			v, _, _, err := r.ValueAt("T", ord)
+			if err := c.Seek(ord); err != nil {
+				t.Fatal(err)
+			}
+			v, err := c.Value()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := strdist.LevenshteinBounded(q, v, budget); ok {
+			if _, ok := strdist.LevenshteinBounded(q, string(v), budget); ok {
 				out = append(out, ord)
 			}
 		}
@@ -192,15 +190,17 @@ func TestNeighborAbsentForUnindexableBudget(t *testing.T) {
 		if r.HasNeighbors("T") {
 			t.Errorf("budget %d: HasNeighbors = true", budget)
 		}
-		if ords, err := r.NeighborLookup("T", "aa"); err != nil || ords != nil {
+		if ords, err := r.NeighborLookup("T", []byte("aa"), nil); err != nil || ords != nil {
 			t.Errorf("budget %d: NeighborLookup = %v/%v", budget, ords, err)
 		}
 		r.Close()
 	}
 }
 
-// TestValueAt pins ordinal random access across sparse-block boundaries
-// (>64 values forces multiple blocks) in both access modes.
+// TestValueAt pins random access to the value at an ordinal
+// (Cursor.Seek) across sparse-block boundaries (>64 values forces
+// multiple blocks) in both access modes, forwards within a block,
+// backwards and across blocks on one cursor.
 func TestValueAt(t *testing.T) {
 	values := make([]string, 150)
 	for i := range values {
@@ -213,20 +213,36 @@ func TestValueAt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ord := range []int32{0, 1, 63, 64, 65, 127, 128, 149} {
-			v, rl, ids, err := r.ValueAt("T", ord)
+		c := r.Values("T")
+		for _, ord := range []int32{0, 1, 63, 64, 65, 127, 128, 149, 149, 130, 2, 0} {
+			if err := c.Seek(ord); err != nil {
+				t.Fatal(err)
+			}
+			v, err := c.Value()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v != values[ord] || rl != len([]rune(v)) || !reflect.DeepEqual(ids, []int32{ord}) {
-				t.Errorf("mode %v ValueAt(%d) = %q/%d/%v", mode, ord, v, rl, ids)
+			ids, err := c.AppendPostings(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(v) != values[ord] || c.RuneLen() != len([]rune(values[ord])) || c.Ordinal() != ord || !reflect.DeepEqual(ids, []int32{ord}) {
+				t.Errorf("mode %v Seek(%d) = %q/%d/%d/%v", mode, ord, v, c.RuneLen(), c.Ordinal(), ids)
 			}
 		}
-		if _, _, _, err := r.ValueAt("T", 150); err == nil {
-			t.Error("ValueAt accepted an out-of-range ordinal")
+		if !c.Next() || c.Ordinal() != 1 {
+			t.Errorf("mode %v: Next after Seek(0) at ordinal %d (err %v)", mode, c.Ordinal(), c.Err())
 		}
-		if _, _, _, err := r.ValueAt("missing", 0); err == nil {
-			t.Error("ValueAt accepted an unknown type")
+		if err := c.Seek(150); !IsCorrupt(err) {
+			t.Errorf("Seek accepted an out-of-range ordinal: %v", err)
+		}
+		c.Close()
+		missing := r.Values("missing")
+		if err := missing.Seek(0); !IsCorrupt(err) {
+			t.Errorf("Seek accepted an unknown type: %v", err)
+		}
+		if missing.Next() || missing.Err() != nil {
+			t.Errorf("cursor over an unknown type is not empty (err %v)", missing.Err())
 		}
 		r.Close()
 	}
@@ -266,61 +282,26 @@ func TestNeighborCorruptionRejected(t *testing.T) {
 	}
 }
 
-// TestV3SnapshotReadable: the previous on-disk version still opens —
-// scan-only, no neighbor segment on disk or in the reader — and decodes
-// the same content.
-func TestV3SnapshotReadable(t *testing.T) {
-	dir := t.TempDir()
-	w, err := NewWriterVersion(dir, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range sampleODs() {
-		if err := w.AddOD(o.object, o.source, o.tuples); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.BeginType("ARTIST", 12, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AddValue("Led Zeppelin", []int32{0, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Commit(Meta{Theta: 0.15}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, NeighborFile)); !os.IsNotExist(err) {
-		t.Fatalf("version-3 writer left a neighbor segment (err=%v)", err)
-	}
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Version() != 3 {
-		t.Fatalf("Version() = %d, want 3", r.Version())
-	}
-	if r.HasNeighbors("ARTIST") {
-		t.Fatal("version-3 snapshot reports a neighbor index")
-	}
-	obj, src, tuples, err := r.OD(0)
-	if err != nil || obj != "/db/cd[1]" || src != 0 || len(tuples) != 2 {
-		t.Fatalf("OD(0) = %q/%d/%v/%v", obj, src, tuples, err)
-	}
-	ids, ok, err := r.LookupValue("ARTIST", "Led Zeppelin")
-	if err != nil || !ok || !reflect.DeepEqual(ids, []int32{0, 2}) {
-		t.Fatalf("LookupValue = %v/%v/%v", ids, ok, err)
-	}
-}
-
 // TestFutureVersionRejected: a manifest stamped with a version this
 // binary does not know is refused with a version message, never
 // misdecoded — the same check an old binary applies to snapshots this
 // one writes.
 func TestFutureVersionRejected(t *testing.T) {
+	assertVersionRefused(t, Version+1)
+}
+
+// TestVersion3Refused: the previous format generation (length-prefixed
+// string table, inline index values, no neighbor segment) is no longer
+// read — a version-3 directory is refused like a future one.
+func TestVersion3Refused(t *testing.T) {
+	assertVersionRefused(t, 3)
+}
+
+func assertVersionRefused(t *testing.T, version byte) {
+	t.Helper()
 	dir := t.TempDir()
-	h := newHeader(kindManifest, Version+1)
-	payload := []byte("future payload")
+	h := newHeader(kindManifest, version)
+	payload := []byte("some other layout")
 	crc := crc32.Update(0, crcTable, h)
 	crc = crc32.Update(crc, crcTable, payload)
 	out := append(h, payload...)
@@ -330,7 +311,7 @@ func TestFutureVersionRejected(t *testing.T) {
 	}
 	_, err := Open(dir)
 	if !IsCorrupt(err) || !strings.Contains(err.Error(), "unsupported format version") {
-		t.Fatalf("err = %v, want unsupported-version corruption", err)
+		t.Fatalf("version %d: err = %v, want unsupported-version corruption", version, err)
 	}
 }
 
@@ -343,71 +324,6 @@ func TestWriterVersionValidated(t *testing.T) {
 			t.Errorf("NewWriterVersion(%d) accepted", v)
 		}
 	}
-}
-
-// TestV4SegmentsSmallerThanV3 pins the structure-sharing win: the same
-// repetitive corpus written at both versions must occupy fewer
-// string/OD/index bytes at version 4 (value bytes live once in the
-// shared heap instead of twice in the string table and the index
-// segment).
-func TestV4SegmentsSmallerThanV3(t *testing.T) {
-	write := func(dir string, version int) {
-		w, err := NewWriterVersion(dir, version)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 200; i++ {
-			artist := fmt.Sprintf("the quite verbose artist ensemble %03d", i%50)
-			title := fmt.Sprintf("a rather long common record title %03d", i)
-			err := w.AddOD(fmt.Sprintf("/db/cd[%d]", i), 0, []Tuple{
-				{Value: artist, Name: "/db/cd/artist", Type: "ARTIST"},
-				{Value: title, Name: "/db/cd/title", Type: "TITLE"},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		values := map[string][]int32{}
-		for i := 0; i < 200; i++ {
-			v := fmt.Sprintf("the quite verbose artist ensemble %03d", i%50)
-			values[v] = append(values[v], int32(i))
-		}
-		sorted := make([]string, 0, len(values))
-		for v := range values {
-			sorted = append(sorted, v)
-		}
-		sort.Strings(sorted)
-		if err := w.BeginType("ARTIST", 40, 2); err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range sorted {
-			if err := w.AddValue(v, values[v]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Commit(Meta{Theta: 0.15}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segBytes := func(dir string) int64 {
-		var total int64
-		for _, name := range []string{StringsFile, ODsFile, IndexFile} {
-			st, err := os.Stat(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += st.Size()
-		}
-		return total
-	}
-	dir3, dir4 := t.TempDir(), t.TempDir()
-	write(dir3, 3)
-	write(dir4, 4)
-	b3, b4 := segBytes(dir3), segBytes(dir4)
-	if b4 >= b3 {
-		t.Fatalf("version-4 string/OD/index bytes %d not smaller than version-3 %d", b4, b3)
-	}
-	t.Logf("v3=%d bytes, v4=%d bytes (%.0f%%)", b3, b4, 100*float64(b4)/float64(b3))
 }
 
 // FuzzNeighborIndexRoundTrip feeds arbitrary value tables and queries

@@ -23,8 +23,7 @@ import (
 //
 // Data is written through to temporary files as it arrives, so the
 // writer's memory stays bounded by the string-dedup table, the OD
-// offset table and (at current version) one type's deletion-
-// neighborhood buckets. Commit seals the segment footers, renames the
+// offset table and one type's deletion-neighborhood buckets. Commit seals the segment footers, renames the
 // files into place and writes the manifest last; until the manifest
 // exists the directory does not contain a snapshot, so a crash
 // mid-write can never be mistaken for a valid one.
@@ -37,18 +36,17 @@ import (
 // persists the index without caring that it exists.
 type Writer struct {
 	dir     string
-	version byte
 	err     error // sticky: first failure poisons the writer
 	done    bool
 	strSeg  *segWriter
 	odSeg   *segWriter
 	idxSeg  *segWriter
-	nbrSeg  *segWriter // nil for legacy version 3
+	nbrSeg  *segWriter
 	strOffs map[string]strHandle
 
-	// heap-tail sharing state (version >= 4): the most recently appended
-	// fresh string and its offset, checked for substring/extension
-	// sharing before new bytes are written.
+	// heap-tail sharing state: the most recently appended fresh string
+	// and its offset, checked for substring/extension sharing before new
+	// bytes are written.
 	tailOff uint64
 	tailStr string
 
@@ -63,9 +61,8 @@ type Writer struct {
 	scratch []byte
 }
 
-// strHandle locates one string in the heap. For version 4 it is a raw
-// (payload offset, byte length) pair; for legacy version 3 only off is
-// meaningful (the offset of a length-prefixed record).
+// strHandle locates one string in the heap: a raw (payload offset, byte
+// length) pair.
 type strHandle struct {
 	off uint64
 	n   uint64
@@ -101,10 +98,9 @@ func NewWriter(dir string) (*Writer, error) {
 	return NewWriterVersion(dir, Version)
 }
 
-// NewWriterVersion starts a snapshot at an explicit format version in
-// [MinReadVersion, Version]. Writing the legacy version exists for
-// cross-version tests and tooling (e.g. producing a version-3 snapshot
-// to exercise the upgrade path); production code writes Version.
+// NewWriterVersion starts a snapshot at an explicit format version and
+// refuses every version this binary could not read back — today all but
+// Version.
 func NewWriterVersion(dir string, version int) (*Writer, error) {
 	if version < MinReadVersion || version > Version {
 		return nil, fmt.Errorf("odcodec: cannot write format version %d (supported: %d..%d)", version, MinReadVersion, Version)
@@ -112,21 +108,19 @@ func NewWriterVersion(dir string, version int) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("odcodec: %w", err)
 	}
-	w := &Writer{dir: dir, version: byte(version), strOffs: map[string]strHandle{}}
-	var err error
-	if w.strSeg, err = newSegWriter(filepath.Join(dir, StringsFile), kindStrings, w.version); err != nil {
-		return nil, err
-	}
-	if w.odSeg, err = newSegWriter(filepath.Join(dir, ODsFile), kindODs, w.version); err != nil {
-		w.Abort()
-		return nil, err
-	}
-	if w.idxSeg, err = newSegWriter(filepath.Join(dir, IndexFile), kindIndex, w.version); err != nil {
-		w.Abort()
-		return nil, err
-	}
-	if w.version >= 4 {
-		if w.nbrSeg, err = newSegWriter(filepath.Join(dir, NeighborFile), kindNeighbor, w.version); err != nil {
+	w := &Writer{dir: dir, strOffs: map[string]strHandle{}}
+	for _, seg := range []struct {
+		dst  **segWriter
+		name string
+		kind byte
+	}{
+		{&w.strSeg, StringsFile, kindStrings},
+		{&w.odSeg, ODsFile, kindODs},
+		{&w.idxSeg, IndexFile, kindIndex},
+		{&w.nbrSeg, NeighborFile, kindNeighbor},
+	} {
+		var err error
+		if *seg.dst, err = newSegWriter(filepath.Join(dir, seg.name), seg.kind); err != nil {
 			w.Abort()
 			return nil, err
 		}
@@ -136,8 +130,8 @@ func NewWriterVersion(dir string, version int) (*Writer, error) {
 
 // intern stores s in the string heap once and returns its handle.
 //
-// At version 4 the heap is raw bytes and the handle may point inside a
-// previously stored string: an exact repeat never writes bytes, a
+// The heap is raw bytes and the handle may point inside a previously
+// stored string: an exact repeat never writes bytes, a
 // string contained in the most recently appended one shares its bytes,
 // and a string extending the current heap tail appends only the new
 // suffix. The sharing window is deliberately one string deep — an O(1)
@@ -145,13 +139,6 @@ func NewWriterVersion(dir string, version int) (*Writer, error) {
 // values, values nested in the value interned just before).
 func (w *Writer) intern(s string) strHandle {
 	if h, ok := w.strOffs[s]; ok {
-		return h
-	}
-	if w.version < 4 {
-		h := strHandle{off: w.strSeg.n}
-		w.strOffs[s] = h
-		w.scratch = appendString(w.scratch[:0], s)
-		w.setErr(w.strSeg.write(w.scratch))
 		return h
 	}
 	var h strHandle
@@ -174,14 +161,9 @@ func (w *Writer) intern(s string) strHandle {
 	return h
 }
 
-// appendHandle encodes a heap reference: a single record offset at
-// legacy version 3, an (offset, length) pair at version 4.
-func (w *Writer) appendHandle(b []byte, h strHandle) []byte {
-	b = appendUvarint(b, h.off)
-	if w.version >= 4 {
-		b = appendUvarint(b, h.n)
-	}
-	return b
+// appendHandle encodes a heap reference as an (offset, length) pair.
+func appendHandle(b []byte, h strHandle) []byte {
+	return appendUvarint(appendUvarint(b, h.off), h.n)
 }
 
 // AddOD appends one object description; the record's position in the
@@ -201,11 +183,11 @@ func (w *Writer) AddOD(object string, source int32, tuples []Tuple) error {
 	if w.err != nil {
 		return w.err
 	}
-	b := w.appendHandle(w.scratch[:0], refs[0])
+	b := appendHandle(w.scratch[:0], refs[0])
 	b = appendUvarint(b, uint64(uint32(source)))
 	b = appendUvarint(b, uint64(len(tuples)))
 	for _, r := range refs[1:] {
-		b = w.appendHandle(b, r)
+		b = appendHandle(b, r)
 	}
 	w.odOffsets = append(w.odOffsets, w.odSeg.n)
 	w.scratch = b
@@ -236,10 +218,10 @@ func (w *Writer) BeginType(name string, maxLen, budget int) error {
 }
 
 // neighborActive reports whether the current type persists a
-// deletion-neighborhood index: version 4 and an edit budget the FastSS
-// scheme stays tractable for (MemStore uses the same 0..2 criterion).
+// deletion-neighborhood index: an edit budget the FastSS scheme stays
+// tractable for (MemStore uses the same 0..2 criterion).
 func (w *Writer) neighborActive() bool {
-	if w.version < 4 || len(w.types) == 0 {
+	if len(w.types) == 0 {
 		return false
 	}
 	b := w.types[len(w.types)-1].meta.Budget
@@ -272,13 +254,7 @@ func (w *Writer) AddValue(value string, objects []int32) error {
 	cur.meta.NumValues++
 
 	postings := appendPostings(nil, objects)
-	var b []byte
-	if w.version >= 4 {
-		h := w.intern(value)
-		b = w.appendHandle(w.scratch[:0], h)
-	} else {
-		b = appendString(w.scratch[:0], value)
-	}
+	b := appendHandle(w.scratch[:0], w.intern(value))
 	b = appendUvarint(b, uint64(runeLen(value)))
 	b = appendUvarint(b, uint64(len(objects)))
 	b = appendUvarint(b, uint64(len(postings)))
@@ -398,26 +374,24 @@ func (w *Writer) Commit(meta Meta) error {
 		return err
 	}
 
-	// Neighbor directory + trailing directory offset (version >= 4).
-	if w.nbrSeg != nil {
-		nbrDirOff := w.nbrSeg.n
-		b = appendUvarint(w.scratch[:0], uint64(len(w.nbrTypes)))
-		for _, t := range w.nbrTypes {
-			b = appendString(b, t.name)
-			b = appendUvarint(b, budgetToWire(t.budget))
-			b = appendUvarint(b, uint64(t.numBuckets))
-			b = appendUvarint(b, t.segOff)
-			b = appendUvarint(b, t.segLen)
-			b = appendUvarint(b, uint64(len(t.sparse)))
-			for _, s := range t.sparse {
-				b = appendString(b, s.value)
-				b = appendUvarint(b, s.off)
-			}
+	// Neighbor directory + trailing directory offset.
+	nbrDirOff := w.nbrSeg.n
+	b = appendUvarint(w.scratch[:0], uint64(len(w.nbrTypes)))
+	for _, t := range w.nbrTypes {
+		b = appendString(b, t.name)
+		b = appendUvarint(b, budgetToWire(t.budget))
+		b = appendUvarint(b, uint64(t.numBuckets))
+		b = appendUvarint(b, t.segOff)
+		b = appendUvarint(b, t.segLen)
+		b = appendUvarint(b, uint64(len(t.sparse)))
+		for _, s := range t.sparse {
+			b = appendString(b, s.value)
+			b = appendUvarint(b, s.off)
 		}
-		b = binary.LittleEndian.AppendUint64(b, nbrDirOff)
-		if err := w.fail(w.nbrSeg.write(b)); err != nil {
-			return err
-		}
+	}
+	b = binary.LittleEndian.AppendUint64(b, nbrDirOff)
+	if err := w.fail(w.nbrSeg.write(b)); err != nil {
+		return err
 	}
 
 	// OD offset table + trailing table offset.
@@ -431,7 +405,7 @@ func (w *Writer) Commit(meta Meta) error {
 		return err
 	}
 
-	segs := w.segments()
+	segs := []*segWriter{w.strSeg, w.odSeg, w.idxSeg, w.nbrSeg}
 	stamps := make([]segmentStamp, len(segs))
 	for i, seg := range segs {
 		st, err := seg.finish()
@@ -449,32 +423,16 @@ func (w *Writer) Commit(meta Meta) error {
 	if err := os.Remove(filepath.Join(w.dir, ManifestFile)); err != nil && !os.IsNotExist(err) {
 		return w.fail(fmt.Errorf("odcodec: %w", err))
 	}
-	// A version-3 rebuild over a version-4 snapshot must not leave the
-	// old neighbor segment behind as a stray file.
-	if w.nbrSeg == nil {
-		if err := os.Remove(filepath.Join(w.dir, NeighborFile)); err != nil && !os.IsNotExist(err) {
-			return w.fail(fmt.Errorf("odcodec: %w", err))
-		}
-	}
 	for _, seg := range segs {
 		if err := os.Rename(seg.path+tmpSuffix, seg.path); err != nil {
 			return w.fail(fmt.Errorf("odcodec: %w", err))
 		}
 	}
-	if err := writeManifest(w.dir, meta, stamps, w.version); err != nil {
+	if err := writeManifest(w.dir, meta, stamps); err != nil {
 		return w.fail(err)
 	}
 	w.done = true
 	return nil
-}
-
-// segments lists the live segment writers in stamp order.
-func (w *Writer) segments() []*segWriter {
-	segs := []*segWriter{w.strSeg, w.odSeg, w.idxSeg}
-	if w.nbrSeg != nil {
-		segs = append(segs, w.nbrSeg)
-	}
-	return segs
 }
 
 // Abort discards the partially written snapshot. Safe to call after
@@ -523,13 +481,13 @@ type segWriter struct {
 	n    uint64 // payload bytes written
 }
 
-func newSegWriter(path string, kind, version byte) (*segWriter, error) {
+func newSegWriter(path string, kind byte) (*segWriter, error) {
 	f, err := os.Create(path + tmpSuffix)
 	if err != nil {
 		return nil, fmt.Errorf("odcodec: %w", err)
 	}
 	w := &segWriter{path: path, f: f, bw: bufio.NewWriterSize(f, 1<<16)}
-	h := newHeader(kind, version)
+	h := newHeader(kind, Version)
 	w.crc = crc32.Update(0, crcTable, h)
 	if _, err := w.bw.Write(h); err != nil {
 		w.close()
@@ -575,11 +533,10 @@ func (w *segWriter) close() {
 }
 
 // writeManifest encodes and atomically installs the manifest, the
-// commit point of a snapshot. The stamp count is implied by the
-// version: 3 data segments before version 4, 4 from it.
-func writeManifest(dir string, meta Meta, stamps []segmentStamp, version byte) error {
-	if len(stamps) != numSegments(version) {
-		return fmt.Errorf("odcodec: %d segment stamps for version %d", len(stamps), version)
+// commit point of a snapshot.
+func writeManifest(dir string, meta Meta, stamps []segmentStamp) error {
+	if len(stamps) != numSegments {
+		return fmt.Errorf("odcodec: %d segment stamps, want %d", len(stamps), numSegments)
 	}
 	for i, id := range meta.Tombstones {
 		if id < 0 || int(id) >= meta.NumODs {
@@ -608,7 +565,7 @@ func writeManifest(dir string, meta Meta, stamps []segmentStamp, version byte) e
 		b = binary.LittleEndian.AppendUint32(b, st.crc)
 	}
 
-	h := newHeader(kindManifest, version)
+	h := newHeader(kindManifest, Version)
 	crc := crc32.Update(0, crcTable, h)
 	crc = crc32.Update(crc, crcTable, b)
 	out := append(h, b...)
@@ -645,13 +602,13 @@ func writeManifest(dir string, meta Meta, stamps []segmentStamp, version byte) e
 }
 
 // UpdateMeta rewrites an existing snapshot's manifest with a new
-// fingerprint and optional filter values, keeping θ, the OD count, the
-// format version and the segment stamps from disk. This is how a
+// fingerprint and optional filter values, keeping θ, the OD count and
+// the segment stamps from disk. This is how a
 // snapshot written during Finalize (before the corpus fingerprint is
 // known) is stamped with provenance afterwards without rewriting the
 // data segments.
 func UpdateMeta(dir, fingerprint string, filterValues []float64) error {
-	meta, stamps, version, err := readManifest(dir)
+	meta, stamps, err := readManifest(dir)
 	if err != nil {
 		return err
 	}
@@ -660,5 +617,5 @@ func UpdateMeta(dir, fingerprint string, filterValues []float64) error {
 	}
 	meta.Fingerprint = fingerprint
 	meta.FilterValues = filterValues
-	return writeManifest(dir, meta, stamps, version)
+	return writeManifest(dir, meta, stamps)
 }

@@ -2,8 +2,6 @@ package od
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/od/odcodec"
@@ -67,91 +65,6 @@ func TestMmapOnRequiresSupport(t *testing.T) {
 	}
 	defer disk.Close()
 	assertStoreParity(t, disk, disk, "self")
-}
-
-// writeV3Snapshot exports a finalized MemStore in the legacy version-3
-// format, exactly as a pre-upgrade binary's od.Save would have.
-func writeV3Snapshot(t *testing.T, dir string, mem *MemStore, fp string) {
-	t.Helper()
-	w, err := odcodec.NewWriterVersion(dir, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Abort()
-	if err := mem.exportSnapshot(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Commit(odcodec.Meta{Fingerprint: fp, Theta: mem.Theta()}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestV3SnapshotReopenAndUpgrade is the cross-version contract: a
-// version-3 snapshot (no neighbor segment, no shared heap) still opens
-// and answers bit-identically to MemStore via segment scans, and
-// od.Save on that store rewrites it in place into the current format —
-// same IDs, same answers, neighborhood index now present.
-func TestV3SnapshotReopenAndUpgrade(t *testing.T) {
-	ods := cdODs(80, 2005)
-	mem := NewMemStore()
-	for _, o := range ods {
-		cp := *o
-		mem.Add(&cp)
-	}
-	mem.Finalize(0.15)
-
-	dir := t.TempDir()
-	writeV3Snapshot(t, dir, mem, "fp-v3")
-
-	old, err := OpenDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := old.r.Version(); v != 3 {
-		t.Fatalf("reopened snapshot version = %d, want 3", v)
-	}
-	if old.Fingerprint() != "fp-v3" {
-		t.Fatalf("Fingerprint = %q", old.Fingerprint())
-	}
-	for _, st := range old.Stats() {
-		if st.Indexed {
-			t.Fatalf("version-3 store reports type %q neighbor-indexed", st.Type)
-		}
-	}
-	assertStoreParity(t, mem, old, "v3-reopen")
-
-	// Save on the unmutated store is a pure format upgrade in place.
-	if err := Save(dir, old, SnapshotMeta{Fingerprint: "fp-upgraded"}); err != nil {
-		t.Fatal(err)
-	}
-	if v := old.r.Version(); v != odcodec.Version {
-		t.Fatalf("post-save store serves version %d, want %d", v, odcodec.Version)
-	}
-	assertStoreParity(t, mem, old, "post-upgrade-live")
-	old.Close()
-
-	if _, err := os.Stat(filepath.Join(dir, odcodec.NeighborFile)); err != nil {
-		t.Fatalf("upgraded snapshot lacks the neighbor segment: %v", err)
-	}
-	up, err := OpenDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer up.Close()
-	if v := up.r.Version(); v != odcodec.Version {
-		t.Fatalf("upgraded snapshot version = %d, want %d", v, odcodec.Version)
-	}
-	if up.Fingerprint() != "fp-upgraded" {
-		t.Fatalf("Fingerprint after upgrade = %q", up.Fingerprint())
-	}
-	indexed := false
-	for _, st := range up.Stats() {
-		indexed = indexed || st.Indexed
-	}
-	if !indexed {
-		t.Fatal("no type neighbor-indexed after upgrade")
-	}
-	assertStoreParity(t, mem, up, "v4-upgraded")
 }
 
 // TestDiskStoreCacheStats exercises the shared LRU's counter surface:

@@ -49,20 +49,9 @@ func Save(dir string, s Store, meta SnapshotMeta) error {
 	if ds, ok := s.(*DiskStore); ok && sameDir(ds.dir, dir) {
 		ds.mustBeFinal()
 		if !ds.dirty {
-			if ds.r.Version() >= odcodec.Version {
-				// The base manifest already describes the live state
-				// (tombstones included); only the provenance changes.
-				return odcodec.UpdateMeta(dir, meta.Fingerprint, ds.expandFilterValues(meta.FilterValues))
-			}
-			// An older-format base cannot be re-stamped: the manifest's
-			// version governs every segment, so the snapshot is rewritten
-			// in the current format instead — which also gains it the
-			// segments the old format lacked (the deletion-neighborhood
-			// index, the shared string heap). The merge machinery already
-			// does exactly this rewrite; an empty overlay makes it a pure
-			// format upgrade with the ID space untouched.
-			ds.overlay()
-			return ds.mergeInPlace(meta)
+			// The base manifest already describes the live state
+			// (tombstones included); only the provenance changes.
+			return odcodec.UpdateMeta(dir, meta.Fingerprint, ds.expandFilterValues(meta.FilterValues))
 		}
 		return ds.mergeInPlace(meta)
 	}
@@ -355,13 +344,7 @@ func (s *DiskStore) exportSnapshot(w *odcodec.Writer) error {
 			if err := w.BeginType(tm.Name, tm.MaxLen, tm.Budget); err != nil {
 				return err
 			}
-			err := s.r.ScanType(tm.Name, func(v string, runeLen int, postings func() ([]int32, error)) (bool, error) {
-				ids, err := postings()
-				if err != nil {
-					return true, err
-				}
-				return false, w.AddValue(v, ids)
-			})
+			err := s.scanBase(tm.Name, func(v []byte, _ int, ids []int32) error { return w.AddValue(string(v), ids) })
 			if err != nil {
 				return err
 			}
@@ -431,11 +414,9 @@ func (s *DiskStore) exportLiveTypes(w *odcodec.Writer, remap []int32) error {
 	for _, typ := range sorted {
 		// Pass 1: live max value length for the type's edit budget.
 		maxLen, live := 0, 0
-		err := s.forEachLiveValue(typ, func(v string, ids []int32) {
+		err := s.forEachLiveValue(typ, func(runeLen int) {
 			live++
-			if l := len([]rune(v)); l > maxLen {
-				maxLen = l
-			}
+			maxLen = max(maxLen, runeLen)
 		})
 		if err != nil {
 			return err
@@ -463,18 +444,15 @@ func (s *DiskStore) exportLiveTypes(w *odcodec.Writer, remap []int32) error {
 			}
 			return w.AddValue(v, ids)
 		}
-		err = s.r.ScanType(typ, func(v string, runeLen int, postings func() ([]int32, error)) (bool, error) {
-			ids, err := postings()
-			if err != nil {
-				return true, err
-			}
+		err = s.scanBase(typ, func(vb []byte, _ int, ids []int32) error {
+			v := string(vb)
 			for next < len(addedSorted) && addedSorted[next] < v {
 				if err := emit(addedSorted[next], m.mergePostings(typ, addedSorted[next], nil)); err != nil {
-					return true, err
+					return err
 				}
 				next++
 			}
-			return false, emit(v, m.mergePostings(typ, v, ids))
+			return emit(v, m.mergePostings(typ, v, ids))
 		})
 		if err != nil {
 			return err

@@ -18,6 +18,11 @@ import (
 // description size — 6 keeps most comparable groups at one tuple a side,
 // 14 reaches into the track lists and makes them n×m.
 func corpus(tb testing.TB, n, k int) (od.Store, [][2]*od.OD) {
+	return corpusOn(tb, n, k, nil)
+}
+
+// corpusOn is corpus on the backend newStore builds (nil: MemStore).
+func corpusOn(tb testing.TB, n, k int, newStore func() od.Store) (od.Store, [][2]*od.OD) {
 	tb.Helper()
 	ds, err := experiments.BuildDataset1(n, 2005, dirty.Dataset1Params())
 	if err != nil {
@@ -32,6 +37,7 @@ func corpus(tb testing.TB, n, k int) (od.Store, [][2]*od.OD) {
 		ThetaTuple: experiments.ThetaTuple,
 		ThetaCand:  experiments.ThetaCand,
 		FilterOnly: true,
+		NewStore:   newStore,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -98,15 +104,21 @@ func TestScorePathsBitIdentical(t *testing.T) {
 }
 
 // One scored pair and one filter bound on a warm store must not touch
-// the heap: the pipeline calls them tens of thousands of times a run.
-// Under the race detector sync.Pool drops items at random, so the
-// borrowed kernel is not always the warm one.
+// the heap: the pipeline calls them tens of thousands of times a run —
+// on a DiskStore too, where warm means every answer sits in the store's
+// caches. Under the race detector sync.Pool drops items at random, so
+// the borrowed kernel is not always the warm one.
 func TestKernelAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is lossy under -race")
 	}
-	for _, k := range []int{6, 14} {
-		store, pairs := corpus(t, 40, k)
+	diskDir := t.TempDir()
+	for _, bc := range []struct {
+		k        int
+		newStore func() od.Store
+	}{{6, nil}, {14, nil}, {6, func() od.Store { return od.NewDiskStore(diskDir) }}} {
+		k := bc.k
+		store, pairs := corpusOn(t, 40, k, bc.newStore)
 		cl := sim.Classifier{ThetaTuple: store.Theta()}
 		var tr sim.PairTrace
 		score := func() {
@@ -123,10 +135,10 @@ func TestKernelAllocationFree(t *testing.T) {
 		score() // warm-up: buffers grow to the largest group, the store's cache fills
 		filter()
 		if n := testing.AllocsPerRun(5, score); n != 0 {
-			t.Errorf("k=%d: scoring %d pairs allocates %v times", k, len(pairs), n)
+			t.Errorf("k=%d on %T: scoring %d pairs allocates %v times", k, store, len(pairs), n)
 		}
 		if n := testing.AllocsPerRun(5, filter); n != 0 {
-			t.Errorf("k=%d: %d filter bounds allocate %v times", k, store.Size(), n)
+			t.Errorf("k=%d on %T: %d filter bounds allocate %v times", k, store, store.Size(), n)
 		}
 	}
 }

@@ -38,6 +38,20 @@ func AppendRunes(dst []rune, s string) []rune {
 	return dst
 }
 
+// AppendRuneBytes is AppendRunes over a byte view, for callers that
+// compare a value where it is stored before deciding to copy it.
+func AppendRuneBytes(dst []rune, b []byte) []rune {
+	for len(b) > 0 {
+		r, n := rune(b[0]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRune(b)
+		}
+		dst = append(dst, r)
+		b = b[n:]
+	}
+	return dst
+}
+
 // Levenshtein returns the edit distance (insertions, deletions,
 // substitutions, unit cost) between a and b.
 func Levenshtein(a, b string) int {
