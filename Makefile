@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race test-disk test-dist test-daemon vet fmt-check docs-check bench bench-kernel bench-query bench-update bench-dist bench-serve fuzz clean
+.PHONY: all build test test-race test-disk test-dist test-daemon test-bench vet fmt-check docs-check bench bench-kernel bench-smoke bench-ref bench-compare fuzz clean
 
 all: build test vet fmt-check docs-check
 
@@ -10,9 +10,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass. The hot spots are the lock-striped sharded store,
-# the work-stealing compare stage and the worker pool underneath them,
-# but the whole tree runs in ~2 minutes, so check everything.
+# Race-detector pass. The hot spots are the lock-striped caches, the
+# federation fan-out, the work-stealing compare stage and the worker
+# pool underneath them, but the whole tree runs in ~2 minutes, so check
+# everything.
 test-race:
 	$(GO) test -race ./...
 
@@ -98,42 +99,36 @@ bench-kernel:
 	$(GO) test -run '^$$' -bench 'KernelScore|KernelFilter' -benchmem -benchtime $(BENCHTIME) ./internal/sim/
 	$(GO) test -run '^$$' -bench 'DetectKernel' -benchmem -benchtime $(BENCHTIME) ./internal/core/
 
-# Regenerate the committed query-path latency artifact: SimilarValues
-# p50/p99 and retained heap per backend, plus the persisted
-# neighborhood index's cold-query speedup over the segment-scan
-# baseline. CI smoke-runs the same artifact at a reduced scale.
-bench-query:
-	$(GO) run ./cmd/benchfig -fig query -json BENCH_query.json
+# The reference benchmark (bench/, a Go module of its own, so `make
+# test` does not reach it; see bench/README.md). test-bench runs its
+# unit tests (< 10 s, they spawn nothing). bench-smoke takes all five
+# BENCHMARK.json workloads through both passes at tiny scale with the
+# real dogmatix/dogmatixd processes, every output checked against the
+# in-process MemStore oracle (~40 s on the 2-core reference box); CI
+# runs both as the reference-benchmark job.
+test-bench:
+	$(GO) test -C bench ./...
 
-# Regenerate the committed incremental-update artifact: per backend, the
-# wall time and recompared-pair count of one update batch applied cold,
-# with in-process replay traces, and after a restart that replays the
-# persisted trace segment. CI smoke-runs the same artifact at a reduced
-# scale.
-bench-update:
-	$(GO) run ./cmd/benchfig -fig update -json BENCH_update.json
+bench-smoke:
+	$(GO) test -C bench . -run Smoke -bench-smoke
 
-# Regenerate the committed distributed fan-out artifact: per-query
-# member-RPC count, bytes on the wire, and batch-normalized fan-out
-# latency percentiles on 1- and 3-partition federations over loopback,
-# real-socket, and modeled-network (tcp+1ms) transports, full-fan-out
-# baseline versus the variant-routed batched fast path. CI smoke-runs
-# the same artifact at a reduced scale and fails on JSON schema drift
-# against the committed file.
-bench-dist:
-	$(GO) run ./cmd/benchfig -fig dist -json BENCH_dist.json
+# One full run of the reference benchmark: every end-to-end metric of
+# every workload, by name. Add per-layer metrics with
+# `go run -C bench . -workload NAME -trace 1`.
+bench-ref:
+	$(GO) run -C bench .
 
-# Regenerate the committed service-layer artifact: daemon HTTP query
-# p50/p99 against reading the same data in-process, and the coalescing
-# update queue's document throughput against the sequential
-# one-Update-per-document baseline. CI smoke-runs the same artifact at
-# a reduced scale and fails on JSON schema drift against the committed
-# file.
-bench-serve:
-	$(GO) run ./cmd/benchfig -fig serve -json BENCH_serve.json
+# Verdict (ok / regressed / unresolved) per workload and metric between
+# two result envelopes written by `go run -C bench . -runs N -json
+# FILE` (paths relative to the repository root):
+# make bench-compare A=before.json B=after.json
+bench-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=before.json B=after.json"; exit 2; }
+	$(GO) run -C bench . -compare $(A) $(B)
 
-# Remove generated artifacts: benchfig's disk-store segments and any
-# stray dupcluster/figure output written into the working tree.
+# Remove generated artifacts: the reference benchmark's binaries,
+# scratch data and span files, and any stray dupcluster output the
+# examples wrote into the working tree.
 clean:
-	rm -rf benchfig-store benchfig-store-query benchfig-store-update-*
-	rm -f benchfig-*.txt dupclusters*.xml
+	rm -rf .bench_build
+	rm -f dupclusters*.xml

@@ -16,7 +16,6 @@ import (
 	"repro/internal/dirty"
 	"repro/internal/experiments"
 	"repro/internal/heuristics"
-	"repro/internal/od"
 	"repro/internal/sim"
 	"repro/internal/strdist"
 )
@@ -135,18 +134,6 @@ func BenchmarkDetect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchDetect(b, ds, core.Config{})
-	}
-}
-
-// BenchmarkDetectSharded is BenchmarkDetect backed by the sharded OD
-// store (8 shards) instead of the single-map MemStore.
-func BenchmarkDetectSharded(b *testing.B) {
-	ds := benchDataset1(b, 150)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchDetect(b, ds, core.Config{
-			NewStore: func() od.Store { return od.NewShardedStore(8) },
-		})
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command benchfig regenerates every table and figure of the paper's
-// evaluation (Section 6) as text series.
+// evaluation (Section 6) as text series, from internal/experiments.
 //
 // Usage:
 //
@@ -7,90 +7,36 @@
 //	benchfig -fig fig5 -n 200         # Figure 5 with 200 CDs
 //	benchfig -fig fig7 -n 10000       # Figure 7 at paper scale
 //	benchfig -fig tab5                # Table 5
-//	benchfig -fig stages -shards 8    # per-stage timings, both store backends
-//	benchfig -fig query -json BENCH_query.json   # query-path latency artifact
-//	benchfig -fig update -json BENCH_update.json # incremental-update artifact
-//	benchfig -fig dist -json BENCH_dist.json     # distributed fan-out artifact
-//	benchfig -fig serve -json BENCH_serve.json   # daemon service-layer artifact
 //
 // Paper scales: fig5/fig8 use 500 CDs, fig6 uses 500 movies, fig7 uses
-// 10,000 discs. The stages artifact (not from the paper) profiles the
-// staged detection pipeline on Dataset 1 — on the single-map MemStore,
-// on the sharded store, on the MemStore fed by the streaming ingestion
-// layer, on the disk-backed store (segment files under -store-dir),
-// and on the distributed store (a loopback-transport federation of
-// -partitions members, every query crossing the odrpc codec) — and
-// prints each stage's item count, wall time, live heap after the stage
-// (post-GC runtime.MemStats) and bytes allocated during it. Each
-// backend row ends with the heap retained while the finished result and
-// its store are still live: the in-memory backends retain the full
-// value indexes and grow with corpus size, the disk backend retains
-// only its directory and caches. The disk row additionally reports
-// open-vs-rebuild timing — how long reopening the persisted indexes
-// takes versus the infer+candidates+describe build they replace, the
-// warm-start win — and the dist row breaks the retained heap down per
-// partition member by releasing them one at a time.
-//
-// The query artifact (also not from the paper) measures raw
-// SimilarValues latency percentiles per backend — including the disk
-// store cold, warm, and with its persisted deletion-neighborhood index
-// disabled (the segment-scan baseline) — and optionally writes the
-// report as JSON (-json); the committed BENCH_query.json is one such
-// run at the default scale.
-//
-// The update artifact (also not from the paper) measures the
-// incremental-update path per backend: the wall time and
-// recompared-pair count of one update batch applied cold (no replay
-// traces), with in-process traces, and after a process restart that
-// replays the persisted trace segment; the committed BENCH_update.json
-// is one such run at the default scale.
-//
-// The dist artifact (also not from the paper) measures the distributed
-// query fast path: per-query member-RPC count, bytes on the wire, and
-// effective fan-out latency percentiles on 1- and 3-partition
-// federations over loopback and real TCP transports, full-fan-out
-// baseline versus the variant-routed batched fast path; the committed
-// BENCH_dist.json is one such run at the default scale, and
-// -check-schema gates CI smoke runs against its key structure.
+// 10,000 discs. Timings, memory and latencies of the system itself are
+// not measured here: they come from the reference benchmark
+// (go run -C bench ., see bench/README.md).
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
-	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/dirty"
 	"repro/internal/experiments"
-	"repro/internal/heuristics"
-	"repro/internal/od"
-	"repro/internal/od/odrpc"
-	"repro/internal/xmltree"
 )
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "which artifact: fig5 fig6 fig7 fig8 tab4 tab5 tab6 stages query update dist serve all")
-		n        = flag.Int("n", 0, "corpus size (0 = paper scale)")
-		seed     = flag.Int64("seed", 2005, "generator seed")
-		shards   = flag.Int("shards", 8, "shard count for the stages/query artifacts' sharded run")
-		storeDir = flag.String("store-dir", "benchfig-store", "segment directory for the stages/query artifacts' disk runs (make clean removes it)")
-		jsonOut  = flag.String("json", "", "also write the query (or, with -fig update/dist, that) artifact as JSON to this path")
-		check    = flag.String("check-schema", "", "with -fig dist: fail unless the fresh artifact's JSON key structure matches this committed file")
+		fig  = flag.String("fig", "all", "which artifact: fig5 fig6 fig7 fig8 tab4 tab5 tab6 all")
+		n    = flag.Int("n", 0, "corpus size (0 = paper scale)")
+		seed = flag.Int64("seed", 2005, "generator seed")
 	)
 	flag.Parse()
-	if err := run(*fig, *n, *seed, *shards, *storeDir, *jsonOut, *check); err != nil {
+	if err := run(*fig, *n, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "benchfig:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig string, n int, seed int64, shards int, storeDir, jsonOut, checkSchema string) error {
+func run(fig string, n int, seed int64) error {
 	w := os.Stdout
 	want := func(name string) bool { return fig == "all" || fig == name }
 	ran := false
@@ -183,257 +129,8 @@ func run(fig string, n int, seed int64, shards int, storeDir, jsonOut, checkSche
 			return err
 		}
 	}
-	if want("stages") {
-		if err := timed("stages", func() error {
-			return runStages(w, orDefault(n, 2000), seed, shards, storeDir)
-		}); err != nil {
-			return err
-		}
-	}
-	if want("query") {
-		if err := timed("query", func() error {
-			return runQuery(w, orDefault(n, 2000), seed, shards, storeDir, jsonOut)
-		}); err != nil {
-			return err
-		}
-	}
-	if want("update") {
-		// -json names one output file; under -fig all it belongs to the
-		// query artifact, so the update artifact only writes JSON when
-		// explicitly selected.
-		jsonArg := ""
-		if fig == "update" {
-			jsonArg = jsonOut
-		}
-		if err := timed("update", func() error {
-			return runUpdateFig(w, orDefault(n, 1000), seed, shards, storeDir, jsonArg)
-		}); err != nil {
-			return err
-		}
-	}
-	if want("dist") {
-		// Same -json ownership rule as the update artifact: under -fig all
-		// the flag belongs to the query artifact.
-		jsonArg := ""
-		if fig == "dist" {
-			jsonArg = jsonOut
-		}
-		if err := timed("dist", func() error {
-			return runDist(w, orDefault(n, 1000), seed, jsonArg, checkSchema)
-		}); err != nil {
-			return err
-		}
-	}
-	if want("serve") {
-		// Same -json/-check-schema ownership rule: under -fig all both
-		// flags belong to other artifacts.
-		jsonArg, checkArg := "", ""
-		if fig == "serve" {
-			jsonArg, checkArg = jsonOut, checkSchema
-		}
-		if err := timed("serve", func() error {
-			return runServe(w, orDefault(n, 1000), seed, jsonArg, checkArg)
-		}); err != nil {
-			return err
-		}
-	}
 	if !ran {
-		return fmt.Errorf("unknown -fig %q (want one of: %s)", fig,
-			strings.Join([]string{"fig5", "fig6", "fig7", "fig8", "tab4", "tab5", "tab6", "stages", "query", "update", "dist", "serve", "all"}, " "))
-	}
-	return nil
-}
-
-// memSampler is a pipeline Observer recording per-stage memory facts:
-// the live heap right after the stage (post-GC) and the bytes allocated
-// while it ran. The GC per stage boundary is profiling overhead the
-// elapsed column never sees — the runner starts its stage clock after
-// StageStart returns and stops it before StageDone fires.
-type memSampler struct {
-	start     runtime.MemStats
-	liveAfter map[string]uint64
-	allocated map[string]uint64
-}
-
-func newMemSampler() *memSampler {
-	return &memSampler{liveAfter: map[string]uint64{}, allocated: map[string]uint64{}}
-}
-
-func (m *memSampler) StageStart(string) {
-	runtime.GC()
-	runtime.ReadMemStats(&m.start)
-}
-
-func (m *memSampler) StageDone(st core.StageStats) {
-	runtime.GC()
-	var end runtime.MemStats
-	runtime.ReadMemStats(&end)
-	m.liveAfter[st.Name] = end.HeapAlloc
-	m.allocated[st.Name] = end.TotalAlloc - m.start.TotalAlloc
-}
-
-func mb(b uint64) float64 { return float64(b) / (1 << 20) }
-
-// runStages profiles the staged pipeline end to end on Dataset 1, once
-// per backend — materialized-document runs on all three stores and a
-// streamed run over the serialized corpus — and prints each stage's
-// item count, wall time and memory profile, the heap retained per
-// backend after the run, and the disk backend's open-vs-rebuild
-// timings.
-func runStages(w io.Writer, n int, seed int64, shards int, storeDir string) error {
-	ds, err := experiments.BuildDataset1(n, seed, dirty.Dataset1Params())
-	if err != nil {
-		return err
-	}
-	h, err := heuristics.Experiment(1, heuristics.KClosestDescendants(6))
-	if err != nil {
-		return err
-	}
-	mapping, schema := ds.Mapping, ds.Schema
-	var buf bytes.Buffer
-	if err := ds.Doc.WriteXML(&buf); err != nil {
-		return err
-	}
-	corpus := buf.Bytes()
-	// Drop the builder's tree: each backend ingests the serialized corpus
-	// itself, so the live-heap columns attribute the document to the run
-	// that actually holds it.
-	ds = nil
-
-	// The dist row keeps handles on its member stores so the retained
-	// heap can be attributed per partition after the run.
-	const distPartitions = 3
-	var distMembers []od.Store
-	distName := fmt.Sprintf("dist-%d", distPartitions)
-	backends := []struct {
-		name     string
-		newStore func() od.Store
-		stream   bool
-	}{
-		{"memstore", nil, false},
-		{fmt.Sprintf("sharded-%d", shards), func() od.Store { return od.NewShardedStore(shards) }, false},
-		{"memstore-stream", nil, true},
-		// The disk row ingests streaming too: stream + disk store is
-		// the corpora-larger-than-RAM deployment shape, and it keeps
-		// the document tree out of the retained-heap number.
-		{"disk-stream", func() od.Store { return od.NewDiskStore(storeDir) }, true},
-		// Distributed federation over loopback odrpc transports: every
-		// query crosses the wire codec, partitions finalize in parallel
-		// goroutines. Single-core-CI caveat: the CI container runs
-		// GOMAXPROCS=1, so the partition-parallel Finalize serializes
-		// there and this row's wall times mostly show the codec + fan-out
-		// overhead; the cross-partition speedup only shows on multicore
-		// hardware (and real deployments put members on their own nodes,
-		// where the per-partition retained heap below is per-process).
-		{distName, func() od.Store {
-			distMembers = make([]od.Store, distPartitions)
-			parts := make([]od.Partition, distPartitions)
-			for i := range parts {
-				st := od.NewMemStore()
-				distMembers[i] = st
-				parts[i] = odrpc.NewLoopback(st)
-			}
-			return od.NewPartitionedStore(parts, 0)
-		}, false},
-	}
-	for _, be := range backends {
-		sampler := newMemSampler()
-		det, err := core.NewDetector(mapping, core.Config{
-			Heuristic:  h,
-			ThetaTuple: experiments.ThetaTuple,
-			ThetaCand:  experiments.ThetaCand,
-			UseFilter:  true,
-			NewStore:   be.newStore,
-			Observer:   sampler,
-		})
-		if err != nil {
-			return err
-		}
-		var input core.SourceInput
-		if be.stream {
-			input = &core.StreamSource{
-				Name:   "freedb",
-				Schema: schema,
-				Open: func() (io.ReadCloser, error) {
-					return io.NopCloser(bytes.NewReader(corpus)), nil
-				},
-			}
-		} else {
-			doc, err := xmltree.Parse(bytes.NewReader(corpus))
-			if err != nil {
-				return err
-			}
-			input = core.DocSource{Name: "freedb", Doc: doc, Schema: schema}
-		}
-		res, err := det.DetectInputs("DISC", input)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%s (%d discs, %d pairs, total %v)\n",
-			be.name, res.Stats.Candidates, res.Stats.PairsDetected,
-			res.Stats.Elapsed.Round(time.Millisecond))
-		for _, st := range res.Stages {
-			fmt.Fprintf(w, "  %-10s items=%-9d %-12v live-heap=%6.1fMB allocs=%6.1fMB\n",
-				st.Name, st.Items, st.Elapsed.Round(10*time.Microsecond),
-				mb(sampler.liveAfter[st.Name]), mb(sampler.allocated[st.Name]))
-		}
-		// Retained heap with the finished result and its store still
-		// live — the memory a server would hold onto between queries.
-		// The in-memory backends retain the full value indexes here;
-		// the disk backend only its directory and caches.
-		input = nil
-		runtime.GC()
-		var retained runtime.MemStats
-		runtime.ReadMemStats(&retained)
-		fmt.Fprintf(w, "  retained-heap=%6.1fMB (result + store live)\n", mb(retained.HeapAlloc))
-		if be.name == "disk-stream" {
-			var rebuild time.Duration
-			for _, name := range []string{core.StageInfer, core.StageCandidates, core.StageDescribe} {
-				if st, ok := res.StageByName(name); ok {
-					rebuild += st.Elapsed
-				}
-			}
-			begin := time.Now()
-			ds, err := od.OpenDiskStore(storeDir)
-			if err != nil {
-				return err
-			}
-			open := time.Since(begin)
-			ds.Close()
-			fmt.Fprintf(w, "  open=%v vs rebuild=%v (infer+candidates+describe)\n",
-				open.Round(10*time.Microsecond), rebuild.Round(10*time.Microsecond))
-		}
-		if be.name == distName {
-			// Per-partition retained heap: close the federation (ending
-			// the loopback server goroutines), drop the result, then
-			// release the member stores one at a time and attribute each
-			// heap delta to the member just released. On one machine the
-			// members share the process heap; on real nodes each delta is
-			// that member's resident index memory.
-			if fed, ok := res.Store.(*od.PartitionedStore); ok {
-				fed.Close()
-			}
-			res = nil
-			runtime.GC()
-			var before runtime.MemStats
-			runtime.ReadMemStats(&before)
-			prev := before.HeapAlloc
-			for i := range distMembers {
-				distMembers[i] = nil
-				runtime.GC()
-				var now runtime.MemStats
-				runtime.ReadMemStats(&now)
-				delta := int64(prev) - int64(now.HeapAlloc)
-				if delta < 0 {
-					delta = 0
-				}
-				fmt.Fprintf(w, "  partition %d retained-heap=%6.1fMB\n", i, mb(uint64(delta)))
-				prev = now.HeapAlloc
-			}
-			distMembers = nil
-		}
-		res = nil
-		runtime.GC() // drop this backend's result before the next run
+		return fmt.Errorf("unknown -fig %q (want one of: fig5 fig6 fig7 fig8 tab4 tab5 tab6 all)", fig)
 	}
 	return nil
 }

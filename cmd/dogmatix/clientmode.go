@@ -9,7 +9,7 @@ package main
 // submit reads each document file, posts everything as one update
 // batch and prints the daemon's ack; the 200 means the batch was
 // applied — and, on a persisting daemon, durable — before the reply.
-// When the ack reports durable=false (a mem/sharded daemon applied the
+// When the ack reports durable=false (a -store mem daemon applied the
 // batch in memory only), submit warns on stderr: a daemon restart
 // loses that batch. Both modes print the endpoint's JSON response
 // verbatim on stdout.

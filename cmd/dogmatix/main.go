@@ -6,7 +6,7 @@
 //	dogmatix -map mapping.txt -type MOVIE [-schema doc.xsd] \
 //	         [-heuristic kd:6] [-ttuple 0.15] [-tcand 0.55] \
 //	         [-filter] [-pairs] [-stages] [-workers 4] \
-//	         [-store mem|sharded|disk|dist] [-shards 8] \
+//	         [-store mem|disk|dist] \
 //	         [-partitions 3 | -partition-addrs H1:P1,H2:P2] \
 //	         [-store-dir DIR] [-reuse-index] \
 //	         [-update] [-remove OBJECT-PATH]... \
@@ -21,21 +21,20 @@
 // Without -schema, each document's schema is inferred from its instances.
 //
 // Storage backends (-store): mem is the single-map in-memory store;
-// sharded partitions the indexes across -shards lock-striped shards
-// (parallel Finalize); disk builds the indexes into odcodec segment
-// files under -store-dir and serves queries from them, so the run's
-// retained memory stays bounded by its caches and the indexes survive
-// the process; dist federates the indexes across partition members
-// behind the odrpc wire protocol — either -partitions in-process
-// members each behind a loopback transport (the single-machine shape,
-// full codec, no sockets), or the odrpc servers listed in
-// -partition-addrs. All backends produce identical output. The default
-// resolves to sharded when -shards is set, dist when -partitions or
-// -partition-addrs is set, and mem otherwise. A federation member
-// failing or hanging mid-run fails the run with a typed partition
-// error — never a silently incomplete result. -reuse-index and -update
-// serve from single-directory disk snapshots and do not combine with
-// -store dist (persist a federation with od.SavePartitioned).
+// disk builds the indexes into odcodec segment files under -store-dir
+// and serves queries from them, so the run's retained memory stays
+// bounded by its caches and the indexes survive the process; dist
+// federates the indexes across partition members behind the odrpc wire
+// protocol — either -partitions in-process members each behind a
+// loopback transport (the single-machine shape, full codec, no
+// sockets), or the odrpc servers listed in -partition-addrs. All three
+// backends produce identical output. The default resolves to dist when
+// -partitions or -partition-addrs is set, and mem otherwise. A
+// federation member failing or hanging mid-run fails the run with a
+// typed partition error — never a silently incomplete result.
+// -reuse-index and -update serve from single-directory disk snapshots
+// and do not combine with -store dist (persist a federation with
+// od.SavePartitioned).
 //
 // -reuse-index enables index persistence across runs: the fresh run
 // saves the finalized indexes (stamped with a corpus fingerprint) into
@@ -140,8 +139,7 @@ func main() {
 		showPairs  = flag.Bool("pairs", false, "list detected pairs with scores on stderr")
 		stats      = flag.Bool("stats", false, "print run statistics on stderr")
 		showStages = flag.Bool("stages", false, "print per-stage timings on stderr")
-		store      = flag.String("store", "", "OD store backend: mem | sharded | disk | dist (default: sharded when -shards is set, dist when -partitions/-partition-addrs is set, else mem)")
-		shards     = flag.Int("shards", 0, "index shard count for the sharded store")
+		store      = flag.String("store", "", "OD store backend: mem | disk | dist (default: dist when -partitions/-partition-addrs is set, else mem)")
 		partitions = flag.Int("partitions", 0, "in-process partition count for the distributed store (loopback transports)")
 		partAddrs  = flag.String("partition-addrs", "", "comma-separated odrpc server addresses for the distributed store")
 		replicas   = flag.Int("replicas", 0, "loopback replica members per partition for the distributed store")
@@ -162,7 +160,7 @@ func main() {
 		mapFile: *mapFile, typeName: *typeName, xsdFile: *xsdFile,
 		heuristic: *heuristic, ttuple: *ttuple, tcand: *tcand,
 		useFilter: *useFilter, showPairs: *showPairs, stats: *stats,
-		showStages: *showStages, store: *store, shards: *shards,
+		showStages: *showStages, store: *store,
 		partitions: *partitions, partAddrs: *partAddrs,
 		replicas: *replicas, replicaAddrs: *repAddrs,
 		workers: *workers, storeDir: *storeDir, mmap: *mmap, reuseIndex: *reuseIndex,
@@ -192,7 +190,7 @@ type options struct {
 	useFilter, showPairs, stats           bool
 	showStages, stream, reuseIndex        bool
 	update                                bool
-	shards, workers, partitions           int
+	workers, partitions                   int
 	replicas                              int
 	store, storeDir, partAddrs            string
 	replicaAddrs                          string
@@ -213,10 +211,9 @@ func (o *options) diskOptions() od.DiskOptions {
 
 // Store backend names accepted by -store.
 const (
-	storeMem     = "mem"
-	storeSharded = "sharded"
-	storeDisk    = "disk"
-	storeDist    = "dist"
+	storeMem  = "mem"
+	storeDisk = "disk"
+	storeDist = "dist"
 )
 
 // defaultRPCTimeout is the default -rpc-timeout: the per-call deadline
@@ -229,11 +226,9 @@ const defaultRPCTimeout = odrpc.DefaultTimeout
 // validate checks every flag combination up front — before any file is
 // opened or any pipeline stage runs — so misconfigurations surface as
 // one-line errors instead of failures deep inside the run. It also
-// resolves the defaults: an empty -store becomes sharded when -shards
-// is set (the pre--store CLI behavior), dist when -partitions or
-// -partition-addrs is set, and mem otherwise; -store sharded without
-// -shards gets 8 shards, and -store dist without either partition flag
-// gets 2 in-process partitions.
+// resolves the defaults: an empty -store becomes dist when -partitions
+// or -partition-addrs is set, and mem otherwise; -store dist without
+// either partition flag gets 2 in-process partitions.
 func (o *options) validate(docs []string) error {
 	if o.mapFile == "" || o.typeName == "" {
 		return fmt.Errorf("-map and -type are required")
@@ -265,9 +260,6 @@ func (o *options) validate(docs []string) error {
 	if o.workers < 0 {
 		return fmt.Errorf("-workers %d is negative", o.workers)
 	}
-	if o.shards < 0 {
-		return fmt.Errorf("-shards %d is negative", o.shards)
-	}
 	if o.partitions < 0 {
 		return fmt.Errorf("-partitions %d is negative", o.partitions)
 	}
@@ -286,12 +278,9 @@ func (o *options) validate(docs []string) error {
 		return fmt.Errorf("unknown -format %q (want xml, json, csv)", o.format)
 	}
 	if o.store == "" {
-		switch {
-		case o.shards > 0:
-			o.store = storeSharded
-		case o.partitions > 0 || o.partAddrs != "":
+		if o.partitions > 0 || o.partAddrs != "" {
 			o.store = storeDist
-		default:
+		} else {
 			o.store = storeMem
 		}
 	}
@@ -303,17 +292,7 @@ func (o *options) validate(docs []string) error {
 	}
 	switch o.store {
 	case storeMem, storeDisk:
-		if o.shards > 0 {
-			return fmt.Errorf("-shards only applies to -store sharded, not %q", o.store)
-		}
-	case storeSharded:
-		if o.shards == 0 {
-			o.shards = 8
-		}
 	case storeDist:
-		if o.shards > 0 {
-			return fmt.Errorf("-shards only applies to -store sharded, not %q", o.store)
-		}
 		if o.reuseIndex {
 			return fmt.Errorf("-reuse-index snapshots a single disk directory; it does not apply to -store dist (persist a federation with od.SavePartitioned)")
 		}
@@ -324,7 +303,7 @@ func (o *options) validate(docs []string) error {
 			o.partitions = 2
 		}
 	default:
-		return fmt.Errorf("unknown -store %q (want %s, %s, %s or %s)", o.store, storeMem, storeSharded, storeDisk, storeDist)
+		return fmt.Errorf("unknown -store %q (want %s, %s or %s)", o.store, storeMem, storeDisk, storeDist)
 	}
 	if o.store == storeDisk && o.storeDir == "" {
 		return fmt.Errorf("-store disk needs -store-dir")
@@ -387,12 +366,6 @@ func specSelectsAncestors(spec string) bool {
 // read the federation's routing and wire counters after the run.
 func (o *options) newStore() (func() od.Store, *od.PartitionedStore, error) {
 	switch o.store {
-	case storeSharded:
-		return func() od.Store {
-			st := od.NewShardedStore(o.shards)
-			st.Workers = o.workers // -workers 1 keeps Finalize serial too
-			return st
-		}, nil, nil
 	case storeDisk:
 		return func() od.Store { return od.NewDiskStoreWith(o.storeDir, o.diskOptions()) }, nil, nil
 	case storeDist:

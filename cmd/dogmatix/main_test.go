@@ -28,19 +28,16 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"missing-type", func(o *options) { o.typeName = "" }, docs, "-map and -type"},
 		{"no-docs", func(o *options) {}, nil, "no input documents"},
 		{"negative-workers", func(o *options) { o.workers = -1 }, docs, "-workers"},
-		{"negative-shards", func(o *options) { o.shards = -4 }, docs, "-shards"},
 		{"bad-format", func(o *options) { o.format = "yaml" }, docs, "-format"},
 		{"bad-store", func(o *options) { o.store = "redis" }, docs, "unknown -store"},
-		{"mem-with-shards", func(o *options) { o.store = "mem"; o.shards = 8 }, docs, "-shards only applies"},
-		{"disk-with-shards", func(o *options) { o.store = "disk"; o.storeDir = "d"; o.shards = 8 }, docs, "-shards only applies"},
+		{"sharded-store-removed", func(o *options) { o.store = "sharded" }, docs, `unknown -store "sharded" (want mem, disk or dist)`},
 		{"disk-without-dir", func(o *options) { o.store = "disk" }, docs, "-store disk needs -store-dir"},
 		{"reuse-without-dir", func(o *options) { o.reuseIndex = true }, docs, "-reuse-index needs -store-dir"},
 		{"dir-without-user", func(o *options) { o.storeDir = "d" }, docs, "-store-dir is set but"},
 		{"negative-partitions", func(o *options) { o.partitions = -2 }, docs, "-partitions"},
 		{"partitions-and-addrs", func(o *options) { o.partitions = 2; o.partAddrs = "h:1" }, docs, "exclusive"},
 		{"partitions-with-mem", func(o *options) { o.store = "mem"; o.partitions = 2 }, docs, "only apply to -store dist"},
-		{"addrs-with-sharded", func(o *options) { o.store = "sharded"; o.partAddrs = "h:1" }, docs, "only apply to -store dist"},
-		{"dist-with-shards", func(o *options) { o.store = "dist"; o.shards = 4 }, docs, "-shards only applies"},
+		{"addrs-with-disk", func(o *options) { o.store = "disk"; o.storeDir = "d"; o.partAddrs = "h:1" }, docs, "only apply to -store dist"},
 		{"dist-with-reuse", func(o *options) { o.store = "dist"; o.reuseIndex = true }, docs, "does not apply to -store dist"},
 		{"dist-with-dir", func(o *options) { o.store = "dist"; o.storeDir = "d" }, docs, "-store-dir does not apply"},
 		{"dist-with-update", func(o *options) { o.store = "dist"; o.update = true; o.storeDir = "d" }, docs, "does not apply"},
@@ -48,7 +45,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"mmap-without-disk", func(o *options) { o.mmap = "on" }, docs, "-mmap only applies"},
 		{"negative-rpc-timeout", func(o *options) { o.partAddrs = "h:1"; o.rpcTimeout = -time.Second }, docs, "-rpc-timeout"},
 		{"rpc-timeout-without-dist", func(o *options) { o.rpcTimeout = time.Minute }, docs, "-rpc-timeout only applies"},
-		{"rpc-timeout-with-sharded", func(o *options) { o.store = "sharded"; o.rpcTimeout = time.Minute }, docs, "-rpc-timeout only applies"},
+		{"rpc-timeout-with-disk", func(o *options) { o.store = "disk"; o.storeDir = "d"; o.rpcTimeout = time.Minute }, docs, "-rpc-timeout only applies"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,16 +62,6 @@ func TestValidateFlagCombinations(t *testing.T) {
 		o := base
 		if err := o.validate(docs); err != nil || o.store != storeMem {
 			t.Fatalf("empty -store resolved to %q (%v), want mem", o.store, err)
-		}
-		o = base
-		o.shards = 4
-		if err := o.validate(docs); err != nil || o.store != storeSharded || o.shards != 4 {
-			t.Fatalf("-shards 4 resolved to %q/%d (%v), want sharded/4", o.store, o.shards, err)
-		}
-		o = base
-		o.store = storeSharded
-		if err := o.validate(docs); err != nil || o.shards != 8 {
-			t.Fatalf("-store sharded resolved to %d shards (%v), want 8", o.shards, err)
 		}
 		o = base
 		o.store = storeDisk

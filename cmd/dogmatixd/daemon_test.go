@@ -3,7 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -35,13 +39,13 @@ func TestValidate(t *testing.T) {
 		wantStore string // resolved backend when valid
 	}{
 		{name: "build-defaults-mem", docs: 1, wantStore: storeMem},
-		{name: "shards-imply-sharded", mutate: func(o *options) { o.shards = 4 }, docs: 1, wantStore: storeSharded},
 		{name: "partitions-imply-dist", mutate: func(o *options) { o.partitions = 3 }, docs: 1, wantStore: storeDist},
 		{name: "serve-defaults-disk", mutate: func(o *options) { o.storeDir = "d" }, wantStore: storeDisk},
 		{name: "serve-snapshot-root-implies-dist", mutate: func(o *options) { o.snapshotRoot = "r" }, wantStore: storeDist},
 		{name: "missing-map", mutate: func(o *options) { o.mapFile = "" }, docs: 1, wantErr: "-map and -type"},
 		{name: "missing-type", mutate: func(o *options) { o.typeName = "" }, docs: 1, wantErr: "-map and -type"},
 		{name: "unknown-store", mutate: func(o *options) { o.store = "bolt" }, docs: 1, wantErr: `unknown -store "bolt"`},
+		{name: "sharded-store-removed", mutate: func(o *options) { o.store = "sharded" }, docs: 1, wantErr: `unknown -store "sharded" (want mem, disk or dist)`},
 		{name: "bad-queue-depth", mutate: func(o *options) { o.queueDepth = 0 }, docs: 1, wantErr: "-queue-depth"},
 		{name: "bad-drain-timeout", mutate: func(o *options) { o.drainTimeout = 0 }, docs: 1, wantErr: "-drain-timeout"},
 		{name: "partitions-and-addrs", mutate: func(o *options) {
@@ -52,11 +56,6 @@ func TestValidate(t *testing.T) {
 			o.store = storeMem
 			o.partitions = 2
 		}, docs: 1, wantErr: "only apply to -store dist"},
-		{name: "shards-on-disk", mutate: func(o *options) {
-			o.store = storeDisk
-			o.storeDir = "d"
-			o.shards = 2
-		}, docs: 1, wantErr: "-shards only applies"},
 		{name: "snapshot-root-on-disk", mutate: func(o *options) {
 			o.store = storeDisk
 			o.storeDir = "d"
@@ -407,5 +406,61 @@ func TestBuildServeRestartDist(t *testing.T) {
 	}
 	if m.Routing == nil {
 		t.Error("dist daemon metrics carry no routing counters")
+	}
+}
+
+// TestHTTPServerDropsStalledHeader: a client that sends half a request
+// line and then nothing must not pin the daemon. The server hangs up
+// once the header deadline passes, so the connection is gone by the
+// time a drain starts and srv.Shutdown does not sit out its budget on
+// it. Request bodies and responses stay unbounded — an update ack takes
+// as long as the run it acknowledges.
+func TestHTTPServerDropsStalledHeader(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("default server: ReadHeaderTimeout %v, IdleTimeout %v, want both set", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("default server: ReadTimeout %v, WriteTimeout %v would cut long update acks", srv.ReadTimeout, srv.WriteTimeout)
+	}
+
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+		t.Fatal(err)
+	}
+	// Whatever the server says before it hangs up, it must hang up: the
+	// read ends with the peer's close, not with our own deadline.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatal("server kept a connection with a half-sent header open past ReadHeaderTimeout")
+		}
+	}
+
+	const budget = 10 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown after the stalled client: %v", err)
+	}
+	if took := time.Since(start); took > budget/4 {
+		t.Fatalf("Shutdown took %v of a %v budget", took, budget)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
 	}
 }

@@ -7,7 +7,7 @@
 //	dogmatixd -addr 127.0.0.1:7497 -map mapping.txt -type MOVIE \
 //	          [-schema doc.xsd] [-heuristic kd:6] [-ttuple 0.15] \
 //	          [-tcand 0.55] [-filter] [-workers 4] \
-//	          [-store mem|sharded|disk|dist] [-shards 8] \
+//	          [-store mem|disk|dist] \
 //	          [-partitions 3 | -partition-addrs H1:P1,H2:P2] \
 //	          [-replicas 1 | -replica-addrs R1a;R1b,R2] [-spill-ods] \
 //	          [-store-dir DIR] [-reuse-index] [-snapshot-root DIR] \
@@ -15,7 +15,8 @@
 //	          [doc1.xml doc2.xml ...]
 //
 // With input documents the daemon builds the corpus at startup, over
-// any backend the dogmatix CLI supports; -reuse-index warm-starts from
+// any of the three backends of the dogmatix CLI (-store mem, disk or
+// dist, identical answers on each); -reuse-index warm-starts from
 // (and saves into) a matching snapshot in -store-dir exactly like the
 // CLI. Without documents it serves persisted state: -store disk
 // adopts the snapshot in -store-dir (the one a previous daemon run or
@@ -79,8 +80,7 @@ func main() {
 		tcand        = flag.Float64("tcand", 0.55, "duplicate classification threshold θcand")
 		useFilter    = flag.Bool("filter", false, "enable the Step 4 object filter")
 		workers      = flag.Int("workers", 0, "worker goroutines for Steps 4/5 (0 = GOMAXPROCS)")
-		store        = flag.String("store", "", "OD store backend: mem | sharded | disk | dist (defaults like the dogmatix CLI)")
-		shards       = flag.Int("shards", 0, "index shard count for the sharded store")
+		store        = flag.String("store", "", "OD store backend: mem | disk | dist (defaults like the dogmatix CLI)")
 		partitions   = flag.Int("partitions", 0, "in-process partition count for the distributed store")
 		partAddrs    = flag.String("partition-addrs", "", "comma-separated odrpc server addresses for the distributed store")
 		replicas     = flag.Int("replicas", 0, "loopback replica members per partition for the distributed store")
@@ -99,7 +99,7 @@ func main() {
 		addr: *addr, mapFile: *mapFile, typeName: *typeName, xsdFile: *xsdFile,
 		heuristic: *heuristic, ttuple: *ttuple, tcand: *tcand,
 		useFilter: *useFilter, workers: *workers,
-		store: *store, shards: *shards, partitions: *partitions, partAddrs: *partAddrs,
+		store: *store, partitions: *partitions, partAddrs: *partAddrs,
 		replicas: *replicas, replicaAddrs: *replicaAddrs, spillODs: *spillODs,
 		storeDir: *storeDir, mmap: *mmap, reuseIndex: *reuseIndex,
 		snapshotRoot: *snapshotRoot, rpcTimeout: *rpcTimeout,
@@ -112,32 +112,31 @@ func main() {
 }
 
 type options struct {
-	addr                        string
-	mapFile, typeName, xsdFile  string
-	heuristic                   string
-	ttuple, tcand               float64
-	useFilter                   bool
-	workers, shards, partitions int
-	store, storeDir, partAddrs  string
-	replicas                    int
-	replicaAddrs                string
-	spillODs                    bool
-	mmap                        string
-	reuseIndex                  bool
-	snapshotRoot                string
-	rpcTimeout                  time.Duration
-	queueDepth                  int
-	drainTimeout                time.Duration
+	addr                       string
+	mapFile, typeName, xsdFile string
+	heuristic                  string
+	ttuple, tcand              float64
+	useFilter                  bool
+	workers, partitions        int
+	store, storeDir, partAddrs string
+	replicas                   int
+	replicaAddrs               string
+	spillODs                   bool
+	mmap                       string
+	reuseIndex                 bool
+	snapshotRoot               string
+	rpcTimeout                 time.Duration
+	queueDepth                 int
+	drainTimeout               time.Duration
 
 	mmapMode odcodec.MmapMode
 }
 
 // Store backend names, matching the dogmatix CLI.
 const (
-	storeMem     = "mem"
-	storeSharded = "sharded"
-	storeDisk    = "disk"
-	storeDist    = "dist"
+	storeMem  = "mem"
+	storeDisk = "disk"
+	storeDist = "dist"
 )
 
 // validate resolves defaults and rejects bad flag combinations before
@@ -147,8 +146,8 @@ func (o *options) validate(docs []string) error {
 	if o.mapFile == "" || o.typeName == "" {
 		return fmt.Errorf("-map and -type are required")
 	}
-	if o.workers < 0 || o.shards < 0 || o.partitions < 0 || o.replicas < 0 {
-		return fmt.Errorf("-workers/-shards/-partitions/-replicas cannot be negative")
+	if o.workers < 0 || o.partitions < 0 || o.replicas < 0 {
+		return fmt.Errorf("-workers/-partitions/-replicas cannot be negative")
 	}
 	if o.partitions > 0 && o.partAddrs != "" {
 		return fmt.Errorf("-partitions and -partition-addrs are exclusive")
@@ -170,8 +169,6 @@ func (o *options) validate(docs []string) error {
 	}
 	if o.store == "" {
 		switch {
-		case o.shards > 0:
-			o.store = storeSharded
 		case o.partitions > 0 || o.partAddrs != "" || (len(docs) == 0 && o.snapshotRoot != ""):
 			o.store = storeDist
 		case len(docs) == 0:
@@ -181,9 +178,9 @@ func (o *options) validate(docs []string) error {
 		}
 	}
 	switch o.store {
-	case storeMem, storeSharded, storeDisk, storeDist:
+	case storeMem, storeDisk, storeDist:
 	default:
-		return fmt.Errorf("unknown -store %q (want %s, %s, %s or %s)", o.store, storeMem, storeSharded, storeDisk, storeDist)
+		return fmt.Errorf("unknown -store %q (want %s, %s or %s)", o.store, storeMem, storeDisk, storeDist)
 	}
 	if o.store != storeDist && (o.partitions > 0 || o.partAddrs != "") {
 		return fmt.Errorf("-partitions/-partition-addrs only apply to -store dist, not %q", o.store)
@@ -193,12 +190,6 @@ func (o *options) validate(docs []string) error {
 	}
 	if o.spillODs && (o.store != storeDist || len(docs) > 0) {
 		return fmt.Errorf("-spill-ods only applies to -store dist serving an existing snapshot")
-	}
-	if o.store != storeSharded && o.shards > 0 {
-		return fmt.Errorf("-shards only applies to -store sharded, not %q", o.store)
-	}
-	if o.store == storeSharded && o.shards == 0 {
-		o.shards = 8
 	}
 	if o.snapshotRoot != "" && o.store != storeDist {
 		return fmt.Errorf("-snapshot-root only applies to -store dist (disk snapshots live in -store-dir)")
@@ -376,12 +367,6 @@ func buildService(opts options, docs []string) (*boot, error) {
 		}
 		var fed *od.PartitionedStore
 		switch opts.store {
-		case storeSharded:
-			cfg.NewStore = func() od.Store {
-				st := od.NewShardedStore(opts.shards)
-				st.Workers = opts.workers
-				return st
-			}
 		case storeDisk:
 			cfg.NewStore = func() od.Store { return od.NewDiskStoreWith(opts.storeDir, od.DiskOptions{Mmap: opts.mmapMode}) }
 		case storeDist:
@@ -538,6 +523,28 @@ func attachReplicas(fed *od.PartitionedStore, opts options) error {
 	return nil
 }
 
+// Connection deadlines of the daemon's HTTP server. A request header
+// arrives in one round trip, and a keep-alive connection that sends
+// nothing is only held open as a courtesy; a peer slower than either
+// is closed, so it can neither pin a connection forever nor hold
+// srv.Shutdown to the end of -drain-timeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the daemon's http.Server. It bounds the
+// header read and the keep-alive idle time only: there is no
+// ReadTimeout or WriteTimeout, because an update's body is a whole
+// document and its ack legitimately takes as long as a detection run.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(opts options, docs []string, stderr io.Writer) error {
 	b, err := buildService(opts, docs)
 	if err != nil {
@@ -549,7 +556,7 @@ func run(opts options, docs []string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: b.svc.Handler()}
+	srv := newHTTPServer(b.svc.Handler())
 	res := b.svc.Result()
 	fmt.Fprintf(stderr, "dogmatixd: serving %s (%d candidates, %d pairs, %d clusters) on http://%s\n",
 		res.Type, len(res.Candidates), len(res.Pairs), len(res.Clusters), ln.Addr())

@@ -6,11 +6,7 @@
 // for several description heuristics, reproducing the Sec. 6.2 workflow
 // in miniature.
 //
-// The -shards flag backs the run with the sharded OD store instead of the
-// single-map one; the detected duplicates are identical, only index
-// construction parallelizes.
-//
-//	go run ./examples/cdstore [-n 200] [-shards 8]
+//	go run ./examples/cdstore [-n 200]
 package main
 
 import (
@@ -23,14 +19,12 @@ import (
 	"repro/internal/dirty"
 	"repro/internal/evalmetrics"
 	"repro/internal/heuristics"
-	"repro/internal/od"
 	"repro/internal/xsd"
 )
 
 func main() {
 	n := flag.Int("n", 200, "catalog size before duplication")
 	seed := flag.Int64("seed", 42, "generator seed")
-	shards := flag.Int("shards", 0, "index shards of the OD store (0 = single-map store)")
 	flag.Parse()
 
 	// Generate the clean catalog and its schema.
@@ -71,9 +65,6 @@ func main() {
 		}
 		cfg := core.Config{
 			Heuristic: h, ThetaTuple: 0.15, ThetaCand: 0.55, UseFilter: true,
-		}
-		if *shards > 0 {
-			cfg.NewStore = func() od.Store { return od.NewShardedStore(*shards) }
 		}
 		det, err := core.NewDetector(mapping, cfg)
 		if err != nil {

@@ -123,9 +123,10 @@ type UpdateResponse struct {
 	Persisted   bool   `json:"persisted"` // the batch reached disk before this ack
 	// Durable is the client-facing durability contract: true only when
 	// this ack survives a daemon restart (the batch was persisted before
-	// acknowledging). A mem/sharded daemon applies updates correctly but
-	// holds them only in memory — its acks are volatile, and clients that
-	// need durability must check this bit, not just the 200.
+	// acknowledging). A daemon without a store directory (-store mem)
+	// applies updates correctly but holds them only in memory — its acks
+	// are volatile, and clients that need durability must check this
+	// bit, not just the 200.
 	Durable bool `json:"durable"`
 }
 
@@ -233,8 +234,8 @@ type Metrics struct {
 	Routing    *RoutingCounters         `json:"routing,omitempty"`
 	Wire       map[string]WireCounters  `json:"wire,omitempty"`
 	// DurableAcks reports whether this daemon's update acks survive a
-	// restart (it persists before acknowledging). False on mem/sharded
-	// daemons — their acks are volatile.
+	// restart (it persists before acknowledging). False on a daemon
+	// without a store directory (-store mem) — its acks are volatile.
 	DurableAcks bool `json:"durable_acks"`
 	// Replicas reports per-partition-group read availability
 	// (federations only).

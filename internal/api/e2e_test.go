@@ -285,9 +285,6 @@ func TestDaemonLifecycle(t *testing.T) {
 		newStore func(t *testing.T) func() od.Store
 	}{
 		{"mem", func(t *testing.T) func() od.Store { return nil }},
-		{"sharded-4", func(t *testing.T) func() od.Store {
-			return func() od.Store { return od.NewShardedStore(4) }
-		}},
 		{"disk", func(t *testing.T) func() od.Store {
 			dir := t.TempDir()
 			return func() od.Store { return od.NewDiskStore(dir) }

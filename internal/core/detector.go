@@ -259,9 +259,9 @@ type Config struct {
 	Workers int
 	// NewStore constructs the OD store backing Steps 3–5. nil uses
 	// od.NewMemStore; pass e.g. func() od.Store { return
-	// od.NewShardedStore(8) } to parallelize index construction, or
-	// od.NewDiskStore(dir) to serve the indexes from segment files.
-	// Ignored when a warm start adopts a persisted store.
+	// od.NewDiskStore(dir) } to serve the indexes from segment files,
+	// or one returning od.NewPartitionedStore(members, seed) to
+	// federate them. Ignored when a warm start adopts a persisted store.
 	NewStore func() od.Store
 	// Snapshot, when non-nil, enables index persistence: Save writes the
 	// finalized indexes (and, with the default filter, the Step 4

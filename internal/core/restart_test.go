@@ -96,8 +96,8 @@ func assertReplayMatch(t *testing.T, restarted, inproc *core.Result) {
 // persist a snapshot with traces; a second process image reopens it,
 // adopts the traces, and applies the second update (with removals)
 // exactly like the chain that never restarted — across the identity
-// (DiskStore in its own directory) and export-compaction (MemStore,
-// ShardedStore) save paths, and under both mmap modes.
+// (DiskStore in its own directory) and export-compaction (MemStore)
+// save paths, and under both mmap modes.
 func TestRestartReplayEquivalence(t *testing.T) {
 	type backend struct {
 		name     string
@@ -110,9 +110,6 @@ func TestRestartReplayEquivalence(t *testing.T) {
 			return func() od.Store { return od.NewDiskStore(dir) }
 		}},
 		{name: "mem-export", newStore: func(t *testing.T, dir string) func() od.Store { return nil }},
-		{name: "sharded-export", newStore: func(t *testing.T, dir string) func() od.Store {
-			return func() od.Store { return od.NewShardedStore(4) }
-		}},
 		{name: "disk-mmap-off", newStore: func(t *testing.T, dir string) func() od.Store {
 			return func() od.Store { return od.NewDiskStore(dir) }
 		}, open: od.DiskOptions{Mmap: odcodec.MmapOff}},

@@ -61,8 +61,8 @@ func movieSources(t *testing.T, n int, seed int64) ([]core.Source, *core.Mapping
 }
 
 // TestDetectStoreParity runs the full pipeline on the generated CD and
-// movie datasets with every store backend and asserts identical output
-// for shard counts 1, 4 and 16.
+// movie datasets with every store backend and asserts identical
+// output.
 func TestDetectStoreParity(t *testing.T) {
 	cdSource, cdMapping := dirtyCDSource(t, 60, 2005)
 	movieSrcs, movieMapping := movieSources(t, 60, 7)
@@ -121,15 +121,6 @@ func TestDetectStoreParity(t *testing.T) {
 				t.Fatal("reference run found no pairs; parity would be vacuous")
 			}
 			want := detectFingerprint(ref)
-			for _, shards := range []int{1, 4, 16} {
-				res := run(func() od.Store { return od.NewShardedStore(shards) })
-				if got := detectFingerprint(res); got != want {
-					t.Errorf("shards=%d diverges from MemStore\n got: %s\nwant: %s", shards, got, want)
-				}
-				if !reflect.DeepEqual(res.Store.Stats(), ref.Store.Stats()) {
-					t.Errorf("shards=%d store stats diverge", shards)
-				}
-			}
 			res := run(func() od.Store { return od.NewDiskStore(t.TempDir()) })
 			if got := detectFingerprint(res); got != want {
 				t.Errorf("disk store diverges from MemStore\n got: %s\nwant: %s", got, want)

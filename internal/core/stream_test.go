@@ -171,9 +171,6 @@ func TestStreamDocEquivalence(t *testing.T) {
 		newStore func(t *testing.T) func() od.Store
 	}{
 		{"memstore", func(t *testing.T) func() od.Store { return nil }},
-		{"sharded-4", func(t *testing.T) func() od.Store {
-			return func() od.Store { return od.NewShardedStore(4) }
-		}},
 		// Each Detect call gets a fresh segment directory, so the doc
 		// and stream runs never share on-disk state.
 		{"disk", func(t *testing.T) func() od.Store {

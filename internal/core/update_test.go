@@ -220,9 +220,6 @@ func TestUpdateEquivalence(t *testing.T) {
 		newStore func(t *testing.T) func() od.Store
 	}{
 		{"memstore", func(t *testing.T) func() od.Store { return nil }},
-		{"sharded-4", func(t *testing.T) func() od.Store {
-			return func() od.Store { return od.NewShardedStore(4) }
-		}},
 		{"disk", func(t *testing.T) func() od.Store {
 			return func() od.Store { return od.NewDiskStore(t.TempDir()) }
 		}},

@@ -4,11 +4,10 @@ import "repro/internal/strdist"
 
 // This file is the index builder every Store backend shares: the logic
 // that turns a sealed OD set into occurrence postings and per-type
-// distinct-value tables is identical across MemStore (serial build),
-// ShardedStore (the same steps fanned out per shard) and DiskStore
-// (build once, then stream the tables to segment files). Only the
-// storage and parallelization around these functions differ, which is
-// what keeps the backends bit-identical by construction.
+// distinct-value tables is identical across MemStore (build and keep)
+// and DiskStore (build once, then stream the tables to segment files).
+// Only the storage around these functions differs, which is what keeps
+// the backends bit-identical by construction.
 
 // scanODTuples calls emit(key) once per distinct non-empty occurrence
 // key of the OD, in tuple order — an object counts once per tuple key
@@ -62,11 +61,10 @@ func groupValuesByType(occ map[string][]int32) map[string]map[string][]int32 {
 	return valueObjs
 }
 
-// maxValueLens returns the per-type maximum value rune length. The edit
-// budget of a type's similarity index derives from this maximum and must
-// be computed over the *whole* store — a backend that partitions values
-// (ShardedStore) feeds partition-local tables into buildTypeIndex but
-// must pass the global maximum.
+// maxValueLens returns the per-type maximum value rune length, which
+// the edit budget of a type's similarity index derives from. DiskStore
+// persists both per type; buildTypeIndex measures the same maximum
+// while it decodes the values.
 func maxValueLens(valueObjs map[string]map[string][]int32) map[string]int {
 	out := make(map[string]int, len(valueObjs))
 	for typ, m := range valueObjs {
@@ -82,11 +80,11 @@ func maxValueLens(valueObjs map[string]map[string][]int32) map[string]int {
 }
 
 // buildTypeIndexes builds the similarity index of every type from its
-// value table, sizing edit budgets by budgetLens (see maxValueLens).
-func buildTypeIndexes(valueObjs map[string]map[string][]int32, theta float64, budgetLens map[string]int) map[string]*typeIndex {
+// value table.
+func buildTypeIndexes(valueObjs map[string]map[string][]int32, theta float64) map[string]*typeIndex {
 	types := make(map[string]*typeIndex, len(valueObjs))
 	for typ, m := range valueObjs {
-		types[typ] = buildTypeIndex(m, theta, budgetLens[typ])
+		types[typ] = buildTypeIndex(m, theta)
 	}
 	return types
 }

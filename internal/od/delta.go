@@ -23,21 +23,16 @@ import (
 //   - A compaction threshold bounds the overlay: once a type has seen
 //     enough mutations relative to its base size, the type's index is
 //     rebuilt from the live values with the shared builder — a rebuild
-//     scoped to one type (and, for ShardedStore, one shard), never the
-//     whole store.
+//     scoped to one type, never the whole store.
 //
 // Between compactions a type's edit budget only grows (new long values
 // raise it; removals never shrink it). That is safe for query results —
 // every similar-value path re-verifies θtuple, and typeIndex.collect's
 // coverage guard falls back to a scan whenever a query could out-range
-// the neighborhood index. MemStore's compaction recomputes the exact
-// budget from the live values; ShardedStore's shard-scoped rebuilds
-// size budgets from the grow-only store-wide maximum (a shard cannot
-// cheaply see other shards' values), so its *internal* budgets may stay
-// oversized after the longest value of a type was removed — harmless
-// for results, and Stats re-derives the reported budget from the exact
-// live maximum so diagnostics still converge to what a fresh build
-// reports.
+// the neighborhood index. Compaction recomputes the exact budget from
+// the live values, and Stats derives the reported budget of a mutated
+// type from its exact live maximum, so diagnostics converge to what a
+// fresh build reports.
 
 // addedVal is one overlay value with its runes decoded at insertion:
 // the length-window pruning and the distance check in collectAdded run
@@ -55,8 +50,7 @@ func newAddedVal(v string) addedVal {
 	return addedVal{val: v, runes: runes, sig: strdist.Signature(runes)}
 }
 
-// typeDelta is the mutation overlay of one type's value table (for
-// ShardedStore: of one shard's slice of it).
+// typeDelta is the mutation overlay of one type's value table.
 type typeDelta struct {
 	added    []addedVal      // distinct values absent from the base index, insertion order
 	addedSet map[string]bool // membership for added
@@ -104,13 +98,14 @@ func collectAdded(added []addedVal, q query, theta float64, emit func(av addedVa
 	}
 }
 
-// collectLive appends to out every live value of one type whose
-// normalized edit distance to q is strictly below theta — the
-// overlay-aware query path MemStore and each ShardedStore shard share.
-// The base index collect runs as built when no delta exists; with one,
-// postings re-resolve through the live occurrence lists (values that
-// emptied drop out) and the overlay values are scanned linearly.
-func collectLive(out []ValueMatch, ti *typeIndex, d *typeDelta, typ string, q query, theta float64, occ map[string][]int32) []ValueMatch {
+// collectLive returns every live value of one type whose normalized
+// edit distance to q is strictly below theta, in unspecified order —
+// MemStore's overlay-aware query path. The base index collect runs as
+// built when no delta exists; with one, postings re-resolve through the
+// live occurrence lists (values that emptied drop out) and the overlay
+// values are scanned linearly.
+func collectLive(ti *typeIndex, d *typeDelta, typ string, q query, theta float64, occ map[string][]int32) []ValueMatch {
+	var out []ValueMatch
 	if ti != nil {
 		var stack [64]int32
 		for _, idx := range ti.collect(stack[:0], q, theta) {

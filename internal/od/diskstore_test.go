@@ -144,14 +144,11 @@ func TestDiskStoreLifecycle(t *testing.T) {
 func TestSaveRoundTrips(t *testing.T) {
 	ods := cdODs(60, 2005)
 	mem := NewMemStore()
-	sh := NewShardedStore(4)
 	for _, o := range ods {
-		c1, c2 := *o, *o
-		mem.Add(&c1)
-		sh.Add(&c2)
+		c := *o
+		mem.Add(&c)
 	}
 	mem.Finalize(0.15)
-	sh.Finalize(0.15)
 	disk := buildDisk(t, ods, 0.15)
 	defer disk.Close()
 
@@ -164,7 +161,6 @@ func TestSaveRoundTrips(t *testing.T) {
 		s    Store
 	}{
 		{"memstore", mem},
-		{"sharded", sh},
 		{"disk-foreign-dir", disk},
 		{"disk-same-dir", disk},
 	}

@@ -2,7 +2,6 @@ package od
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -24,25 +23,20 @@ func runFinalizeBench(b *testing.B, base []*OD, mk func() Store) {
 }
 
 // BenchmarkFinalize compares index construction across store backends.
-// Run with -cpu=1,2,4,8 to see ShardedStore.Finalize scale with
-// GOMAXPROCS while MemStore stays serial.
+// Run with -cpu=1,2,4 to see the federation's per-member builds scale
+// with GOMAXPROCS while MemStore stays serial.
 func BenchmarkFinalize(b *testing.B) {
 	base := cdODs(3000, 2005)
 	b.Run("memstore", func(b *testing.B) {
 		runFinalizeBench(b, base, func() Store { return NewMemStore() })
 	})
-	for _, shards := range []int{4, 16} {
-		b.Run(fmt.Sprintf("sharded-%d", shards), func(b *testing.B) {
-			runFinalizeBench(b, base, func() Store { return NewShardedStore(shards) })
-		})
-	}
 	// Partition-parallel Finalize: every member builds its hash slice of
 	// the indexes on its own goroutine. Single-core-CI caveat: the CI
 	// container runs GOMAXPROCS=1, so the members serialize there and
 	// this row mostly measures the shadow split plus per-member builds —
 	// cross-member speedup (and the odrpc codec cost of the loopback
-	// deployment, benchmarked in cmd/benchfig's dist row) must be
-	// measured on multicore hardware.
+	// deployment, odrpc.call_us on the reference benchmark's serve_dist
+	// workload) must be measured on multicore hardware.
 	for _, parts := range []int{3} {
 		b.Run(fmt.Sprintf("dist-%d", parts), func(b *testing.B) {
 			runFinalizeBench(b, base, func() Store {
@@ -57,7 +51,7 @@ func BenchmarkFinalize(b *testing.B) {
 }
 
 // BenchmarkNeighborQueries measures concurrent blocking-set queries (the
-// Step 5 access pattern) against both backends.
+// Step 5 access pattern) against MemStore.
 func BenchmarkNeighborQueries(b *testing.B) {
 	base := cdODs(1500, 2005)
 	bench := func(b *testing.B, s Store) {
@@ -77,7 +71,4 @@ func BenchmarkNeighborQueries(b *testing.B) {
 		})
 	}
 	b.Run("memstore", func(b *testing.B) { bench(b, NewMemStore()) })
-	b.Run(fmt.Sprintf("sharded-%d", 2*runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		bench(b, NewShardedStore(2*runtime.GOMAXPROCS(0)))
-	})
 }

@@ -193,16 +193,11 @@ func (c *simCache) touch(typ string) { c.epochs[typ]++ }
 // spread across shards).
 func hashID(id int32) uint32 { return uint32(id) * 2654435761 }
 
-// fnv1a is the one FNV-1a implementation every string-keyed routing
-// decision in this package shares — LRU cache buckets, ShardedStore's
-// shard choice, PartitionedStore's partition choice (the only seeded
-// user; the seed is part of a federation's identity).
-func fnv1a(key string, seed uint32) uint32 {
-	return fnv1aAdd(uint32(2166136261)^seed, key)
-}
-
-// fnv1aOcc is fnv1a over the occurrence key of (typ, val) without
-// building it: fnv1aOcc(typ, val, seed) == fnv1a(typ+"\x00"+val, seed).
+// fnv1aOcc is the one hash every string-keyed routing decision in this
+// package shares — LRU cache buckets and PartitionedStore's partition
+// choice (the only seeded user; the seed is part of a federation's
+// identity): FNV-1a over the occurrence key typ+"\x00"+val, computed
+// without building the key, from an offset basis xor-ed with seed.
 func fnv1aOcc(typ, val string, seed uint32) uint32 {
 	h := fnv1aAdd(uint32(2166136261)^seed, typ)
 	h *= 16777619 // the separator: h ^= 0 leaves h as it is

@@ -80,8 +80,7 @@ func (s *MemStore) Finalize(theta float64) {
 	s.live = len(s.ods)
 
 	s.occ = buildOccurrence(s.ods)
-	valueObjs := groupValuesByType(s.occ)
-	s.types = buildTypeIndexes(valueObjs, theta, maxValueLens(valueObjs))
+	s.types = buildTypeIndexes(groupValuesByType(s.occ), theta)
 	s.deltas = map[string]*typeDelta{}
 }
 
@@ -174,13 +173,13 @@ func (s *MemStore) maybeCompact(touched map[string]bool) {
 		if d == nil || !d.due(baseVals) {
 			continue
 		}
-		m, maxLen := liveValueTable(base, d, func(val string) []int32 {
+		m, _ := liveValueTable(base, d, func(val string) []int32 {
 			return s.occ[occKeyOf(typ, val)]
 		})
 		if m == nil {
 			delete(s.types, typ)
 		} else {
-			s.types[typ] = buildTypeIndex(m, s.theta, maxLen)
+			s.types[typ] = buildTypeIndex(m, s.theta)
 		}
 		delete(s.deltas, typ)
 	}
@@ -211,7 +210,7 @@ func (s *MemStore) SimilarValues(t Tuple) []ValueMatch {
 	}
 	var stack [64]rune
 	q := newQuery(stack[:0], t.Value)
-	out := collectLive(nil, ti, d, t.Type, q, s.theta, s.occ)
+	out := collectLive(ti, d, t.Type, q, s.theta, s.occ)
 	sortMatches(out)
 	s.sim.put(t, out)
 	return out

@@ -12,20 +12,19 @@ import (
 )
 
 // mutableBackends builds one instance of every MutableStore backend over
-// copies of the initial ODs, finalized at theta — the three single-node
+// copies of the initial ODs, finalized at theta — the two single-node
 // stores plus a three-member federation over heterogeneous backends, so
 // every mutable-store gate also holds the distributed layer to the
 // fresh-build reference.
 func mutableBackends(t *testing.T, initial []*OD, theta float64) map[string]MutableStore {
 	t.Helper()
 	disk := NewDiskStore(t.TempDir())
-	sharded := NewShardedStore(4)
 	parts := make([]Partition, 3)
 	for i, b := range mixedBackends(t, 3) {
 		parts[i] = LocalPartition{S: b}
 	}
 	out := map[string]MutableStore{
-		"mem": NewMemStore(), "sharded": sharded, "disk": disk,
+		"mem": NewMemStore(), "disk": disk,
 		"dist": NewPartitionedStore(parts, 0),
 	}
 	for _, s := range out {
@@ -458,9 +457,9 @@ func TestDiskStoreDeltaCorruption(t *testing.T) {
 	})
 }
 
-// TestMutableSaveRoundTrips pins that a mutated MemStore/ShardedStore
-// exports a compact snapshot a DiskStore serves with the same answers as
-// the fresh reference.
+// TestMutableSaveRoundTrips pins that a mutated MemStore exports a
+// compact snapshot a DiskStore serves with the same answers as the
+// fresh reference.
 func TestMutableSaveRoundTrips(t *testing.T) {
 	initial, batch2, batch3, remove, liveOf := mutableFixture()
 	const theta = 0.15
@@ -517,9 +516,7 @@ func TestSimilarValuesArbitraryLongQuery(t *testing.T) {
 // diagnostics contract on the nastiest budget path: remove the OD
 // holding a type's longest value, churn the type through compaction,
 // and require Stats (MaxLen and EditBudget included) to match a fresh
-// build over the live set on every backend. The sharded store's
-// internal budgets stay grow-only, so this exercises its exact
-// re-derivation in Stats.
+// build over the live set on every backend.
 func TestMutableStatsExactBudgetAfterLongestValueRemoval(t *testing.T) {
 	old := compactMin
 	compactMin = 2

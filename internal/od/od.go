@@ -12,18 +12,16 @@
 //     blocking used in Step 5.
 //
 // Store is the backend-agnostic interface the pipeline programs against.
-// Four backends ship with the repo and return bit-identical results:
-// MemStore is the single-map reference implementation, ShardedStore
-// partitions the indexes across N lock-striped shards so Finalize and
-// neighbor queries parallelize, DiskStore serves the same queries from
-// odcodec segment files on disk so indexes survive restarts
-// (OpenDiskStore) and retained memory stays bounded by its caches rather
-// than corpus size, and PartitionedStore federates the indexes across N
-// partition members — each itself any of the other backends, in-process
-// or behind the internal/od/odrpc wire protocol (see partition.go). The
-// index *construction* logic they share lives in builder.go; Save
-// snapshots any single-node finalized backend into the DiskStore
-// segment format, SavePartitioned persists a federation.
+// Three backends ship with the repo and return bit-identical results:
+// MemStore is the single-map reference implementation, DiskStore serves
+// the same queries from odcodec segment files on disk so indexes survive
+// restarts (OpenDiskStore) and retained memory stays bounded by its
+// caches rather than corpus size, and PartitionedStore federates the
+// indexes across N partition members — each itself a MemStore or a
+// DiskStore, in-process or behind the internal/od/odrpc wire protocol
+// (see partition.go). The index *construction* logic they share lives
+// in builder.go; Save snapshots any single-node finalized backend into
+// the DiskStore segment format, SavePartitioned persists a federation.
 //
 // The store lifecycle is Add → Finalize → queries, optionally followed
 // by post-Finalize mutation: all three backends implement MutableStore,
@@ -269,7 +267,7 @@ type Store interface {
 
 // MutableStore extends Store with post-Finalize mutations, so a living
 // corpus (the paper's CDDB scenario) can evolve without rebuilding the
-// indexes from scratch. MemStore, ShardedStore and DiskStore all
+// indexes from scratch. MemStore, DiskStore and PartitionedStore all
 // implement it; the mutable parity suite pins their post-mutation query
 // results bit-identical to a fresh build over the live set.
 //

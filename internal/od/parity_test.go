@@ -2,12 +2,13 @@ package od
 
 import (
 	"fmt"
-	"reflect"
 	"strconv"
-	"testing"
 
 	"repro/internal/datagen"
 )
+
+// Fixtures and comparison helpers the parity suites of this package
+// share.
 
 // cdODs flattens generated FreeDB CDs into object descriptions, the same
 // shape the pipeline's describe stage produces for Dataset 1.
@@ -53,81 +54,6 @@ func movieODs(n int, seed int64) []*OD {
 		out = append(out, o)
 	}
 	return out
-}
-
-// buildBoth populates a MemStore and a ShardedStore with copies of the
-// same ODs and finalizes both at theta.
-func buildBoth(t *testing.T, ods []*OD, shards int, theta float64) (*MemStore, *ShardedStore) {
-	t.Helper()
-	mem := NewMemStore()
-	sh := NewShardedStore(shards)
-	for _, o := range ods {
-		cp1, cp2 := *o, *o
-		mem.Add(&cp1)
-		sh.Add(&cp2)
-	}
-	mem.Finalize(theta)
-	sh.Finalize(theta)
-	return mem, sh
-}
-
-// TestShardedStoreParity asserts that ShardedStore answers every Store
-// query bit-identically to MemStore on the generated movie and CD
-// datasets, for 1, 4 and 16 shards.
-func TestShardedStoreParity(t *testing.T) {
-	datasets := []struct {
-		name  string
-		ods   []*OD
-		theta float64
-	}{
-		{"cds", cdODs(120, 2005), 0.15},
-		{"cds-coarse", cdODs(80, 7), 0.55},
-		{"movies", movieODs(120, 11), 0.15},
-	}
-	for _, ds := range datasets {
-		for _, shards := range []int{1, 4, 16} {
-			t.Run(fmt.Sprintf("%s/shards=%d", ds.name, shards), func(t *testing.T) {
-				mem, sh := buildBoth(t, ds.ods, shards, ds.theta)
-
-				if mem.Size() != sh.Size() || mem.Theta() != sh.Theta() {
-					t.Fatalf("size/theta diverge: %d/%v vs %d/%v",
-						mem.Size(), mem.Theta(), sh.Size(), sh.Theta())
-				}
-				if !reflect.DeepEqual(mem.Stats(), sh.Stats()) {
-					t.Errorf("Stats diverge:\nmem:     %+v\nsharded: %+v", mem.Stats(), sh.Stats())
-				}
-				for id := int32(0); id < int32(mem.Size()); id++ {
-					nm, ns := mem.Neighbors(id), sh.Neighbors(id)
-					if !equalIDs(nm, ns) {
-						t.Fatalf("Neighbors(%d) diverge: %v vs %v", id, nm, ns)
-					}
-				}
-				for _, o := range mem.ODs() {
-					for _, tup := range o.NonEmptyTuples() {
-						em, es := mem.ObjectsWithExact(tup), sh.ObjectsWithExact(tup)
-						if !equalIDs(em, es) {
-							t.Fatalf("ObjectsWithExact(%v) diverge: %v vs %v", tup, em, es)
-						}
-						vm, vs := mem.SimilarValues(tup), sh.SimilarValues(tup)
-						if !equalMatches(vm, vs) {
-							t.Fatalf("SimilarValues(%v) diverge:\nmem:     %v\nsharded: %v", tup, vm, vs)
-						}
-						if gm, gs := mem.SoftIDFSingle(tup), sh.SoftIDFSingle(tup); gm != gs {
-							t.Fatalf("SoftIDFSingle(%v) diverge: %v vs %v", tup, gm, gs)
-						}
-						// softIDF across every similar partner value, the
-						// pairs the similarity measure actually requests.
-						for _, m := range vm {
-							other := Tuple{Value: m.Value, Type: tup.Type}
-							if gm, gs := mem.SoftIDF(tup, other), sh.SoftIDF(tup, other); gm != gs {
-								t.Fatalf("SoftIDF(%v, %v) diverge: %v vs %v", tup, other, gm, gs)
-							}
-						}
-					}
-				}
-			})
-		}
-	}
 }
 
 func equalIDs(a, b []int32) bool {

@@ -8,16 +8,17 @@ import (
 )
 
 // This file is the distributed layer of the OD store: PartitionedStore
-// federates N partition backends — each itself any Store (mem, sharded
-// or disk), in this process or behind an internal/od/odrpc transport —
-// behind the full Store/MutableStore interface. The partition scheme is
-// ShardedStore's, lifted across process boundaries: occurrence keys
-// (type, value) hash to exactly one partition, every partition holds a
-// shadow of every object carrying only its owned tuples (so posting
-// lists speak global IDs), and queries fan out and merge exactly the
-// way ShardedStore merges shards. The federation-level quantities that
-// keep softIDF bit-identical — |ΩT| and each type's maximum value
-// length — live at the coordinator, never inside a partition.
+// federates N partition backends — each itself any Store (mem or
+// disk), in this process or behind an internal/od/odrpc transport —
+// behind the full Store/MutableStore interface. The partition scheme
+// splits values, not objects: occurrence keys (type, value) hash to
+// exactly one partition, every partition holds a shadow of every object
+// carrying only its owned tuples (so posting lists speak global IDs),
+// an exact-value question goes to the one owner, and a similar-value
+// question fans out and merges the members' disjoint answers into the
+// canonical order. The federation-level quantities that keep softIDF
+// bit-identical — |ΩT| and each type's maximum value length — live at
+// the coordinator, never inside a partition.
 
 // PartitionUnavailableError reports that one federation member failed
 // (errored, hung past the transport deadline, or lost its connection)
@@ -1020,9 +1021,10 @@ func (s *PartitionedStore) fetchSimilar(t Tuple) []ValueMatch {
 
 // SimilarValues implements Store: values of one type are spread across
 // all members by hash, so the query fans out to the members the
-// variant filters cannot exclude and the merged matches sort into the
-// canonical order — exactly ShardedStore's merge, across the transport
-// seam. Concurrent identical queries collapse into one fan-out.
+// variant filters cannot exclude; members own disjoint values, so the
+// concatenated matches sorted into the canonical order are the answer a
+// single store would give. Concurrent identical queries collapse into
+// one fan-out.
 func (s *PartitionedStore) SimilarValues(t Tuple) []ValueMatch {
 	s.mustBeFinal()
 	s.mustBeHealthy()

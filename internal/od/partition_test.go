@@ -24,19 +24,16 @@ func buildFederation(t *testing.T, ods []*OD, theta float64, backends ...Store) 
 	return fed
 }
 
-// mixedBackends returns n member backends cycling through all three
-// Store implementations, so federation tests cover heterogeneous
-// members ("each partition itself any existing Store").
+// mixedBackends returns n member backends alternating between the two
+// single-node Store implementations, so federation tests cover
+// heterogeneous members ("each partition itself any existing Store").
 func mixedBackends(t *testing.T, n int) []Store {
 	t.Helper()
 	out := make([]Store, n)
 	for i := range out {
-		switch i % 3 {
-		case 0:
+		if i%2 == 0 {
 			out[i] = NewMemStore()
-		case 1:
-			out[i] = NewShardedStore(2)
-		default:
+		} else {
 			out[i] = NewDiskStore(t.TempDir())
 		}
 	}

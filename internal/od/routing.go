@@ -71,7 +71,7 @@ func newBloomBits(n int) []uint64 {
 
 // variantHash is the 64-bit FNV-1a every routing filter hashes bucket
 // keys with — both ends of the wire must agree on it, like the 32-bit
-// fnv1a both ends route occurrence keys with.
+// fnv1aOcc both ends route occurrence keys with.
 func variantHash(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
@@ -178,8 +178,8 @@ type variantFilterSource interface {
 }
 
 // RoutingFilters summarizes a finalized store's per-type variant
-// buckets into routing filters, sorted by type. MemStore, ShardedStore
-// and DiskStore produce covered filters for every type whose deletion
+// buckets into routing filters, sorted by type. MemStore and DiskStore
+// produce covered filters for every type whose deletion
 // neighborhood is indexed and unmutated (DiskStore reads the bucket
 // keys straight from the persisted neighbor segment); any other store
 // — and any type outside the indexed tier — yields an uncovered entry,

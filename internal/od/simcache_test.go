@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// cachedBackends builds the three single-node backends over copies of
+// cachedBackends builds the two single-node backends over copies of
 // ods and returns each with its similar-value cache.
 func cachedBackends(t *testing.T, ods []*OD, theta float64) map[string]struct {
 	store MutableStore
 	cache *simCache
 } {
 	t.Helper()
-	mem, sharded, disk := NewMemStore(), NewShardedStore(4), NewDiskStore(t.TempDir())
-	for _, s := range []Store{mem, sharded, disk} {
+	mem, disk := NewMemStore(), NewDiskStore(t.TempDir())
+	for _, s := range []Store{mem, disk} {
 		for _, o := range ods {
 			cp := *o
 			s.Add(&cp)
@@ -26,9 +26,8 @@ func cachedBackends(t *testing.T, ods []*OD, theta float64) map[string]struct {
 		store MutableStore
 		cache *simCache
 	}{
-		"mem":     {mem, mem.sim},
-		"sharded": {sharded, sharded.sim},
-		"disk":    {disk, disk.simCache},
+		"mem":  {mem, mem.sim},
+		"disk": {disk, disk.simCache},
 	}
 }
 
@@ -116,13 +115,13 @@ func TestSimCacheInvalidatesTouchedTypesOnly(t *testing.T) {
 	}
 }
 
-// Shard and partition routing hash the occurrence key piecewise; a
-// persisted federation only reopens if that equals hashing the key.
+// Partition routing hashes the occurrence key piecewise; a persisted
+// federation only reopens if that equals seeded FNV-1a over the key.
 func TestPiecewiseOccHashMatchesKeyHash(t *testing.T) {
 	for _, tv := range [][2]string{{"", ""}, {"GENRE", "rock"}, {"T", ""}, {"", "v"}, {"TITLE", "Das Mädchen\x00Rosemarie"}} {
 		for _, seed := range []uint32{0, 1, 0xdeadbeef} {
-			if got, want := fnv1aOcc(tv[0], tv[1], seed), fnv1a(occKeyOf(tv[0], tv[1]), seed); got != want {
-				t.Errorf("fnv1aOcc(%q, %q, %d) = %d, fnv1a of the key = %d", tv[0], tv[1], seed, got, want)
+			if got, want := fnv1aOcc(tv[0], tv[1], seed), fnv1aAdd(uint32(2166136261)^seed, occKeyOf(tv[0], tv[1])); got != want {
+				t.Errorf("fnv1aOcc(%q, %q, %d) = %d, FNV-1a of the key = %d", tv[0], tv[1], seed, got, want)
 			}
 		}
 	}

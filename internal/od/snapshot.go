@@ -24,8 +24,8 @@ type SnapshotMeta struct {
 // format, so a later OpenDiskStore (or the pipeline's warm-start path)
 // restores it without rebuilding any index. Every backend can be saved:
 // an unmutated DiskStore that already lives in dir only has its manifest
-// re-stamped with the meta; MemStore, ShardedStore and foreign-directory
-// DiskStores are exported table by table. The snapshot commits
+// re-stamped with the meta; MemStore and foreign-directory DiskStores
+// are exported table by table. The snapshot commits
 // atomically — its manifest is written last.
 //
 // A mutated store exports its live set with the ID space compacted
@@ -217,107 +217,6 @@ func writeLiveType(w *odcodec.Writer, typ string, m map[string][]int32, maxLen i
 	sort.Strings(values)
 	for _, v := range values {
 		if err := w.AddValue(v, remapIDs(m[v], remap)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// exportSnapshot merges the ShardedStore's per-shard value tables into
-// the canonical single-table layout: values partition across shards, so
-// concatenating and sorting each type's shard slices reproduces exactly
-// the table MemStore would have built. A mutated store assembles live
-// tables through the per-shard overlays and compacts the ID space.
-func (s *ShardedStore) exportSnapshot(w *odcodec.Writer) error {
-	s.mustBeFinal()
-	if err := writeODs(w, s.ods); err != nil {
-		return err
-	}
-	if s.mutated {
-		return s.exportLive(w)
-	}
-	type valueRow struct {
-		value   string
-		objects []int32
-	}
-	merged := map[string][]valueRow{}
-	maxLen := map[string]int{}
-	budget := map[string]int{}
-	for i := range s.shards {
-		for typ, ti := range s.shards[i].types {
-			rows := merged[typ]
-			for j, v := range ti.values {
-				rows = append(rows, valueRow{value: v, objects: ti.objects[j]})
-			}
-			merged[typ] = rows
-			if ti.maxLen > maxLen[typ] {
-				maxLen[typ] = ti.maxLen
-			}
-			budget[typ] = ti.budget // global by construction, same in every shard
-		}
-	}
-	names := make([]string, 0, len(merged))
-	for typ := range merged {
-		names = append(names, typ)
-	}
-	sort.Strings(names)
-	for _, typ := range names {
-		rows := merged[typ]
-		sort.Slice(rows, func(i, j int) bool { return rows[i].value < rows[j].value })
-		if err := w.BeginType(typ, maxLen[typ], budget[typ]); err != nil {
-			return err
-		}
-		for _, row := range rows {
-			if err := w.AddValue(row.value, row.objects); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// exportLive writes a mutated ShardedStore's live value tables, merged
-// across shards into the canonical single-table layout.
-func (s *ShardedStore) exportLive(w *odcodec.Writer) error {
-	remap := buildRemap(s.IDSpan(), s.Alive)
-	perType := map[string]map[string][]int32{}
-	maxLens := map[string]int{}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		names := map[string]bool{}
-		for typ := range sh.types {
-			names[typ] = true
-		}
-		for typ := range sh.deltas {
-			names[typ] = true
-		}
-		for typ := range names {
-			m, maxLen := liveValueTable(sh.types[typ], sh.deltas[typ], func(val string) []int32 {
-				return sh.occ[occKeyOf(typ, val)]
-			})
-			if m == nil {
-				continue
-			}
-			dst := perType[typ]
-			if dst == nil {
-				dst = map[string][]int32{}
-				perType[typ] = dst
-			}
-			for v, ids := range m {
-				dst[v] = ids // values partition across shards: no collisions
-			}
-			if maxLen > maxLens[typ] {
-				maxLens[typ] = maxLen
-			}
-		}
-	}
-	sorted := make([]string, 0, len(perType))
-	for typ := range perType {
-		sorted = append(sorted, typ)
-	}
-	sort.Strings(sorted)
-	for _, typ := range sorted {
-		if err := writeLiveType(w, typ, perType[typ], maxLens[typ], s.theta, remap); err != nil {
 			return err
 		}
 	}

@@ -65,8 +65,8 @@ type TraceSet struct {
 // committed in dir, remapping IDs exactly the way Save mapped the
 // store's: identity for a DiskStore saved into its own directory
 // (tombstoned slots keep their IDs), live-compacted for every exported
-// backend (MemStore, ShardedStore, foreign-directory DiskStore,
-// PartitionedStore coordinator). Call it after Save/SavePartitioned —
+// backend (MemStore, foreign-directory DiskStore, PartitionedStore
+// coordinator). Call it after Save/SavePartitioned —
 // the segment chains to the manifest those committed.
 func SaveTraces(dir string, s Store, ts *TraceSet) error {
 	span := storeSpan(s)

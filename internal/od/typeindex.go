@@ -7,8 +7,8 @@ import (
 )
 
 // typeIndex answers similar-value queries for the distinct values of one
-// real-world type (or, in a ShardedStore, for the slice of them one shard
-// owns). It is built once during Finalize and read-only afterwards.
+// real-world type. It is built once during Finalize and read-only
+// afterwards.
 type typeIndex struct {
 	values  []string
 	objects [][]int32
@@ -19,8 +19,8 @@ type typeIndex struct {
 	runes    []rune
 	runeOff  []int32
 	sigs     []uint64 // strdist.Signature per value, the first gate of both tiers
-	maxLen   int      // longest value indexed here (shard-local)
-	budget   int      // strict edit budget for the type's longest value overall
+	maxLen   int      // longest value indexed here
+	budget   int      // strict edit budget for a value of maxLen runes
 	neighbor *strdist.NeighborIndex
 	byLen    map[int][]int32
 }
@@ -39,11 +39,9 @@ func newQuery(buf []rune, val string) query {
 }
 
 // buildTypeIndex indexes the value -> sorted-object-ids table of one type.
-// budgetLen is the rune length the edit budget derives from and must be the
-// type's maximum value length across the *whole* store: a shard that used
-// its local maximum could under-size the deletion-neighborhood budget and
-// miss matches for queries longer than any value it owns.
-func buildTypeIndex(m map[string][]int32, theta float64, budgetLen int) *typeIndex {
+// The edit budget derives from the longest value in m; a query that
+// out-ranges it is caught by collect's coverage guard.
+func buildTypeIndex(m map[string][]int32, theta float64) *typeIndex {
 	ti := &typeIndex{byValue: map[string]int32{}, byLen: map[int][]int32{}}
 	vals := make([]string, 0, len(m))
 	for v := range m {
@@ -65,7 +63,7 @@ func buildTypeIndex(m map[string][]int32, theta float64, budgetLen int) *typeInd
 			ti.maxLen = l
 		}
 	}
-	ti.budget = strdist.MaxEditsBelow(theta, budgetLen)
+	ti.budget = editBudget(theta, ti.maxLen)
 	if ti.budget >= 0 && ti.budget <= 2 {
 		ti.neighbor = strdist.NewNeighborIndex(ti.values, ti.budget)
 	}
