@@ -92,15 +92,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
+	"repro/internal/cliopt"
 	"repro/internal/core"
-	"repro/internal/heuristics"
 	"repro/internal/od"
-	"repro/internal/od/odcodec"
-	"repro/internal/od/odrpc"
-	"repro/internal/xmltree"
-	"repro/internal/xsd"
 )
 
 func main() {
@@ -128,46 +123,9 @@ func main() {
 			return
 		}
 	}
-	var (
-		mapFile    = flag.String("map", "", "mapping file (required)")
-		typeName   = flag.String("type", "", "real-world type to deduplicate (required)")
-		xsdFile    = flag.String("schema", "", "XSD schema file (default: infer per document)")
-		heuristic  = flag.String("heuristic", "kd:6", "description heuristic spec (see internal/heuristics.ParseSpec)")
-		ttuple     = flag.Float64("ttuple", 0.15, "OD tuple similarity threshold θtuple")
-		tcand      = flag.Float64("tcand", 0.55, "duplicate classification threshold θcand")
-		useFilter  = flag.Bool("filter", false, "enable the Step 4 object filter")
-		showPairs  = flag.Bool("pairs", false, "list detected pairs with scores on stderr")
-		stats      = flag.Bool("stats", false, "print run statistics on stderr")
-		showStages = flag.Bool("stages", false, "print per-stage timings on stderr")
-		store      = flag.String("store", "", "OD store backend: mem | disk | dist (default: dist when -partitions/-partition-addrs is set, else mem)")
-		partitions = flag.Int("partitions", 0, "in-process partition count for the distributed store (loopback transports)")
-		partAddrs  = flag.String("partition-addrs", "", "comma-separated odrpc server addresses for the distributed store")
-		replicas   = flag.Int("replicas", 0, "loopback replica members per partition for the distributed store")
-		repAddrs   = flag.String("replica-addrs", "", "odrpc replica addresses per partition: groups comma-separated and aligned with the partitions, members within a group separated by ';'")
-		workers    = flag.Int("workers", 0, "worker goroutines for Steps 4/5 (0 = GOMAXPROCS)")
-		storeDir   = flag.String("store-dir", "", "directory for disk-store segments / index snapshots")
-		mmap       = flag.String("mmap", "auto", "disk-store segment access: auto (mmap with pread fallback) | on | off")
-		reuseIndex = flag.Bool("reuse-index", false, "warm-start from a matching index snapshot in -store-dir (and save one after a fresh build)")
-		format     = flag.String("format", "xml", "output format: xml (Fig. 3) | json | csv")
-		stream     = flag.Bool("stream", false, "ingest documents through the pull parser (bounded memory) instead of materializing them")
-		update     = flag.Bool("update", false, "incremental run: append the documents to (and apply -remove against) the persisted indexes in -store-dir")
-		rpcTimeout = flag.Duration("rpc-timeout", defaultRPCTimeout, "per-call deadline on dist federation members, dialed and loopback alike (0 restores the default)")
-	)
-	var removePaths stringList
-	flag.Var(&removePaths, "remove", "with -update: object path of a candidate to remove (repeatable)")
+	var opts options
+	opts.register(flag.CommandLine)
 	flag.Parse()
-	opts := options{
-		mapFile: *mapFile, typeName: *typeName, xsdFile: *xsdFile,
-		heuristic: *heuristic, ttuple: *ttuple, tcand: *tcand,
-		useFilter: *useFilter, showPairs: *showPairs, stats: *stats,
-		showStages: *showStages, store: *store,
-		partitions: *partitions, partAddrs: *partAddrs,
-		replicas: *replicas, replicaAddrs: *repAddrs,
-		workers: *workers, storeDir: *storeDir, mmap: *mmap, reuseIndex: *reuseIndex,
-		format: *format, stream: *stream,
-		update: *update, removePaths: removePaths,
-		rpcTimeout: *rpcTimeout,
-	}
 	if err := run(opts, flag.Args(), os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "dogmatix:", err)
 		os.Exit(1)
@@ -184,157 +142,63 @@ func (s *stringList) Set(v string) error {
 	return nil
 }
 
+// options are the shared flags plus the CLI's own.
 type options struct {
-	mapFile, typeName, xsdFile, heuristic string
-	ttuple, tcand                         float64
-	useFilter, showPairs, stats           bool
-	showStages, stream, reuseIndex        bool
-	update                                bool
-	workers, partitions                   int
-	replicas                              int
-	store, storeDir, partAddrs            string
-	replicaAddrs                          string
-	mmap                                  string
-	format                                string
-	removePaths                           []string
-	rpcTimeout                            time.Duration
-
-	// mmapMode is the parsed -mmap value, resolved by validate.
-	mmapMode odcodec.MmapMode
+	cliopt.Options
+	showPairs, stats, showStages bool
+	stream, update               bool
+	format                       string
+	removePaths                  []string
 }
 
-// diskOptions resolves the validated flags into the disk store's access
-// options.
-func (o *options) diskOptions() od.DiskOptions {
-	return od.DiskOptions{Mmap: o.mmapMode}
+// register defines the shared flags and the CLI's own on fs.
+func (o *options) register(fs *flag.FlagSet) {
+	o.Register(fs)
+	fs.BoolVar(&o.showPairs, "pairs", false, "list detected pairs with scores on stderr")
+	fs.BoolVar(&o.stats, "stats", false, "print run statistics on stderr")
+	fs.BoolVar(&o.showStages, "stages", false, "print per-stage timings on stderr")
+	fs.StringVar(&o.format, "format", "xml", "output format: xml (Fig. 3) | json | csv")
+	fs.BoolVar(&o.stream, "stream", false, "ingest documents through the pull parser (bounded memory) instead of materializing them")
+	fs.BoolVar(&o.update, "update", false, "incremental run: append the documents to (and apply -remove against) the persisted indexes in -store-dir")
+	fs.Var((*stringList)(&o.removePaths), "remove", "with -update: object path of a candidate to remove (repeatable)")
 }
-
-// Store backend names accepted by -store.
-const (
-	storeMem  = "mem"
-	storeDisk = "disk"
-	storeDist = "dist"
-)
-
-// defaultRPCTimeout is the default -rpc-timeout: the per-call deadline
-// set uniformly on every odrpc member the CLI constructs — dialed
-// -partition-addrs clients and in-process loopback members alike, so a
-// wedged backend surfaces as the typed partition error on either
-// transport.
-const defaultRPCTimeout = odrpc.DefaultTimeout
 
 // validate checks every flag combination up front — before any file is
 // opened or any pipeline stage runs — so misconfigurations surface as
-// one-line errors instead of failures deep inside the run. It also
-// resolves the defaults: an empty -store becomes dist when -partitions
-// or -partition-addrs is set, and mem otherwise; -store dist without
-// either partition flag gets 2 in-process partitions.
+// one-line errors instead of failures deep inside the run: the CLI's
+// own rules here, the shared ones and their defaults in
+// cliopt.Options.Validate. -update resolves an empty -store to disk.
 func (o *options) validate(docs []string) error {
-	if o.mapFile == "" || o.typeName == "" {
-		return fmt.Errorf("-map and -type are required")
-	}
 	if len(docs) == 0 && !(o.update && len(o.removePaths) > 0) {
 		return fmt.Errorf("no input documents")
 	}
 	if len(o.removePaths) > 0 && !o.update {
 		return fmt.Errorf("-remove only applies to -update runs")
 	}
-	if o.stream && specSelectsAncestors(o.heuristic) {
+	if o.stream && specSelectsAncestors(o.Heuristic) {
 		return fmt.Errorf(
-			"-stream cannot evaluate the ancestor selections of heuristic %q: streaming ingestion holds only the candidate subtree, so ra:N descriptions need a materialized document — drop -stream, or use a descendant heuristic (kd:N, rd:N); see ROADMAP.md, streaming sources", o.heuristic)
+			"-stream cannot evaluate the ancestor selections of heuristic %q: streaming ingestion holds only the candidate subtree, so ra:N descriptions need a materialized document — drop -stream, or use a descendant heuristic (kd:N, rd:N); see ROADMAP.md, streaming sources", o.Heuristic)
 	}
 	if o.update {
-		if o.storeDir == "" {
+		if o.StoreDir == "" {
 			return fmt.Errorf("-update needs -store-dir pointing at a persisted index snapshot")
 		}
-		if o.reuseIndex {
+		if o.ReuseIndex {
 			return fmt.Errorf("-update and -reuse-index are exclusive: an update run always starts from (and re-persists) the -store-dir snapshot")
 		}
-		switch o.store {
-		case "", storeDisk:
-			o.store = storeDisk
+		switch o.Store {
+		case "", cliopt.StoreDisk:
+			o.Store = cliopt.StoreDisk
 		default:
-			return fmt.Errorf("-update serves from the persisted disk store; -store %q does not apply", o.store)
+			return fmt.Errorf("-update serves from the persisted disk store; -store %q does not apply", o.Store)
 		}
-	}
-	if o.workers < 0 {
-		return fmt.Errorf("-workers %d is negative", o.workers)
-	}
-	if o.partitions < 0 {
-		return fmt.Errorf("-partitions %d is negative", o.partitions)
-	}
-	if o.partitions > 0 && o.partAddrs != "" {
-		return fmt.Errorf("-partitions and -partition-addrs are exclusive: in-process loopback members or remote servers, not both")
-	}
-	if o.replicas < 0 {
-		return fmt.Errorf("-replicas %d is negative", o.replicas)
-	}
-	if o.replicas > 0 && o.replicaAddrs != "" {
-		return fmt.Errorf("-replicas and -replica-addrs are exclusive: in-process loopback mirrors or remote servers, not both")
 	}
 	switch o.format {
 	case "xml", "json", "csv":
 	default:
 		return fmt.Errorf("unknown -format %q (want xml, json, csv)", o.format)
 	}
-	if o.store == "" {
-		if o.partitions > 0 || o.partAddrs != "" {
-			o.store = storeDist
-		} else {
-			o.store = storeMem
-		}
-	}
-	if o.store != storeDist && (o.partitions > 0 || o.partAddrs != "") {
-		return fmt.Errorf("-partitions/-partition-addrs only apply to -store dist, not %q", o.store)
-	}
-	if o.store != storeDist && (o.replicas > 0 || o.replicaAddrs != "") {
-		return fmt.Errorf("-replicas/-replica-addrs only apply to -store dist, not %q", o.store)
-	}
-	switch o.store {
-	case storeMem, storeDisk:
-	case storeDist:
-		if o.reuseIndex {
-			return fmt.Errorf("-reuse-index snapshots a single disk directory; it does not apply to -store dist (persist a federation with od.SavePartitioned)")
-		}
-		if o.storeDir != "" {
-			return fmt.Errorf("-store-dir does not apply to -store dist")
-		}
-		if o.partitions == 0 && o.partAddrs == "" {
-			o.partitions = 2
-		}
-	default:
-		return fmt.Errorf("unknown -store %q (want %s, %s or %s)", o.store, storeMem, storeDisk, storeDist)
-	}
-	if o.store == storeDisk && o.storeDir == "" {
-		return fmt.Errorf("-store disk needs -store-dir")
-	}
-	if o.reuseIndex && o.storeDir == "" {
-		return fmt.Errorf("-reuse-index needs -store-dir")
-	}
-	if o.storeDir != "" && o.store != storeDisk && !o.reuseIndex {
-		return fmt.Errorf("-store-dir is set but neither -store disk nor -reuse-index uses it")
-	}
-	if o.mmap == "" {
-		o.mmap = "auto" // zero-value options behave like the flag default
-	}
-	mode, err := odcodec.ParseMmapMode(o.mmap)
-	if err != nil {
-		return fmt.Errorf("-mmap: %w", err)
-	}
-	o.mmapMode = mode
-	if o.mmap != "auto" && o.store != storeDisk && !o.reuseIndex && !o.update {
-		return fmt.Errorf("-mmap only applies when segment files are read: -store disk, -reuse-index or -update")
-	}
-	if o.rpcTimeout < 0 {
-		return fmt.Errorf("-rpc-timeout %v is negative", o.rpcTimeout)
-	}
-	if o.rpcTimeout == 0 {
-		o.rpcTimeout = defaultRPCTimeout // zero-value options behave like the flag default
-	}
-	if o.rpcTimeout != defaultRPCTimeout && o.store != storeDist {
-		return fmt.Errorf("-rpc-timeout only applies to -store dist federation members")
-	}
-	return nil
+	return o.Options.Validate()
 }
 
 // specSelectsAncestors reports whether a heuristic spec contains an
@@ -359,195 +223,24 @@ func specSelectsAncestors(spec string) bool {
 	return false
 }
 
-// newStore resolves the validated options into a store factory for
-// core.Config; nil means the default MemStore. The dist backend is
-// constructed eagerly — dialing remote members can fail, and a factory
-// has no error channel — and is also returned directly so -stats can
-// read the federation's routing and wire counters after the run.
-func (o *options) newStore() (func() od.Store, *od.PartitionedStore, error) {
-	switch o.store {
-	case storeDisk:
-		return func() od.Store { return od.NewDiskStoreWith(o.storeDir, o.diskOptions()) }, nil, nil
-	case storeDist:
-		fed, err := o.buildFederation()
-		if err != nil {
-			return nil, nil, err
-		}
-		return func() od.Store { return fed }, fed, nil
-	}
-	return nil, nil, nil
-}
-
-// buildFederation assembles the distributed store: odrpc clients for
-// every -partition-addrs server, or -partitions in-process MemStore
-// members each behind a loopback transport (full wire codec, no
-// sockets).
-func (o *options) buildFederation() (*od.PartitionedStore, error) {
-	var parts []od.Partition
-	if o.partAddrs != "" {
-		for _, addr := range strings.Split(o.partAddrs, ",") {
-			addr = strings.TrimSpace(addr)
-			if addr == "" {
-				return nil, fmt.Errorf("-partition-addrs contains an empty address")
-			}
-			c, err := odrpc.Dial(addr)
-			if err != nil {
-				for _, p := range parts {
-					p.Close()
-				}
-				return nil, err
-			}
-			// The deadline is what turns a wedged remote member into the
-			// documented typed partition error instead of a hung run. It
-			// bounds every call including Finalize — whose reply only
-			// arrives once the member finished building its index slice —
-			// so it is generous; corpora whose member builds exceed it
-			// should raise -rpc-timeout or drive the federation through
-			// the od API directly.
-			c.Timeout = o.rpcTimeout
-			parts = append(parts, c)
-		}
-	} else {
-		for i := 0; i < o.partitions; i++ {
-			c := odrpc.NewLoopback(od.NewMemStore())
-			// Loopback members get the same deadline as dialed ones: a
-			// wedged in-process backend should surface as the typed
-			// partition error, not a hung CLI.
-			c.Timeout = o.rpcTimeout
-			parts = append(parts, c)
-		}
-	}
-	fed := od.NewPartitionedStore(parts, 0)
-	// Replica members attach before the build so they simply ride the
-	// write fan-out; every group member ends up bit-identical.
-	groups, err := o.replicaGroups(len(parts))
-	if err != nil {
-		fed.Close()
-		return nil, err
-	}
-	if groups != nil {
-		if err := fed.AttachReplicas(groups); err != nil {
-			for _, g := range groups {
-				for _, p := range g {
-					p.Close()
-				}
-			}
-			fed.Close()
-			return nil, err
-		}
-	}
-	return fed, nil
-}
-
-// replicaGroups builds the replica member groups the flags describe:
-// -replicas loopback MemStore mirrors per partition, or -replica-addrs
-// dialed odrpc members (groups comma-separated and aligned with the
-// partitions, members within a group separated by ';'; an empty group
-// leaves that partition unreplicated). Returns nil when neither flag
-// is set.
-func (o *options) replicaGroups(nparts int) ([][]od.Partition, error) {
-	if o.replicas > 0 {
-		groups := make([][]od.Partition, nparts)
-		for i := range groups {
-			for r := 0; r < o.replicas; r++ {
-				c := odrpc.NewLoopback(od.NewMemStore())
-				c.Timeout = o.rpcTimeout
-				groups[i] = append(groups[i], c)
-			}
-		}
-		return groups, nil
-	}
-	if o.replicaAddrs == "" {
-		return nil, nil
-	}
-	fields := strings.Split(o.replicaAddrs, ",")
-	if len(fields) != nparts {
-		return nil, fmt.Errorf("-replica-addrs lists %d groups for %d partitions", len(fields), nparts)
-	}
-	groups := make([][]od.Partition, nparts)
-	closeAll := func() {
-		for _, g := range groups {
-			for _, p := range g {
-				p.Close()
-			}
-		}
-	}
-	for i, grp := range fields {
-		for _, addr := range strings.Split(grp, ";") {
-			addr = strings.TrimSpace(addr)
-			if addr == "" {
-				continue
-			}
-			c, err := odrpc.Dial(addr)
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-			c.Timeout = o.rpcTimeout
-			groups[i] = append(groups[i], c)
-		}
-	}
-	return groups, nil
-}
-
 func run(opts options, docs []string, stdout, stderr io.Writer) error {
 	if err := opts.validate(docs); err != nil {
 		return err
 	}
 
-	mf, err := os.Open(opts.mapFile)
+	mapping, cfg, schema, err := opts.Load()
 	if err != nil {
 		return err
 	}
-	mapping, err := core.ParseMapping(mf)
-	mf.Close()
-	if err != nil {
-		return err
-	}
-
-	h, err := heuristics.ParseSpec(opts.heuristic)
-	if err != nil {
-		return err
-	}
-
-	var schema *xsd.Schema
-	if opts.xsdFile != "" {
-		sf, err := os.Open(opts.xsdFile)
-		if err != nil {
-			return err
-		}
-		schema, err = xsd.Parse(sf)
-		sf.Close()
-		if err != nil {
-			return err
-		}
-	}
-
 	var inputs []core.SourceInput
-	for _, path := range docs {
-		if opts.stream {
+	if opts.stream {
+		for _, path := range docs {
 			inputs = append(inputs, core.FileSource(path, schema))
-			continue
 		}
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		doc, err := xmltree.Parse(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		inputs = append(inputs, core.Source{Name: path, Doc: doc, Schema: schema})
+	} else if inputs, err = cliopt.ParseDocs(docs, schema); err != nil {
+		return err
 	}
 
-	cfg := core.Config{
-		Heuristic:  h,
-		ThetaTuple: opts.ttuple,
-		ThetaCand:  opts.tcand,
-		UseFilter:  opts.useFilter,
-		Workers:    opts.workers,
-	}
 	var fed *od.PartitionedStore // set for -store dist; -stats reads its counters
 	if opts.update {
 		// Update runs serve from the persisted snapshot and re-persist
@@ -555,17 +248,17 @@ func run(opts options, docs []string, stdout, stderr io.Writer) error {
 		// replay traces of this run, and its snapshot stage persists
 		// them next to the merged segments so the NEXT update — in this
 		// process or after a restart — patches instead of recomparing.
-		cfg.Snapshot = &core.SnapshotOptions{Dir: opts.storeDir, Save: true, Disk: opts.diskOptions()}
+		cfg.Snapshot = &core.SnapshotOptions{Dir: opts.StoreDir, Save: true}
 		cfg.Incremental = true
 	} else {
-		newStore, distFed, err := opts.newStore()
+		newStore, distFed, err := opts.NewStore()
 		if err != nil {
 			return err
 		}
 		cfg.NewStore = newStore
 		fed = distFed
-		if opts.reuseIndex {
-			cfg.Snapshot = &core.SnapshotOptions{Dir: opts.storeDir, Reuse: true, Save: true, Disk: opts.diskOptions()}
+		if opts.ReuseIndex {
+			cfg.Snapshot = &core.SnapshotOptions{Dir: opts.StoreDir, Reuse: true, Save: true}
 			// Record replay traces on the build too, so even the first
 			// -update against this snapshot replays instead of
 			// recomparing from scratch.
@@ -580,7 +273,7 @@ func run(opts options, docs []string, stdout, stderr io.Writer) error {
 	if opts.update {
 		res, err = runUpdate(opts, det, inputs)
 	} else {
-		res, err = det.DetectInputs(opts.typeName, inputs...)
+		res, err = det.DetectInputs(opts.TypeName, inputs...)
 	}
 	if err != nil {
 		return err
@@ -641,15 +334,7 @@ func run(opts options, docs []string, stdout, stderr io.Writer) error {
 // -remove paths to candidate IDs, and run Detector.Update over the new
 // sources. Update's snapshot stage merges the result back to -store-dir.
 func runUpdate(opts options, det *core.Detector, inputs []core.SourceInput) (*core.Result, error) {
-	store, err := od.OpenDiskStoreWith(opts.storeDir, opts.diskOptions())
-	if err != nil {
-		return nil, fmt.Errorf("open index snapshot in %s: %w (build one first: -store disk -store-dir %s)",
-			opts.storeDir, err, opts.storeDir)
-	}
-	if got := store.Theta(); got != opts.ttuple {
-		return nil, fmt.Errorf("snapshot in %s was built for -ttuple %v, run requests %v", opts.storeDir, got, opts.ttuple)
-	}
-	prev, err := core.Adopt(opts.typeName, store)
+	store, prev, err := opts.AdoptSnapshot()
 	if err != nil {
 		return nil, err
 	}

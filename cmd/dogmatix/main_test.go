@@ -2,20 +2,23 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/od/odcodec"
+	"repro/internal/cliopt"
+	"repro/internal/od/odrpc"
 )
 
 // TestValidateFlagCombinations pins the upfront CLI validation: every
 // bad combination fails with a one-line error before any file opens,
 // and the legacy defaults resolve as documented.
 func TestValidateFlagCombinations(t *testing.T) {
-	base := options{mapFile: "m.txt", typeName: "T", format: "xml"}
+	base := options{Options: cliopt.Options{MapFile: "m.txt", TypeName: "T"}, format: "xml"}
 	docs := []string{"a.xml"}
 
 	cases := []struct {
@@ -24,28 +27,26 @@ func TestValidateFlagCombinations(t *testing.T) {
 		docs    []string
 		wantErr string
 	}{
-		{"missing-map", func(o *options) { o.mapFile = "" }, docs, "-map and -type"},
-		{"missing-type", func(o *options) { o.typeName = "" }, docs, "-map and -type"},
+		{"missing-map", func(o *options) { o.MapFile = "" }, docs, "-map and -type"},
+		{"missing-type", func(o *options) { o.TypeName = "" }, docs, "-map and -type"},
 		{"no-docs", func(o *options) {}, nil, "no input documents"},
-		{"negative-workers", func(o *options) { o.workers = -1 }, docs, "-workers"},
+		{"negative-workers", func(o *options) { o.Workers = -1 }, docs, "-workers"},
 		{"bad-format", func(o *options) { o.format = "yaml" }, docs, "-format"},
-		{"bad-store", func(o *options) { o.store = "redis" }, docs, "unknown -store"},
-		{"sharded-store-removed", func(o *options) { o.store = "sharded" }, docs, `unknown -store "sharded" (want mem, disk or dist)`},
-		{"disk-without-dir", func(o *options) { o.store = "disk" }, docs, "-store disk needs -store-dir"},
-		{"reuse-without-dir", func(o *options) { o.reuseIndex = true }, docs, "-reuse-index needs -store-dir"},
-		{"dir-without-user", func(o *options) { o.storeDir = "d" }, docs, "-store-dir is set but"},
-		{"negative-partitions", func(o *options) { o.partitions = -2 }, docs, "-partitions"},
-		{"partitions-and-addrs", func(o *options) { o.partitions = 2; o.partAddrs = "h:1" }, docs, "exclusive"},
-		{"partitions-with-mem", func(o *options) { o.store = "mem"; o.partitions = 2 }, docs, "only apply to -store dist"},
-		{"addrs-with-disk", func(o *options) { o.store = "disk"; o.storeDir = "d"; o.partAddrs = "h:1" }, docs, "only apply to -store dist"},
-		{"dist-with-reuse", func(o *options) { o.store = "dist"; o.reuseIndex = true }, docs, "does not apply to -store dist"},
-		{"dist-with-dir", func(o *options) { o.store = "dist"; o.storeDir = "d" }, docs, "-store-dir does not apply"},
-		{"dist-with-update", func(o *options) { o.store = "dist"; o.update = true; o.storeDir = "d" }, docs, "does not apply"},
-		{"bad-mmap", func(o *options) { o.store = "disk"; o.storeDir = "d"; o.mmap = "sometimes" }, docs, "-mmap"},
-		{"mmap-without-disk", func(o *options) { o.mmap = "on" }, docs, "-mmap only applies"},
-		{"negative-rpc-timeout", func(o *options) { o.partAddrs = "h:1"; o.rpcTimeout = -time.Second }, docs, "-rpc-timeout"},
-		{"rpc-timeout-without-dist", func(o *options) { o.rpcTimeout = time.Minute }, docs, "-rpc-timeout only applies"},
-		{"rpc-timeout-with-disk", func(o *options) { o.store = "disk"; o.storeDir = "d"; o.rpcTimeout = time.Minute }, docs, "-rpc-timeout only applies"},
+		{"bad-store", func(o *options) { o.Store = "redis" }, docs, "unknown -store"},
+		{"sharded-store-removed", func(o *options) { o.Store = "sharded" }, docs, `unknown -store "sharded" (want mem, disk or dist)`},
+		{"disk-without-dir", func(o *options) { o.Store = "disk" }, docs, "-store disk needs -store-dir"},
+		{"reuse-without-dir", func(o *options) { o.ReuseIndex = true }, docs, "-reuse-index needs -store-dir"},
+		{"dir-without-user", func(o *options) { o.StoreDir = "d" }, docs, "-store-dir is set but"},
+		{"negative-partitions", func(o *options) { o.Partitions = -2 }, docs, "-partitions"},
+		{"partitions-and-addrs", func(o *options) { o.Partitions = 2; o.PartitionAddrs = "h:1" }, docs, "exclusive"},
+		{"partitions-with-mem", func(o *options) { o.Store = "mem"; o.Partitions = 2 }, docs, "only apply to -store dist"},
+		{"addrs-with-disk", func(o *options) { o.Store = "disk"; o.StoreDir = "d"; o.PartitionAddrs = "h:1" }, docs, "only apply to -store dist"},
+		{"dist-with-reuse", func(o *options) { o.Store = "dist"; o.ReuseIndex = true }, docs, "does not apply to -store dist"},
+		{"dist-with-dir", func(o *options) { o.Store = "dist"; o.StoreDir = "d" }, docs, "-store-dir does not apply"},
+		{"dist-with-update", func(o *options) { o.Store = "dist"; o.update = true; o.StoreDir = "d" }, docs, "does not apply"},
+		{"negative-rpc-timeout", func(o *options) { o.PartitionAddrs = "h:1"; o.RPCTimeout = -time.Second }, docs, "-rpc-timeout"},
+		{"rpc-timeout-without-dist", func(o *options) { o.RPCTimeout = time.Minute }, docs, "-rpc-timeout only applies"},
+		{"rpc-timeout-with-disk", func(o *options) { o.Store = "disk"; o.StoreDir = "d"; o.RPCTimeout = time.Minute }, docs, "-rpc-timeout only applies"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,54 +59,63 @@ func TestValidateFlagCombinations(t *testing.T) {
 		})
 	}
 
+	// The deleted -mmap flag fails at parse time, before validation.
+	for name, args := range map[string][]string{
+		"bad-mmap":          {"-store", "disk", "-store-dir", "d", "-mmap", "sometimes", "a.xml"},
+		"mmap-without-disk": {"-mmap", "on", "a.xml"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var o options
+			fs := flag.NewFlagSet("dogmatix", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			o.register(fs)
+			if err := fs.Parse(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -mmap") {
+				t.Fatalf("parse %v = %v, want the undefined-flag error", args, err)
+			}
+		})
+	}
+
 	t.Run("defaults-resolve", func(t *testing.T) {
 		o := base
-		if err := o.validate(docs); err != nil || o.store != storeMem {
-			t.Fatalf("empty -store resolved to %q (%v), want mem", o.store, err)
+		if err := o.validate(docs); err != nil || o.Store != cliopt.StoreMem {
+			t.Fatalf("empty -store resolved to %q (%v), want mem", o.Store, err)
 		}
 		o = base
-		o.store = storeDisk
-		o.storeDir = "d"
+		o.Store = cliopt.StoreDisk
+		o.StoreDir = "d"
 		if err := o.validate(docs); err != nil {
 			t.Fatalf("valid disk config rejected: %v", err)
 		}
 		o = base
-		o.partitions = 3
-		if err := o.validate(docs); err != nil || o.store != storeDist {
-			t.Fatalf("-partitions 3 resolved to %q (%v), want dist", o.store, err)
+		o.Partitions = 3
+		if err := o.validate(docs); err != nil || o.Store != cliopt.StoreDist {
+			t.Fatalf("-partitions 3 resolved to %q (%v), want dist", o.Store, err)
 		}
 		o = base
-		o.store = storeDist
-		if err := o.validate(docs); err != nil || o.partitions != 2 {
-			t.Fatalf("-store dist resolved to %d partitions (%v), want 2", o.partitions, err)
+		o.Store = cliopt.StoreDist
+		if err := o.validate(docs); err != nil || o.Partitions != 2 {
+			t.Fatalf("-store dist resolved to %d partitions (%v), want 2", o.Partitions, err)
 		}
 		o = base
-		o.partAddrs = "h1:7001, h2:7001"
-		if err := o.validate(docs); err != nil || o.store != storeDist || o.partitions != 0 {
-			t.Fatalf("-partition-addrs resolved to %q/%d (%v), want dist/0", o.store, o.partitions, err)
+		o.PartitionAddrs = "h1:7001, h2:7001"
+		if err := o.validate(docs); err != nil || o.Store != cliopt.StoreDist || o.Partitions != 0 {
+			t.Fatalf("-partition-addrs resolved to %q/%d (%v), want dist/0", o.Store, o.Partitions, err)
 		}
 		o = base
-		o.store = storeDisk
-		o.storeDir = "d"
-		o.mmap = "off"
-		if err := o.validate(docs); err != nil || o.mmapMode != odcodec.MmapOff {
-			t.Fatalf("-mmap off resolved to %v (%v), want MmapOff", o.mmapMode, err)
+		if err := o.validate(docs); err != nil || o.RPCTimeout != odrpc.DefaultTimeout {
+			t.Fatalf("zero -rpc-timeout resolved to %v (%v), want default %v", o.RPCTimeout, err, odrpc.DefaultTimeout)
 		}
 		o = base
-		if err := o.validate(docs); err != nil || o.rpcTimeout != defaultRPCTimeout {
-			t.Fatalf("zero -rpc-timeout resolved to %v (%v), want default %v", o.rpcTimeout, err, defaultRPCTimeout)
+		o.PartitionAddrs = "h:1"
+		o.RPCTimeout = 30 * time.Second
+		if err := o.validate(docs); err != nil || o.RPCTimeout != 30*time.Second {
+			t.Fatalf("-rpc-timeout 30s resolved to %v (%v), want 30s", o.RPCTimeout, err)
 		}
 		o = base
-		o.partAddrs = "h:1"
-		o.rpcTimeout = 30 * time.Second
-		if err := o.validate(docs); err != nil || o.rpcTimeout != 30*time.Second {
-			t.Fatalf("-rpc-timeout 30s resolved to %v (%v), want 30s", o.rpcTimeout, err)
-		}
-		o = base
-		o.partitions = 2
-		o.rpcTimeout = 30 * time.Second
-		if err := o.validate(docs); err != nil || o.rpcTimeout != 30*time.Second {
-			t.Fatalf("-rpc-timeout 30s with loopback members resolved to %v (%v), want 30s", o.rpcTimeout, err)
+		o.Partitions = 2
+		o.RPCTimeout = 30 * time.Second
+		if err := o.validate(docs); err != nil || o.RPCTimeout != 30*time.Second {
+			t.Fatalf("-rpc-timeout 30s with loopback members resolved to %v (%v), want 30s", o.RPCTimeout, err)
 		}
 	})
 }
@@ -131,10 +141,12 @@ func TestRunDiskStoreAndReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := options{
-		mapFile: mapPath, typeName: "REC", heuristic: "rd:1",
-		ttuple: 0.30, tcand: 0.55, format: "xml",
-		store: storeDisk, storeDir: storeDir, reuseIndex: true,
-		stats: true,
+		Options: cliopt.Options{
+			MapFile: mapPath, TypeName: "REC", Heuristic: "rd:1",
+			TTuple: 0.30, TCand: 0.55,
+			Store: cliopt.StoreDisk, StoreDir: storeDir, ReuseIndex: true,
+		},
+		format: "xml", stats: true,
 	}
 
 	var out1, err1 bytes.Buffer
@@ -167,8 +179,8 @@ func TestRunDiskStoreAndReuse(t *testing.T) {
 func TestStreamRejectsAncestorHeuristics(t *testing.T) {
 	for _, spec := range []string{"ra:1", "kd:6+ra:2", "exp5:ra:1", "rd:1+exp3:ra:2[cme]"} {
 		opts := options{
-			mapFile: "map.txt", typeName: "T", format: "xml",
-			heuristic: spec, stream: true,
+			Options: cliopt.Options{MapFile: "map.txt", TypeName: "T", Heuristic: spec},
+			format:  "xml", stream: true,
 		}
 		err := opts.validate([]string{"does-not-exist.xml"})
 		if err == nil || !strings.Contains(err.Error(), "ROADMAP") {
@@ -182,8 +194,8 @@ func TestStreamRejectsAncestorHeuristics(t *testing.T) {
 		stream bool
 	}{{"ra:1", false}, {"kd:6", true}, {"rd:2+kd:3[csdt]", true}} {
 		opts := options{
-			mapFile: "map.txt", typeName: "T", format: "xml",
-			heuristic: tc.spec, stream: tc.stream,
+			Options: cliopt.Options{MapFile: "map.txt", TypeName: "T", Heuristic: tc.spec},
+			format:  "xml", stream: tc.stream,
 		}
 		if err := opts.validate([]string{"doc.xml"}); err != nil {
 			t.Fatalf("spec %q stream=%v: unexpected error %v", tc.spec, tc.stream, err)
@@ -193,18 +205,18 @@ func TestStreamRejectsAncestorHeuristics(t *testing.T) {
 
 // TestUpdateFlagValidation pins the -update flag matrix.
 func TestUpdateFlagValidation(t *testing.T) {
-	base := options{mapFile: "m.txt", typeName: "T", format: "xml", update: true, storeDir: "d"}
+	base := options{Options: cliopt.Options{MapFile: "m.txt", TypeName: "T", StoreDir: "d"}, format: "xml", update: true}
 	cases := []struct {
 		name    string
 		mutate  func(*options)
 		docs    []string
 		wantErr string
 	}{
-		{"no-dir", func(o *options) { o.storeDir = "" }, []string{"a.xml"}, "-update needs -store-dir"},
-		{"with-reuse", func(o *options) { o.reuseIndex = true }, []string{"a.xml"}, "exclusive"},
-		{"mem-store", func(o *options) { o.store = "mem" }, []string{"a.xml"}, "does not apply"},
+		{"no-dir", func(o *options) { o.StoreDir = "" }, []string{"a.xml"}, "-update needs -store-dir"},
+		{"with-reuse", func(o *options) { o.ReuseIndex = true }, []string{"a.xml"}, "exclusive"},
+		{"mem-store", func(o *options) { o.Store = "mem" }, []string{"a.xml"}, "does not apply"},
 		{"no-work", func(o *options) {}, nil, "no input documents"},
-		{"remove-without-update", func(o *options) { o.update = false; o.storeDir = "" }, []string{"a.xml"}, "-remove only applies"},
+		{"remove-without-update", func(o *options) { o.update = false; o.StoreDir = "" }, []string{"a.xml"}, "-remove only applies"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -222,8 +234,8 @@ func TestUpdateFlagValidation(t *testing.T) {
 	t.Run("removal-only-ok", func(t *testing.T) {
 		o := base
 		o.removePaths = []string{"/db/rec[1]"}
-		if err := o.validate(nil); err != nil || o.store != storeDisk {
-			t.Fatalf("removal-only update: store=%q err=%v", o.store, err)
+		if err := o.validate(nil); err != nil || o.Store != cliopt.StoreDisk {
+			t.Fatalf("removal-only update: store=%q err=%v", o.Store, err)
 		}
 	})
 }
@@ -265,13 +277,13 @@ func TestRunUpdateEndToEnd(t *testing.T) {
 </db>`)
 
 	base := options{
-		mapFile: mapPath, typeName: "REC", heuristic: "rd:1",
-		ttuple: 0.30, tcand: 0.55, format: "xml",
+		Options: cliopt.Options{MapFile: mapPath, TypeName: "REC", Heuristic: "rd:1", TTuple: 0.30, TCand: 0.55},
+		format:  "xml",
 	}
 
 	fresh := base
-	fresh.store = storeDisk
-	fresh.storeDir = storeDir
+	fresh.Store = cliopt.StoreDisk
+	fresh.StoreDir = storeDir
 	var out bytes.Buffer
 	if err := run(fresh, []string{doc1}, &out, &out); err != nil {
 		t.Fatal(err)
@@ -279,7 +291,7 @@ func TestRunUpdateEndToEnd(t *testing.T) {
 
 	upd := base
 	upd.update = true
-	upd.storeDir = storeDir
+	upd.StoreDir = storeDir
 	upd.stats = true
 	upd.removePaths = []string{"/db/rec[3]"}
 	var updOut, updErr bytes.Buffer
@@ -305,7 +317,7 @@ func TestRunUpdateEndToEnd(t *testing.T) {
 	// persisted come back from disk — the restart-replay path.
 	upd2 := base
 	upd2.update = true
-	upd2.storeDir = storeDir
+	upd2.StoreDir = storeDir
 	upd2.stats = true
 	upd2.removePaths = []string{"0:/db/rec[2]"} // Gamma Delta, source-qualified
 	var upd2Out, upd2Err bytes.Buffer
@@ -322,7 +334,7 @@ func TestRunUpdateEndToEnd(t *testing.T) {
 	// Bad removals fail with actionable errors.
 	bad := base
 	bad.update = true
-	bad.storeDir = storeDir
+	bad.StoreDir = storeDir
 	bad.removePaths = []string{"/db/rec[99]"}
 	if err := run(bad, nil, &out, &out); err == nil || !strings.Contains(err.Error(), "no live candidate") {
 		t.Fatalf("unknown -remove path: %v", err)
@@ -353,16 +365,18 @@ func TestRunUpdateJSONCandidateCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := options{
-		mapFile: mapPath, typeName: "REC", heuristic: "rd:1",
-		ttuple: 0.30, tcand: 0.55, format: "json",
-		store: storeDisk, storeDir: storeDir,
+		Options: cliopt.Options{
+			MapFile: mapPath, TypeName: "REC", Heuristic: "rd:1", TTuple: 0.30, TCand: 0.55,
+			Store: cliopt.StoreDisk, StoreDir: storeDir,
+		},
+		format: "json",
 	}
 	var out bytes.Buffer
 	if err := run(base, []string{docPath}, &out, &out); err != nil {
 		t.Fatal(err)
 	}
 	upd := base
-	upd.store, upd.storeDir = "", storeDir
+	upd.Store, upd.StoreDir = "", storeDir
 	upd.update = true
 	upd.removePaths = []string{"/db/rec[3]"}
 	var updOut, updErr bytes.Buffer
@@ -397,8 +411,8 @@ func TestRunDistStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := options{
-		mapFile: mapPath, typeName: "REC", heuristic: "rd:1",
-		ttuple: 0.30, tcand: 0.55, format: "xml", stats: true,
+		Options: cliopt.Options{MapFile: mapPath, TypeName: "REC", Heuristic: "rd:1", TTuple: 0.30, TCand: 0.55},
+		format:  "xml", stats: true,
 	}
 
 	var memOut, memErr bytes.Buffer
@@ -410,8 +424,8 @@ func TestRunDistStore(t *testing.T) {
 	}
 	for _, parts := range []int{1, 3} {
 		opts := base
-		opts.store = storeDist
-		opts.partitions = parts
+		opts.Store = cliopt.StoreDist
+		opts.Partitions = parts
 		var out, errOut bytes.Buffer
 		if err := run(opts, []string{docPath}, &out, &errOut); err != nil {
 			t.Fatalf("partitions=%d: %v", parts, err)
@@ -431,8 +445,8 @@ func TestRunDistStore(t *testing.T) {
 
 	// A dead remote member fails fast at store construction.
 	opts := base
-	opts.store = storeDist
-	opts.partAddrs = "127.0.0.1:1" // nothing listens on port 1
+	opts.Store = cliopt.StoreDist
+	opts.PartitionAddrs = "127.0.0.1:1" // nothing listens on port 1
 	var out bytes.Buffer
 	if err := run(opts, []string{docPath}, &out, &out); err == nil || !strings.Contains(err.Error(), "dial") {
 		t.Fatalf("dead partition address: err = %v, want dial failure", err)

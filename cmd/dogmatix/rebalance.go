@@ -3,8 +3,7 @@ package main
 // `dogmatix rebalance` re-partitions a persisted federation without
 // re-ingesting any document:
 //
-//	dogmatix rebalance -from DIR -to ROOT -partitions N [-hash-seed S] \
-//	                   [-spill-ods] [-rpc-timeout D]
+//	dogmatix rebalance -from DIR -to ROOT -partitions N [-hash-seed S]
 //
 // -from is either a federation snapshot directory (the output of a
 // -store dist save) or a daemon -snapshot-root (its last committed
@@ -36,7 +35,6 @@ func runRebalance(args []string, stdout, stderr io.Writer) error {
 		to         = fs.String("to", "", "destination federation root; must not already hold a committed snapshot (required)")
 		partitions = fs.Int("partitions", 0, "partition count of the rebalanced federation (required)")
 		hashSeed   = fs.Uint64("hash-seed", 0, "routing hash seed of the rebalanced federation")
-		spillODs   = fs.Bool("spill-ods", false, "keep the source coordinator's OD directory on disk behind an LRU instead of materializing it")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -59,9 +57,9 @@ func runRebalance(args []string, stdout, stderr io.Writer) error {
 	var fed *od.PartitionedStore
 	var err error
 	if _, serr := os.Stat(filepath.Join(*from, "CURRENT")); serr == nil {
-		_, fed, err = api.OpenFederationDirWith(*from, od.OpenOptions{SpillODs: *spillODs})
+		_, fed, err = api.OpenFederationDir(*from)
 	} else {
-		fed, err = od.OpenPartitionedWith(*from, od.OpenOptions{SpillODs: *spillODs})
+		fed, err = od.OpenPartitioned(*from)
 	}
 	if err != nil {
 		return fmt.Errorf("rebalance: open source federation: %w", err)

@@ -106,11 +106,10 @@ func TestRunRebalance(t *testing.T) {
 	assertFedsAgree(t, "cli-3to5", fed, fresh)
 
 	// Second hop: -from is now a federation root with a CURRENT
-	// pointer, exercising the daemon-snapshot-root branch (and the
-	// spilled open of the source).
+	// pointer, exercising the daemon-snapshot-root branch.
 	root2 := filepath.Join(t.TempDir(), "fed2")
 	out.Reset()
-	if err := runRebalance([]string{"-from", root, "-to", root2, "-partitions", "2", "-spill-ods"}, &out, &errOut); err != nil {
+	if err := runRebalance([]string{"-from", root, "-to", root2, "-partitions", "2"}, &out, &errOut); err != nil {
 		t.Fatalf("rebalance 5->2: %v\n%s", err, errOut.String())
 	}
 	_, fed2, err := api.OpenFederationDir(root2)
@@ -137,6 +136,7 @@ func TestRunRebalanceValidation(t *testing.T) {
 		"wide hash seed":    {"-from", srcDir, "-to", filepath.Join(srcDir, "out"), "-partitions", "2", "-hash-seed", "4294967296"},
 		"stray operand":     {"-from", srcDir, "-to", filepath.Join(srcDir, "out"), "-partitions", "2", "extra"},
 		"empty source":      {"-from", filepath.Join(srcDir, "void"), "-to", filepath.Join(srcDir, "out"), "-partitions", "2"},
+		"spill-ods removed": {"-from", srcDir, "-to", filepath.Join(srcDir, "out"), "-partitions", "2", "-spill-ods"},
 	} {
 		if err := runRebalance(args, &out, &errOut); err == nil {
 			t.Errorf("%s: runRebalance accepted %v", name, args)

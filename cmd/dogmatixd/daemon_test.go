@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -17,13 +18,13 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/api/client"
+	"repro/internal/cliopt"
 	"repro/internal/datagen"
 )
 
 func baseOpts() options {
 	return options{
-		mapFile: "m.txt", typeName: "DISC",
-		heuristic: "kd:6", ttuple: 0.15, tcand: 0.55,
+		Options:    cliopt.Options{MapFile: "m.txt", TypeName: "DISC", Heuristic: "kd:6", TTuple: 0.15, TCand: 0.55},
 		queueDepth: 16, drainTimeout: 30 * time.Second,
 	}
 }
@@ -38,93 +39,79 @@ func TestValidate(t *testing.T) {
 		wantErr   string // substring; "" = valid
 		wantStore string // resolved backend when valid
 	}{
-		{name: "build-defaults-mem", docs: 1, wantStore: storeMem},
-		{name: "partitions-imply-dist", mutate: func(o *options) { o.partitions = 3 }, docs: 1, wantStore: storeDist},
-		{name: "serve-defaults-disk", mutate: func(o *options) { o.storeDir = "d" }, wantStore: storeDisk},
-		{name: "serve-snapshot-root-implies-dist", mutate: func(o *options) { o.snapshotRoot = "r" }, wantStore: storeDist},
-		{name: "missing-map", mutate: func(o *options) { o.mapFile = "" }, docs: 1, wantErr: "-map and -type"},
-		{name: "missing-type", mutate: func(o *options) { o.typeName = "" }, docs: 1, wantErr: "-map and -type"},
-		{name: "unknown-store", mutate: func(o *options) { o.store = "bolt" }, docs: 1, wantErr: `unknown -store "bolt"`},
-		{name: "sharded-store-removed", mutate: func(o *options) { o.store = "sharded" }, docs: 1, wantErr: `unknown -store "sharded" (want mem, disk or dist)`},
+		{name: "build-defaults-mem", docs: 1, wantStore: cliopt.StoreMem},
+		{name: "partitions-imply-dist", mutate: func(o *options) { o.Partitions = 3 }, docs: 1, wantStore: cliopt.StoreDist},
+		{name: "serve-defaults-disk", mutate: func(o *options) { o.StoreDir = "d" }, wantStore: cliopt.StoreDisk},
+		{name: "serve-snapshot-root-implies-dist", mutate: func(o *options) { o.snapshotRoot = "r" }, wantStore: cliopt.StoreDist},
+		{name: "missing-map", mutate: func(o *options) { o.MapFile = "" }, docs: 1, wantErr: "-map and -type"},
+		{name: "missing-type", mutate: func(o *options) { o.TypeName = "" }, docs: 1, wantErr: "-map and -type"},
+		{name: "unknown-store", mutate: func(o *options) { o.Store = "bolt" }, docs: 1, wantErr: `unknown -store "bolt"`},
+		{name: "sharded-store-removed", mutate: func(o *options) { o.Store = "sharded" }, docs: 1, wantErr: `unknown -store "sharded" (want mem, disk or dist)`},
 		{name: "bad-queue-depth", mutate: func(o *options) { o.queueDepth = 0 }, docs: 1, wantErr: "-queue-depth"},
 		{name: "bad-drain-timeout", mutate: func(o *options) { o.drainTimeout = 0 }, docs: 1, wantErr: "-drain-timeout"},
 		{name: "partitions-and-addrs", mutate: func(o *options) {
-			o.partitions = 2
-			o.partAddrs = "h:1"
+			o.Partitions = 2
+			o.PartitionAddrs = "h:1"
 		}, docs: 1, wantErr: "exclusive"},
 		{name: "partitions-on-mem", mutate: func(o *options) {
-			o.store = storeMem
-			o.partitions = 2
+			o.Store = cliopt.StoreMem
+			o.Partitions = 2
 		}, docs: 1, wantErr: "only apply to -store dist"},
 		{name: "snapshot-root-on-disk", mutate: func(o *options) {
-			o.store = storeDisk
-			o.storeDir = "d"
+			o.Store = cliopt.StoreDisk
+			o.StoreDir = "d"
 			o.snapshotRoot = "r"
 		}, docs: 1, wantErr: "-snapshot-root only applies"},
 		{name: "dist-reuse-index", mutate: func(o *options) {
-			o.store = storeDist
-			o.reuseIndex = true
-			o.storeDir = "d"
+			o.Store = cliopt.StoreDist
+			o.ReuseIndex = true
+			o.StoreDir = "d"
 		}, docs: 1, wantErr: "-reuse-index"},
 		{name: "dist-store-dir", mutate: func(o *options) {
-			o.store = storeDist
-			o.storeDir = "d"
+			o.Store = cliopt.StoreDist
+			o.StoreDir = "d"
 		}, docs: 1, wantErr: "-store-dir does not apply"},
-		{name: "dist-serve-without-root", mutate: func(o *options) { o.store = storeDist }, wantErr: "needs -snapshot-root"},
+		{name: "dist-serve-without-root", mutate: func(o *options) { o.Store = cliopt.StoreDist }, wantErr: "needs -snapshot-root"},
 		{name: "dist-serve-with-partitions", mutate: func(o *options) {
-			o.store = storeDist
+			o.Store = cliopt.StoreDist
 			o.snapshotRoot = "r"
-			o.partitions = 2
+			o.Partitions = 2
 		}, wantErr: "only apply when building"},
-		{name: "disk-without-dir", mutate: func(o *options) { o.store = storeDisk }, docs: 1, wantErr: "needs -store-dir"},
-		{name: "reuse-without-dir", mutate: func(o *options) { o.reuseIndex = true }, docs: 1, wantErr: "-reuse-index needs -store-dir"},
+		{name: "disk-without-dir", mutate: func(o *options) { o.Store = cliopt.StoreDisk }, docs: 1, wantErr: "needs -store-dir"},
+		{name: "reuse-without-dir", mutate: func(o *options) { o.ReuseIndex = true }, docs: 1, wantErr: "-reuse-index needs -store-dir"},
 		{name: "reuse-without-docs", mutate: func(o *options) {
-			o.reuseIndex = true
-			o.storeDir = "d"
+			o.ReuseIndex = true
+			o.StoreDir = "d"
 		}, wantErr: "needs input documents"},
-		{name: "serve-mem", mutate: func(o *options) { o.store = storeMem }, wantErr: "no persisted state"},
-		{name: "stray-store-dir", mutate: func(o *options) { o.storeDir = "d" }, docs: 1, wantErr: "-store-dir is set"},
-		{name: "bad-mmap", mutate: func(o *options) {
-			o.mmap = "sometimes"
-			o.storeDir = "d"
-			o.store = storeDisk
-		}, docs: 1, wantErr: "-mmap"},
-		{name: "dist-build-defaults-partitions", mutate: func(o *options) { o.store = storeDist }, docs: 1, wantStore: storeDist},
+		{name: "serve-mem", mutate: func(o *options) { o.Store = cliopt.StoreMem }, wantErr: "no persisted state"},
+		{name: "stray-store-dir", mutate: func(o *options) { o.StoreDir = "d" }, docs: 1, wantErr: "-store-dir is set"},
+		{name: "dist-build-defaults-partitions", mutate: func(o *options) { o.Store = cliopt.StoreDist }, docs: 1, wantStore: cliopt.StoreDist},
 		{name: "replicas-build-dist", mutate: func(o *options) {
-			o.partitions = 2
-			o.replicas = 1
-		}, docs: 1, wantStore: storeDist},
+			o.Partitions = 2
+			o.Replicas = 1
+		}, docs: 1, wantStore: cliopt.StoreDist},
 		{name: "negative-replicas", mutate: func(o *options) {
-			o.partitions = 2
-			o.replicas = -1
+			o.Partitions = 2
+			o.Replicas = -1
 		}, docs: 1, wantErr: "cannot be negative"},
 		{name: "replicas-and-addrs", mutate: func(o *options) {
-			o.partitions = 2
-			o.replicas = 1
-			o.replicaAddrs = "h:1"
+			o.Partitions = 2
+			o.Replicas = 1
+			o.ReplicaAddrs = "h:1"
 		}, docs: 1, wantErr: "exclusive"},
 		{name: "replicas-on-mem", mutate: func(o *options) {
-			o.store = storeMem
-			o.replicas = 1
+			o.Store = cliopt.StoreMem
+			o.Replicas = 1
 		}, docs: 1, wantErr: "only apply to -store dist"},
 		{name: "replica-addrs-on-disk", mutate: func(o *options) {
-			o.store = storeDisk
-			o.storeDir = "d"
-			o.replicaAddrs = "h:1"
+			o.Store = cliopt.StoreDisk
+			o.StoreDir = "d"
+			o.ReplicaAddrs = "h:1"
 		}, docs: 1, wantErr: "only apply to -store dist"},
-		{name: "spill-ods-serve-dist", mutate: func(o *options) {
-			o.snapshotRoot = "r"
-			o.spillODs = true
-		}, wantStore: storeDist},
-		{name: "spill-ods-on-build", mutate: func(o *options) {
-			o.store = storeDist
-			o.spillODs = true
-		}, docs: 1, wantErr: "-spill-ods only applies"},
-		{name: "spill-ods-on-disk", mutate: func(o *options) {
-			o.store = storeDisk
-			o.storeDir = "d"
-			o.spillODs = true
-		}, docs: 1, wantErr: "-spill-ods only applies"},
+		{name: "rpc-timeout-without-dist", mutate: func(o *options) {
+			o.Store = cliopt.StoreMem
+			o.RPCTimeout = 5 * time.Second
+		}, docs: 1, wantErr: "-rpc-timeout only applies to -store dist"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,20 +130,39 @@ func TestValidate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("validate() err = %v", err)
 			}
-			if o.store != tc.wantStore {
-				t.Fatalf("resolved store = %q, want %q", o.store, tc.wantStore)
+			if o.Store != tc.wantStore {
+				t.Fatalf("resolved store = %q, want %q", o.Store, tc.wantStore)
+			}
+		})
+	}
+
+	// The deleted -mmap and -spill-ods flags fail at parse time, before
+	// validation.
+	for name, args := range map[string][]string{
+		"bad-mmap":             {"-store", "disk", "-store-dir", "d", "-mmap", "off", "a.xml"},
+		"spill-ods-serve-dist": {"-snapshot-root", "r", "-spill-ods"},
+		"spill-ods-on-build":   {"-store", "dist", "-spill-ods", "a.xml"},
+		"spill-ods-on-disk":    {"-store", "disk", "-store-dir", "d", "-spill-ods", "a.xml"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var o options
+			fs := flag.NewFlagSet("dogmatixd", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			o.register(fs)
+			if err := fs.Parse(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+				t.Fatalf("parse %v = %v, want the undefined-flag error", args, err)
 			}
 		})
 	}
 
 	t.Run("dist-build-partition-default", func(t *testing.T) {
 		o := baseOpts()
-		o.store = storeDist
+		o.Store = cliopt.StoreDist
 		if err := o.validate([]string{"a.xml"}); err != nil {
 			t.Fatal(err)
 		}
-		if o.partitions != 2 {
-			t.Fatalf("dist build defaulted to %d partitions, want 2", o.partitions)
+		if o.Partitions != 2 {
+			t.Fatalf("dist build defaulted to %d partitions, want 2", o.Partitions)
 		}
 	})
 }
@@ -199,7 +205,7 @@ func TestBuildServeRestartDisk(t *testing.T) {
 	}
 
 	opts := baseOpts()
-	opts.mapFile, opts.store, opts.storeDir = mapFile, storeDisk, storeDir
+	opts.MapFile, opts.Store, opts.StoreDir = mapFile, cliopt.StoreDisk, storeDir
 	b, err := buildService(opts, []string{docFile})
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +275,7 @@ func TestBuildServeRestartDisk(t *testing.T) {
 	// A daemon restart against a snapshot built for a different θtuple
 	// must refuse rather than serve inconsistent indexes.
 	wrongTheta := opts
-	wrongTheta.ttuple = 0.3
+	wrongTheta.TTuple = 0.3
 	if _, err := buildService(wrongTheta, nil); err == nil || !strings.Contains(err.Error(), "ttuple") {
 		t.Errorf("theta-mismatch restart err = %v", err)
 	}
@@ -277,17 +283,16 @@ func TestBuildServeRestartDisk(t *testing.T) {
 
 // TestBuildServeDistReplicas boots the distributed daemon with one
 // loopback replica per partition, checks the replica surface of
-// /healthz and /metrics, then restarts from the committed generation
-// with -spill-ods — the serve path hydrates fresh replicas from the
-// reopened primaries.
+// /healthz and /metrics, then restarts from the committed generation —
+// the serve path hydrates fresh replicas from the reopened primaries.
 func TestBuildServeDistReplicas(t *testing.T) {
 	mapFile, docFile := writeFixtureFiles(t)
 	root := filepath.Join(t.TempDir(), "fed")
 	ctx := context.Background()
 
 	opts := baseOpts()
-	opts.mapFile, opts.store, opts.snapshotRoot = mapFile, storeDist, root
-	opts.replicas = 1
+	opts.MapFile, opts.Store, opts.snapshotRoot = mapFile, cliopt.StoreDist, root
+	opts.Replicas = 1
 	b, err := buildService(opts, []string{docFile})
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +328,6 @@ func TestBuildServeDistReplicas(t *testing.T) {
 	ts.Close()
 	b.cleanup()
 
-	opts.spillODs = true
 	b2, err := buildService(opts, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +367,7 @@ func TestBuildServeRestartDist(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "fed")
 
 	opts := baseOpts()
-	opts.mapFile, opts.store, opts.snapshotRoot = mapFile, storeDist, root
+	opts.MapFile, opts.Store, opts.snapshotRoot = mapFile, cliopt.StoreDist, root
 	b, err := buildService(opts, []string{docFile})
 	if err != nil {
 		t.Fatal(err)

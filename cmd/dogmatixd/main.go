@@ -9,7 +9,7 @@
 //	          [-tcand 0.55] [-filter] [-workers 4] \
 //	          [-store mem|disk|dist] \
 //	          [-partitions 3 | -partition-addrs H1:P1,H2:P2] \
-//	          [-replicas 1 | -replica-addrs R1a;R1b,R2] [-spill-ods] \
+//	          [-replicas 1 | -replica-addrs R1a;R1b,R2] \
 //	          [-store-dir DIR] [-reuse-index] [-snapshot-root DIR] \
 //	          [-queue-depth 16] [-drain-timeout 30s] \
 //	          [doc1.xml doc2.xml ...]
@@ -55,188 +55,80 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/cliopt"
 	"repro/internal/core"
-	"repro/internal/heuristics"
-	"repro/internal/od"
-	"repro/internal/od/odcodec"
-	"repro/internal/od/odrpc"
-	"repro/internal/xmltree"
-	"repro/internal/xsd"
 )
 
 func main() {
-	var (
-		addr         = flag.String("addr", "127.0.0.1:7497", "HTTP listen address")
-		mapFile      = flag.String("map", "", "mapping file (required)")
-		typeName     = flag.String("type", "", "real-world type to deduplicate (required)")
-		xsdFile      = flag.String("schema", "", "XSD schema file (default: infer per document)")
-		heuristic    = flag.String("heuristic", "kd:6", "description heuristic spec (see internal/heuristics.ParseSpec)")
-		ttuple       = flag.Float64("ttuple", 0.15, "OD tuple similarity threshold θtuple")
-		tcand        = flag.Float64("tcand", 0.55, "duplicate classification threshold θcand")
-		useFilter    = flag.Bool("filter", false, "enable the Step 4 object filter")
-		workers      = flag.Int("workers", 0, "worker goroutines for Steps 4/5 (0 = GOMAXPROCS)")
-		store        = flag.String("store", "", "OD store backend: mem | disk | dist (defaults like the dogmatix CLI)")
-		partitions   = flag.Int("partitions", 0, "in-process partition count for the distributed store")
-		partAddrs    = flag.String("partition-addrs", "", "comma-separated odrpc server addresses for the distributed store")
-		replicas     = flag.Int("replicas", 0, "loopback replica members per partition for the distributed store")
-		replicaAddrs = flag.String("replica-addrs", "", "odrpc replica addresses per partition: groups comma-separated and aligned with the partitions, members within a group separated by ';'")
-		spillODs     = flag.Bool("spill-ods", false, "with -store dist serving a snapshot: keep the coordinator OD directory on disk behind an LRU instead of materializing it")
-		storeDir     = flag.String("store-dir", "", "disk-store segment / snapshot directory")
-		mmap         = flag.String("mmap", "auto", "disk-store segment access: auto | on | off")
-		reuseIndex   = flag.Bool("reuse-index", false, "warm-start from a matching snapshot in -store-dir (and save one after a fresh build)")
-		snapshotRoot = flag.String("snapshot-root", "", "with -store dist: root directory for generation-numbered federation snapshots")
-		rpcTimeout   = flag.Duration("rpc-timeout", odrpc.DefaultTimeout, "per-call deadline on dist federation members")
-		queueDepth   = flag.Int("queue-depth", 16, "max queued update submissions before 503 queue_full")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget for draining queries and queued updates")
-	)
+	var opts options
+	opts.register(flag.CommandLine)
 	flag.Parse()
-	opts := options{
-		addr: *addr, mapFile: *mapFile, typeName: *typeName, xsdFile: *xsdFile,
-		heuristic: *heuristic, ttuple: *ttuple, tcand: *tcand,
-		useFilter: *useFilter, workers: *workers,
-		store: *store, partitions: *partitions, partAddrs: *partAddrs,
-		replicas: *replicas, replicaAddrs: *replicaAddrs, spillODs: *spillODs,
-		storeDir: *storeDir, mmap: *mmap, reuseIndex: *reuseIndex,
-		snapshotRoot: *snapshotRoot, rpcTimeout: *rpcTimeout,
-		queueDepth: *queueDepth, drainTimeout: *drainTimeout,
-	}
 	if err := run(opts, flag.Args(), os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "dogmatixd:", err)
 		os.Exit(1)
 	}
 }
 
+// options are the shared flags plus the daemon's own.
 type options struct {
-	addr                       string
-	mapFile, typeName, xsdFile string
-	heuristic                  string
-	ttuple, tcand              float64
-	useFilter                  bool
-	workers, partitions        int
-	store, storeDir, partAddrs string
-	replicas                   int
-	replicaAddrs               string
-	spillODs                   bool
-	mmap                       string
-	reuseIndex                 bool
-	snapshotRoot               string
-	rpcTimeout                 time.Duration
-	queueDepth                 int
-	drainTimeout               time.Duration
-
-	mmapMode odcodec.MmapMode
+	cliopt.Options
+	addr         string
+	snapshotRoot string
+	queueDepth   int
+	drainTimeout time.Duration
 }
 
-// Store backend names, matching the dogmatix CLI.
-const (
-	storeMem  = "mem"
-	storeDisk = "disk"
-	storeDist = "dist"
-)
+// register defines the shared flags and the daemon's own on fs.
+func (o *options) register(fs *flag.FlagSet) {
+	o.Register(fs)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7497", "HTTP listen address")
+	fs.StringVar(&o.snapshotRoot, "snapshot-root", "", "with -store dist: root directory for generation-numbered federation snapshots")
+	fs.IntVar(&o.queueDepth, "queue-depth", 16, "max queued update submissions before 503 queue_full")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful shutdown budget for draining queries and queued updates")
+}
 
 // validate resolves defaults and rejects bad flag combinations before
-// anything is opened, mirroring the CLI's rules plus the daemon's
-// serve-without-documents modes.
+// anything is opened: the shared rules in cliopt.Options.Validate plus
+// the daemon's serve-without-documents modes, where an empty -store
+// resolves to dist with -snapshot-root or partition flags, and to disk
+// otherwise.
 func (o *options) validate(docs []string) error {
-	if o.mapFile == "" || o.typeName == "" {
-		return fmt.Errorf("-map and -type are required")
-	}
-	if o.workers < 0 || o.partitions < 0 || o.replicas < 0 {
-		return fmt.Errorf("-workers/-partitions/-replicas cannot be negative")
-	}
-	if o.partitions > 0 && o.partAddrs != "" {
-		return fmt.Errorf("-partitions and -partition-addrs are exclusive")
-	}
-	if o.replicas > 0 && o.replicaAddrs != "" {
-		return fmt.Errorf("-replicas and -replica-addrs are exclusive")
-	}
 	if o.queueDepth < 1 {
 		return fmt.Errorf("-queue-depth %d < 1", o.queueDepth)
 	}
 	if o.drainTimeout <= 0 {
 		return fmt.Errorf("-drain-timeout %v must be positive", o.drainTimeout)
 	}
-	if o.rpcTimeout < 0 {
-		return fmt.Errorf("-rpc-timeout %v is negative", o.rpcTimeout)
-	}
-	if o.rpcTimeout == 0 {
-		o.rpcTimeout = odrpc.DefaultTimeout
-	}
-	if o.store == "" {
-		switch {
-		case o.partitions > 0 || o.partAddrs != "" || (len(docs) == 0 && o.snapshotRoot != ""):
-			o.store = storeDist
-		case len(docs) == 0:
-			o.store = storeDisk
-		default:
-			o.store = storeMem
+	serving := len(docs) == 0
+	if serving && o.Store == "" {
+		o.Store = cliopt.StoreDisk
+		if o.snapshotRoot != "" || o.Partitions > 0 || o.PartitionAddrs != "" {
+			o.Store = cliopt.StoreDist
 		}
 	}
-	switch o.store {
-	case storeMem, storeDisk, storeDist:
-	default:
-		return fmt.Errorf("unknown -store %q (want %s, %s or %s)", o.store, storeMem, storeDisk, storeDist)
+	// Checked before the shared rules default a dist store's partitions.
+	if serving && o.Store == cliopt.StoreDist && (o.Partitions > 0 || o.PartitionAddrs != "") {
+		return fmt.Errorf("-partitions/-partition-addrs only apply when building; serving reopens the members persisted under -snapshot-root")
 	}
-	if o.store != storeDist && (o.partitions > 0 || o.partAddrs != "") {
-		return fmt.Errorf("-partitions/-partition-addrs only apply to -store dist, not %q", o.store)
+	if err := o.Options.Validate(); err != nil {
+		return err
 	}
-	if o.store != storeDist && (o.replicas > 0 || o.replicaAddrs != "") {
-		return fmt.Errorf("-replicas/-replica-addrs only apply to -store dist, not %q", o.store)
-	}
-	if o.spillODs && (o.store != storeDist || len(docs) > 0) {
-		return fmt.Errorf("-spill-ods only applies to -store dist serving an existing snapshot")
-	}
-	if o.snapshotRoot != "" && o.store != storeDist {
+	switch {
+	case o.snapshotRoot != "" && o.Store != cliopt.StoreDist:
 		return fmt.Errorf("-snapshot-root only applies to -store dist (disk snapshots live in -store-dir)")
+	case !serving:
+		return nil
+	case o.ReuseIndex:
+		return fmt.Errorf("-reuse-index rebuilds on a snapshot miss and so needs input documents; to serve an existing snapshot, drop it")
+	case o.Store == cliopt.StoreMem:
+		return fmt.Errorf("no input documents: -store %s has no persisted state to serve", o.Store)
+	case o.Store == cliopt.StoreDist && o.snapshotRoot == "":
+		return fmt.Errorf("no input documents: a dist daemon needs -snapshot-root with a committed snapshot to serve")
 	}
-	if o.store == storeDist {
-		if o.reuseIndex {
-			return fmt.Errorf("-reuse-index snapshots a single disk directory; a dist daemon persists under -snapshot-root")
-		}
-		if o.storeDir != "" {
-			return fmt.Errorf("-store-dir does not apply to -store dist; use -snapshot-root")
-		}
-		if len(docs) == 0 {
-			if o.snapshotRoot == "" {
-				return fmt.Errorf("no input documents: a dist daemon needs -snapshot-root with a committed snapshot to serve")
-			}
-			if o.partitions > 0 || o.partAddrs != "" {
-				return fmt.Errorf("-partitions/-partition-addrs only apply when building; serving reopens the members persisted under -snapshot-root")
-			}
-		} else if o.partitions == 0 && o.partAddrs == "" {
-			o.partitions = 2
-		}
-	}
-	if o.store == storeDisk && o.storeDir == "" {
-		return fmt.Errorf("-store disk needs -store-dir")
-	}
-	if o.reuseIndex {
-		if o.storeDir == "" {
-			return fmt.Errorf("-reuse-index needs -store-dir")
-		}
-		if len(docs) == 0 {
-			return fmt.Errorf("-reuse-index rebuilds on a snapshot miss and so needs input documents; to serve an existing snapshot, drop it")
-		}
-	}
-	if len(docs) == 0 && o.store != storeDisk && o.store != storeDist {
-		return fmt.Errorf("no input documents: -store %s has no persisted state to serve", o.store)
-	}
-	if o.storeDir != "" && o.store != storeDisk && !o.reuseIndex {
-		return fmt.Errorf("-store-dir is set but neither -store disk nor -reuse-index uses it")
-	}
-	if o.mmap == "" {
-		o.mmap = "auto"
-	}
-	mode, err := odcodec.ParseMmapMode(o.mmap)
-	if err != nil {
-		return fmt.Errorf("-mmap: %w", err)
-	}
-	o.mmapMode = mode
 	return nil
 }
 
@@ -254,60 +146,31 @@ func buildService(opts options, docs []string) (*boot, error) {
 	if err := opts.validate(docs); err != nil {
 		return nil, err
 	}
-	mf, err := os.Open(opts.mapFile)
+	mapping, cfg, schema, err := opts.Load()
 	if err != nil {
 		return nil, err
 	}
-	mapping, err := core.ParseMapping(mf)
-	mf.Close()
-	if err != nil {
-		return nil, err
-	}
-	h, err := heuristics.ParseSpec(opts.heuristic)
-	if err != nil {
-		return nil, err
-	}
-	var schema *xsd.Schema
-	if opts.xsdFile != "" {
-		sf, err := os.Open(opts.xsdFile)
-		if err != nil {
-			return nil, err
-		}
-		schema, err = xsd.Parse(sf)
-		sf.Close()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	cfg := core.Config{
-		Heuristic:  h,
-		ThetaTuple: opts.ttuple,
-		ThetaCand:  opts.tcand,
-		UseFilter:  opts.useFilter,
-		Workers:    opts.workers,
-		// The daemon always records replay traces: every POSTed batch
-		// should patch instead of recomparing the whole corpus.
-		Incremental: true,
-	}
+	// The daemon always records replay traces: every POSTed batch should
+	// patch instead of recomparing the whole corpus.
+	cfg.Incremental = true
 	svcCfg := api.Config{Schema: schema, QueueDepth: opts.queueDepth}
 	cleanup := func() {}
 
 	if len(docs) == 0 {
 		// Serve persisted state.
 		var res *core.Result
-		if opts.store == storeDist {
-			fdir, fed, err := api.OpenFederationDirWith(opts.snapshotRoot, od.OpenOptions{SpillODs: opts.spillODs})
+		if opts.Store == cliopt.StoreDist {
+			fdir, fed, err := api.OpenFederationDir(opts.snapshotRoot)
 			if err != nil {
 				return nil, err
 			}
 			// Post-open attachment hydrates every replica from its group
 			// before the daemon serves a single request.
-			if err := attachReplicas(fed, opts); err != nil {
+			if err := opts.AttachReplicas(fed); err != nil {
 				fed.Close()
 				return nil, err
 			}
-			res, err = core.Adopt(opts.typeName, fed)
+			res, err = core.Adopt(opts.TypeName, fed)
 			if err != nil {
 				fed.Close()
 				return nil, err
@@ -315,21 +178,12 @@ func buildService(opts options, docs []string) (*boot, error) {
 			svcCfg.Persist = fdir.Persist
 			cleanup = func() { fed.Close() }
 		} else {
-			ds, err := od.OpenDiskStoreWith(opts.storeDir, od.DiskOptions{Mmap: opts.mmapMode})
+			ds, adopted, err := opts.AdoptSnapshot()
 			if err != nil {
-				return nil, fmt.Errorf("open index snapshot in %s: %w (build one first: dogmatix -store disk -store-dir %s)",
-					opts.storeDir, err, opts.storeDir)
-			}
-			if got := ds.Theta(); got != opts.ttuple {
-				ds.Close()
-				return nil, fmt.Errorf("snapshot in %s was built for -ttuple %v, daemon requests %v", opts.storeDir, got, opts.ttuple)
-			}
-			res, err = core.Adopt(opts.typeName, ds)
-			if err != nil {
-				ds.Close()
 				return nil, err
 			}
-			cfg.Snapshot = &core.SnapshotOptions{Dir: opts.storeDir, Save: true, Disk: od.DiskOptions{Mmap: opts.mmapMode}}
+			res = adopted
+			cfg.Snapshot = &core.SnapshotOptions{Dir: opts.StoreDir, Save: true}
 			svcCfg.PipelinePersists = true
 			cleanup = func() { ds.Close() }
 		}
@@ -352,34 +206,20 @@ func buildService(opts options, docs []string) (*boot, error) {
 		svcCfg.Detector, svcCfg.Result = det, res
 	} else {
 		// Build the corpus at startup.
-		var inputs []core.SourceInput
-		for _, path := range docs {
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, err
-			}
-			doc, err := xmltree.Parse(f)
-			f.Close()
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
-			inputs = append(inputs, core.Source{Name: path, Doc: doc, Schema: schema})
+		inputs, err := cliopt.ParseDocs(docs, schema)
+		if err != nil {
+			return nil, err
 		}
-		var fed *od.PartitionedStore
-		switch opts.store {
-		case storeDisk:
-			cfg.NewStore = func() od.Store { return od.NewDiskStoreWith(opts.storeDir, od.DiskOptions{Mmap: opts.mmapMode}) }
-		case storeDist:
-			fed, err = buildFederation(opts)
-			if err != nil {
-				return nil, err
-			}
-			f := fed
-			cfg.NewStore = func() od.Store { return f }
-			cleanup = func() { f.Close() }
+		newStore, fed, err := opts.NewStore()
+		if err != nil {
+			return nil, err
 		}
-		if opts.store == storeDisk || opts.reuseIndex {
-			cfg.Snapshot = &core.SnapshotOptions{Dir: opts.storeDir, Reuse: opts.reuseIndex, Save: true, Disk: od.DiskOptions{Mmap: opts.mmapMode}}
+		cfg.NewStore = newStore
+		if fed != nil {
+			cleanup = func() { fed.Close() }
+		}
+		if opts.Store == cliopt.StoreDisk || opts.ReuseIndex {
+			cfg.Snapshot = &core.SnapshotOptions{Dir: opts.StoreDir, Reuse: opts.ReuseIndex, Save: true}
 			svcCfg.PipelinePersists = true
 		}
 		det, err := core.NewDetector(mapping, cfg)
@@ -387,12 +227,12 @@ func buildService(opts options, docs []string) (*boot, error) {
 			cleanup()
 			return nil, err
 		}
-		res, err := det.DetectInputs(opts.typeName, inputs...)
+		res, err := det.DetectInputs(opts.TypeName, inputs...)
 		if err != nil {
 			cleanup()
 			return nil, err
 		}
-		if opts.store == storeDist && opts.snapshotRoot != "" {
+		if opts.Store == cliopt.StoreDist && opts.snapshotRoot != "" {
 			fdir, err := api.CreateFederationDir(opts.snapshotRoot)
 			if err == nil {
 				// The freshly built corpus is generation 1: the daemon
@@ -414,113 +254,6 @@ func buildService(opts options, docs []string) (*boot, error) {
 		return nil, err
 	}
 	return &boot{svc: svc, cleanup: cleanup}, nil
-}
-
-// buildFederation mirrors the CLI: odrpc clients for every
-// -partition-addrs server, or -partitions loopback MemStore members.
-func buildFederation(opts options) (*od.PartitionedStore, error) {
-	var parts []od.Partition
-	if opts.partAddrs != "" {
-		for _, addr := range strings.Split(opts.partAddrs, ",") {
-			addr = strings.TrimSpace(addr)
-			if addr == "" {
-				return nil, fmt.Errorf("-partition-addrs contains an empty address")
-			}
-			c, err := odrpc.Dial(addr)
-			if err != nil {
-				for _, p := range parts {
-					p.Close()
-				}
-				return nil, err
-			}
-			c.Timeout = opts.rpcTimeout
-			parts = append(parts, c)
-		}
-	} else {
-		for i := 0; i < opts.partitions; i++ {
-			c := odrpc.NewLoopback(od.NewMemStore())
-			c.Timeout = opts.rpcTimeout
-			parts = append(parts, c)
-		}
-	}
-	fed := od.NewPartitionedStore(parts, 0)
-	// Pre-Finalize attachment: the replicas ride the build fan-out.
-	if err := attachReplicas(fed, opts); err != nil {
-		fed.Close()
-		return nil, err
-	}
-	return fed, nil
-}
-
-// replicaGroups builds the replica members the flags describe: either
-// -replicas loopback MemStore mirrors per partition, or -replica-addrs
-// dialed odrpc members (groups comma-separated and aligned with the
-// partitions, members within a group separated by ';'; an empty group
-// leaves that partition unreplicated). Returns nil when neither flag
-// is set.
-func replicaGroups(opts options, nparts int) ([][]od.Partition, error) {
-	if opts.replicas > 0 {
-		groups := make([][]od.Partition, nparts)
-		for i := range groups {
-			for r := 0; r < opts.replicas; r++ {
-				c := odrpc.NewLoopback(od.NewMemStore())
-				c.Timeout = opts.rpcTimeout
-				groups[i] = append(groups[i], c)
-			}
-		}
-		return groups, nil
-	}
-	if opts.replicaAddrs == "" {
-		return nil, nil
-	}
-	fields := strings.Split(opts.replicaAddrs, ",")
-	if len(fields) != nparts {
-		return nil, fmt.Errorf("-replica-addrs lists %d groups for %d partitions", len(fields), nparts)
-	}
-	groups := make([][]od.Partition, nparts)
-	closeAll := func() {
-		for _, g := range groups {
-			for _, p := range g {
-				p.Close()
-			}
-		}
-	}
-	for i, grp := range fields {
-		for _, addr := range strings.Split(grp, ";") {
-			addr = strings.TrimSpace(addr)
-			if addr == "" {
-				continue
-			}
-			c, err := odrpc.Dial(addr)
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-			c.Timeout = opts.rpcTimeout
-			groups[i] = append(groups[i], c)
-		}
-	}
-	return groups, nil
-}
-
-// attachReplicas wires the flag-described replica groups into fed. On
-// a finalized federation this hydrates each replica from its group; a
-// failure leaves fed serving exactly as before, so only the orphaned
-// replica connections need closing.
-func attachReplicas(fed *od.PartitionedStore, opts options) error {
-	groups, err := replicaGroups(opts, fed.NumPartitions())
-	if err != nil || groups == nil {
-		return err
-	}
-	if err := fed.AttachReplicas(groups); err != nil {
-		for _, g := range groups {
-			for _, p := range g {
-				p.Close()
-			}
-		}
-		return err
-	}
-	return nil
 }
 
 // Connection deadlines of the daemon's HTTP server. A request header

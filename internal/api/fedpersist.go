@@ -51,12 +51,6 @@ func CreateFederationDir(root string) (*FederationDir, error) {
 // OpenFederationDir reopens the last committed generation as a serving
 // federation and sweeps every uncommitted or superseded generation.
 func OpenFederationDir(root string) (*FederationDir, *od.PartitionedStore, error) {
-	return OpenFederationDirWith(root, od.OpenOptions{})
-}
-
-// OpenFederationDirWith is OpenFederationDir with open options (e.g.
-// spilling the coordinator OD directory to disk).
-func OpenFederationDirWith(root string, opts od.OpenOptions) (*FederationDir, *od.PartitionedStore, error) {
 	b, err := os.ReadFile(filepath.Join(root, currentFile))
 	if err != nil {
 		return nil, nil, fmt.Errorf("open federation root %s: %w", root, err)
@@ -66,7 +60,7 @@ func OpenFederationDirWith(root string, opts od.OpenOptions) (*FederationDir, *o
 	if err != nil || !strings.HasPrefix(name, "gen-") || gen < 1 {
 		return nil, nil, fmt.Errorf("federation root %s: corrupt CURRENT pointer %q", root, name)
 	}
-	fed, err := od.OpenPartitionedWith(filepath.Join(root, name), opts)
+	fed, err := od.OpenPartitioned(filepath.Join(root, name))
 	if err != nil {
 		return nil, nil, err
 	}

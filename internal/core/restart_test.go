@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -92,18 +93,39 @@ func assertReplayMatch(t *testing.T, restarted, inproc *core.Result) {
 	}
 }
 
+// requireMapped asserts that the snapshot in dir opens memory-mapped
+// under the default access mode on linux, and skips the test on other
+// platforms, where the reader may fall back to pread.
+func requireMapped(t *testing.T, dir string) {
+	t.Helper()
+	r, err := odcodec.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := r.MmapActive()
+	r.Close()
+	switch {
+	case mapped:
+	case runtime.GOOS == "linux":
+		t.Fatal("default access mode did not map the segments on linux")
+	default:
+		t.Skip("memory mapping unavailable on this platform")
+	}
+}
+
 // TestRestartReplayEquivalence: initial load + one in-process update
 // persist a snapshot with traces; a second process image reopens it,
 // adopts the traces, and applies the second update (with removals)
 // exactly like the chain that never restarted — across the identity
 // (DiskStore in its own directory) and export-compaction (MemStore)
-// save paths, and under both mmap modes.
+// save paths, and under both access modes: forced pread, and the
+// default held to the memory-mapped path on linux.
 func TestRestartReplayEquivalence(t *testing.T) {
 	type backend struct {
 		name     string
 		newStore func(t *testing.T, dir string) func() od.Store
 		open     od.DiskOptions
-		skipOn   bool // skip when forced mmap is unsupported
+		mapped   bool // the default mode must map on linux; skipped elsewhere
 	}
 	backends := []backend{
 		{name: "disk-identity", newStore: func(t *testing.T, dir string) func() od.Store {
@@ -115,7 +137,7 @@ func TestRestartReplayEquivalence(t *testing.T) {
 		}, open: od.DiskOptions{Mmap: odcodec.MmapOff}},
 		{name: "disk-mmap-on", newStore: func(t *testing.T, dir string) func() od.Store {
 			return func() od.Store { return od.NewDiskStore(dir) }
-		}, open: od.DiskOptions{Mmap: odcodec.MmapOn}, skipOn: true},
+		}, mapped: true},
 	}
 	for _, sc := range updateScenarios(t) {
 		for _, be := range backends {
@@ -170,11 +192,11 @@ func TestRestartReplayEquivalence(t *testing.T) {
 				}
 
 				// Restart side: reopen S1, adopt, update.
+				if be.mapped {
+					requireMapped(t, dirB)
+				}
 				store, err := od.OpenDiskStoreWith(dirB, be.open)
 				if err != nil {
-					if be.skipOn {
-						t.Skipf("forced mmap unsupported on this platform: %v", err)
-					}
 					t.Fatal(err)
 				}
 				adopted, err := core.Adopt(sc.typeName, store)

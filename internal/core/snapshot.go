@@ -30,11 +30,6 @@ type SnapshotOptions struct {
 	// Save persists the finalized indexes after a fresh build, stamped
 	// with the corpus fingerprint, so the next Reuse run warm-starts.
 	Save bool
-	// Disk tunes how the snapshot's segment files are accessed when a
-	// warm start or update run opens them (memory mapping, the
-	// neighborhood-index knob). The zero value is the default access
-	// configuration.
-	Disk od.DiskOptions
 }
 
 // fingerprintVersion invalidates all persisted fingerprints when the
@@ -159,7 +154,7 @@ func (p *pipelineRun) warmStart() (int, error) {
 	// Open before fingerprinting: the fingerprint reads every source end
 	// to end, so when no usable snapshot exists (or it carries no
 	// provenance) that corpus pass would be pure waste.
-	ds, err := od.OpenDiskStoreWith(p.d.cfg.Snapshot.Dir, p.d.cfg.Snapshot.Disk)
+	ds, err := od.OpenDiskStore(p.d.cfg.Snapshot.Dir)
 	if err != nil {
 		return 0, nil // no usable snapshot; rebuild
 	}

@@ -3,10 +3,23 @@ package od
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
-
-	"repro/internal/od/odcodec"
 )
+
+// requireMapped holds a test to the memory-mapped access path: the
+// default options must map the segments on linux; elsewhere, where the
+// reader may fall back to pread, the test is skipped.
+func requireMapped(tb testing.TB, disk *DiskStore) {
+	tb.Helper()
+	if disk.r.MmapActive() {
+		return
+	}
+	if runtime.GOOS == "linux" {
+		tb.Fatal("segments are not memory-mapped on linux")
+	}
+	tb.Skip("memory mapping unavailable on this platform")
+}
 
 // The disk tier's allocation contract on a finalized, memory-mapped
 // store: cache hits touch the heap not at all, and a similar-value miss
@@ -20,17 +33,18 @@ func TestDiskStoreAllocationGates(t *testing.T) {
 		opts DiskOptions
 		typ  string // indexed for "index", past the budget tier for "scan"
 	}{
-		{"index", DiskOptions{Mmap: odcodec.MmapOn}, "DID"},
-		{"scan", DiskOptions{Mmap: odcodec.MmapOn, DisableNeighborIndex: true}, "TRACK"},
+		{"index", DiskOptions{}, "DID"},
+		{"scan", DiskOptions{DisableNeighborIndex: true}, "TRACK"},
 	} {
 		t.Run(tier.name, func(t *testing.T) {
 			built := buildDisk(t, ods, 0.15)
 			built.Close()
 			disk, err := OpenDiskStoreWith(built.Dir(), tier.opts)
 			if err != nil {
-				t.Skipf("mmap unsupported on this platform: %v", err)
+				t.Fatal(err)
 			}
 			defer disk.Close()
+			requireMapped(t, disk)
 
 			var stored Tuple
 			for _, tp := range disk.OD(7).Tuples {
@@ -85,11 +99,12 @@ func TestDiskStoreResultsSurviveInPlaceSave(t *testing.T) {
 	ods := cdODs(120, 11)
 	built := buildDisk(t, ods[:100], 0.15)
 	built.Close()
-	disk, err := OpenDiskStoreWith(built.Dir(), DiskOptions{Mmap: odcodec.MmapOn})
+	disk, err := OpenDiskStore(built.Dir())
 	if err != nil {
-		t.Skipf("mmap unsupported on this platform: %v", err)
+		t.Fatal(err)
 	}
 	defer disk.Close()
+	requireMapped(t, disk)
 
 	type held struct {
 		od      *OD

@@ -33,7 +33,7 @@ import (
 // gate each value where it is stored — persisted rune length, then
 // signature and edit distance over the mapped bytes — so only a value
 // that matches is copied out and has its postings decoded. Segments are
-// memory-mapped when the platform allows it (DiskOptions.Mmap); nothing
+// memory-mapped when the platform allows it, with a pread fallback; nothing
 // the store returns or caches aliases the mapping, which an in-place
 // Save replaces under the live store. Finalize still materializes the
 // tables while building, so the build peak matches MemStore's — it is
@@ -113,8 +113,8 @@ var _ MutableStore = (*DiskStore)(nil)
 type DiskOptions struct {
 	// Mmap selects how segment bytes are read: memory-mapped when the
 	// platform supports it (MmapAuto, the default, with a transparent
-	// fallback to positioned reads), forced on (open fails where
-	// unsupported) or forced off.
+	// fallback to positioned reads), or by positioned reads only
+	// (MmapOff, the test seam for the fallback path).
 	Mmap odcodec.MmapMode
 	// DisableNeighborIndex forces every similar-value query onto the
 	// sequential segment scan even when the snapshot carries the

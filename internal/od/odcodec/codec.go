@@ -259,6 +259,20 @@ func (r *byteReader) count(cap int) (int, error) {
 	return int(v), nil
 }
 
+// presence decodes a 0/1 presence byte announcing an optional section;
+// a missing or other byte is corruption.
+func (r *byteReader) presence(section string) (bool, error) {
+	if r.pos >= len(r.buf) {
+		return false, corrupt(r.file, "payload ends before %s section", section)
+	}
+	b := r.buf[r.pos]
+	if b > 1 {
+		return false, corrupt(r.file, "bad %s presence byte %d", section, b)
+	}
+	r.pos++
+	return b == 1, nil
+}
+
 func (r *byteReader) str() (string, error) {
 	n, err := r.count(maxStringLen)
 	if err != nil {

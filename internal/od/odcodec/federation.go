@@ -47,12 +47,11 @@ type Federation struct {
 	// PartFingerprints records each member snapshot's expected
 	// fingerprint, index-aligned with the partition numbers.
 	PartFingerprints []string
-	// RoutingFilters optionally persists each member's variant-routing
-	// filter set, index-aligned with the partitions and sorted by type
-	// within each member, so a reopened coordinator skips the
-	// RoutingFilters refetch round trip. Nil on manifests written before
-	// the filters were persisted — the coordinator then refetches from
-	// the members, exactly as it always did. The filters are part of the
+	// RoutingFilters persists each member's variant-routing filter set,
+	// index-aligned with the partitions and sorted by type within each
+	// member, so a reopened coordinator skips the RoutingFilters refetch
+	// round trip. od.SavePartitioned always writes it; od.OpenPartitioned
+	// rejects a manifest without it. The filters are part of the
 	// CRC-framed manifest: they can only be stale together with the
 	// fingerprints, which already pin every member to this exact save.
 	RoutingFilters [][]RoutingFilter
@@ -60,13 +59,12 @@ type Federation struct {
 	// partition group carried at save time, index-aligned with the
 	// partitions. Provenance only: replicas hold bit-identical copies of
 	// their partition's segments and never persist from the coordinator,
-	// so a reopening coordinator attaches fresh replicas itself. Nil on
-	// manifests written before federations were elastic.
+	// so a reopening coordinator attaches fresh replicas itself. Nil for
+	// federations saved without replicas.
 	Replicas []int
 	// Rebalanced optionally records that this federation was produced by
 	// streaming an existing federation to a new layout instead of a
-	// fresh ingest, and which layout it came from. Nil for fresh builds
-	// and pre-elastic manifests.
+	// fresh ingest, and which layout it came from. Nil for fresh builds.
 	Rebalanced *RebalanceProvenance
 }
 
@@ -178,9 +176,8 @@ func WriteFederation(dir string, f Federation) error {
 			}
 		}
 	}
-	// Elastic section: replica layout and rebalance provenance. Its own
-	// presence byte, so pre-elastic readers never see it (they stop at
-	// the filters) and pre-elastic manifests simply end early here.
+	// Elastic section: replica layout and rebalance provenance, behind
+	// its own presence byte.
 	if f.Replicas == nil && f.Rebalanced == nil {
 		b = append(b, 0)
 	} else {
@@ -281,33 +278,21 @@ func ReadFederation(dir string) (Federation, error) {
 			return f, err
 		}
 	}
-	// Manifests written before routing filters were persisted end here;
-	// a nil filter set tells the coordinator to refetch from the members.
-	if br.pos < len(br.buf) {
-		switch present := br.buf[br.pos]; present {
-		case 0, 1:
-			br.pos++
-			if present == 1 {
-				if f.RoutingFilters, err = readRoutingFilters(br, n); err != nil {
-					return f, err
-				}
-			}
-		default:
-			return f, corrupt(FederationFile, "bad routing-filter presence byte %d", present)
+	present, err := br.presence("routing-filter")
+	if err != nil {
+		return f, err
+	}
+	if present {
+		if f.RoutingFilters, err = readRoutingFilters(br, n); err != nil {
+			return f, err
 		}
 	}
-	// Manifests written before federations were elastic end here.
-	if br.pos < len(br.buf) {
-		switch present := br.buf[br.pos]; present {
-		case 0, 1:
-			br.pos++
-			if present == 1 {
-				if err := readElastic(br, &f); err != nil {
-					return f, err
-				}
-			}
-		default:
-			return f, corrupt(FederationFile, "bad elastic presence byte %d", present)
+	if present, err = br.presence("elastic"); err != nil {
+		return f, err
+	}
+	if present {
+		if err := readElastic(br, &f); err != nil {
+			return f, err
 		}
 	}
 	if br.pos != len(br.buf) {
@@ -319,51 +304,36 @@ func ReadFederation(dir string) (Federation, error) {
 // readElastic decodes the replica layout and rebalance provenance,
 // enforcing the writer's bounds.
 func readElastic(br *byteReader, f *Federation) error {
-	if br.pos >= len(br.buf) {
-		return corrupt(FederationFile, "elastic section overruns payload")
+	present, err := br.presence("replica")
+	if err != nil {
+		return err
 	}
-	switch present := br.buf[br.pos]; present {
-	case 0, 1:
-		br.pos++
-		if present == 1 {
-			f.Replicas = make([]int, f.Partitions)
-			for i := range f.Replicas {
-				c, err := br.count(maxReplicas)
-				if err != nil {
-					return err
-				}
-				f.Replicas[i] = c
-			}
-		}
-	default:
-		return corrupt(FederationFile, "bad replica presence byte %d", present)
-	}
-	if br.pos >= len(br.buf) {
-		return corrupt(FederationFile, "elastic section overruns payload")
-	}
-	switch present := br.buf[br.pos]; present {
-	case 0, 1:
-		br.pos++
-		if present == 1 {
-			from, err := br.count(maxPartitions)
-			if err != nil {
+	if present {
+		f.Replicas = make([]int, f.Partitions)
+		for i := range f.Replicas {
+			if f.Replicas[i], err = br.count(maxReplicas); err != nil {
 				return err
 			}
-			if from < 1 {
-				return corrupt(FederationFile, "rebalance provenance from %d partitions", from)
-			}
-			seed, err := br.uvarint()
-			if err != nil {
-				return err
-			}
-			if seed > 1<<32-1 {
-				return corrupt(FederationFile, "rebalance seed %d overflows uint32", seed)
-			}
-			f.Rebalanced = &RebalanceProvenance{FromPartitions: from, FromSeed: uint32(seed)}
 		}
-	default:
-		return corrupt(FederationFile, "bad rebalance presence byte %d", present)
 	}
+	if present, err = br.presence("rebalance"); err != nil || !present {
+		return err
+	}
+	from, err := br.count(maxPartitions)
+	if err != nil {
+		return err
+	}
+	if from < 1 {
+		return corrupt(FederationFile, "rebalance provenance from %d partitions", from)
+	}
+	seed, err := br.uvarint()
+	if err != nil {
+		return err
+	}
+	if seed > 1<<32-1 {
+		return corrupt(FederationFile, "rebalance seed %d overflows uint32", seed)
+	}
+	f.Rebalanced = &RebalanceProvenance{FromPartitions: from, FromSeed: uint32(seed)}
 	return nil
 }
 

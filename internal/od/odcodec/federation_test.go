@@ -76,32 +76,6 @@ func TestFederationFiltersRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFederationLegacyManifest pins backward compatibility: a manifest
-// written before routing filters existed (payload ends after the
-// fingerprints) still reads, with nil filters telling the coordinator
-// to refetch from the members.
-func TestFederationLegacyManifest(t *testing.T) {
-	dir := t.TempDir()
-	want := sampleFederation()
-	b := appendUvarint(nil, uint64(want.Partitions))
-	b = appendUvarint(b, uint64(want.HashSeed))
-	b = appendFloat64(b, want.Theta)
-	for _, fp := range want.PartFingerprints {
-		b = appendString(b, fp)
-	}
-	writeRawFederation(t, dir, b)
-	got, err := ReadFederation(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RoutingFilters != nil {
-		t.Fatalf("legacy manifest decoded filters %+v, want nil", got.RoutingFilters)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy manifest diverges:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 // TestFederationElasticRoundTrip pins the elastic section: replica
 // layouts and rebalance provenance read back field-identically, in
 // every combination of presence.
@@ -135,36 +109,10 @@ func TestFederationElasticRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFederationPreElasticManifest pins backward compatibility with
-// manifests written after routing filters but before the elastic
-// section: the payload ends at the filter presence byte and the
-// elastic fields decode nil.
-func TestFederationPreElasticManifest(t *testing.T) {
-	dir := t.TempDir()
-	want := sampleFederation()
-	b := appendUvarint(nil, uint64(want.Partitions))
-	b = appendUvarint(b, uint64(want.HashSeed))
-	b = appendFloat64(b, want.Theta)
-	for _, fp := range want.PartFingerprints {
-		b = appendString(b, fp)
-	}
-	b = append(b, 0) // routing filters absent; payload ends pre-elastic
-	writeRawFederation(t, dir, b)
-	got, err := ReadFederation(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Replicas != nil || got.Rebalanced != nil {
-		t.Fatalf("pre-elastic manifest decoded elastic fields %+v / %+v", got.Replicas, got.Rebalanced)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("pre-elastic manifest diverges:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 // TestFederationElasticRejected pins the decode-side elastic checks: a
-// CRC-valid manifest with a malformed elastic section is rejected as
-// corrupt rather than handed to the coordinator.
+// CRC-valid manifest with a malformed or missing elastic section — or
+// one that ends before the routing-filter presence byte — is rejected
+// as corrupt rather than handed to the coordinator.
 func TestFederationElasticRejected(t *testing.T) {
 	head := func() []byte {
 		b := appendUvarint(nil, 2) // partitions
@@ -175,13 +123,15 @@ func TestFederationElasticRejected(t *testing.T) {
 		return append(b, 0) // no routing filters
 	}
 	for name, payload := range map[string][]byte{
-		"bad elastic presence":   append(head(), 2),
-		"truncated after marker": append(head(), 1),
-		"bad replica presence":   append(head(), 1, 2),
-		"replica count overflow": appendUvarint(append(head(), 1, 1), maxReplicas+1),
-		"missing rebalance byte": appendUvarint(appendUvarint(append(head(), 1, 1), 0), 0),
-		"bad rebalance presence": append(head(), 1, 0, 2),
-		"provenance from zero":   appendUvarint(append(head(), 1, 0, 1), 0),
+		"payload ends before routing filters": head()[:len(head())-1],
+		"payload ends before elastic section": head(),
+		"bad elastic presence":                append(head(), 2),
+		"truncated after marker":              append(head(), 1),
+		"bad replica presence":                append(head(), 1, 2),
+		"replica count overflow":              appendUvarint(append(head(), 1, 1), maxReplicas+1),
+		"missing rebalance byte":              appendUvarint(appendUvarint(append(head(), 1, 1), 0), 0),
+		"bad rebalance presence":              append(head(), 1, 0, 2),
+		"provenance from zero":                appendUvarint(append(head(), 1, 0, 1), 0),
 		"seed overflows uint32": appendUvarint(
 			appendUvarint(append(head(), 1, 0, 1), 3), 1<<32),
 		"trailing bytes": append(head(), 1, 0, 0, 0xFF),

@@ -347,10 +347,10 @@ func FuzzIndexCursor(f *testing.F) {
 			}
 			check := func(what string, err error) bool {
 				if err != nil && !IsCorrupt(err) {
-					t.Fatalf("mode %v: %s: %v is not a *CorruptError", mode, what, err)
+					t.Fatalf("mode %s: %s: %v is not a *CorruptError", modeName(mode), what, err)
 				}
 				if err != nil && intact {
-					t.Fatalf("mode %v: %s on an intact segment: %v", mode, what, err)
+					t.Fatalf("mode %s: %s on an intact segment: %v", modeName(mode), what, err)
 				}
 				return err == nil
 			}
@@ -362,19 +362,19 @@ func FuzzIndexCursor(f *testing.F) {
 				ids, perr := c.AppendPostings(nil)
 				if check("scan value", err) && check("scan postings", perr) && intact {
 					if string(v) != values[n] || c.RuneLen() != len([]rune(values[n])) || !reflect.DeepEqual(ids, []int32{int32(n)}) {
-						t.Fatalf("mode %v: entry %d = %q/%d/%v", mode, n, v, c.RuneLen(), ids)
+						t.Fatalf("mode %s: entry %d = %q/%d/%v", modeName(mode), n, v, c.RuneLen(), ids)
 					}
 				}
 				n++
 			}
 			if check("scan", c.Err()) && intact && n != len(values) {
-				t.Fatalf("mode %v: scan yielded %d of %d values", mode, n, len(values))
+				t.Fatalf("mode %s: scan yielded %d of %d values", modeName(mode), n, len(values))
 			}
 			for _, ord := range []int32{int32(pos % 150), 149, 64, 63, 0} {
 				if check("seek", c.Seek(ord)) {
 					v, err := c.Value()
 					if check("seek value", err) && intact && string(v) != values[ord] {
-						t.Fatalf("mode %v: Seek(%d) = %q", mode, ord, v)
+						t.Fatalf("mode %s: Seek(%d) = %q", modeName(mode), ord, v)
 					}
 				}
 			}
@@ -384,7 +384,7 @@ func FuzzIndexCursor(f *testing.F) {
 			for _, i := range []int{int(pos % 150), 0, 70, 149} {
 				ids, ok, err := r.LookupValue("T", values[i], scratch[:0])
 				if check("lookup", err) && intact && (!ok || !reflect.DeepEqual(ids, []int32{int32(i)})) {
-					t.Fatalf("mode %v: LookupValue(%q) = %v/%v", mode, values[i], ids, ok)
+					t.Fatalf("mode %s: LookupValue(%q) = %v/%v", modeName(mode), values[i], ids, ok)
 				}
 				found := false
 				strdist.EachDeletion(values[i], 1, func(variant []byte) {
@@ -394,13 +394,13 @@ func FuzzIndexCursor(f *testing.F) {
 					}
 				})
 				if intact && !found {
-					t.Fatalf("mode %v: no neighbor bucket of %q holds its ordinal", mode, values[i])
+					t.Fatalf("mode %s: no neighbor bucket of %q holds its ordinal", modeName(mode), values[i])
 				}
 			}
 			buckets := 0
 			_, err = r.ScanNeighborVariants("T", func(string) { buckets++ })
 			if check("neighbor scan", err) && intact && buckets != r.NeighborBuckets("T") {
-				t.Fatalf("mode %v: scanned %d of %d buckets", mode, buckets, r.NeighborBuckets("T"))
+				t.Fatalf("mode %s: scanned %d of %d buckets", modeName(mode), buckets, r.NeighborBuckets("T"))
 			}
 			restore()
 			r.Close()

@@ -7,9 +7,8 @@ import (
 	"os"
 )
 
-// mmapFile on platforms without a wired-up mmap syscall always fails;
-// MmapAuto then falls back to positioned reads and MmapOn reports the
-// error to the caller.
+// mmapFile on platforms without a wired-up mmap syscall always fails,
+// and the reader falls back to positioned reads.
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	return nil, errors.New("memory mapping not supported on this platform")
 }

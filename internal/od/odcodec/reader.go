@@ -20,36 +20,10 @@ const (
 	// MmapAuto memory-maps the segments when the platform supports it
 	// and silently falls back to positioned reads when it does not.
 	MmapAuto MmapMode = iota
-	// MmapOn requires memory mapping; Open fails where it is
-	// unavailable.
-	MmapOn
-	// MmapOff forces positioned reads (pread), the portable path.
+	// MmapOff forces positioned reads (pread), the portable path and the
+	// test seam for it.
 	MmapOff
 )
-
-func (m MmapMode) String() string {
-	switch m {
-	case MmapOn:
-		return "on"
-	case MmapOff:
-		return "off"
-	default:
-		return "auto"
-	}
-}
-
-// ParseMmapMode parses the auto|on|off spelling used by CLI flags.
-func ParseMmapMode(s string) (MmapMode, error) {
-	switch s {
-	case "auto":
-		return MmapAuto, nil
-	case "on":
-		return MmapOn, nil
-	case "off":
-		return MmapOff, nil
-	}
-	return MmapAuto, fmt.Errorf("odcodec: unknown mmap mode %q (want auto, on or off)", s)
-}
 
 // OpenOptions configures OpenWith.
 type OpenOptions struct {
@@ -916,11 +890,7 @@ func openSegment(path, name string, kind byte, stamp segmentStamp, mode MmapMode
 	if mode != MmapOff {
 		data, err = mmapFile(f, st.Size())
 		if err != nil {
-			if mode == MmapOn {
-				f.Close()
-				return nil, fmt.Errorf("odcodec: mmap %s: %w", path, err)
-			}
-			data = nil // auto: fall back to pread
+			data = nil // fall back to pread
 		}
 	}
 	// Verify the CRC over header + payload — straight over the mapping

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -13,10 +14,20 @@ import (
 	"repro/internal/strdist"
 )
 
+// modeName spells an access mode in subtest names and messages.
+func modeName(m MmapMode) string {
+	if m == MmapOff {
+		return "off"
+	}
+	return "auto"
+}
+
 // TestMmapModes opens the same snapshot in every access mode and
 // asserts the modes only change how bytes are read, never what they
-// decode to. MmapOff is the forced-pread path that exercises the
-// portable fallback on platforms where the mapping would succeed.
+// decode to. "on" is the default mode held to the mapped path: it must
+// map on linux and is skipped where the platform may fall back. MmapOff
+// is the forced-pread path that exercises the portable fallback on
+// platforms where the mapping would succeed.
 func TestMmapModes(t *testing.T) {
 	dir := t.TempDir()
 	writeSample(t, dir, "fp-mmap", nil)
@@ -26,18 +37,24 @@ func TestMmapModes(t *testing.T) {
 		values []string
 	}
 	var answers []answer
-	for _, mode := range []MmapMode{MmapAuto, MmapOn, MmapOff} {
-		t.Run(mode.String(), func(t *testing.T) {
-			r, err := OpenWith(dir, OpenOptions{Mmap: mode})
+	for _, tc := range []struct {
+		name string
+		mode MmapMode
+	}{{"auto", MmapAuto}, {"on", MmapAuto}, {"off", MmapOff}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := OpenWith(dir, OpenOptions{Mmap: tc.mode})
 			if err != nil {
-				if mode == MmapOn {
-					t.Skipf("mmap unsupported on this platform: %v", err)
-				}
 				t.Fatal(err)
 			}
 			defer r.Close()
-			if mode == MmapOff && r.MmapActive() {
+			if tc.mode == MmapOff && r.MmapActive() {
 				t.Fatal("MmapOff still mapped the segments")
+			}
+			if tc.name == "on" && !r.MmapActive() {
+				if runtime.GOOS == "linux" {
+					t.Fatal("default mode did not map the segments on linux")
+				}
+				t.Skip("memory mapping unavailable on this platform")
 			}
 			obj, _, _, err := r.OD(1)
 			if err != nil {
@@ -50,22 +67,9 @@ func TestMmapModes(t *testing.T) {
 			values, _, _ := scanAll(t, r, "ARTIST")
 			answers = append(answers, answer{obj, ids, values})
 			if len(answers) > 1 && !reflect.DeepEqual(answers[0], answers[len(answers)-1]) {
-				t.Fatalf("mode %v answers differ: %+v vs %+v", mode, answers[0], answers[len(answers)-1])
+				t.Fatalf("mode %s answers differ: %+v vs %+v", tc.name, answers[0], answers[len(answers)-1])
 			}
 		})
-	}
-}
-
-// TestParseMmapMode pins the CLI spelling round-trip.
-func TestParseMmapMode(t *testing.T) {
-	for _, mode := range []MmapMode{MmapAuto, MmapOn, MmapOff} {
-		got, err := ParseMmapMode(mode.String())
-		if err != nil || got != mode {
-			t.Errorf("ParseMmapMode(%q) = %v/%v", mode.String(), got, err)
-		}
-	}
-	if _, err := ParseMmapMode("mostly"); err == nil {
-		t.Error("ParseMmapMode accepted garbage")
 	}
 }
 
@@ -113,7 +117,7 @@ func writeNeighborSnapshot(t testing.TB, dir string, budget int, values []string
 func TestNeighborLookupMatchesInMemoryIndex(t *testing.T) {
 	for _, budget := range []int{0, 1, 2} {
 		for _, mode := range []MmapMode{MmapAuto, MmapOff} {
-			t.Run(fmt.Sprintf("budget=%d/mmap=%s", budget, mode), func(t *testing.T) {
+			t.Run(fmt.Sprintf("budget=%d/mmap=%s", budget, modeName(mode)), func(t *testing.T) {
 				dir := t.TempDir()
 				writeNeighborSnapshot(t, dir, budget, neighborValues)
 				r, err := OpenWith(dir, OpenOptions{Mmap: mode})
@@ -227,11 +231,11 @@ func TestValueAt(t *testing.T) {
 				t.Fatal(err)
 			}
 			if string(v) != values[ord] || c.RuneLen() != len([]rune(values[ord])) || c.Ordinal() != ord || !reflect.DeepEqual(ids, []int32{ord}) {
-				t.Errorf("mode %v Seek(%d) = %q/%d/%d/%v", mode, ord, v, c.RuneLen(), c.Ordinal(), ids)
+				t.Errorf("mode %s Seek(%d) = %q/%d/%d/%v", modeName(mode), ord, v, c.RuneLen(), c.Ordinal(), ids)
 			}
 		}
 		if !c.Next() || c.Ordinal() != 1 {
-			t.Errorf("mode %v: Next after Seek(0) at ordinal %d (err %v)", mode, c.Ordinal(), c.Err())
+			t.Errorf("mode %s: Next after Seek(0) at ordinal %d (err %v)", modeName(mode), c.Ordinal(), c.Err())
 		}
 		if err := c.Seek(150); !IsCorrupt(err) {
 			t.Errorf("Seek accepted an out-of-range ordinal: %v", err)
@@ -412,7 +416,7 @@ func FuzzCompressedSegment(f *testing.F) {
 				}
 				if obj != fmt.Sprintf("/o[%d]", i) || len(tuples) != 1 ||
 					tuples[0].Value != p || tuples[0].Name != p+"n" || tuples[0].Type != "T" {
-					t.Fatalf("mode %v OD(%d) = %q/%v, want value %q", mode, i, obj, tuples, p)
+					t.Fatalf("mode %s OD(%d) = %q/%v, want value %q", modeName(mode), i, obj, tuples, p)
 				}
 			}
 			r.Close()

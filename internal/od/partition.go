@@ -329,7 +329,7 @@ type PartitionedStore struct {
 	health [][]*memberHealth
 	seed   uint32
 
-	dir  odDirectory // full ODs by ID; nil at removed slots
+	ods  []*OD // full ODs by ID; nil at removed slots
 	live int
 
 	theta     float64
@@ -372,11 +372,8 @@ type PartitionedStore struct {
 	// routing holds each member's variant filters (nil until Finalize/
 	// OpenPartitioned succeed); routingOff disables skip decisions while
 	// keeping the filters maintained, so the knob can flip back on.
-	// routingFromManifest records that OpenPartitioned restored the
-	// filters from the federation manifest instead of refetching them.
-	routing             []*memberRouting
-	routingOff          bool
-	routingFromManifest bool
+	routing    []*memberRouting
+	routingOff bool
 
 	statSimFanouts    atomic.Uint64
 	statMemberQueries atomic.Uint64
@@ -393,7 +390,7 @@ func NewPartitionedStore(parts []Partition, seed uint32) *PartitionedStore {
 	if len(parts) == 0 {
 		panic("od: NewPartitionedStore needs at least one partition")
 	}
-	s := &PartitionedStore{parts: parts, seed: seed, dir: &memDirectory{}}
+	s := &PartitionedStore{parts: parts, seed: seed}
 	s.resetHealth()
 	return s
 }
@@ -451,8 +448,8 @@ func (s *PartitionedStore) NumPartitions() int { return len(s.parts) }
 // HashSeed returns the routing seed the federation was built with.
 func (s *PartitionedStore) HashSeed() uint32 { return s.seed }
 
-// Close releases every member connection — replicas included — and
-// the coordinator directory, returning the first error.
+// Close releases every member connection — replicas included —
+// returning the first error.
 func (s *PartitionedStore) Close() error {
 	var first error
 	for i, p := range s.parts {
@@ -466,11 +463,6 @@ func (s *PartitionedStore) Close() error {
 			if err := r.Close(); err != nil && first == nil {
 				first = err
 			}
-		}
-	}
-	if c, ok := s.dir.(interface{ close() error }); ok {
-		if err := c.close(); err != nil && first == nil {
-			first = err
 		}
 	}
 	return first
@@ -681,8 +673,8 @@ func (s *PartitionedStore) Add(o *OD) *OD {
 	if s.finalized {
 		panic("od: Add after Finalize")
 	}
-	o.ID = s.dir.span()
-	s.dir.append(o)
+	o.ID = int32(len(s.ods))
+	s.ods = append(s.ods, o)
 	return o
 }
 
@@ -699,9 +691,9 @@ func (s *PartitionedStore) Finalize(theta float64) {
 	}
 	s.finalized = true
 	s.theta = theta
-	s.live = int(s.dir.span())
+	s.live = len(s.ods)
 
-	batches := s.memberBatches(s.shadowODs(s.dir.all()))
+	batches := s.memberBatches(s.shadowODs(s.ods))
 	err := s.writeFanOut("Finalize", func(i, m int, p Partition) error {
 		if err := p.AddODs(batches[i][m]); err != nil {
 			return err
@@ -753,11 +745,6 @@ func (s *PartitionedStore) initRouting() *PartitionUnavailableError {
 // way — the knob exists so benchmarks can measure the full fan-out
 // baseline and operators can rule routing out while debugging.
 func (s *PartitionedStore) SetVariantRouting(on bool) { s.routingOff = !on }
-
-// RoutingFromManifest reports whether the federation's variant-routing
-// filters were restored from the federation manifest at open instead
-// of being refetched from the members.
-func (s *PartitionedStore) RoutingFromManifest() bool { return s.routingFromManifest }
 
 // RoutingStats snapshots the coordinator's filter-decision counters.
 func (s *PartitionedStore) RoutingStats() RoutingStats {
@@ -863,27 +850,25 @@ func (s *PartitionedStore) Size() int {
 	if s.finalized {
 		return s.live
 	}
-	return int(s.dir.span())
+	return len(s.ods)
 }
 
 // Theta implements Store.
 func (s *PartitionedStore) Theta() float64 { return s.theta }
 
 // OD implements Store. Returns nil for a removed id.
-func (s *PartitionedStore) OD(id int32) *OD { return s.dir.od(id) }
+func (s *PartitionedStore) OD(id int32) *OD { return s.ods[id] }
 
-// ODs implements Store. Removed slots are nil. A spilled coordinator
-// directory materializes every object here — callers that only need a
-// few should use OD.
-func (s *PartitionedStore) ODs() []*OD { return s.dir.all() }
+// ODs implements Store. Removed slots are nil.
+func (s *PartitionedStore) ODs() []*OD { return s.ods }
 
 // Alive implements MutableStore.
 func (s *PartitionedStore) Alive(id int32) bool {
-	return id >= 0 && id < s.dir.span() && s.dir.od(id) != nil
+	return id >= 0 && int(id) < len(s.ods) && s.ods[id] != nil
 }
 
 // IDSpan implements MutableStore.
-func (s *PartitionedStore) IDSpan() int32 { return s.dir.span() }
+func (s *PartitionedStore) IDSpan() int32 { return int32(len(s.ods)) }
 
 // clearCaches (re)creates the coordinator's merged query caches; the
 // capacities are DiskStore's, chosen for the same reason — keep the
@@ -1199,8 +1184,8 @@ func (s *PartitionedStore) AddAfterFinalize(ods []*OD) error {
 		return nil
 	}
 	for _, o := range ods {
-		o.ID = s.dir.span()
-		s.dir.append(o)
+		o.ID = int32(len(s.ods))
+		s.ods = append(s.ods, o)
 		s.live++
 	}
 	touched := map[string]bool{}
@@ -1249,7 +1234,7 @@ func (s *PartitionedStore) Remove(ids []int32) error {
 	sortInt32s(sorted)
 	touched := map[string]bool{}
 	for _, id := range sorted {
-		tupleTypes(touched, []*OD{s.dir.od(id)})
+		tupleTypes(touched, []*OD{s.ods[id]})
 	}
 	s.bumpEpochs(touched)
 	if err := s.writeFanOut("Remove", func(i, m int, p Partition) error {
@@ -1258,7 +1243,7 @@ func (s *PartitionedStore) Remove(ids []int32) error {
 		return err
 	}
 	for _, id := range sorted {
-		s.dir.remove(id)
+		s.ods[id] = nil
 		s.live--
 	}
 	return s.refreshRouting()

@@ -108,7 +108,7 @@ func SavePartitioned(dir string, s *PartitionedStore, meta SnapshotMeta) error {
 		return err
 	}
 	defer w.Abort()
-	if err := writeODs(w, s.dir.all()); err != nil {
+	if err := writeODs(w, s.ods); err != nil {
 		return err
 	}
 	staleSeq, err := odcodec.MaxDeltaSeq(dir)
@@ -142,58 +142,33 @@ func SavePartitioned(dir string, s *PartitionedStore, meta SnapshotMeta) error {
 // are in-process DiskStores (wrap them behind odrpc servers to serve
 // them to remote coordinators).
 func OpenPartitioned(dir string) (*PartitionedStore, error) {
-	return OpenPartitionedWith(dir, OpenOptions{})
-}
-
-// OpenOptions tunes how OpenPartitioned assembles the federation.
-type OpenOptions struct {
-	// SpillODs keeps the coordinator's object directory on disk: the
-	// coordinator snapshot's segment reader stays open and objects
-	// decode on demand through a bounded LRU instead of materializing
-	// the whole directory on the heap. Coordinator memory then stays
-	// bounded by cache + mutation delta regardless of corpus size.
-	SpillODs bool
-}
-
-// OpenPartitionedWith is OpenPartitioned with options.
-func OpenPartitionedWith(dir string, opts OpenOptions) (*PartitionedStore, error) {
 	fed, err := odcodec.ReadFederation(dir)
 	if err != nil {
 		return nil, err
+	}
+	if fed.RoutingFilters == nil {
+		return nil, fmt.Errorf("od: federation manifest in %s carries no routing filters", dir)
 	}
 	r, err := odcodec.Open(dir)
 	if err != nil {
 		return nil, fmt.Errorf("od: open federation coordinator snapshot: %w", err)
 	}
+	defer r.Close()
 	meta := r.Meta()
 	n := meta.NumODs
-	var coord odDirectory
-	if opts.SpillODs {
-		coord = newDiskDirectory(r, int32(n))
-	} else {
-		ods := make([]*OD, n)
-		for id := int32(0); id < int32(n); id++ {
-			obj, src, tuples, err := r.OD(id)
-			if err != nil {
-				r.Close()
-				return nil, err
-			}
-			o := &OD{ID: id, Object: obj, Source: int(src), Tuples: make([]Tuple, len(tuples))}
-			for i, t := range tuples {
-				o.Tuples[i] = Tuple{Value: t.Value, Name: t.Name, Type: t.Type}
-			}
-			ods[id] = o
+	ods := make([]*OD, n)
+	for id := int32(0); id < int32(n); id++ {
+		obj, src, tuples, err := r.OD(id)
+		if err != nil {
+			return nil, err
 		}
-		r.Close()
-		coord = &memDirectory{ods: ods}
-	}
-	closeCoord := func() {
-		if opts.SpillODs {
-			r.Close()
+		o := &OD{ID: id, Object: obj, Source: int(src), Tuples: make([]Tuple, len(tuples))}
+		for i, t := range tuples {
+			o.Tuples[i] = Tuple{Value: t.Value, Name: t.Name, Type: t.Type}
 		}
+		ods[id] = o
 	}
 	if fed.Theta != meta.Theta {
-		closeCoord()
 		return nil, fmt.Errorf("od: federation manifest θ=%v, coordinator snapshot θ=%v", fed.Theta, meta.Theta)
 	}
 
@@ -202,7 +177,6 @@ func OpenPartitionedWith(dir string, opts OpenOptions) (*PartitionedStore, error
 		for _, p := range parts {
 			p.Close()
 		}
-		closeCoord()
 	}
 	for i := 0; i < fed.Partitions; i++ {
 		ds, err := OpenDiskStore(filepath.Join(dir, odcodec.PartitionDir(i)))
@@ -232,7 +206,7 @@ func OpenPartitionedWith(dir string, opts OpenOptions) (*PartitionedStore, error
 	}
 
 	s := NewPartitionedStore(parts, fed.HashSeed)
-	s.dir = coord
+	s.ods = ods
 	s.live = n
 	s.theta = fed.Theta
 	s.finalized = true
@@ -244,19 +218,12 @@ func OpenPartitionedWith(dir string, opts OpenOptions) (*PartitionedStore, error
 			FromSeed:       fed.Rebalanced.FromSeed,
 		}
 	}
-	if fed.RoutingFilters != nil {
-		// The manifest carries the filters SavePartitioned computed from
-		// these exact member snapshots (the fingerprints checked above pin
-		// them), so the refetch fan-out is pure redundancy — skip it.
-		routing := make([]*memberRouting, len(parts))
-		for i, enc := range fed.RoutingFilters {
-			routing[i] = newMemberRouting(decodeRoutingFilters(enc))
-		}
-		s.routing = routing
-		s.routingFromManifest = true
-	} else if err := s.initRouting(); err != nil {
-		closeAll()
-		return nil, err
+	// The manifest carries the filters SavePartitioned computed from
+	// these exact member snapshots (the fingerprints checked above pin
+	// them), so no refetch fan-out is needed.
+	s.routing = make([]*memberRouting, len(parts))
+	for i, enc := range fed.RoutingFilters {
+		s.routing[i] = newMemberRouting(decodeRoutingFilters(enc))
 	}
 	s.clearCaches()
 	return s, nil

@@ -99,8 +99,8 @@ func TestSavePartitionedSeedRoundTrips(t *testing.T) {
 // TestOpenPartitionedRoutingFromManifest pins the persisted routing
 // filters end to end: OpenPartitioned restores the coordinator's
 // variant filters from the federation manifest — bit-identical to the
-// refetch fan-out it replaces — and a legacy manifest without filters
-// still opens, falling back to the refetch.
+// refetch fan-out it replaces — and a manifest without filters is
+// rejected, since no refetch fallback exists.
 func TestOpenPartitionedRoutingFromManifest(t *testing.T) {
 	fed, _ := buildMutatedFederation(t)
 	defer fed.Close()
@@ -143,14 +143,10 @@ func TestOpenPartitionedRoutingFromManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if !re.RoutingFromManifest() {
-		t.Fatal("filters were refetched despite being persisted in the manifest")
-	}
 	assertSameRouting("manifest-restored", re.routing, refetched(re))
 
-	// Strip the filters from the manifest (the shape every pre-existing
-	// federation snapshot has) and reopen: the refetch fan-out must kick
-	// back in and produce the same routing state.
+	// Strip the filters from the manifest: without them the coordinator
+	// cannot route, so the open must refuse.
 	man, err := odcodec.ReadFederation(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -159,15 +155,12 @@ func TestOpenPartitionedRoutingFromManifest(t *testing.T) {
 	if err := odcodec.WriteFederation(dir, man); err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := OpenPartitioned(dir)
-	if err != nil {
-		t.Fatal(err)
+	if bare, err := OpenPartitioned(dir); err == nil || !strings.Contains(err.Error(), "no routing filters") {
+		if bare != nil {
+			bare.Close()
+		}
+		t.Fatalf("filterless manifest: OpenPartitioned err = %v, want rejection", err)
 	}
-	defer legacy.Close()
-	if legacy.RoutingFromManifest() {
-		t.Fatal("RoutingFromManifest reported for a manifest with no filters")
-	}
-	assertSameRouting("legacy-refetched", legacy.routing, re.routing)
 }
 
 // TestOpenPartitionedRejections pins every integrity gate of the

@@ -8,7 +8,7 @@ import (
 )
 
 // TestDiskStoreAccessModeParity holds every disk query-path
-// configuration — mmap on/off/auto crossed with the neighborhood index
+// configuration — mmap auto/off crossed with the neighborhood index
 // enabled or forced back to segment scans — to bit-identical results
 // against MemStore. The index-off rows are what pin the fast path to
 // the scan it replaced.
@@ -41,7 +41,7 @@ func TestDiskStoreAccessModeParity(t *testing.T) {
 				{Mmap: odcodec.MmapAuto, DisableNeighborIndex: true},
 				{Mmap: odcodec.MmapOff, DisableNeighborIndex: true},
 			} {
-				label := fmt.Sprintf("mmap=%s/scan=%v", opts.Mmap, opts.DisableNeighborIndex)
+				label := fmt.Sprintf("pread=%v/scan=%v", opts.Mmap == odcodec.MmapOff, opts.DisableNeighborIndex)
 				disk, err := OpenDiskStoreWith(dir, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -51,20 +51,6 @@ func TestDiskStoreAccessModeParity(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestMmapOnRequiresSupport: the forced mode either maps or fails the
-// open loudly — it never silently degrades to pread.
-func TestMmapOnRequiresSupport(t *testing.T) {
-	base := buildDisk(t, cdODs(10, 3), 0.15)
-	dir := base.Dir()
-	base.Close()
-	disk, err := OpenDiskStoreWith(dir, DiskOptions{Mmap: odcodec.MmapOn})
-	if err != nil {
-		t.Skipf("mmap unsupported on this platform: %v", err)
-	}
-	defer disk.Close()
-	assertStoreParity(t, disk, disk, "self")
 }
 
 // TestDiskStoreCacheStats exercises the shared LRU's counter surface:

@@ -49,7 +49,7 @@ func (s *PartitionedStore) Rebalance(parts []Partition, seed uint32) (*Partition
 	ns.rebalanced = &RebalanceInfo{FromPartitions: len(s.parts), FromSeed: s.seed}
 	ns.fingerprint = s.fingerprint
 
-	span := s.dir.span()
+	span := int32(len(s.ods))
 	for lo := int32(0); lo < span; lo += rebalanceChunk {
 		hi := lo + rebalanceChunk
 		if hi > span {
@@ -72,7 +72,7 @@ func (s *PartitionedStore) Rebalance(parts []Partition, seed uint32) (*Partition
 
 		shadows := make([][]*OD, len(parts))
 		for j := int32(0); j < hi-lo; j++ {
-			old := s.dir.od(lo + j)
+			old := s.ods[lo+j]
 			if old == nil {
 				for i := range exports {
 					if exports[i][j] != nil {
@@ -96,8 +96,8 @@ func (s *PartitionedStore) Rebalance(parts []Partition, seed uint32) (*Partition
 			// compacted space — tuple order, empty-value tuples and all, so
 			// the compare stage reads exactly what a fresh build would hold.
 			co := *old
-			co.ID = ns.dir.span()
-			ns.dir.append(&co)
+			co.ID = int32(len(ns.ods))
+			ns.ods = append(ns.ods, &co)
 			for k := range shadows {
 				shadows[k] = append(shadows[k], &OD{Object: old.Object, Source: old.Source, Tuples: owned[k]})
 			}
@@ -120,7 +120,7 @@ func (s *PartitionedStore) Rebalance(parts []Partition, seed uint32) (*Partition
 		}
 	}
 
-	ns.live = int(ns.dir.span())
+	ns.live = len(ns.ods)
 	ns.theta = s.theta
 	ns.finalized = true
 	if err := ns.writeFanOut("Rebalance", func(k, m int, p Partition) error {

@@ -140,8 +140,9 @@ func memParts(n int) []Partition {
 
 // TestRebalancePersistRoundTrip pins the manifest side of elastic
 // federation: replica counts and rebalance provenance survive
-// SavePartitioned / ReadFederation / OpenPartitioned, and a snapshot
-// opened with SpillODs answers identically to a materialized open.
+// SavePartitioned / ReadFederation / OpenPartitioned, and the reopened
+// rebalanced federation keeps answering like a fresh build after
+// mutations.
 func TestRebalancePersistRoundTrip(t *testing.T) {
 	initial, batch2, batch3, remove, liveOf := mutableFixture()
 	const theta = 0.15
@@ -207,25 +208,18 @@ func TestRebalancePersistRoundTrip(t *testing.T) {
 	}
 	assertStoreMatchesFresh(t, "reopened-rebalanced", re, fresh)
 
-	spill, err := OpenPartitionedWith(nsDir, OpenOptions{SpillODs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer spill.Close()
-	assertStoreMatchesFresh(t, "spill-ods", spill, fresh)
-	// The spilled coordinator directory still supports the mutable path.
 	extra := cdODs(2, 321)
-	if err := spill.AddAfterFinalize(copyODs(extra)); err != nil {
-		t.Fatalf("AddAfterFinalize with SpillODs: %v", err)
+	if err := re.AddAfterFinalize(copyODs(extra)); err != nil {
+		t.Fatalf("AddAfterFinalize on the reopened federation: %v", err)
 	}
-	if err := spill.Remove([]int32{0}); err != nil {
-		t.Fatalf("Remove with SpillODs: %v", err)
+	if err := re.Remove([]int32{0}); err != nil {
+		t.Fatalf("Remove on the reopened federation: %v", err)
 	}
 	var live []*OD
-	for id := int32(0); id < spill.IDSpan(); id++ {
-		if spill.Alive(id) {
-			live = append(live, spill.OD(id))
+	for id := int32(0); id < re.IDSpan(); id++ {
+		if re.Alive(id) {
+			live = append(live, re.OD(id))
 		}
 	}
-	assertStoreMatchesFresh(t, "spill-ods-mutated", spill, freshOver(live, theta))
+	assertStoreMatchesFresh(t, "reopened-mutated", re, freshOver(live, theta))
 }

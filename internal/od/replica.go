@@ -57,7 +57,7 @@ func (s *PartitionedStore) AttachReplicas(replicas [][]Partition) error {
 // Finalize — the same build-then-mutate sequence every group member's
 // state is equivalent to.
 func (s *PartitionedStore) hydrateReplica(i int, r Partition) error {
-	span := s.dir.span()
+	span := int32(len(s.ods))
 	var holes []int32
 	for lo := int32(0); lo < span; lo += replicaHydrateChunk {
 		hi := lo + replicaHydrateChunk
@@ -79,7 +79,7 @@ func (s *PartitionedStore) hydrateReplica(i int, r Partition) error {
 		for j, e := range exported {
 			id := lo + int32(j)
 			if e == nil {
-				if s.dir.od(id) != nil {
+				if s.ods[id] != nil {
 					return fmt.Errorf("partition %d has no shadow for live object %d — group state diverged", i, id)
 				}
 				holes = append(holes, id)
