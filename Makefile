@@ -28,12 +28,13 @@ fmt-check:
 
 # Persistence-layer gate: the store parity suites (including the
 # mutable add/remove parity and compaction tests), the doc-vs-stream and
-# incremental-update equivalence suites, the warm-start suite, and the
+# incremental-update equivalence suites, the warm-start suite, the
+# trace-chain cadence, crash-window and rejection suites, and the
 # odcodec round-trip / delta-segment tests, under the race detector.
 # DiskStore segment dirs live in each test's t.TempDir. CI runs this as
 # its own job.
 test-disk:
-	$(GO) test -race -run 'Disk|Snapshot|WarmStart|Parity|Equivalence|RoundTrip|Corrupt|Truncat|Mutable|Update|Delta' \
+	$(GO) test -race -run 'Disk|Snapshot|WarmStart|Parity|Equivalence|RoundTrip|Corrupt|Truncat|Mutable|Update|Delta|Traces|Cadence|CrashWindow' \
 		./internal/od/... ./internal/core/... ./cmd/dogmatix/...
 
 # Distributed-store gate: the whole odrpc transport package (frame
@@ -90,14 +91,15 @@ bench:
 # the same tiers on disk by mmap and by pread, one posting-list question
 # and the shared cache's hit path (od), one scored pair and one filter
 # bound (sim), and the whole pipeline at the reference benchmark's
-# detect_cd_mem shape on MemStore and on DiskStore (core). CI smoke-runs it
+# detect_cd_mem shape on MemStore and on DiskStore plus one
+# single-document update on each, per stage (core). CI smoke-runs it
 # with BENCHTIME=1x.
 BENCHTIME ?= 1s
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'Kernels|NeighborIndexLookup' -benchmem -benchtime $(BENCHTIME) ./internal/strdist/
 	$(GO) test -run '^$$' -bench 'TypeIndexCollect|NeighborsOf|DiskSimilarValues|DiskObjectsWithExact|ShardedLRUGet' -benchmem -benchtime $(BENCHTIME) ./internal/od/
 	$(GO) test -run '^$$' -bench 'KernelScore|KernelFilter' -benchmem -benchtime $(BENCHTIME) ./internal/sim/
-	$(GO) test -run '^$$' -bench 'DetectKernel' -benchmem -benchtime $(BENCHTIME) ./internal/core/
+	$(GO) test -run '^$$' -bench 'DetectKernel|UpdateKernel' -benchmem -benchtime $(BENCHTIME) ./internal/core/
 
 # The reference benchmark (bench/, a Go module of its own, so `make
 # test` does not reach it; see bench/README.md). test-bench runs its

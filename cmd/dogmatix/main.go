@@ -59,8 +59,9 @@
 // OBJECT-PATH deletes an existing candidate, and only the affected
 // portion of the pipeline re-runs (delta index maintenance, scoped
 // filter-bound recomputation, recomparison of affected pairs). The
-// merged indexes are persisted back to -store-dir with a chained
-// fingerprint, ready for the next -update run:
+// batch is persisted to -store-dir as a delta segment plus one trace
+// frame carrying the chained fingerprint (the deltas merge once per
+// trace chain), ready for the next -update run:
 //
 //	dogmatix -map m.txt -type DISC -store disk -store-dir idx first.xml
 //	dogmatix -map m.txt -type DISC -update -store-dir idx \
@@ -243,11 +244,12 @@ func run(opts options, docs []string, stdout, stderr io.Writer) error {
 
 	var fed *od.PartitionedStore // set for -store dist; -stats reads its counters
 	if opts.update {
-		// Update runs serve from the persisted snapshot and re-persist
-		// the merged indexes when done. Incremental recording keeps the
-		// replay traces of this run, and its snapshot stage persists
-		// them next to the merged segments so the NEXT update — in this
-		// process or after a restart — patches instead of recomparing.
+		// Update runs serve from the persisted snapshot. The batch is
+		// persisted as the delta segment the store fsyncs before it
+		// applies, plus one frame appended to the trace chain; the
+		// deltas merge in place once per chain. Incremental recording
+		// keeps the replay traces, so the NEXT update — in this process
+		// or after a restart — patches instead of recomparing.
 		cfg.Snapshot = &core.SnapshotOptions{Dir: opts.StoreDir, Save: true}
 		cfg.Incremental = true
 	} else {

@@ -281,6 +281,95 @@ func TestBuildServeRestartDisk(t *testing.T) {
 	}
 }
 
+// TestBootLeavesStoreDirUntouched pins that a serve-without-documents
+// boot only reads -store-dir: the zero-batch Update that rehydrates
+// pairs and clusters replays the persisted traces and writes nothing,
+// so consecutive boots leave every file byte-identical — the unmerged
+// delta segment and the two-frame trace chain a POSTed batch left
+// included — and each one still restores the traces.
+func TestBootLeavesStoreDirUntouched(t *testing.T) {
+	mapFile, docFile := writeFixtureFiles(t)
+	storeDir := filepath.Join(t.TempDir(), "idx")
+	if err := os.MkdirAll(storeDir, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	opts := baseOpts()
+	opts.MapFile, opts.Store, opts.StoreDir = mapFile, cliopt.StoreDisk, storeDir
+	cold, err := buildService(opts, []string{docFile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var db bytes.Buffer
+	if err := datagen.FreeDBToXML(datagen.FreeDB(30, 2031)[24:25]).WriteXML(&db); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(cold.svc.Handler())
+	ack, err := client.New(ts.URL).Submit(context.Background(), &api.UpdateRequest{
+		Add: []api.UpdateDoc{{Name: "more", XML: db.String()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ack.Persisted {
+		t.Fatalf("cold daemon ack = %+v", ack)
+	}
+	if err := cold.svc.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	cold.cleanup()
+
+	files := func() map[string]string {
+		t.Helper()
+		entries, err := os.ReadDir(storeDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(storeDir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
+	}
+	want := files()
+	deltas := 0
+	for name := range want {
+		if strings.HasPrefix(name, "delta-") {
+			deltas++
+		}
+	}
+	if deltas == 0 {
+		t.Fatal("fixture bug: the POSTed batch left no unmerged delta segment")
+	}
+	for boot := 1; boot <= 2; boot++ {
+		b, err := buildService(opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := b.svc.Result()
+		if err := b.svc.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		b.cleanup()
+		if last.Stats.TraceSource != "disk" || last.Stats.Patched == 0 {
+			t.Errorf("boot %d rehydrated with traces=%s patched=%d, want a disk-trace replay", boot, last.Stats.TraceSource, last.Stats.Patched)
+		}
+		got := files()
+		for name, content := range want {
+			if got[name] != content {
+				t.Errorf("boot %d changed %s", boot, name)
+			}
+		}
+		if len(got) != len(want) {
+			t.Errorf("boot %d left %d files in the store directory, want %d", boot, len(got), len(want))
+		}
+	}
+}
+
 // TestBuildServeDistReplicas boots the distributed daemon with one
 // loopback replica per partition, checks the replica surface of
 // /healthz and /metrics, then restarts from the committed generation —

@@ -1,9 +1,12 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/dirty"
 	"repro/internal/experiments"
 	"repro/internal/heuristics"
@@ -53,6 +56,71 @@ func BenchmarkDetectKernel(b *testing.B) {
 					b.Fatal(err)
 				}
 				benchSink = res
+			}
+		})
+	}
+}
+
+// BenchmarkUpdateKernel is one single-document POST /v1/updates at the
+// same shape: the 500-disc corpus built once, then one Update per
+// iteration adding a document of one new disc, with replay traces on
+// the way the daemon runs — on MemStore, and on a DiskStore persisting
+// into its own directory. Each iteration extends the previous result,
+// so the disk row pays its once-per-chain merge at the real cadence.
+// Besides ns/op it reports each pipeline stage's milliseconds per
+// update (update, reduce, snapshot, compare, cluster, traces).
+//
+//	go test ./internal/core -run xxx -bench UpdateKernel -benchmem
+func BenchmarkUpdateKernel(b *testing.B) {
+	ds, err := experiments.BuildDataset1(500, 2005, dirty.Dataset1Params())
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := heuristics.Experiment(1, heuristics.KClosestDescendants(6))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Discs of another seed: new to the corpus, generated like it.
+	posts := datagen.FreeDB(564, 2006)[500:]
+	for _, name := range []string{"mem", "disk"} {
+		b.Run(name, func(b *testing.B) {
+			cfg := core.Config{
+				Heuristic:   h,
+				ThetaTuple:  experiments.ThetaTuple,
+				ThetaCand:   experiments.ThetaCand,
+				UseFilter:   true,
+				Workers:     1,
+				Incremental: true,
+			}
+			if name == "disk" {
+				dir := b.TempDir()
+				cfg.NewStore = func() od.Store { return od.NewDiskStore(dir) }
+				cfg.Snapshot = &core.SnapshotOptions{Dir: dir, Save: true}
+			}
+			det, err := core.NewDetector(ds.Mapping, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := det.Detect("DISC", core.Source{Doc: ds.Doc, Schema: ds.Schema})
+			if err != nil {
+				b.Fatal(err)
+			}
+			stages := map[string]time.Duration{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cd := posts[i%len(posts) : i%len(posts)+1]
+				post := core.Source{Name: fmt.Sprintf("post-%d", i), Doc: datagen.FreeDBToXML(cd), Schema: ds.Schema}
+				if res, err = det.Update(res, core.UpdateBatch{Add: []core.SourceInput{post}}); err != nil {
+					b.Fatal(err)
+				}
+				for _, st := range res.Stages {
+					stages[st.Name] += st.Elapsed
+				}
+			}
+			benchSink = res
+			for stage, d := range stages {
+				b.ReportMetric(float64(d.Microseconds())/1e3/float64(b.N), stage+"-ms/op")
 			}
 		})
 	}

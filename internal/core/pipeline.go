@@ -44,9 +44,10 @@ const (
 	StageSnapshot = "snapshot"
 	// StageTraces runs last under Config.Incremental when a snapshot is
 	// being saved: the run's replay state persists as the snapshot's
-	// trace segment (od.SaveTraces), so a fresh process can Adopt the
-	// store and Update it with the same patched recomparisons as an
-	// in-process run.
+	// trace segment (od.SaveTraces; an Update appends one frame with
+	// od.AppendTraces), so a fresh process can Adopt the store and
+	// Update it with the same patched recomparisons as an in-process
+	// run.
 	StageTraces = "traces"
 	// StageAdopt is recorded by Adopt: its item count is the number of
 	// persisted pair traces restored from the store's snapshot directory
@@ -543,21 +544,24 @@ func (p *pipelineRun) clusterPairs() (int, error) {
 // committed is the one the segment chains to. Item count is the number
 // of pair traces persisted.
 func (p *pipelineRun) persistTraces() (int, error) {
-	ts := &od.TraceSet{
-		Fingerprint: p.inc.fp,
-		Size:        p.store.Size(),
-		Alive:       p.alive,
-		Pairs:       p.inc.pairs,
-		Filter:      p.inc.filter,
+	dir := p.d.cfg.Snapshot.Dir
+	p.inc.size, p.inc.alive = p.store.Size(), p.alive
+	var err error
+	if u := p.upd; u == nil {
+		p.inc.chain, err = od.SaveTraces(dir, p.store, p.inc.traceSet())
+	} else {
+		// An update appends what its own stages changed to the chain it
+		// extends; AppendTraces rewrites the segment when it cannot.
+		var prev *od.TraceSet
+		if u.prev != nil {
+			prev = u.prev.traceSet()
+		}
+		p.inc.chain, err = od.AppendTraces(dir, p.store, u.chain, &od.TraceUpdate{
+			Prev: prev, Cur: p.inc.traceSet(),
+			Rescored: u.rescored, Dropped: u.dropped, Refiltered: u.refiltered,
+		})
 	}
-	persist := od.SaveTraces
-	if p.upd != nil {
-		// An update batch touches few pairs relative to the corpus:
-		// append a delta frame to the existing trace chain when the
-		// backend supports it instead of rewriting the whole segment.
-		persist = od.AppendTraces
-	}
-	if err := persist(p.d.cfg.Snapshot.Dir, p.store, ts); err != nil {
+	if err != nil {
 		return 0, fmt.Errorf("core: traces: %w", err)
 	}
 	return len(p.inc.pairs), nil

@@ -159,11 +159,11 @@ func (p *pipelineRun) warmStart() (int, error) {
 		return 0, nil // no usable snapshot; rebuild
 	}
 	if ds.Mutated() {
-		// Unmerged delta segments (an update run that crashed before its
-		// merge landed): the manifest fingerprint describes only the
-		// base, not the replayed live state, so a match would adopt the
-		// wrong corpus. Safe miss; -update/Adopt remain the paths that
-		// continue such a store.
+		// Unmerged delta segments — the normal state of a store Update
+		// persisted since its last merge: the manifest fingerprint
+		// describes only the base, not the replayed live state, so a
+		// match would adopt the wrong corpus. Safe miss; -update/Adopt
+		// remain the paths that continue such a store.
 		ds.Close()
 		return 0, nil
 	}

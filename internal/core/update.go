@@ -48,6 +48,15 @@ type incState struct {
 	// from a persisted trace segment. Surfaced as Stats.TraceSource on
 	// the Update that consumes it.
 	origin string
+	// chain is the shape of the persisted trace chain this state was
+	// written as (the traces stage, Result.SaveTraces) or read from
+	// (Adopt); zero when it was never persisted.
+	chain od.TraceChain
+}
+
+// traceSet is the state as the od layer persists it.
+func (s *incState) traceSet() *od.TraceSet {
+	return &od.TraceSet{Fingerprint: s.fp, Size: s.size, Alive: s.alive, Pairs: s.pairs, Filter: s.filter}
 }
 
 func pairKey(i, j int32) int64 { return int64(i)<<32 | int64(uint32(j)) }
@@ -74,6 +83,19 @@ type updateCtx struct {
 	// changed values still exist.
 	exactDirty  map[int32]bool
 	filterDirty map[int32]bool
+
+	// chain is the previous state's trace chain when it still describes
+	// the DiskStore this batch extends (zero otherwise): the snapshot
+	// stage leaves the merge for later while it is appendable, and the
+	// traces stage extends it.
+	chain od.TraceChain
+	// rescored, dropped and refiltered are what the batch changed in the
+	// replay state — pair keys compared for real, previous pair keys the
+	// patch loop dropped, filter slots recorded anew or cleared: the
+	// traces stage's delta frame, with nothing diffed.
+	rescored   []int64
+	dropped    []int64
+	refiltered []int32
 
 	recompared int64 // pairs actually compared...
 	patched    int64 // ...vs replayed from the previous run's traces
@@ -103,11 +125,13 @@ type updateCtx struct {
 // restored from the snapshot's trace segment), or "none".
 //
 // θtuple must match the store's; prev must carry one candidate slot per
-// store ID. With Config.Snapshot.Save set, the updated store is
-// persisted with a chained fingerprint (see updateSnapshot); a
-// DiskStore saving into its own directory merges in place (tombstoned
-// ID space, store stays usable), so an in-process chain of Update
-// calls can persist after every batch.
+// store ID. With Config.Snapshot.Save set, the batch is persisted with a
+// chained fingerprint (see updateSnapshot). A DiskStore saving into its
+// own directory persists a batch as the delta segments AddAfterFinalize
+// and Remove fsynced plus, with Config.Incremental, one frame appended
+// to the trace chain, and merges its deltas in place (tombstoned ID
+// space, store stays usable) once per trace chain — so an in-process
+// chain of Update calls persists every batch at the cost of the batch.
 func (d *Detector) Update(prev *Result, batch UpdateBatch) (*Result, error) {
 	start := time.Now()
 	if prev == nil || prev.Store == nil {
@@ -162,6 +186,9 @@ func (d *Detector) Update(prev *Result, batch UpdateBatch) (*Result, error) {
 			filterDirty: map[int32]bool{},
 		},
 	}
+	if ds, ok := ms.(*od.DiskStore); ok && prev.inc != nil && prev.inc.chain.DeltaSeq == ds.DeltaSeq() {
+		p.upd.chain = prev.inc.chain
+	}
 	if d.cfg.Incremental {
 		p.inc = &incState{pairs: map[int64]sim.PairTrace{}}
 	}
@@ -201,13 +228,15 @@ func (d *Detector) Update(prev *Result, batch UpdateBatch) (*Result, error) {
 // against without re-detecting anything. Candidates are reconstructed
 // from the stored object descriptions, and when the store's snapshot
 // directory carries a valid trace segment (od.LoadTraces: recorded by a
-// run with Config.Incremental and Snapshot.Save, still chained to the
-// current manifest), the persisted replay traces are restored, so the
-// first Update after a restart patches clean pairs exactly like an
-// in-process run. The recorded StageAdopt stats report the restoration:
-// its item count is the number of pair traces loaded — zero means no
-// usable segment was found (absent, stale, corrupt, or a mutated
-// store), and the first Update recompares all surviving pairs instead.
+// run with Config.Incremental and Snapshot.Save, still bound to the
+// current manifest and delta sequence), the persisted replay traces are
+// restored, so the first Update after a restart patches clean pairs
+// exactly like an in-process run — and appends to the same chain. The
+// recorded StageAdopt stats report the restoration: its item count is
+// the number of pair traces loaded — zero means no usable segment was
+// found (absent, stale, corrupt, or a store at another delta
+// sequence), and the first Update recompares all surviving pairs
+// instead.
 func Adopt(typeName string, s od.Store) (*Result, error) {
 	begin := time.Now()
 	ms, ok := s.(od.MutableStore)
@@ -239,6 +268,7 @@ func Adopt(typeName string, s od.Store) (*Result, error) {
 			pairs:  ts.Pairs,
 			filter: ts.Filter,
 			origin: "disk",
+			chain:  ts.Chain,
 		}
 		items = len(ts.Pairs)
 	}
@@ -252,18 +282,21 @@ func Adopt(typeName string, s od.Store) (*Result, error) {
 // traces stage, for stores the pipeline cannot snapshot itself: a
 // federation persisted via od.SavePartitioned. Call it right after the
 // snapshot lands; any later rewrite of dir's manifest invalidates the
-// segment, and a later Adopt of the reopened store restores it.
+// segment, and a later Adopt of the reopened store restores it. Into a
+// DiskStore's own directory, the segment written is the chain the next
+// Update appends to.
 func (r *Result) SaveTraces(dir string) error {
 	if r.inc == nil {
 		return fmt.Errorf("core: result carries no replay traces (Config.Incremental off)")
 	}
-	return od.SaveTraces(dir, r.Store, &od.TraceSet{
-		Fingerprint: r.inc.fp,
-		Size:        r.inc.size,
-		Alive:       r.inc.alive,
-		Pairs:       r.inc.pairs,
-		Filter:      r.inc.filter,
-	})
+	chain, err := od.SaveTraces(dir, r.Store, r.inc.traceSet())
+	if err != nil {
+		return err
+	}
+	if ds, ok := r.Store.(*od.DiskStore); ok && ds.InDir(dir) {
+		r.inc.chain = chain
+	}
+	return nil
 }
 
 // finishIncState snapshots the run's survival state into the recorded
@@ -392,13 +425,18 @@ func (p *pipelineRun) updateReduce() (int, error) {
 			prevSteps = u.prev.filter
 		}
 		filterValues := make([]float64, span)
+		var refiltered []bool // per slot: its trace was recorded anew or cleared
 		if p.inc != nil {
 			p.inc.filter = make([][]sim.FilterStep, span)
+			refiltered = make([]bool, span)
 		}
 		p.d.parallelRange(span, func(i int) {
 			id := int32(i)
 			if !p.alive[i] {
 				filterValues[i] = math.NaN()
+				if refiltered != nil {
+					refiltered[i] = u.prev != nil && i < len(u.prev.filter) && u.prev.filter[i] != nil
+				}
 				return
 			}
 			var steps []sim.FilterStep
@@ -415,8 +453,14 @@ func (p *pipelineRun) updateReduce() (int, error) {
 			}
 			if p.inc != nil {
 				p.inc.filter[i] = steps
+				refiltered[i] = !replayable
 			}
 		})
+		for i, r := range refiltered {
+			if r {
+				u.refiltered = append(u.refiltered, int32(i))
+			}
+		}
 		p.filterValues = filterValues
 		if cfg.KeepFilterValues {
 			p.res.FilterValues = filterValues
@@ -511,6 +555,7 @@ func (p *pipelineRun) updateCompare() (int, error) {
 		if p.inc != nil {
 			for _, tp := range outs[b].traces {
 				p.inc.pairs[tp.key] = tp.tr
+				u.rescored = append(u.rescored, tp.key)
 			}
 		}
 	}
@@ -522,6 +567,11 @@ func (p *pipelineRun) updateCompare() (int, error) {
 		for key, tr := range u.prev.pairs {
 			i, j := unpairKey(key)
 			if !p.alive[i] || !p.alive[j] || inR[i] || inR[j] {
+				if p.inc != nil {
+					if _, rescored := p.inc.pairs[key]; !rescored {
+						u.dropped = append(u.dropped, key)
+					}
+				}
 				continue
 			}
 			u.patched++
@@ -559,23 +609,42 @@ func sortPairsByID(pairs []Pair) {
 	})
 }
 
-// updateSnapshot persists the updated store with a *chained* fingerprint:
+// updateSnapshot persists the batch with a *chained* fingerprint:
 // H(previous fingerprint, batch source bytes, removed IDs). The chain
 // can never equal a fresh corpus fingerprint, so a later -reuse-index
 // run against different inputs safely misses and rebuilds, while
 // OpenDiskStore/Adopt (which trust the operator's directory) continue
 // the chain. A previous state without provenance yields "" — the
-// snapshot stays openable but never warm-starts.
+// snapshot stays openable but never warm-starts. A batch that adds and
+// removes nothing leaves the chain head where it was, except over a
+// base fingerprint with unmerged deltas, which it hashes forward.
+//
+// A DiskStore updating its own directory has persisted the batch
+// already: AddAfterFinalize and Remove fsynced its delta segments
+// before it applied. While the run persists traces into a chain with
+// room for one more frame, that is the whole snapshot — the chained
+// fingerprint rides in the trace frame, and the manifest stays as it
+// is. Otherwise the deltas merge in place (tombstoned ID space, store
+// stays usable) and the traces stage starts a new chain, so the merge
+// runs once per chain. An empty batch on such a store writes nothing.
 func (p *pipelineRun) updateSnapshot() (int, error) {
 	u := p.upd
+	dir := p.d.cfg.Snapshot.Dir
+	ds, _ := p.store.(*od.DiskStore)
 	prevFP := ""
+	fromManifest := false
 	if u.prev != nil && u.prev.fp != "" {
 		prevFP = u.prev.fp
-	} else if ds, ok := p.store.(*od.DiskStore); ok {
-		prevFP = ds.Fingerprint()
+	} else if ds != nil {
+		prevFP, fromManifest = ds.Fingerprint(), true
 	}
-	fp := ""
-	if prevFP != "" {
+	empty := len(u.batch.Add) == 0 && len(u.batch.Remove) == 0
+	fp := prevFP
+	// An empty batch keeps the chain head, unless that head is the base
+	// manifest's fingerprint under replayed deltas: it describes only the
+	// base, so stamping the live state with it could warm-start a fresh
+	// run on the base inputs.
+	if prevFP != "" && (!empty || fromManifest && ds.Mutated()) {
 		h := sha256.New()
 		fmt.Fprintf(h, "%s;update;%s;", fingerprintVersion, prevFP)
 		for i, src := range p.inputs {
@@ -591,6 +660,9 @@ func (p *pipelineRun) updateSnapshot() (int, error) {
 	if p.inc != nil {
 		p.inc.fp = fp
 	}
+	if ds != nil && ds.InDir(dir) && (empty || p.inc != nil && !p.d.cfg.FilterOnly && u.chain.Appendable()) {
+		return 0, nil
+	}
 	var fv []float64
 	if _, isDefault := p.filter.(sim.IndexFilter); isDefault && p.filterValues != nil {
 		fv = make([]float64, 0, p.store.Size())
@@ -600,7 +672,7 @@ func (p *pipelineRun) updateSnapshot() (int, error) {
 			}
 		}
 	}
-	if err := od.Save(p.d.cfg.Snapshot.Dir, p.store, od.SnapshotMeta{
+	if err := od.Save(dir, p.store, od.SnapshotMeta{
 		Fingerprint:  fp,
 		FilterValues: fv,
 	}); err != nil {

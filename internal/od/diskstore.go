@@ -59,8 +59,10 @@ type DiskStore struct {
 
 	// Mutation phase (MutableStore): the base segments stay immutable;
 	// every AddAfterFinalize/Remove batch commits an odcodec delta
-	// segment first and then lands in this overlay, which the query
-	// paths merge over the base. OpenDiskStore rebuilds the overlay by
+	// segment first — written, fsynced and directory-synced: the batch's
+	// persistence — and then lands in this overlay, which the query
+	// paths merge over the base. core's Update leaves the deltas
+	// unmerged between merges; OpenDiskStore rebuilds the overlay by
 	// replaying the delta files above the manifest's watermark; Save
 	// folds everything into fresh base segments — in place for the
 	// store's own directory (tombstones keep the ID space, the store
@@ -191,6 +193,22 @@ func (s *DiskStore) Fingerprint() string {
 	s.mustBeFinal()
 	return s.r.Meta().Fingerprint
 }
+
+// DeltaSeq returns the sequence of the last delta segment the store's
+// live state includes — written in process or replayed at open — or
+// the manifest's watermark when every delta is merged. Trace segments
+// record it (see LoadTraces).
+func (s *DiskStore) DeltaSeq() uint64 {
+	s.mustBeFinal()
+	if s.mut != nil {
+		return s.mut.seq
+	}
+	return s.r.Meta().DeltaSeq
+}
+
+// InDir reports whether dir is the store's own directory: the one Save
+// merges into in place and trace segments bind to by identity.
+func (s *DiskStore) InDir(dir string) bool { return sameDir(s.dir, dir) }
 
 // PersistedFilterValues returns the Step 4 filter bounds persisted with
 // the snapshot, or nil. Index-aligned with OD ids.

@@ -36,8 +36,9 @@
 //
 // A snapshot may carry a trace segment (trace.odx, see trace.go)
 // persisting the incremental-replay state of the run that wrote it,
-// chained to the manifest by digest; it is a pure cache whose absence
-// or staleness only costs a full recompare on the next update.
+// bound to the manifest by digest and to the delta segments by
+// sequence; it is a pure cache whose absence or staleness only costs a
+// full recompare on the next update.
 //
 // A mutated store additionally appends numbered delta segments
 // (delta-NNNNNNNN.odx, see delta.go) carrying post-Finalize
@@ -99,8 +100,12 @@ const (
 	kindDelta      = 5
 	kindFederation = 6
 	kindNeighbor   = 7
-	kindTrace      = 8
-	kindTraceDelta = 9
+	// 8 and 9 framed trace segments before every trace frame recorded
+	// the delta sequence it describes; a file carrying them is refused
+	// like any other foreign kind, and the next update recompares fully
+	// and rewrites the trace.
+	kindTrace      = 10
+	kindTraceDelta = 11
 )
 
 // Segment file names within a snapshot directory. Delta segments are

@@ -17,20 +17,23 @@ import (
 // replay untouched bounds and pair scores instead of recomparing every
 // surviving pair. Like delta segments it is a standalone CRC-framed
 // file next to the base segments; unlike them it is a pure cache: it is
-// chained to the exact manifest it was recorded against (by manifest
-// digest), and any mismatch, corruption or absence merely downgrades
-// the next Update to a full recompare.
+// bound to the exact manifest it was recorded against (by manifest
+// digest) and to the store's delta sequence, and any mismatch,
+// corruption or absence merely downgrades the next Update to a full
+// recompare.
 //
 // Physically the file is a frame chain: one full kindTrace frame (the
 // base) optionally followed by kindTraceDelta frames, each carrying
 // only what one update batch changed — removed and re-scored pairs,
 // touched filter slots, the new alive bitmap — plus the CRC of the
 // frame it extends, so a delta can never replay against the wrong
-// predecessor. Small batches append a delta (O_APPEND + fsync) instead
-// of rewriting the whole segment; WriteTrace compacts the chain back
-// to a single frame. A torn append corrupts only the tail, which
-// rejects the whole chain — the usual full-recompare downgrade, never
-// a wrong replay.
+// predecessor. Every frame records the store delta sequence its state
+// describes, which binds the chain to the unmerged delta segments a
+// reopen replays on top of the manifest. An update batch appends a
+// delta (O_APPEND + fsync) instead of rewriting the whole segment;
+// WriteTrace starts the chain over as a single frame. A torn append
+// corrupts only the tail, which rejects the whole chain — the usual
+// full-recompare downgrade, never a wrong replay.
 
 // TraceFile is the trace segment's file name within a snapshot
 // directory.
@@ -47,8 +50,11 @@ type TraceSet struct {
 	// Fingerprint is the corpus-chain fingerprint of the run that
 	// recorded the traces ("" when the snapshot carries no provenance).
 	// It seeds the update fingerprint chain across restarts; binding is
-	// by ManifestDigest, not by it.
+	// by ManifestDigest and DeltaSeq, not by it.
 	Fingerprint string
+	// DeltaSeq is the sequence of the last store delta segment the
+	// traces describe (the manifest's watermark when none is unmerged).
+	DeltaSeq uint64
 	// Size is the live object count of the store the traces describe.
 	Size int
 	// Alive is the recording run's post-reduce survival per slot of the
@@ -94,19 +100,32 @@ func ManifestDigest(dir string) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// WriteTrace atomically persists a trace set: written to a temporary
-// name, synced, renamed into place, directory synced — a crash
-// mid-write never leaves a half trace under the committed name.
-func WriteTrace(dir string, ts *TraceSet) error {
+// ManifestDeltaSeq returns the committed manifest's delta watermark —
+// the delta sequence a store reopened from dir starts at.
+func ManifestDeltaSeq(dir string) (uint64, error) {
+	meta, _, err := readManifest(dir)
+	if err != nil {
+		return 0, err
+	}
+	return meta.DeltaSeq, nil
+}
+
+// WriteTrace atomically persists a trace set as a one-frame chain:
+// written to a temporary name, synced, renamed into place, directory
+// synced — a crash mid-write never leaves a half trace under the
+// committed name. It returns the frame's CRC, the link the next
+// AppendTraceDelta extends.
+func WriteTrace(dir string, ts *TraceSet) (uint32, error) {
 	span := len(ts.Alive)
 	if ts.Size < 0 || ts.Size > span {
-		return fmt.Errorf("odcodec: trace size %d outside [0,%d]", ts.Size, span)
+		return 0, fmt.Errorf("odcodec: trace size %d outside [0,%d]", ts.Size, span)
 	}
 	if ts.Filters != nil && len(ts.Filters) != span {
-		return fmt.Errorf("odcodec: %d filter traces for span %d", len(ts.Filters), span)
+		return 0, fmt.Errorf("odcodec: %d filter traces for span %d", len(ts.Filters), span)
 	}
 	b := appendString(nil, ts.ManifestDigest)
 	b = appendString(b, ts.Fingerprint)
+	b = appendUvarint(b, ts.DeltaSeq)
 	b = appendUvarint(b, uint64(ts.Size))
 	b = appendUvarint(b, uint64(span))
 	b = appendAliveBitmap(b, ts.Alive)
@@ -117,13 +136,13 @@ func WriteTrace(dir string, ts *TraceSet) error {
 		var err error
 		for _, steps := range ts.Filters {
 			if b, err = appendFilterSlot(b, steps); err != nil {
-				return err
+				return 0, err
 			}
 		}
 	}
 	b, err := appendTracePairs(b, ts.Pairs, span)
 	if err != nil {
-		return err
+		return 0, err
 	}
 
 	h := newHeader(kindTrace, Version)
@@ -135,23 +154,26 @@ func WriteTrace(dir string, ts *TraceSet) error {
 	path := filepath.Join(dir, TraceFile)
 	f, err := os.Create(path + tmpSuffix)
 	if err != nil {
-		return fmt.Errorf("odcodec: %w", err)
+		return 0, fmt.Errorf("odcodec: %w", err)
 	}
 	if _, err := f.Write(out); err != nil {
 		f.Close()
-		return fmt.Errorf("odcodec: %w", err)
+		return 0, fmt.Errorf("odcodec: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("odcodec: %w", err)
+		return 0, fmt.Errorf("odcodec: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("odcodec: %w", err)
+		return 0, fmt.Errorf("odcodec: %w", err)
 	}
 	if err := os.Rename(path+tmpSuffix, path); err != nil {
-		return fmt.Errorf("odcodec: %w", err)
+		return 0, fmt.Errorf("odcodec: %w", err)
 	}
-	return syncDir(dir)
+	if err := syncDir(dir); err != nil {
+		return 0, err
+	}
+	return crc, nil
 }
 
 // RemoveTrace deletes the trace segment, if any. Best-effort: a file
@@ -233,11 +255,11 @@ type TraceDelta struct {
 	// chain link. A delta appended after a concurrent rewrite can never
 	// masquerade as part of the new chain.
 	PrevCRC uint32
-	// ManifestDigest, Fingerprint and Size supersede the accumulated
-	// values — after an update the snapshot manifest was rewritten, so
-	// the chain's binding digest moves with it.
+	// ManifestDigest, Fingerprint, DeltaSeq and Size supersede the
+	// accumulated values; DeltaSeq never moves backwards.
 	ManifestDigest string
 	Fingerprint    string
+	DeltaSeq       uint64
 	Size           int
 	// Alive is the full post-update survival bitmap. Its span may grow
 	// (IDs are never renumbered by an in-place update) but never shrink.
@@ -264,24 +286,25 @@ type TraceFilterUpdate struct {
 	Steps []TraceFilterStep // nil clears the slot's trace
 }
 
-// AppendTraceDelta appends one delta frame to the trace chain in dir.
-// The base frame must already exist — a delta without a predecessor is
-// meaningless. The frame is written with a single write and fsynced; a
-// crash mid-append leaves a torn tail that fails frame validation and
-// downgrades the next load to a full recompare, exactly like a missing
-// trace.
-func AppendTraceDelta(dir string, d *TraceDelta) error {
+// AppendTraceDelta appends one delta frame to the trace chain in dir
+// and returns the new frame's CRC. The base frame must already exist —
+// a delta without a predecessor is meaningless. The frame is written
+// with a single write and fsynced; a crash mid-append leaves a torn
+// tail that fails frame validation and downgrades the next load to a
+// full recompare, exactly like a missing trace.
+func AppendTraceDelta(dir string, d *TraceDelta) (uint32, error) {
 	span := len(d.Alive)
 	if d.Size < 0 || d.Size > span {
-		return fmt.Errorf("odcodec: trace delta size %d outside [0,%d]", d.Size, span)
+		return 0, fmt.Errorf("odcodec: trace delta size %d outside [0,%d]", d.Size, span)
 	}
 	if d.DropFilters && len(d.FilterUpdates) > 0 {
-		return fmt.Errorf("odcodec: trace delta both drops filters and updates %d slots", len(d.FilterUpdates))
+		return 0, fmt.Errorf("odcodec: trace delta both drops filters and updates %d slots", len(d.FilterUpdates))
 	}
 
 	b := binary.LittleEndian.AppendUint32(nil, d.PrevCRC)
 	b = appendString(b, d.ManifestDigest)
 	b = appendString(b, d.Fingerprint)
+	b = appendUvarint(b, d.DeltaSeq)
 	b = appendUvarint(b, uint64(d.Size))
 	b = appendUvarint(b, uint64(span))
 	b = appendAliveBitmap(b, d.Alive)
@@ -294,16 +317,16 @@ func AppendTraceDelta(dir string, d *TraceDelta) error {
 	prevSlot := int32(-1)
 	for _, u := range d.FilterUpdates {
 		if u.Slot < 0 || int(u.Slot) >= span {
-			return fmt.Errorf("odcodec: trace delta filter slot %d outside span %d", u.Slot, span)
+			return 0, fmt.Errorf("odcodec: trace delta filter slot %d outside span %d", u.Slot, span)
 		}
 		if u.Slot <= prevSlot {
-			return fmt.Errorf("odcodec: trace delta filter slots not strictly ascending")
+			return 0, fmt.Errorf("odcodec: trace delta filter slots not strictly ascending")
 		}
 		b = appendUvarint(b, uint64(u.Slot-prevSlot))
 		prevSlot = u.Slot
 		var err error
 		if b, err = appendFilterSlot(b, u.Steps); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	b = appendUvarint(b, uint64(len(d.RemovedPairs)))
@@ -311,13 +334,13 @@ func AppendTraceDelta(dir string, d *TraceDelta) error {
 	for n, key := range d.RemovedPairs {
 		i, j := int64(key>>32), int64(key&math.MaxUint32)
 		if i >= j || j >= int64(span) {
-			return fmt.Errorf("odcodec: trace delta removes invalid pair key (%d,%d) for span %d", i, j, span)
+			return 0, fmt.Errorf("odcodec: trace delta removes invalid pair key (%d,%d) for span %d", i, j, span)
 		}
 		if n == 0 {
 			b = appendUvarint(b, key)
 		} else {
 			if key <= prevKey {
-				return fmt.Errorf("odcodec: trace delta removed keys not strictly ascending")
+				return 0, fmt.Errorf("odcodec: trace delta removed keys not strictly ascending")
 			}
 			b = appendUvarint(b, key-prevKey)
 		}
@@ -325,7 +348,7 @@ func AppendTraceDelta(dir string, d *TraceDelta) error {
 	}
 	var err error
 	if b, err = appendTracePairs(b, d.Pairs, span); err != nil {
-		return err
+		return 0, err
 	}
 
 	h := newHeader(kindTraceDelta, Version)
@@ -336,28 +359,55 @@ func AppendTraceDelta(dir string, d *TraceDelta) error {
 
 	f, err := os.OpenFile(filepath.Join(dir, TraceFile), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
-		return fmt.Errorf("odcodec: append trace delta: %w", err)
+		return 0, fmt.Errorf("odcodec: append trace delta: %w", err)
 	}
 	if _, err := f.Write(out); err != nil {
 		f.Close()
-		return fmt.Errorf("odcodec: append trace delta: %w", err)
+		return 0, fmt.Errorf("odcodec: append trace delta: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("odcodec: append trace delta: %w", err)
+		return 0, fmt.Errorf("odcodec: append trace delta: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("odcodec: append trace delta: %w", err)
+		return 0, fmt.Errorf("odcodec: append trace delta: %w", err)
 	}
-	return nil
+	return crc, nil
+}
+
+// LastTraceCRC returns the footer CRC of the trace chain's last frame,
+// reading only the file's final footer: the check an append makes that
+// the file still ends in the frame it extends. A missing file, or a
+// tail without the trailing magic, is an error.
+func LastTraceCRC(dir string) (uint32, error) {
+	f, err := os.Open(filepath.Join(dir, TraceFile))
+	if err != nil {
+		return 0, fmt.Errorf("odcodec: %w", err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("odcodec: %w", err)
+	}
+	if st.Size() < headerSize+footerSize {
+		return 0, corrupt(TraceFile, "trace file too short (%d bytes)", st.Size())
+	}
+	var footer [footerSize]byte
+	if _, err := f.ReadAt(footer[:], st.Size()-footerSize); err != nil {
+		return 0, fmt.Errorf("odcodec: %w", err)
+	}
+	if [4]byte(footer[4:]) != magicEnd {
+		return 0, corrupt(TraceFile, "bad trailing magic %q (torn append?)", footer[4:])
+	}
+	return binary.LittleEndian.Uint32(footer[:4]), nil
 }
 
 // ReadTrace loads and fully verifies the trace chain in dir,
 // accumulating every delta frame into the final replay state. Returns
 // (nil, nil) when no trace file exists; corruption anywhere in the
 // chain — including a torn appended tail — is a *CorruptError. The
-// caller checks the manifest digest — ReadTrace only validates the
-// encoding.
+// caller checks the manifest digest and delta sequence — ReadTrace only
+// validates the encoding.
 func ReadTrace(dir string) (*TraceSet, error) {
 	ts, _, err := ReadTraceChain(dir)
 	return ts, err
@@ -365,8 +415,8 @@ func ReadTrace(dir string) (*TraceSet, error) {
 
 // TraceChainInfo describes the physical shape of a trace chain.
 type TraceChainInfo struct {
-	// Frames is the chain length: 1 for a freshly written (or
-	// compacted) trace, +1 per appended delta.
+	// Frames is the chain length: 1 for a freshly written trace, +1 per
+	// appended delta.
 	Frames int
 	// LastCRC is the footer CRC of the last frame — the value the next
 	// AppendTraceDelta must link to.
@@ -375,8 +425,8 @@ type TraceChainInfo struct {
 	Bytes int64
 }
 
-// ReadTraceChain is ReadTrace plus the chain shape — the append path
-// uses the shape to link and to decide when to compact.
+// ReadTraceChain is ReadTrace plus the chain shape, which a reader
+// hands on so the next update can append to the chain it loaded.
 func ReadTraceChain(dir string) (*TraceSet, TraceChainInfo, error) {
 	var info TraceChainInfo
 	buf, err := os.ReadFile(filepath.Join(dir, TraceFile))
@@ -459,6 +509,9 @@ func decodeTraceBase(br *byteReader) (*TraceSet, error) {
 		return nil, err
 	}
 	if ts.Fingerprint, err = br.str(); err != nil {
+		return nil, err
+	}
+	if ts.DeltaSeq, err = br.uvarint(); err != nil {
 		return nil, err
 	}
 	size, err := br.count(maxCount)
@@ -607,6 +660,9 @@ func decodeTraceDelta(br *byteReader) (*TraceDelta, error) {
 	if d.Fingerprint, err = br.str(); err != nil {
 		return nil, err
 	}
+	if d.DeltaSeq, err = br.uvarint(); err != nil {
+		return nil, err
+	}
 	if d.Size, err = br.count(maxCount); err != nil {
 		return nil, err
 	}
@@ -699,15 +755,20 @@ func decodeTraceDelta(br *byteReader) (*TraceDelta, error) {
 }
 
 // applyTraceDelta folds one decoded delta into the accumulated state.
-// Every structural mismatch — shrinking span, removing a pair the
-// chain never recorded — rejects the chain as corrupt.
+// Every structural mismatch — shrinking span, a delta sequence moving
+// backwards, removing a pair the chain never recorded — rejects the
+// chain as corrupt.
 func applyTraceDelta(ts *TraceSet, d *TraceDelta) error {
 	span := len(d.Alive)
 	if span < len(ts.Alive) {
 		return corrupt(TraceFile, "delta shrinks span %d to %d", len(ts.Alive), span)
 	}
+	if d.DeltaSeq < ts.DeltaSeq {
+		return corrupt(TraceFile, "delta rewinds delta sequence %d to %d", ts.DeltaSeq, d.DeltaSeq)
+	}
 	ts.ManifestDigest = d.ManifestDigest
 	ts.Fingerprint = d.Fingerprint
+	ts.DeltaSeq = d.DeltaSeq
 	ts.Size = d.Size
 	ts.Alive = d.Alive
 

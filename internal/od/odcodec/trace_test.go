@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -14,6 +15,7 @@ func sampleTrace(digest string) *TraceSet {
 	return &TraceSet{
 		ManifestDigest: digest,
 		Fingerprint:    "fp-chain-head",
+		DeltaSeq:       3,
 		Size:           6, // one tombstoned slot
 		Alive:          []bool{true, true, false, true, false, true, true},
 		Filters: [][]TraceFilterStep{
@@ -42,7 +44,7 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := sampleTrace(digest)
-	if err := WriteTrace(dir, want); err != nil {
+	if _, err := WriteTrace(dir, want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadTrace(dir)
@@ -82,7 +84,7 @@ func TestTraceRoundTripNoFilters(t *testing.T) {
 	}
 	want := sampleTrace(digest)
 	want.Filters = nil
-	if err := WriteTrace(dir, want); err != nil {
+	if _, err := WriteTrace(dir, want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadTrace(dir)
@@ -104,6 +106,28 @@ func TestTraceAbsent(t *testing.T) {
 	}
 }
 
+// TestTraceOldLayoutRefused pins the documented downgrade: trace files
+// written before every frame recorded its delta sequence carry the
+// retired frame kinds 8 and 9, and no reader branch accepts them.
+func TestTraceOldLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := WriteTrace(dir, sampleTrace("digest-one")); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, TraceFile)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[5] = 8 // the retired base-frame kind
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadTrace(dir); !IsCorrupt(err) || !strings.Contains(err.Error(), "frame kind 8") {
+		t.Fatalf("old-layout trace read back: %v", err)
+	}
+}
+
 func TestWriteTraceRejectsInvalid(t *testing.T) {
 	dir := t.TempDir()
 	base := func() *TraceSet { return sampleTrace("d") }
@@ -120,7 +144,7 @@ func TestWriteTraceRejectsInvalid(t *testing.T) {
 	} {
 		ts := base()
 		mutate(ts)
-		if err := WriteTrace(dir, ts); err == nil {
+		if _, err := WriteTrace(dir, ts); err == nil {
 			t.Errorf("%s: WriteTrace accepted an invalid trace set", name)
 		}
 	}
@@ -140,7 +164,7 @@ func TestTraceByteFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTrace(dir, sampleTrace(digest)); err != nil {
+	if _, err := WriteTrace(dir, sampleTrace(digest)); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, TraceFile)
@@ -191,12 +215,14 @@ func normTrace(ts *TraceSet) *TraceSet {
 }
 
 // sampleDeltas returns two deltas extending sampleTrace — a span-growing
-// mixed edit and a filter-dropping follow-up — plus the state the chain
-// must accumulate to after both. PrevCRC is left for the caller to link.
+// mixed edit and a filter-dropping follow-up, each at a later delta
+// sequence — plus the state the chain must accumulate to after both.
+// PrevCRC is left for the caller to link.
 func sampleDeltas() (d1, d2 *TraceDelta, final *TraceSet) {
 	d1 = &TraceDelta{
 		ManifestDigest: "digest-two",
 		Fingerprint:    "fp-chain-2",
+		DeltaSeq:       4,
 		Size:           7,
 		Alive:          []bool{true, true, false, true, false, true, true, true, false},
 		FilterUpdates: []TraceFilterUpdate{
@@ -212,6 +238,7 @@ func sampleDeltas() (d1, d2 *TraceDelta, final *TraceSet) {
 	d2 = &TraceDelta{
 		ManifestDigest: "digest-three",
 		Fingerprint:    "fp-chain-3",
+		DeltaSeq:       6,
 		Size:           7,
 		Alive:          d1.Alive,
 		DropFilters:    true,
@@ -219,6 +246,7 @@ func sampleDeltas() (d1, d2 *TraceDelta, final *TraceSet) {
 	final = &TraceSet{
 		ManifestDigest: "digest-three",
 		Fingerprint:    "fp-chain-3",
+		DeltaSeq:       6,
 		Size:           7,
 		Alive:          d1.Alive,
 		Pairs: []TracePair{
@@ -232,10 +260,12 @@ func sampleDeltas() (d1, d2 *TraceDelta, final *TraceSet) {
 }
 
 // chainSample writes sampleTrace plus both sampleDeltas into dir,
-// linking each frame to its predecessor's CRC.
+// linking each frame to the CRC its predecessor's writer returned —
+// which must be the CRC a full read of the chain reports.
 func chainSample(t *testing.T, dir string) (d1, d2 *TraceDelta, final *TraceSet) {
 	t.Helper()
-	if err := WriteTrace(dir, sampleTrace("digest-one")); err != nil {
+	crc, err := WriteTrace(dir, sampleTrace("digest-one"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	d1, d2, final = sampleDeltas()
@@ -244,8 +274,11 @@ func chainSample(t *testing.T, dir string) (d1, d2 *TraceDelta, final *TraceSet)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.PrevCRC = info.LastCRC
-		if err := AppendTraceDelta(dir, d); err != nil {
+		if info.LastCRC != crc {
+			t.Fatalf("writer returned CRC %08x, the chain ends in %08x", crc, info.LastCRC)
+		}
+		d.PrevCRC = crc
+		if crc, err = AppendTraceDelta(dir, d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +305,7 @@ func TestTraceChainAccumulates(t *testing.T) {
 	// The exact same state written as a single compacted frame must be
 	// indistinguishable to a reader.
 	compact := t.TempDir()
-	if err := WriteTrace(compact, final); err != nil {
+	if _, err := WriteTrace(compact, final); err != nil {
 		t.Fatal(err)
 	}
 	viaWrite, err := ReadTrace(compact)
@@ -284,15 +317,40 @@ func TestTraceChainAccumulates(t *testing.T) {
 	}
 }
 
+// TestLastTraceCRC pins the append path's cheap chain check: the last
+// frame's CRC read from the file's final footer alone equals what a
+// full read of the chain reports, and a missing file or a torn tail is
+// an error rather than that CRC.
+func TestLastTraceCRC(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := LastTraceCRC(dir); err == nil {
+		t.Fatal("LastTraceCRC of a directory without a trace succeeded")
+	}
+	chainSample(t, dir)
+	_, info, err := ReadTraceChain(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crc, err := LastTraceCRC(dir); err != nil || crc != info.LastCRC {
+		t.Fatalf("LastTraceCRC = %08x, %v; the chain ends in %08x", crc, err, info.LastCRC)
+	}
+	if err := os.Truncate(filepath.Join(dir, TraceFile), info.Bytes-3); err != nil {
+		t.Fatal(err)
+	}
+	if crc, err := LastTraceCRC(dir); err == nil && crc == info.LastCRC {
+		t.Fatal("a torn tail still reports the chain's last CRC")
+	}
+}
+
 // TestAppendTraceDeltaValidation pins the append-side checks: a delta
 // that violates a structural invariant, or one with no base frame to
 // extend, is refused before any byte lands on disk.
 func TestAppendTraceDeltaValidation(t *testing.T) {
-	if err := AppendTraceDelta(t.TempDir(), &TraceDelta{Alive: []bool{true, true}}); err == nil {
+	if _, err := AppendTraceDelta(t.TempDir(), &TraceDelta{Alive: []bool{true, true}}); err == nil {
 		t.Fatal("delta without a base frame accepted")
 	}
 	dir := t.TempDir()
-	if err := WriteTrace(dir, sampleTrace("digest-one")); err != nil {
+	if _, err := WriteTrace(dir, sampleTrace("digest-one")); err != nil {
 		t.Fatal(err)
 	}
 	pristine, err := os.ReadFile(filepath.Join(dir, TraceFile))
@@ -318,7 +376,7 @@ func TestAppendTraceDeltaValidation(t *testing.T) {
 	} {
 		d, _, _ := sampleDeltas()
 		mutate(d)
-		if err := AppendTraceDelta(dir, d); err != nil {
+		if _, err := AppendTraceDelta(dir, d); err != nil {
 			continue
 		}
 		t.Errorf("%s: AppendTraceDelta accepted an invalid delta", name)
@@ -341,12 +399,12 @@ func TestAppendTraceDeltaValidation(t *testing.T) {
 func TestTraceChainBreaks(t *testing.T) {
 	t.Run("wrong prev-crc", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := WriteTrace(dir, sampleTrace("digest-one")); err != nil {
+		if _, err := WriteTrace(dir, sampleTrace("digest-one")); err != nil {
 			t.Fatal(err)
 		}
 		d, _, _ := sampleDeltas()
 		d.PrevCRC = 0xBADC0FFE
-		if err := AppendTraceDelta(dir, d); err != nil {
+		if _, err := AppendTraceDelta(dir, d); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ReadTrace(dir); !IsCorrupt(err) {
@@ -357,10 +415,10 @@ func TestTraceChainBreaks(t *testing.T) {
 		// A concurrent whole rewrite appended after the chain would
 		// present a kindTrace frame at a non-zero offset.
 		dir, other := t.TempDir(), t.TempDir()
-		if err := WriteTrace(dir, sampleTrace("digest-one")); err != nil {
+		if _, err := WriteTrace(dir, sampleTrace("digest-one")); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteTrace(other, sampleTrace("digest-one")); err != nil {
+		if _, err := WriteTrace(other, sampleTrace("digest-one")); err != nil {
 			t.Fatal(err)
 		}
 		frame, err := os.ReadFile(filepath.Join(other, TraceFile))
@@ -381,34 +439,44 @@ func TestTraceChainBreaks(t *testing.T) {
 	})
 	t.Run("delta shrinks span", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := WriteTrace(dir, sampleTrace("digest-one")); err != nil {
-			t.Fatal(err)
-		}
-		_, info, err := ReadTraceChain(dir)
+		crc, err := WriteTrace(dir, sampleTrace("digest-one"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := &TraceDelta{PrevCRC: info.LastCRC, ManifestDigest: "d2", Size: 2, Alive: []bool{true, true}}
-		if err := AppendTraceDelta(dir, d); err != nil {
+		d := &TraceDelta{PrevCRC: crc, ManifestDigest: "d2", DeltaSeq: 3, Size: 2, Alive: []bool{true, true}}
+		if _, err := AppendTraceDelta(dir, d); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ReadTrace(dir); !IsCorrupt(err) {
 			t.Fatalf("span-shrinking delta read back: %v", err)
 		}
 	})
-	t.Run("removes unknown pair", func(t *testing.T) {
+	t.Run("delta rewinds sequence", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := WriteTrace(dir, sampleTrace("digest-one")); err != nil {
+		base := sampleTrace("digest-one")
+		crc, err := WriteTrace(dir, base)
+		if err != nil {
 			t.Fatal(err)
 		}
-		_, info, err := ReadTraceChain(dir)
+		d := &TraceDelta{PrevCRC: crc, ManifestDigest: "d2", DeltaSeq: base.DeltaSeq - 1, Size: base.Size,
+			Alive: base.Alive, DropFilters: true}
+		if _, err := AppendTraceDelta(dir, d); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadTrace(dir); !IsCorrupt(err) {
+			t.Fatalf("sequence-rewinding delta read back: %v", err)
+		}
+	})
+	t.Run("removes unknown pair", func(t *testing.T) {
+		dir := t.TempDir()
+		crc, err := WriteTrace(dir, sampleTrace("digest-one"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		base := sampleTrace("x")
-		d := &TraceDelta{PrevCRC: info.LastCRC, ManifestDigest: "d2", Size: base.Size,
+		d := &TraceDelta{PrevCRC: crc, ManifestDigest: "d2", DeltaSeq: base.DeltaSeq, Size: base.Size,
 			Alive: base.Alive, DropFilters: true, RemovedPairs: []uint64{2<<32 | 3}}
-		if err := AppendTraceDelta(dir, d); err != nil {
+		if _, err := AppendTraceDelta(dir, d); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ReadTrace(dir); !IsCorrupt(err) {
@@ -421,7 +489,7 @@ func TestTraceChainBreaks(t *testing.T) {
 // a three-frame chain: every single-byte flip anywhere in the chain is
 // rejected, every truncation is rejected except at exact frame
 // boundaries — a whole-frame prefix is a valid (shorter) chain, and its
-// now-stale manifest digest is the od layer's problem.
+// now-stale delta sequence is the od layer's problem.
 func TestTraceChainByteFlips(t *testing.T) {
 	dir := t.TempDir()
 	chainSample(t, dir)
@@ -493,50 +561,50 @@ func nextFrameEnd(t *testing.T, valid []byte, off int) int {
 
 // FuzzTraceSegment feeds arbitrary bytes as the trace file: ReadTrace
 // must reject cleanly or decode a structurally valid trace set — never
-// panic, never over-allocate on a tiny hostile frame.
+// panic, never over-allocate on a tiny hostile frame. The seeds cover
+// one-frame and multi-frame chains, each frame carrying its delta
+// sequence.
 func FuzzTraceSegment(f *testing.F) {
 	dir, err := os.MkdirTemp("", "odcodec-trace-fuzz-")
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := WriteTrace(dir, sampleTrace("seed-digest")); err != nil {
+	read := func() []byte {
+		b, err := os.ReadFile(filepath.Join(dir, TraceFile))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	if _, err := WriteTrace(dir, sampleTrace("seed-digest")); err != nil {
 		f.Fatal(err)
 	}
-	valid, err := os.ReadFile(filepath.Join(dir, TraceFile))
-	if err != nil {
-		f.Fatal(err)
-	}
+	valid := read()
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add(append([]byte(nil), valid[:len(valid)/2]...))
 	empty := &TraceSet{ManifestDigest: "d", Size: 0, Alive: nil}
-	if err := WriteTrace(dir, empty); err != nil {
+	if _, err := WriteTrace(dir, empty); err != nil {
 		f.Fatal(err)
 	}
-	validEmpty, err := os.ReadFile(filepath.Join(dir, TraceFile))
+	f.Add(read())
+	crc, err := WriteTrace(dir, sampleTrace("seed-digest"))
 	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(validEmpty)
-	if err := WriteTrace(dir, sampleTrace("seed-digest")); err != nil {
 		f.Fatal(err)
 	}
 	d1, d2, _ := sampleDeltas()
+	var twoFrames []byte
 	for _, d := range []*TraceDelta{d1, d2} {
-		_, info, err := ReadTraceChain(dir)
-		if err != nil {
+		d.PrevCRC = crc
+		if crc, err = AppendTraceDelta(dir, d); err != nil {
 			f.Fatal(err)
 		}
-		d.PrevCRC = info.LastCRC
-		if err := AppendTraceDelta(dir, d); err != nil {
-			f.Fatal(err)
+		if twoFrames == nil {
+			twoFrames = read()
 		}
 	}
-	validChain, err := os.ReadFile(filepath.Join(dir, TraceFile))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(validChain)
+	f.Add(read())
+	f.Add(twoFrames)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, TraceFile), data, 0o644); err != nil {

@@ -591,10 +591,9 @@ func writeManifest(dir string, meta Meta, stamps []segmentStamp) error {
 		return fmt.Errorf("odcodec: %w", err)
 	}
 	// Any existing trace segment chained to the previous manifest is now
-	// stale, but it is NOT removed here: the update path re-chains it by
-	// appending a delta frame carrying the new manifest digest right
-	// after this rewrite. The manifest-digest check in od rejects the
-	// chain if that append never happens.
+	// stale, but it is NOT removed here: its manifest digest no longer
+	// matches, so od rejects it, and the update that merged rewrites it
+	// right after this commit.
 	// Make the commit point itself durable (see syncDir in delta.go):
 	// without it a crash could roll back to the previous manifest — a
 	// detectable state, but one that silently discards the commit.

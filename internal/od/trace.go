@@ -2,6 +2,7 @@ package od
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/od/odcodec"
@@ -11,10 +12,14 @@ import (
 // similarity traces per scored pair and filter-bound traces per object
 // — alongside a snapshot, so a fresh process can replay them through
 // Detector.Update instead of recomparing every surviving pair. The
-// trace segment is chained to the snapshot by manifest digest (see
-// odcodec.TraceSet): any later Save or UpdateMeta rewrites the manifest
-// and automatically invalidates it, and a missing, stale or corrupt
-// trace file only downgrades the next update to a full recompare.
+// trace segment is bound to the exact store state it describes by
+// manifest digest and delta sequence (see odcodec.TraceSet): a later
+// Save or UpdateMeta rewrites the manifest, a later delta segment moves
+// the store past the sequence, and either rejects the segment; a
+// missing, stale or corrupt trace file only downgrades the next update
+// to a full recompare. An update of a DiskStore in its own directory
+// appends one delta frame per batch (AppendTraces), encoded from what
+// the batch itself changed — the file is never read back to diff.
 
 // PairTrace records what one comparison took from the store: the
 // occurrence-union sizes behind each matched pair's softIDF term, in
@@ -59,26 +64,53 @@ type TraceSet struct {
 	// recorded); nil entirely when the run replayed persisted filter
 	// values instead of recording bounds.
 	Filter [][]FilterStep
+	// Chain is the shape of the persisted chain LoadTraces read the set
+	// from (zero for a set built in memory). SaveTraces and AppendTraces
+	// ignore it and return the shape they leave.
+	Chain TraceChain
 }
 
-// SaveTraces persists ts as the trace segment of the snapshot already
-// committed in dir, remapping IDs exactly the way Save mapped the
-// store's: identity for a DiskStore saved into its own directory
-// (tombstoned slots keep their IDs), live-compacted for every exported
-// backend (MemStore, foreign-directory DiskStore, PartitionedStore
-// coordinator). Call it after Save/SavePartitioned —
-// the segment chains to the manifest those committed.
-func SaveTraces(dir string, s Store, ts *TraceSet) error {
+// TraceChain is the shape of a persisted trace chain: what the next
+// append must link to, and the store state the chain describes. The
+// zero value means no chain is known.
+type TraceChain struct {
+	Frames         int    // frames in the chain; 0 = none known
+	LastCRC        uint32 // footer CRC of the last frame
+	DeltaSeq       uint64 // store delta sequence the chain describes
+	ManifestDigest string // manifest the chain is bound to
+}
+
+// maxTraceFrames bounds the trace chain: the update whose frame would
+// make the chain this long rewrites it as one frame instead — after
+// merging its delta segments, on a DiskStore in its own directory — so
+// the load cost and the deltas a reopen replays are bounded by the
+// chain, not by update history.
+const maxTraceFrames = 8
+
+// Appendable reports whether an update may extend the chain by one
+// delta frame: a chain is known and stays below maxTraceFrames.
+func (c TraceChain) Appendable() bool { return c.Frames > 0 && c.Frames+1 < maxTraceFrames }
+
+// SaveTraces persists ts as the whole trace segment of the snapshot
+// already committed in dir, remapping IDs exactly the way Save mapped
+// the store's: identity for a DiskStore saved into its own directory
+// (tombstoned slots keep their IDs; the segment records the delta
+// sequence the store's live state ends at, unmerged deltas included),
+// live-compacted for every exported backend (MemStore,
+// foreign-directory DiskStore, PartitionedStore coordinator). Call it
+// after Save/SavePartitioned — the segment chains to the manifest those
+// committed. It returns the one-frame chain it wrote.
+func SaveTraces(dir string, s Store, ts *TraceSet) (TraceChain, error) {
 	span := storeSpan(s)
 	if len(ts.Alive) != span {
-		return fmt.Errorf("od: save traces: %d alive slots for ID span %d", len(ts.Alive), span)
+		return TraceChain{}, fmt.Errorf("od: save traces: %d alive slots for ID span %d", len(ts.Alive), span)
 	}
 	if ts.Filter != nil && len(ts.Filter) != span {
-		return fmt.Errorf("od: save traces: %d filter traces for ID span %d", len(ts.Filter), span)
+		return TraceChain{}, fmt.Errorf("od: save traces: %d filter traces for ID span %d", len(ts.Filter), span)
 	}
 	digest, err := odcodec.ManifestDigest(dir)
 	if err != nil {
-		return fmt.Errorf("od: save traces: %w", err)
+		return TraceChain{}, fmt.Errorf("od: save traces: %w", err)
 	}
 
 	out := &odcodec.TraceSet{
@@ -86,17 +118,19 @@ func SaveTraces(dir string, s Store, ts *TraceSet) error {
 		Fingerprint:    ts.Fingerprint,
 		Size:           ts.Size,
 	}
-	identity := false
-	if ds, ok := s.(*DiskStore); ok && sameDir(ds.dir, dir) {
-		identity = true
-	}
 	var remap []int32
-	if identity {
+	if ds, ok := s.(*DiskStore); ok && ds.InDir(dir) {
+		out.DeltaSeq = ds.DeltaSeq()
 		out.Alive = ts.Alive
 		if ts.Filter != nil {
 			out.Filters = encodeFilters(ts.Filter)
 		}
 	} else {
+		// A store reopened from the export starts at the manifest's
+		// delta watermark, with nothing to replay.
+		if out.DeltaSeq, err = odcodec.ManifestDeltaSeq(dir); err != nil {
+			return TraceChain{}, fmt.Errorf("od: save traces: %w", err)
+		}
 		// The exported snapshot compacted IDs over the store's live
 		// set (not the run's survivor set — filter-pruned objects are
 		// still live and keep slots), so the trace compacts the same
@@ -131,158 +165,96 @@ func SaveTraces(dir string, s Store, ts *TraceSet) error {
 		out.Pairs = append(out.Pairs, odcodec.TracePair{Key: uint64(key), SimU: tr.SimU, ConU: tr.ConU})
 	}
 	sort.Slice(out.Pairs, func(a, b int) bool { return out.Pairs[a].Key < out.Pairs[b].Key })
-	if err := odcodec.WriteTrace(dir, out); err != nil {
-		return fmt.Errorf("od: save traces: %w", err)
+	crc, err := odcodec.WriteTrace(dir, out)
+	if err != nil {
+		return TraceChain{}, fmt.Errorf("od: save traces: %w", err)
 	}
-	return nil
+	return TraceChain{Frames: 1, LastCRC: crc, DeltaSeq: out.DeltaSeq, ManifestDigest: digest}, nil
 }
 
-// maxTraceFrames bounds the trace chain length: an update that finds
-// the chain already this long compacts it back to a single frame
-// (WriteTrace) instead of appending another delta, so load cost stays
-// proportional to the state, not to update history.
-const maxTraceFrames = 8
+// TraceUpdate is what one update batch changed in the replay state, as
+// the batch's own stages decided it; nothing diffs the pair maps.
+type TraceUpdate struct {
+	// Prev is the state the extended chain accumulates to, Cur the state
+	// after the batch.
+	Prev, Cur *TraceSet
+	// Rescored lists the keys of Cur.Pairs the batch compared for real,
+	// Dropped the keys of Prev.Pairs missing from Cur.Pairs; every other
+	// pair trace is the same in both states. Refiltered lists the slots
+	// whose filter trace the batch recorded anew or cleared. The lists
+	// come in any order; AppendTraces sorts them in place.
+	Rescored, Dropped []int64
+	Refiltered        []int32
+}
 
-// AppendTraces persists ts like SaveTraces, but for a DiskStore
-// updated in place in its own snapshot directory it appends a delta
-// frame to the existing trace chain — carrying only the pairs and
-// filter slots that changed — instead of rewriting the whole segment.
-// Everything else (foreign backends, a missing or unreadable chain, a
-// chain at maxTraceFrames, a delta comparable in size to the full
-// state) falls back to the whole rewrite, so the call is always safe
-// and the two paths accumulate to identical replay state.
-func AppendTraces(dir string, s Store, ts *TraceSet) error {
+// AppendTraces persists up.Cur as the trace segment in dir and returns
+// the chain it leaves. For a DiskStore in its own directory whose chain
+// c the file still ends in — the last frame's CRC, read alone, and the
+// manifest digest match c — it writes nothing when the batch changed
+// nothing, and otherwise appends one delta frame holding only up's
+// changes, encoded from memory against up.Prev. Everything else (other
+// backends, a foreign directory, no chain, a chain at maxTraceFrames, a
+// file rewritten behind c) rewrites the whole segment, so the call is
+// always safe and both paths accumulate to the same replay state.
+func AppendTraces(dir string, s Store, c TraceChain, up *TraceUpdate) (TraceChain, error) {
 	ds, ok := s.(*DiskStore)
-	if !ok || !sameDir(ds.dir, dir) {
-		return SaveTraces(dir, s, ts)
+	if !ok || !ds.InDir(dir) || c.Frames == 0 || up.Prev == nil {
+		return SaveTraces(dir, s, up.Cur)
 	}
+	prev, cur := up.Prev, up.Cur
 	span := storeSpan(s)
-	if len(ts.Alive) != span {
-		return fmt.Errorf("od: append traces: %d alive slots for ID span %d", len(ts.Alive), span)
+	if len(cur.Alive) != span {
+		return TraceChain{}, fmt.Errorf("od: append traces: %d alive slots for ID span %d", len(cur.Alive), span)
 	}
-	if ts.Filter != nil && len(ts.Filter) != span {
-		return fmt.Errorf("od: append traces: %d filter traces for ID span %d", len(ts.Filter), span)
-	}
-	// The on-disk chain is the authoritative "previous" state: the delta
-	// is computed against what a future ReadTrace will actually
-	// accumulate, so appending it always lands exactly on ts no matter
-	// how the chain got here. Any read problem just means full rewrite.
-	base, info, err := odcodec.ReadTraceChain(dir)
-	if err != nil || base == nil || len(base.Alive) > span || info.Frames >= maxTraceFrames {
-		return SaveTraces(dir, s, ts)
-	}
-	d, small := diffTraces(base, ts, span)
-	if !small {
-		return SaveTraces(dir, s, ts)
+	if cur.Filter != nil && len(cur.Filter) != span {
+		return TraceChain{}, fmt.Errorf("od: append traces: %d filter traces for ID span %d", len(cur.Filter), span)
 	}
 	digest, err := odcodec.ManifestDigest(dir)
 	if err != nil {
-		return fmt.Errorf("od: append traces: %w", err)
+		return TraceChain{}, fmt.Errorf("od: append traces: %w", err)
 	}
-	d.PrevCRC = info.LastCRC
-	d.ManifestDigest = digest
-	d.Fingerprint = ts.Fingerprint
-	d.Size = ts.Size
-	d.Alive = ts.Alive
-	if err := odcodec.AppendTraceDelta(dir, d); err != nil {
-		return fmt.Errorf("od: append traces: %w", err)
+	if crc, err := odcodec.LastTraceCRC(dir); err != nil || crc != c.LastCRC || digest != c.ManifestDigest {
+		return SaveTraces(dir, s, cur)
 	}
-	return nil
-}
-
-// diffTraces computes the delta frame turning the accumulated on-disk
-// state into ts. The second result is false when a delta is not
-// worthwhile: the changed set rivals the full state, or the filter
-// sections differ in a way the delta format cannot express compactly
-// (bound traces appearing where the chain recorded none).
-func diffTraces(base *odcodec.TraceSet, ts *TraceSet, span int) (*odcodec.TraceDelta, bool) {
-	d := &odcodec.TraceDelta{}
-	switch {
-	case ts.Filter == nil && base.Filters == nil:
-		// no filter traces on either side
-	case ts.Filter == nil:
-		d.DropFilters = true
-	case base.Filters == nil:
-		return nil, false
-	default:
-		for id := 0; id < span; id++ {
-			var prev []odcodec.TraceFilterStep
-			if id < len(base.Filters) {
-				prev = base.Filters[id]
-			}
-			if filterSlotEqual(prev, ts.Filter[id]) {
-				continue
-			}
-			var enc []odcodec.TraceFilterStep
-			if steps := ts.Filter[id]; steps != nil {
-				enc = make([]odcodec.TraceFilterStep, len(steps))
-				for k, st := range steps {
-					enc[k] = odcodec.TraceFilterStep{Shared: st.Shared, Union: st.Union}
-				}
-			}
-			d.FilterUpdates = append(d.FilterUpdates, odcodec.TraceFilterUpdate{Slot: int32(id), Steps: enc})
-		}
+	seq := ds.DeltaSeq()
+	if len(up.Rescored)+len(up.Dropped)+len(up.Refiltered) == 0 && seq == c.DeltaSeq &&
+		cur.Size == prev.Size && cur.Fingerprint == prev.Fingerprint &&
+		(cur.Filter == nil) == (prev.Filter == nil) && slices.Equal(cur.Alive, prev.Alive) {
+		return c, nil // the chain already holds exactly this state
+	}
+	if !c.Appendable() {
+		return SaveTraces(dir, s, cur)
 	}
 
-	cur := make([]odcodec.TracePair, 0, len(ts.Pairs))
-	for key, tr := range ts.Pairs {
-		i, j := int32(key>>32), int32(key&0xffffffff)
-		if int(j) >= span || !ts.Alive[i] || !ts.Alive[j] {
-			continue // defensive: a non-survivor endpoint can never replay
-		}
-		cur = append(cur, odcodec.TracePair{Key: uint64(key), SimU: tr.SimU, ConU: tr.ConU})
+	d := &odcodec.TraceDelta{
+		PrevCRC:        c.LastCRC,
+		ManifestDigest: digest,
+		Fingerprint:    cur.Fingerprint,
+		DeltaSeq:       seq,
+		Size:           cur.Size,
+		Alive:          cur.Alive,
+		DropFilters:    prev.Filter != nil && cur.Filter == nil,
 	}
-	sort.Slice(cur, func(a, b int) bool { return cur[a].Key < cur[b].Key })
-	bi := 0
-	for _, p := range cur {
-		for bi < len(base.Pairs) && base.Pairs[bi].Key < p.Key {
-			d.RemovedPairs = append(d.RemovedPairs, base.Pairs[bi].Key)
-			bi++
-		}
-		if bi < len(base.Pairs) && base.Pairs[bi].Key == p.Key {
-			if !unionsEqual(base.Pairs[bi].SimU, p.SimU) || !unionsEqual(base.Pairs[bi].ConU, p.ConU) {
-				d.Pairs = append(d.Pairs, p)
-			}
-			bi++
-			continue
-		}
-		d.Pairs = append(d.Pairs, p)
-	}
-	for ; bi < len(base.Pairs); bi++ {
-		d.RemovedPairs = append(d.RemovedPairs, base.Pairs[bi].Key)
-	}
-	if len(d.Pairs)+len(d.RemovedPairs) > len(cur)/2+16 {
-		return nil, false
-	}
-	return d, true
-}
-
-// filterSlotEqual compares one on-disk filter-bound trace with its
-// in-memory counterpart; nil (no trace recorded) only equals nil.
-func filterSlotEqual(prev []odcodec.TraceFilterStep, cur []FilterStep) bool {
-	if (prev == nil) != (cur == nil) || len(prev) != len(cur) {
-		return false
-	}
-	for k := range prev {
-		if prev[k].Shared != cur[k].Shared || prev[k].Union != cur[k].Union {
-			return false
+	if cur.Filter != nil {
+		slices.Sort(up.Refiltered)
+		for _, slot := range up.Refiltered {
+			d.FilterUpdates = append(d.FilterUpdates, odcodec.TraceFilterUpdate{Slot: slot, Steps: encodeSteps(cur.Filter[slot])})
 		}
 	}
-	return true
-}
-
-// unionsEqual compares union slices, treating nil as empty — the codec
-// decodes an empty union side as nil regardless of how it was written.
-func unionsEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
+	slices.Sort(up.Dropped)
+	for _, key := range up.Dropped {
+		d.RemovedPairs = append(d.RemovedPairs, uint64(key))
 	}
-	for k := range a {
-		if a[k] != b[k] {
-			return false
-		}
+	slices.Sort(up.Rescored)
+	for _, key := range up.Rescored {
+		tr := cur.Pairs[key]
+		d.Pairs = append(d.Pairs, odcodec.TracePair{Key: uint64(key), SimU: tr.SimU, ConU: tr.ConU})
 	}
-	return true
+	crc, err := odcodec.AppendTraceDelta(dir, d)
+	if err != nil {
+		return TraceChain{}, fmt.Errorf("od: append traces: %w", err)
+	}
+	return TraceChain{Frames: c.Frames + 1, LastCRC: crc, DeltaSeq: seq, ManifestDigest: digest}, nil
 }
 
 // storeSpan is the store's ID span: IDSpan for mutable backends, the
@@ -305,34 +277,40 @@ func aliveFunc(s Store) func(int32) bool {
 func encodeFilters(filter [][]FilterStep) [][]odcodec.TraceFilterStep {
 	out := make([][]odcodec.TraceFilterStep, len(filter))
 	for i, steps := range filter {
-		if steps == nil {
-			continue
-		}
-		enc := make([]odcodec.TraceFilterStep, len(steps))
-		for k, st := range steps {
-			enc[k] = odcodec.TraceFilterStep{Shared: st.Shared, Union: st.Union}
-		}
-		out[i] = enc
+		out[i] = encodeSteps(steps)
 	}
 	return out
+}
+
+// encodeSteps converts one slot's filter-bound trace; nil stays nil.
+func encodeSteps(steps []FilterStep) []odcodec.TraceFilterStep {
+	if steps == nil {
+		return nil
+	}
+	enc := make([]odcodec.TraceFilterStep, len(steps))
+	for k, st := range steps {
+		enc[k] = odcodec.TraceFilterStep{Shared: st.Shared, Union: st.Union}
+	}
+	return enc
 }
 
 // LoadTraces restores the trace segment recorded against the snapshot s
 // was opened from. It returns (nil, nil) when the store has no backing
 // snapshot directory or the directory carries no trace file, and a
 // non-nil error for every rejected trace — corrupt framing, manifest
-// digest divergence (the snapshot was rewritten after the trace), or a
-// store whose live state no longer matches (replayed delta segments,
-// post-open mutations). Callers treat any nil TraceSet as "full
-// recompare"; the error only attributes why.
+// digest divergence (the snapshot was rewritten after the trace), a
+// DiskStore whose deltas end at another sequence than the trace records
+// (written or replayed past it: the live state moved on), or a
+// live-count, span or survivor mismatch. Unmerged deltas replayed at
+// open are accepted exactly when the trace records the sequence they
+// end at. Callers treat any nil TraceSet as "full recompare"; the error
+// only attributes why.
 func LoadTraces(s Store) (*TraceSet, error) {
 	var dir string
+	var ds *DiskStore
 	switch st := s.(type) {
 	case *DiskStore:
-		if st.dirty {
-			return nil, fmt.Errorf("od: load traces: store has unmerged mutations")
-		}
-		dir = st.dir
+		ds, dir = st, st.dir
 	case *PartitionedStore:
 		if st.snapDir == "" {
 			return nil, nil
@@ -341,7 +319,7 @@ func LoadTraces(s Store) (*TraceSet, error) {
 	default:
 		return nil, nil
 	}
-	raw, err := odcodec.ReadTrace(dir)
+	raw, info, err := odcodec.ReadTraceChain(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -354,6 +332,9 @@ func LoadTraces(s Store) (*TraceSet, error) {
 	}
 	if raw.ManifestDigest != digest {
 		return nil, fmt.Errorf("od: load traces: trace segment chains to a different snapshot (stale trace)")
+	}
+	if ds != nil && raw.DeltaSeq != ds.DeltaSeq() {
+		return nil, fmt.Errorf("od: load traces: trace describes delta sequence %d, store is at %d", raw.DeltaSeq, ds.DeltaSeq())
 	}
 	if raw.Size != s.Size() {
 		return nil, fmt.Errorf("od: load traces: trace describes %d live objects, store has %d", raw.Size, s.Size())
@@ -376,6 +357,7 @@ func LoadTraces(s Store) (*TraceSet, error) {
 		Size:        raw.Size,
 		Alive:       raw.Alive,
 		Pairs:       make(map[int64]PairTrace, len(raw.Pairs)),
+		Chain:       TraceChain{Frames: info.Frames, LastCRC: info.LastCRC, DeltaSeq: raw.DeltaSeq, ManifestDigest: raw.ManifestDigest},
 	}
 	if raw.Filters != nil {
 		ts.Filter = make([][]FilterStep, len(raw.Filters))

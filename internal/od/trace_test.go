@@ -1,11 +1,14 @@
 package od
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/od/odcodec"
@@ -60,7 +63,7 @@ func TestTracesRoundTripDiskIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := traceFixture(ds, "fp-a")
-	if err := SaveTraces(dir, ds, want); err != nil {
+	if _, err := SaveTraces(dir, ds, want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -88,16 +91,16 @@ func TestTracesRoundTripDiskIdentity(t *testing.T) {
 }
 
 // TestAppendTracesChain pins the append path end to end on an identity
-// DiskStore: each AppendTraces call adds one delta frame to the trace
-// chain, LoadTraces returns exactly the appended state (the chain and a
-// whole rewrite are indistinguishable to readers), the chain compacts
-// back to one frame once it reaches maxTraceFrames, and a delta rivaling
-// the full state also compacts instead of appending.
+// DiskStore: each AppendTraces call adds one delta frame holding only
+// the changes its TraceUpdate lists, LoadTraces returns exactly the new
+// state and the chain shape the writer reported (the chain and a whole
+// rewrite are indistinguishable to readers), a batch that changed
+// nothing writes nothing, the frame that would make the chain
+// maxTraceFrames long rewrites it as one frame instead, and a chain the
+// file no longer ends in is rewritten, never appended to.
 func TestAppendTracesChain(t *testing.T) {
 	dir := t.TempDir()
 	ds := NewDiskStore(dir)
-	// Large enough that a full rewrite visibly beats a delta carrying
-	// most of the pairs (the len/2+16 compaction heuristic).
 	for _, o := range cdODs(120, 11) {
 		ds.Add(o)
 	}
@@ -106,9 +109,11 @@ func TestAppendTracesChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := traceFixture(ds, "fp-0")
-	if err := SaveTraces(dir, ds, cur); err != nil {
+	chain, err := SaveTraces(dir, ds, cur)
+	if err != nil {
 		t.Fatal(err)
 	}
+	tracePath := filepath.Join(dir, odcodec.TraceFile)
 	frames := func() int {
 		t.Helper()
 		_, info, err := odcodec.ReadTraceChain(dir)
@@ -117,7 +122,7 @@ func TestAppendTracesChain(t *testing.T) {
 		}
 		return info.Frames
 	}
-	assertSame := func(ctx string, want *TraceSet) {
+	assertSame := func(ctx string, want *TraceSet, chain TraceChain) {
 		t.Helper()
 		got, err := LoadTraces(ds)
 		if err != nil {
@@ -132,78 +137,104 @@ func TestAppendTracesChain(t *testing.T) {
 		if !reflect.DeepEqual(got.Alive, want.Alive) || !reflect.DeepEqual(got.Pairs, want.Pairs) || !reflect.DeepEqual(got.Filter, want.Filter) {
 			t.Fatalf("%s: loaded traces diverge from the appended state", ctx)
 		}
+		if got.Chain != chain {
+			t.Fatalf("%s: loaded chain %+v, the writer reported %+v", ctx, got.Chain, chain)
+		}
 	}
-	if frames() != 1 {
-		t.Fatalf("fresh trace has %d frames", frames())
+	if chain.Frames != 1 || frames() != 1 {
+		t.Fatalf("fresh trace has %d frames (writer reported %d)", frames(), chain.Frames)
 	}
+	assertSame("fresh", cur, chain)
 
-	var keys []int64
-	for k := range cur.Pairs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	// step n is the base fixture with one pair removed, one re-scored
-	// and one filter slot cleared — the shape of a small update batch.
-	step := func(n int) *TraceSet {
+	keys := slices.Sorted(maps.Keys(cur.Pairs))
+	// step n derives the next state from cur the way an update batch
+	// does — one pair dropped, one re-scored, one filter slot cleared —
+	// and lists exactly those changes.
+	step := func(n int) (*TraceSet, *TraceUpdate) {
 		next := &TraceSet{
 			Fingerprint: fmt.Sprintf("fp-%d", n),
 			Size:        cur.Size,
 			Alive:       cur.Alive,
-			Pairs:       make(map[int64]PairTrace, len(cur.Pairs)),
-			Filter:      append([][]FilterStep(nil), cur.Filter...),
+			Pairs:       maps.Clone(cur.Pairs),
+			Filter:      slices.Clone(cur.Filter),
 		}
-		for k, tr := range cur.Pairs {
-			next.Pairs[k] = tr
+		up := &TraceUpdate{Prev: cur, Cur: next}
+		if k := keys[n%len(keys)]; next.Pairs[k].SimU != nil {
+			delete(next.Pairs, k)
+			up.Dropped = append(up.Dropped, k)
 		}
-		delete(next.Pairs, keys[n%len(keys)])
-		if tr, ok := next.Pairs[keys[(n+1)%len(keys)]]; ok {
-			next.Pairs[keys[(n+1)%len(keys)]] = PairTrace{SimU: append([]int32{int32(n) + 100}, tr.SimU...), ConU: tr.ConU}
+		if k := keys[(n+1)%len(keys)]; next.Pairs[k].SimU != nil {
+			tr := next.Pairs[k]
+			next.Pairs[k] = PairTrace{SimU: append([]int32{int32(n) + 100}, tr.SimU...), ConU: tr.ConU}
+			up.Rescored = append(up.Rescored, k)
 		}
 		for id, steps := range next.Filter {
 			if steps != nil {
 				next.Filter[id] = nil
+				up.Refiltered = append(up.Refiltered, int32(id))
 				break
 			}
 		}
-		return next
+		return next, up
 	}
 
-	var next *TraceSet
-	for n := 1; n < maxTraceFrames; n++ {
-		next = step(n)
-		if err := AppendTraces(dir, ds, next); err != nil {
+	for n := 1; n < maxTraceFrames-1; n++ {
+		next, up := step(n)
+		if chain, err = AppendTraces(dir, ds, chain, up); err != nil {
 			t.Fatal(err)
 		}
-		if got := frames(); got != n+1 {
-			t.Fatalf("after append %d the chain has %d frames, want %d", n, got, n+1)
+		if got := frames(); got != n+1 || chain.Frames != n+1 {
+			t.Fatalf("after append %d the chain has %d frames (writer reported %d), want %d", n, got, chain.Frames, n+1)
 		}
-		assertSame(fmt.Sprintf("chain of %d frames", n+1), next)
+		assertSame(fmt.Sprintf("chain of %d frames", n+1), next, chain)
+		cur = next
 	}
 
-	// The next small delta finds the chain at maxTraceFrames and
-	// compacts instead.
-	next = step(maxTraceFrames)
-	if err := AppendTraces(dir, ds, next); err != nil {
+	// A batch that changed nothing writes nothing, however long the
+	// chain.
+	before, err := os.ReadFile(tracePath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := frames(); got != 1 {
-		t.Fatalf("chain at maxTraceFrames appended to %d frames instead of compacting", got)
+	same, err := AppendTraces(dir, ds, chain, &TraceUpdate{Prev: cur, Cur: cur})
+	if err != nil {
+		t.Fatal(err)
 	}
-	assertSame("compacted", next)
+	after, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same != chain || !bytes.Equal(before, after) {
+		t.Fatal("an unchanged state was written to the chain")
+	}
 
-	// A delta touching most of the state also compacts: appending it
-	// would cost more than the rewrite it defers.
-	bulk := step(maxTraceFrames + 1)
-	for k, tr := range bulk.Pairs {
-		bulk.Pairs[k] = PairTrace{SimU: append([]int32{999}, tr.SimU...), ConU: tr.ConU}
-	}
-	if err := AppendTraces(dir, ds, bulk); err != nil {
+	// The frame that would make the chain maxTraceFrames long rewrites
+	// it as one frame instead.
+	next, up := step(maxTraceFrames)
+	if chain, err = AppendTraces(dir, ds, chain, up); err != nil {
 		t.Fatal(err)
 	}
-	if got := frames(); got != 1 {
-		t.Fatalf("bulk delta appended (%d frames) instead of compacting", got)
+	if got := frames(); got != 1 || chain.Frames != 1 {
+		t.Fatalf("a chain of %d frames grew to %d instead of being rewritten", maxTraceFrames-1, got)
 	}
-	assertSame("bulk-compacted", bulk)
+	assertSame("rewritten", next, chain)
+	cur = next
+
+	// A chain the file no longer ends in — rewritten behind the
+	// caller's back — is rewritten too, never appended to.
+	stale := chain
+	other := &TraceSet{Fingerprint: "fp-other", Size: cur.Size, Alive: cur.Alive, Pairs: cur.Pairs, Filter: cur.Filter}
+	if _, err := SaveTraces(dir, ds, other); err != nil {
+		t.Fatal(err)
+	}
+	next, up = step(maxTraceFrames + 1)
+	if chain, err = AppendTraces(dir, ds, stale, up); err != nil {
+		t.Fatal(err)
+	}
+	if got := frames(); got != 1 || chain.Frames != 1 {
+		t.Fatalf("appending to a stale chain left %d frames, want a one-frame rewrite", got)
+	}
+	assertSame("stale chain rewritten", next, chain)
 	ds.Close()
 }
 
@@ -220,17 +251,22 @@ func TestAppendTracesForeignBackend(t *testing.T) {
 	if err := Save(dir, ms, SnapshotMeta{Fingerprint: "fp-m"}); err != nil {
 		t.Fatal(err)
 	}
+	var chain TraceChain
+	prev := traceFixture(ms, "fp-m")
 	for _, fp := range []string{"fp-m", "fp-m2"} {
-		if err := AppendTraces(dir, ms, traceFixture(ms, fp)); err != nil {
+		cur := traceFixture(ms, fp)
+		var err error
+		if chain, err = AppendTraces(dir, ms, chain, &TraceUpdate{Prev: prev, Cur: cur}); err != nil {
 			t.Fatal(err)
 		}
 		_, info, err := odcodec.ReadTraceChain(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Frames != 1 {
-			t.Fatalf("foreign backend chained %d frames", info.Frames)
+		if info.Frames != 1 || chain.Frames != 1 {
+			t.Fatalf("foreign backend chained %d frames (writer reported %d)", info.Frames, chain.Frames)
 		}
+		prev = cur
 	}
 	re, err := OpenDiskStore(dir)
 	if err != nil {
@@ -263,7 +299,7 @@ func TestTracesCompactOnExport(t *testing.T) {
 	if err := Save(dir, ms, SnapshotMeta{Fingerprint: "fp-b"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveTraces(dir, ms, want); err != nil {
+	if _, err := SaveTraces(dir, ms, want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -320,7 +356,7 @@ func TestLoadTracesRejections(t *testing.T) {
 		if err := Save(dir, ds, SnapshotMeta{Fingerprint: "fp-c"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := SaveTraces(dir, ds, traceFixture(ds, "fp-c")); err != nil {
+		if _, err := SaveTraces(dir, ds, traceFixture(ds, "fp-c")); err != nil {
 			t.Fatal(err)
 		}
 		ds.Close()
@@ -331,12 +367,26 @@ func TestLoadTracesRejections(t *testing.T) {
 		t.Cleanup(func() { re.Close() })
 		return dir, re
 	}
+	extraODs := func(seed int64) []*OD {
+		extra := cdODs(2, seed)
+		for _, o := range extra {
+			o.Object = "/extra" + o.Object
+		}
+		return extra
+	}
+	// rejectedForSequence requires the rejection to name the delta
+	// sequence, not some other mismatch the same fixture might hit.
+	rejectedForSequence := func(t *testing.T, s Store, what string) {
+		t.Helper()
+		if _, err := LoadTraces(s); err == nil || !strings.Contains(err.Error(), "delta sequence") {
+			t.Fatalf("trace segment for %s: LoadTraces err = %v, want a delta-sequence rejection", what, err)
+		}
+	}
 
 	t.Run("stale digest", func(t *testing.T) {
 		dir, re := build(t)
 		// Rewrite the snapshot without re-persisting traces: the segment
-		// stays on disk (the update path normally re-chains it with a
-		// delta frame) but its digest no longer matches, so it must be
+		// stays on disk but its digest no longer matches, so it must be
 		// rejected, not served.
 		if err := Save(dir, re, SnapshotMeta{Fingerprint: "fp-c2"}); err != nil {
 			t.Fatal(err)
@@ -372,25 +422,15 @@ func TestLoadTracesRejections(t *testing.T) {
 
 	t.Run("mutated store", func(t *testing.T) {
 		_, re := build(t)
-		extra := cdODs(2, 3)
-		for _, o := range extra {
-			o.Object = "/extra" + o.Object
-		}
-		if err := re.AddAfterFinalize(extra); err != nil {
+		if err := re.AddAfterFinalize(extraODs(3)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadTraces(re); err == nil {
-			t.Fatal("trace segment accepted for a store with unmerged mutations")
-		}
+		rejectedForSequence(t, re, "a store mutated after the trace")
 	})
 
 	t.Run("replayed deltas on reopen", func(t *testing.T) {
 		dir, re := build(t)
-		extra := cdODs(2, 5)
-		for _, o := range extra {
-			o.Object = "/extra" + o.Object
-		}
-		if err := re.AddAfterFinalize(extra); err != nil {
+		if err := re.AddAfterFinalize(extraODs(5)); err != nil {
 			t.Fatal(err)
 		}
 		re.Close()
@@ -402,8 +442,51 @@ func TestLoadTracesRejections(t *testing.T) {
 		if !re2.Mutated() {
 			t.Fatal("fixture bug: reopened store should carry replayed deltas")
 		}
-		if _, err := LoadTraces(re2); err == nil {
-			t.Fatal("trace segment accepted after delta replay diverged the live state")
+		rejectedForSequence(t, re2, "a store whose replayed deltas end past the trace")
+	})
+
+	t.Run("delta sequence mismatch", func(t *testing.T) {
+		// Same manifest, same live state, a trace recorded at another
+		// delta sequence: the sequence alone binds it, and it rejects.
+		dir, re := build(t)
+		raw, err := odcodec.ReadTrace(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw.DeltaSeq++
+		if _, err := odcodec.WriteTrace(dir, raw); err != nil {
+			t.Fatal(err)
+		}
+		rejectedForSequence(t, re, "another delta sequence")
+	})
+
+	t.Run("unmerged deltas at the recorded sequence", func(t *testing.T) {
+		dir, re := build(t)
+		if err := re.AddAfterFinalize(extraODs(5)); err != nil {
+			t.Fatal(err)
+		}
+		want := traceFixture(re, "fp-e")
+		if _, err := SaveTraces(dir, re, want); err != nil {
+			t.Fatal(err)
+		}
+		re.Close()
+		re2, err := OpenDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re2.Close()
+		if !re2.Mutated() {
+			t.Fatal("fixture bug: reopened store should carry replayed deltas")
+		}
+		got, err := LoadTraces(re2)
+		if err != nil || got == nil {
+			t.Fatalf("trace recorded at the replayed delta sequence rejected: %v", err)
+		}
+		if !reflect.DeepEqual(got.Alive, want.Alive) || !reflect.DeepEqual(got.Pairs, want.Pairs) || !reflect.DeepEqual(got.Filter, want.Filter) {
+			t.Fatal("traces over unmerged deltas diverged across the reopen")
+		}
+		if got.Chain.Frames != 1 || got.Chain.DeltaSeq != re2.DeltaSeq() {
+			t.Fatalf("loaded chain %+v, want one frame at delta sequence %d", got.Chain, re2.DeltaSeq())
 		}
 	})
 
@@ -439,7 +522,7 @@ func TestTracesPartitionedCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := traceFixture(ps, "fp-d")
-	if err := SaveTraces(dir, ps, want); err != nil {
+	if _, err := SaveTraces(dir, ps, want); err != nil {
 		t.Fatal(err)
 	}
 

@@ -15,7 +15,6 @@ package strdist
 import (
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -302,34 +301,6 @@ func MaxEditsBelow(theta float64, m int) int {
 // LengthLowerBound returns |len(a)-len(b)|, a lower bound on Levenshtein.
 func LengthLowerBound(a, b string) int {
 	return Abs(utf8.RuneCountInString(a) - utf8.RuneCountInString(b))
-}
-
-// BagDistance returns the bag (multiset) distance between a and b:
-// max(|bag(a)-bag(b)|, |bag(b)-bag(a)|). It is a lower bound on the
-// Levenshtein distance. The two rune bags are sorted and merged — every
-// rune that finds an unclaimed equal on the other side is matched — on
-// the stack up to 64 runes a side. The filter chain gates with the
-// cheaper SignatureBound; this is the bound of [18] itself, kept for
-// reference and tests.
-func BagDistance(a, b string) int {
-	var sa, sb [stackRunes]rune
-	ra, rb := AppendRunes(sa[:0], a), AppendRunes(sb[:0], b)
-	slices.Sort(ra)
-	slices.Sort(rb)
-	matched := 0
-	for i, j := 0, 0; i < len(ra) && j < len(rb); {
-		switch {
-		case ra[i] == rb[j]:
-			matched++
-			i++
-			j++
-		case ra[i] < rb[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return max(len(ra), len(rb)) - matched
 }
 
 // Jaro returns the Jaro similarity in [0,1].
