@@ -37,11 +37,14 @@
 // od.SavePartitioned).
 //
 // -reuse-index enables index persistence across runs: the fresh run
-// saves the finalized indexes (stamped with a corpus fingerprint) into
-// -store-dir, and any later run whose inputs, mapping, heuristic and
-// θtuple match warm-starts from them — skipping schema inference,
-// ingestion and index construction. -stages shows the warmstart stage
-// when it hits.
+// saves the finalized indexes (stamped with a corpus fingerprint) and
+// its replay traces into -store-dir, and any later run whose inputs,
+// mapping, heuristic and θtuple match warm-starts from them — skipping
+// schema inference, ingestion and index construction, and continuing
+// the snapshot the way -update does, as an update that adds nothing:
+// the filter bounds and pair scores replay from the traces instead of
+// being computed. -stages shows the warmstart, adopt and update stages
+// when it hits; -stats shows patched=… traces=disk.
 //
 // -stream ingests each document through the pull parser instead of
 // materializing it: peak memory is bounded by the largest candidate

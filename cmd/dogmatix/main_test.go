@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/cliopt"
+	"repro/internal/od"
+	"repro/internal/od/odcodec"
 	"repro/internal/od/odrpc"
 )
 
@@ -342,6 +344,121 @@ func TestRunUpdateEndToEnd(t *testing.T) {
 	bad.removePaths = []string{"/db/rec[1]"} // exists in sources 0 and 1
 	if err := run(bad, nil, &out, &out); err == nil || !strings.Contains(err.Error(), "ambiguous") {
 		t.Fatalf("ambiguous -remove path: %v", err)
+	}
+}
+
+// TestRunFilterValuesManifest drives a snapshot directory whose
+// manifest carries the Step 4 bound list earlier version-4 writers
+// persisted (testdata/v4-filter-values/index, written by `dogmatix
+// -filter -store disk -reuse-index` over the corpus beside it): the
+// list is skipped, the trace segment stays bound to the manifest, and
+// the directory warm-starts and -updates like any other.
+func TestRunFilterValuesManifest(t *testing.T) {
+	fixture := filepath.Join("testdata", "v4-filter-values")
+	corpus := filepath.Join(fixture, "corpus.xml")
+	copyIndex := func() string {
+		t.Helper()
+		dir := t.TempDir()
+		entries, err := os.ReadDir(filepath.Join(fixture, "index"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(fixture, "index", e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+
+	// The fixture carries the list: one float64 per object, which
+	// re-stamping the manifest drops.
+	stamped := copyIndex()
+	manifest := filepath.Join(stamped, odcodec.ManifestFile)
+	legacy, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := od.OpenDiskStore(stamped)
+	if err != nil {
+		t.Fatalf("manifest with a filter-value list rejected: %v", err)
+	}
+	fp, n := ds.Fingerprint(), ds.Size()
+	ds.Close()
+	if err := odcodec.UpdateMeta(stamped, fp); err != nil {
+		t.Fatal(err)
+	}
+	if now, err := os.ReadFile(manifest); err != nil || len(legacy)-len(now) != 8*n {
+		t.Fatalf("fixture manifest is %d bytes, %d after re-stamping; want a %d-value list (err %v)", len(legacy), len(now), n, err)
+	}
+
+	base := options{
+		Options: cliopt.Options{
+			MapFile: filepath.Join(fixture, "map.txt"), TypeName: "REC", Heuristic: "rd:1",
+			TTuple: 0.30, TCand: 0.55, UseFilter: true,
+		},
+		format: "xml",
+	}
+	var ref bytes.Buffer
+	if err := run(base, []string{corpus}, &ref, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := base
+	warm.Store, warm.StoreDir, warm.ReuseIndex, warm.stats = cliopt.StoreDisk, copyIndex(), true, true
+	var warmOut, warmErr bytes.Buffer
+	if err := run(warm, []string{corpus}, &warmOut, &warmErr); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"warm-start=true", "compared=0", "traces=disk"} {
+		if !strings.Contains(warmErr.String(), want) {
+			t.Errorf("-reuse-index stats = %q, want %s", warmErr.String(), want)
+		}
+	}
+	if warmOut.String() != ref.String() {
+		t.Errorf("warm start diverges from a fresh run\n got: %s\nwant: %s", warmOut.String(), ref.String())
+	}
+
+	dir := t.TempDir()
+	doc2 := filepath.Join(dir, "d2.xml")
+	trimmed := filepath.Join(dir, "trimmed.xml")
+	if err := os.WriteFile(doc2, []byte(`<db>
+  <rec><name>Eta Theta</name><city>Bremen</city></rec>
+  <rec><name>Iota Kappa</name><city>Essen</city></rec>
+</db>`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := "  <rec><name>Eta Theta</name><city>Bremen</city></rec>\n"
+	if !bytes.Contains(raw, []byte(last)) {
+		t.Fatal("fixture corpus lost its last record")
+	}
+	if err := os.WriteFile(trimmed, bytes.Replace(raw, []byte(last), nil, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	upd := base
+	upd.update, upd.StoreDir, upd.stats = true, copyIndex(), true
+	upd.removePaths = []string{"/db/rec[6]"}
+	var updOut, updErr bytes.Buffer
+	if err := run(upd, []string{doc2}, &updOut, &updErr); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(updErr.String(), "traces=disk") {
+		t.Errorf("-update stats = %q, want traces=disk", updErr.String())
+	}
+	var refUpd bytes.Buffer
+	if err := run(base, []string{trimmed, doc2}, &refUpd, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if updOut.String() != refUpd.String() {
+		t.Errorf("-update diverges from a fresh run over the edited corpus\n got: %s\nwant: %s", updOut.String(), refUpd.String())
 	}
 }
 

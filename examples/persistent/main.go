@@ -7,8 +7,9 @@
 // leaves them — stamped with a corpus fingerprint — in the snapshot
 // directory. The second run (a brand-new detector, as after a process
 // restart) presents the same corpus, matches the fingerprint and
-// warm-starts: no schema inference, no ingestion, no index build, just
-// reduce/compare/cluster against the persisted segments. The example
+// warm-starts: no schema inference, no ingestion, no index build, and
+// reduce/compare/cluster replay the persisted traces instead of
+// comparing a single pair. The example
 // then modifies the corpus and shows the fingerprint forcing a rebuild.
 //
 //	go run ./examples/persistent
@@ -65,6 +66,10 @@ func main() {
 			Heuristic: heuristics.KClosestDescendants(6),
 			UseFilter: true,
 			Snapshot:  &core.SnapshotOptions{Dir: storeDir, Reuse: true, Save: true},
+			// Save the replay traces with the indexes, so the warm start
+			// replays the filter bounds and pair scores, as -reuse-index
+			// does.
+			Incremental: true,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -15,8 +15,9 @@
 //
 // With Config.Snapshot set, two more stages join the chain: warmstart
 // (replaces infer/candidates/describe when a persisted index snapshot
-// matches the corpus fingerprint) and snapshot (persists the finalized
-// indexes after a fresh build). See SnapshotOptions.
+// matches the corpus fingerprint; the run continues as Adopt plus a
+// zero-batch Update of the snapshot) and snapshot (persists the
+// finalized indexes after a fresh build). See SnapshotOptions.
 //
 // Detector.Update is the incremental path for living corpora: against a
 // previous Result (or a persisted store adopted via Adopt) it ingests
@@ -264,10 +265,11 @@ type Config struct {
 	// federate them. Ignored when a warm start adopts a persisted store.
 	NewStore func() od.Store
 	// Snapshot, when non-nil, enables index persistence: Save writes the
-	// finalized indexes (and, with the default filter, the Step 4
-	// bounds) to Snapshot.Dir after a fresh build; Reuse warm-starts
-	// from a snapshot whose corpus fingerprint matches, skipping
-	// infer/candidates/describe entirely. See SnapshotOptions.
+	// finalized indexes (and, with Incremental, the replay traces) to
+	// Snapshot.Dir after a fresh build; Reuse warm-starts from a
+	// snapshot whose corpus fingerprint matches, skipping
+	// infer/candidates/describe entirely and replaying the persisted
+	// traces. See SnapshotOptions.
 	Snapshot *SnapshotOptions
 	// Comparator overrides the Step 5 scoring/classification strategy.
 	// nil uses the paper's sim.Classifier built from the θ values above.
@@ -353,7 +355,8 @@ type Stats struct {
 	// TraceSource attributes an Update run's replay traces: "memory"
 	// (recorded by the previous in-process run), "disk" (restored from
 	// a persisted trace segment by Adopt), or "none" (no traces — full
-	// recompare). Empty for Detect runs.
+	// recompare). A warm start reports its Update's; empty for a fresh
+	// Detect.
 	TraceSource string
 	Elapsed     time.Duration
 }
@@ -377,9 +380,12 @@ type Result struct {
 	Stages []StageStats
 	Stats  Stats
 	// WarmStart reports that the run adopted a persisted index snapshot
-	// instead of building one (Config.Snapshot.Reuse hit). Warm-started
-	// Candidates carry nil Node and SchemaEl pointers: no tree or
-	// schema survives a restart, matching the streaming contract.
+	// instead of building one (Config.Snapshot.Reuse hit) and ran as a
+	// zero-batch Update of it: Stats.Patched counts the pairs replayed
+	// from the snapshot's traces, Stats.TraceSource says whether there
+	// were any. Warm-started Candidates carry nil Node and SchemaEl
+	// pointers: no tree or schema survives a restart, matching the
+	// streaming contract.
 	WarmStart bool
 	// SourceCount is the number of sources the candidate Source indexes
 	// range over; Update extends it as batches append sources.
@@ -452,8 +458,15 @@ func (d *Detector) DetectInputs(typeName string, inputs ...SourceInput) (*Result
 		if err := p.runOne(pipelineStage{StageWarmStart, (*pipelineRun).warmStart}); err != nil {
 			return nil, err
 		}
+		if p.res.WarmStart {
+			return d.resume(p, start)
+		}
 	}
-	if err := p.run(d.stages(p.warm)); err != nil {
+	if err := p.run(d.stages([]pipelineStage{
+		{StageInfer, (*pipelineRun).inferSchemas},
+		{StageCandidates, (*pipelineRun).findCandidates},
+		{StageDescribe, (*pipelineRun).describe},
+	}, (*pipelineRun).snapshot)); err != nil {
 		return nil, err
 	}
 	p.finishIncState()

@@ -19,7 +19,10 @@ import (
 // compare are ~95 % of it, so its ns/op and B/op track the Step 4–5
 // kernel; the traced variant records replay traces the way -update and
 // the daemon do, and the disk variant runs the same corpus on a fresh
-// DiskStore — what it costs over "score" is the disk tier's.
+// DiskStore — what it costs over "score" is the disk tier's. The warm
+// variant is a -reuse-index hit: a traced snapshot saved once, then one
+// warm start per iteration, which replays the persisted bounds and
+// pairs instead of computing them.
 //
 //	go test ./internal/core -run xxx -bench DetectKernel -benchmem
 func BenchmarkDetectKernel(b *testing.B) {
@@ -31,7 +34,8 @@ func BenchmarkDetectKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, name := range []string{"score", "traced", "disk"} {
+	src := core.Source{Doc: ds.Doc, Schema: ds.Schema}
+	for _, name := range []string{"score", "traced", "disk", "warm"} {
 		b.Run(name, func(b *testing.B) {
 			cfg := core.Config{
 				Heuristic:   h,
@@ -39,21 +43,40 @@ func BenchmarkDetectKernel(b *testing.B) {
 				ThetaCand:   experiments.ThetaCand,
 				UseFilter:   true,
 				Workers:     1,
-				Incremental: name == "traced",
+				Incremental: name == "traced" || name == "warm",
 			}
 			if name == "disk" {
 				dir := b.TempDir()
 				cfg.NewStore = func() od.Store { return od.NewDiskStore(dir) }
+			}
+			if name == "warm" {
+				dir := b.TempDir()
+				cfg.Snapshot = &core.SnapshotOptions{Dir: dir, Save: true}
+				det, err := core.NewDetector(ds.Mapping, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := det.Detect("DISC", src); err != nil {
+					b.Fatal(err)
+				}
+				cfg.Snapshot = &core.SnapshotOptions{Dir: dir, Reuse: true, Save: true}
 			}
 			det, err := core.NewDetector(ds.Mapping, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := det.Detect("DISC", core.Source{Doc: ds.Doc, Schema: ds.Schema})
+				res, err := det.Detect("DISC", src)
 				if err != nil {
 					b.Fatal(err)
+				}
+				if name == "warm" {
+					if !res.WarmStart {
+						b.Fatal("the snapshot missed")
+					}
+					res.Store.(*od.DiskStore).Close()
 				}
 				benchSink = res
 			}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,9 +37,11 @@ const (
 
 	// StageWarmStart replaces infer/candidates/describe when
 	// Config.Snapshot.Reuse finds a matching persisted index: it opens
-	// the snapshot, verifies the corpus fingerprint and adopts the
-	// stored candidates and indexes. Zero items reported means the
-	// snapshot missed and the fresh chain ran instead.
+	// the snapshot and verifies the corpus fingerprint, and the run
+	// continues as Adopt plus a zero-batch Update (stages adopt, update,
+	// then Steps 4–6), replaying the persisted traces. Zero items
+	// reported means the snapshot missed and the fresh chain ran
+	// instead.
 	StageWarmStart = "warmstart"
 	// StageSnapshot runs after reduce on fresh builds with
 	// Config.Snapshot.Save: it stamps the finalized store with the
@@ -44,10 +49,10 @@ const (
 	StageSnapshot = "snapshot"
 	// StageTraces runs last under Config.Incremental when a snapshot is
 	// being saved: the run's replay state persists as the snapshot's
-	// trace segment (od.SaveTraces; an Update appends one frame with
-	// od.AppendTraces), so a fresh process can Adopt the store and
-	// Update it with the same patched recomparisons as an in-process
-	// run.
+	// trace segment (od.AppendTraces: one frame appended to the chain
+	// the run extends, or the whole segment), so a fresh process can
+	// Adopt the store and Update it with the same patched
+	// recomparisons as an in-process run.
 	StageTraces = "traces"
 	// StageAdopt is recorded by Adopt: its item count is the number of
 	// persisted pair traces restored from the store's snapshot directory
@@ -102,13 +107,36 @@ type pipelineRun struct {
 	tupleCount int // OD tuples flattened during ingestion
 	alive      []bool
 
-	fp              string    // corpus fingerprint, computed at most once
-	warm            bool      // the warmstart stage adopted a snapshot
-	persistedFilter []float64 // filter bounds restored from the snapshot
-	filterValues    []float64 // filter bounds in effect after reduce
+	fp string // corpus fingerprint, computed at most once
 
 	inc *incState  // replay traces recorded under Config.Incremental
 	upd *updateCtx // non-nil when this run is a Detector.Update
+
+	// Steps 4–6 run as an update of a previous state on every run. A
+	// fresh Detect updates the empty state: prev is nil, every object is
+	// new (newFrom = 0) and nothing is dirty.
+	prev    *incState // replay state the run extends; nil = nothing to replay
+	newFrom int32     // IDs at or above this are new in this run
+	// exactDirty marks pre-existing live IDs holding a changed key:
+	// their pairwise softIDF terms may have changed, so their pairs
+	// recompare. filterDirty is the wider θtuple-similar closure: their
+	// Step 4 bounds recompute. filterDirty ⊇ exactDirty whenever the
+	// changed values still exist.
+	exactDirty  map[int32]bool
+	filterDirty map[int32]bool
+	// chain is prev's trace chain when it still describes the DiskStore
+	// the run extends (zero otherwise): the snapshot stage leaves the
+	// merge for later while it is appendable, and the traces stage
+	// extends it.
+	chain od.TraceChain
+	// rescored, dropped and refiltered are what the run changed in
+	// prev's replay state — pair keys compared for real, prev pair keys
+	// the patch loop dropped, filter slots recorded anew or cleared: the
+	// traces stage's delta frame, with nothing diffed. Collected only
+	// when traces are recorded against a prev.
+	rescored   []int64
+	dropped    []int64
+	refiltered []int32
 }
 
 // idSpan is the exclusive upper bound of candidate IDs — equal to
@@ -150,33 +178,23 @@ type ingestPath struct {
 // completed — sibling totals are not final earlier.
 type emitFunc func(pathIdx int, node *xmltree.Node, deferredPath func() string) error
 
-// stages returns the pipeline for the current configuration. A fresh
-// build runs the full six steps (plus the snapshot stage when one is
-// being saved); a warm start already holds finalized indexes and
-// candidates, so only reduce/compare/cluster remain. FilterOnly
-// truncates either chain after Step 4.
-func (d *Detector) stages(warm bool) []pipelineStage {
-	var out []pipelineStage
-	if !warm {
-		out = append(out,
-			pipelineStage{StageInfer, (*pipelineRun).inferSchemas},
-			pipelineStage{StageCandidates, (*pipelineRun).findCandidates},
-			pipelineStage{StageDescribe, (*pipelineRun).describe},
-		)
-	}
-	out = append(out, pipelineStage{StageReduce, (*pipelineRun).reduce})
-	if !warm && d.cfg.Snapshot != nil && d.cfg.Snapshot.Save {
-		out = append(out, pipelineStage{StageSnapshot, (*pipelineRun).snapshot})
+// stages returns the pipeline for the current configuration: the
+// ingestion head — a fresh build's infer/candidates/describe, an
+// update's update stage — then Steps 4–6, which every run shares.
+// snapshot is the head's StageSnapshot body, run after reduce when a
+// snapshot is being saved; FilterOnly truncates the chain after Step 4.
+func (d *Detector) stages(head []pipelineStage, snapshot func(*pipelineRun) (int, error)) []pipelineStage {
+	out := append(head, pipelineStage{StageReduce, (*pipelineRun).reduce})
+	save := d.cfg.Snapshot != nil && d.cfg.Snapshot.Save
+	if save {
+		out = append(out, pipelineStage{StageSnapshot, snapshot})
 	}
 	if !d.cfg.FilterOnly {
 		out = append(out,
 			pipelineStage{StageCompare, (*pipelineRun).compare},
 			pipelineStage{StageCluster, (*pipelineRun).clusterPairs},
 		)
-		// Trace persistence runs on warm starts too: the adopted
-		// snapshot's manifest is untouched, so the new traces chain to
-		// it directly.
-		if d.cfg.Incremental && d.cfg.Snapshot != nil && d.cfg.Snapshot.Save {
+		if d.cfg.Incremental && save {
 			out = append(out, pipelineStage{StageTraces, (*pipelineRun).persistTraces})
 		}
 	}
@@ -352,145 +370,224 @@ func (p *pipelineRun) describe() (int, error) {
 	return p.tupleCount, nil
 }
 
-// reduce is Step 4, comparison reduction via the object filter. On a
-// warm start whose snapshot persisted the default filter's bounds, the
-// recomputation is skipped and the persisted values are classified
-// against the (possibly changed) θcand directly — f(ODi) depends only
-// on the indexes and θtuple, both fingerprinted, never on θcand.
+// reduce is Step 4, comparison reduction via the object filter (Sec.
+// 5.2), computed as an update of the previous state: a new or
+// filter-dirty object computes its bound, and every other live object
+// replays its recorded trace under the new |ΩT| — bit-identical to
+// recomputing, at the cost of a few logarithms. Without filter traces
+// of the default filter (a fresh Detect, a trace-less prev, a custom
+// Filter) every bound computes.
 func (p *pipelineRun) reduce() (int, error) {
 	cfg := p.d.cfg
-	n := p.store.Size()
-	p.alive = make([]bool, n)
-	for i := range p.alive {
-		p.alive[i] = true
+	span := p.idSpan()
+	liveN := p.store.Size()
+	ms, _ := p.store.(od.MutableStore)
+	p.alive = make([]bool, span)
+	for id := range p.alive {
+		p.alive[id] = ms == nil || ms.Alive(int32(id))
 	}
-	if cfg.KeepFilterValues {
-		p.res.FilterValues = make([]float64, n)
-	}
+
 	if cfg.UseFilter || cfg.KeepFilterValues {
-		var filterValues []float64
-		_, isDefault := p.filter.(sim.IndexFilter)
-		if p.warm && isDefault && len(p.persistedFilter) == n {
-			filterValues = p.persistedFilter
-		} else if p.inc != nil {
-			// Incremental recording: keep each bound's per-tuple replay
-			// steps so Update can patch untouched bounds in place.
-			filterValues = make([]float64, n)
-			p.inc.filter = make([][]sim.FilterStep, n)
-			p.d.parallelRange(n, func(i int) {
-				filterValues[i], p.inc.filter[i] = sim.FilterTrace(p.store, p.store.OD(int32(i)))
-			})
-		} else {
-			filterValues = make([]float64, n)
-			p.d.parallelRange(n, func(i int) {
-				filterValues[i] = p.filter.Bound(p.store, p.store.OD(int32(i)))
-			})
+		var prevSteps [][]sim.FilterStep
+		if _, isDefault := p.filter.(sim.IndexFilter); isDefault && p.prev != nil {
+			prevSteps = p.prev.filter
 		}
-		p.filterValues = filterValues
-		for i := 0; i < n; i++ {
-			if cfg.KeepFilterValues {
-				p.res.FilterValues[i] = filterValues[i]
+		filterValues := make([]float64, span)
+		var refiltered []bool // per slot: its trace was recorded anew or cleared
+		if p.inc != nil {
+			p.inc.filter = make([][]sim.FilterStep, span)
+			if p.prev != nil {
+				refiltered = make([]bool, span)
 			}
-			if cfg.UseFilter && filterValues[i] <= cfg.ThetaCand {
-				p.alive[i] = false
-				p.res.Pruned = append(p.res.Pruned, int32(i))
+		}
+		p.d.parallelRange(span, func(i int) {
+			id := int32(i)
+			if !p.alive[i] {
+				filterValues[i] = math.NaN()
+				if refiltered != nil {
+					refiltered[i] = i < len(p.prev.filter) && p.prev.filter[i] != nil
+				}
+				return
+			}
+			var steps []sim.FilterStep
+			replayable := id < p.newFrom && !p.filterDirty[id] &&
+				i < len(prevSteps) && prevSteps[i] != nil
+			switch {
+			case replayable:
+				steps = prevSteps[i]
+				filterValues[i] = sim.ReplayFilter(liveN, steps)
+			case p.inc != nil:
+				filterValues[i], steps = sim.FilterTrace(p.store, p.store.OD(id))
+			default:
+				filterValues[i] = p.filter.Bound(p.store, p.store.OD(id))
+			}
+			if p.inc != nil {
+				p.inc.filter[i] = steps
+			}
+			if refiltered != nil {
+				refiltered[i] = !replayable
+			}
+		})
+		for i, r := range refiltered {
+			if r {
+				p.refiltered = append(p.refiltered, int32(i))
+			}
+		}
+		if cfg.KeepFilterValues {
+			p.res.FilterValues = filterValues
+		}
+		if cfg.UseFilter {
+			for i, v := range filterValues {
+				if p.alive[i] && v <= cfg.ThetaCand {
+					p.alive[i] = false
+					p.res.Pruned = append(p.res.Pruned, int32(i))
+				}
 			}
 		}
 	}
-	p.res.Stats.Candidates = n
+	p.res.Stats.Candidates = liveN
 	p.res.Stats.Pruned = len(p.res.Pruned)
 	return len(p.res.Pruned), nil
 }
 
-// compareBatchSize is the candidate range one Step 5 work item covers.
-// Batches are claimed by workers through an atomic cursor (work stealing),
-// so a batch of expensive objects does not stall the rest of the pool, and
-// per-batch outputs merge in batch order for deterministic results.
+// compareBatchSize is the number of recompare-set objects one Step 5
+// work item covers. Batches are claimed by workers through an atomic
+// cursor (work stealing), so a batch of expensive objects does not stall
+// the rest of the pool, and per-batch outputs merge in batch order.
 const compareBatchSize = 32
 
-// compare is Step 5: pairwise comparisons under the configured Comparator
-// over the lossless shared-value blocking (or all surviving pairs when
-// blocking is disabled).
+// compare is Step 5: pairwise comparisons under the configured
+// Comparator over the lossless shared-value blocking (or all surviving
+// pairs when blocking is disabled), computed as an update of the
+// previous state. Whether two survivors are blocked together depends
+// only on their own values; what an update changes is which objects
+// survive and the softIDF terms behind each score. So pairs with an
+// endpoint in the recompare set — new objects, exact-dirty objects and
+// objects without a previous comparison — are compared for real, and
+// every other previously compared pair is patched by replaying its
+// trace under the new |ΩT|. Traces replay only the paper's measure: a
+// custom Comparator, like a fresh Detect, compares every pair.
 func (p *pipelineRun) compare() (int, error) {
 	cfg := p.d.cfg
-	n := p.store.Size()
+	span := p.idSpan()
+	prev := p.prev
+	if cfg.Comparator != nil {
+		prev = nil
+	}
+	inR := make([]bool, span)
+	var list []int32
+	for id := int32(0); id < int32(span); id++ {
+		if p.alive[id] && (id >= p.newFrom || p.exactDirty[id] || prev == nil ||
+			int(id) >= len(prev.alive) || !prev.alive[id]) {
+			inR[id] = true
+			list = append(list, id)
+		}
+	}
 
-	numBatches := (n + compareBatchSize - 1) / compareBatchSize
-	outs := make([]batchOut, numBatches)
-
+	numBatches := (len(list) + compareBatchSize - 1) / compareBatchSize
+	outs := make([]batchOut, numBatches, numBatches+1)
 	// Distributed stores can warm a whole batch's similar-value lookups
 	// in one pipelined round trip per federation member before the
 	// per-pair comparisons start issuing them one by one. Cache-only:
 	// answers are bit-identical with or without the prefetch.
 	batchStore, _ := p.store.(od.BatchQueryStore)
-
 	runBatch := func(b int) {
 		out := &outs[b]
-		lo, hi := b*compareBatchSize, (b+1)*compareBatchSize
-		if hi > n {
-			hi = n
-		}
+		batch := list[b*compareBatchSize : min((b+1)*compareBatchSize, len(list))]
 		if batchStore != nil {
 			var ts []od.Tuple
-			for idx := lo; idx < hi; idx++ {
-				if i := int32(idx); p.alive[i] {
-					ts = append(ts, p.store.OD(i).Tuples...)
-				}
+			for _, i := range batch {
+				ts = append(ts, p.store.OD(i).Tuples...)
 			}
 			batchStore.PrefetchSimilar(ts)
 		}
-		for idx := lo; idx < hi; idx++ {
-			i := int32(idx)
-			if !p.alive[i] {
-				continue
-			}
-			// Resolve the left-hand OD once per candidate, not once per
+		for _, i := range batch {
+			// Resolve the left-hand OD once per object, not once per
 			// pair — on a disk store OD() goes through a cache lookup.
 			oi := p.store.OD(i)
 			compare := func(j int32) {
-				out.compared++
-				score := p.scorePair(out, oi, p.store.OD(j), i, j)
-				switch p.comparator.Classify(score) {
-				case sim.ClassDuplicate:
-					out.pairs = append(out.pairs, Pair{I: i, J: j, Score: score})
-				case sim.ClassPossible:
-					out.possible = append(out.possible, Pair{I: i, J: j, Score: score})
+				if !p.alive[j] || inR[j] && j <= i {
+					return // pruned, or compared from j's side
 				}
+				x, y, ox, oy := i, j, oi, p.store.OD(j)
+				if y < x {
+					x, y, ox, oy = y, x, oy, ox
+				}
+				out.compared++
+				out.classify(p.comparator, x, y, p.scorePair(out, ox, oy, x, y))
 			}
 			if cfg.DisableBlocking {
-				for j := i + 1; j < int32(n); j++ {
-					if p.alive[j] {
-						compare(j)
-					}
+				for j := int32(0); j < int32(span); j++ {
+					compare(j)
 				}
 			} else {
 				for _, j := range p.store.Neighbors(i) {
-					if j > i && p.alive[j] {
-						compare(j)
-					}
+					compare(j)
 				}
 			}
 		}
 	}
-
 	conc.Ranges(cfg.Workers, numBatches, 1, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			runBatch(b)
 		}
 	})
-
 	for b := range outs {
-		p.res.Pairs = append(p.res.Pairs, outs[b].pairs...)
-		p.res.PossiblePairs = append(p.res.PossiblePairs, outs[b].possible...)
 		p.res.Stats.Compared += outs[b].compared
 		if p.inc != nil {
 			for _, tp := range outs[b].traces {
 				p.inc.pairs[tp.key] = tp.tr
+				if prev != nil {
+					p.rescored = append(p.rescored, tp.key)
+				}
 			}
 		}
 	}
+
+	// Patch the survivors: previously compared, both endpoints clean and
+	// still alive. Their matching is unchanged, so the recorded softIDF
+	// unions replayed under the new corpus size give the exact score.
+	if prev != nil {
+		var patched batchOut
+		liveN := p.store.Size()
+		for key, tr := range prev.pairs {
+			i, j := unpairKey(key)
+			if !p.alive[i] || !p.alive[j] || inR[i] || inR[j] {
+				if p.inc != nil {
+					if _, rescored := p.inc.pairs[key]; !rescored {
+						p.dropped = append(p.dropped, key)
+					}
+				}
+				continue
+			}
+			p.res.Stats.Patched++
+			patched.classify(p.comparator, i, j, sim.ReplayScore(liveN, tr))
+			if p.inc != nil {
+				p.inc.pairs[key] = tr
+			}
+		}
+		outs = append(outs, patched)
+	}
+
+	for b := range outs {
+		p.res.Pairs = append(p.res.Pairs, outs[b].pairs...)
+		p.res.PossiblePairs = append(p.res.PossiblePairs, outs[b].possible...)
+	}
+	sortPairsByID(p.res.Pairs)
+	sortPairsByID(p.res.PossiblePairs)
 	p.res.Stats.PairsDetected = len(p.res.Pairs)
 	return int(p.res.Stats.Compared), nil
+}
+
+// sortPairsByID orders pairs (I, J) lexicographically — the order of a
+// fresh Detect's batches.
+func sortPairsByID(pairs []Pair) {
+	slices.SortFunc(pairs, func(a, b Pair) int {
+		if c := cmp.Compare(a.I, b.I); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.J, b.J)
+	})
 }
 
 // tracedPair is one compared pair's replay trace, keyed by pairKey.
@@ -507,6 +604,16 @@ type batchOut struct {
 	traces   []tracedPair
 	compared int64
 	scratch  sim.PairTrace // every traced pair of the batch is scored into it
+}
+
+// classify files one scored pair under its class.
+func (out *batchOut) classify(c sim.Comparator, i, j int32, score float64) {
+	switch c.Classify(score) {
+	case sim.ClassDuplicate:
+		out.pairs = append(out.pairs, Pair{I: i, J: j, Score: score})
+	case sim.ClassPossible:
+		out.possible = append(out.possible, Pair{I: i, J: j, Score: score})
+	}
 }
 
 // scorePair scores one candidate pair, recording its replay trace when
@@ -538,32 +645,27 @@ func (p *pipelineRun) clusterPairs() (int, error) {
 
 // persistTraces is the StageTraces implementation: the run's replay
 // state — post-reduce survival, per-pair similarity traces, per-object
-// filter-bound traces — is written as the trace segment of the snapshot
-// the run saved (or, on a warm start, adopted), chained to its manifest
-// digest. It runs after cluster, so the manifest the snapshot stage
-// committed is the one the segment chains to. Item count is the number
-// of pair traces persisted.
+// filter-bound traces — persists as the trace segment of the snapshot
+// in the configured directory. od.AppendTraces appends what the run
+// changed as one frame to the chain it extends, and writes the whole
+// segment when there is no chain to extend (a fresh build, a warm start
+// without traces). It runs after cluster, so the manifest the snapshot
+// stage committed is the one the segment chains to. Item count is the
+// number of pair traces persisted.
 func (p *pipelineRun) persistTraces() (int, error) {
-	dir := p.d.cfg.Snapshot.Dir
 	p.inc.size, p.inc.alive = p.store.Size(), p.alive
-	var err error
-	if u := p.upd; u == nil {
-		p.inc.chain, err = od.SaveTraces(dir, p.store, p.inc.traceSet())
-	} else {
-		// An update appends what its own stages changed to the chain it
-		// extends; AppendTraces rewrites the segment when it cannot.
-		var prev *od.TraceSet
-		if u.prev != nil {
-			prev = u.prev.traceSet()
-		}
-		p.inc.chain, err = od.AppendTraces(dir, p.store, u.chain, &od.TraceUpdate{
-			Prev: prev, Cur: p.inc.traceSet(),
-			Rescored: u.rescored, Dropped: u.dropped, Refiltered: u.refiltered,
-		})
+	up := &od.TraceUpdate{
+		Cur:      p.inc.traceSet(),
+		Rescored: p.rescored, Dropped: p.dropped, Refiltered: p.refiltered,
 	}
+	if p.prev != nil {
+		up.Prev = p.prev.traceSet()
+	}
+	chain, err := od.AppendTraces(p.d.cfg.Snapshot.Dir, p.store, p.chain, up)
 	if err != nil {
 		return 0, fmt.Errorf("core: traces: %w", err)
 	}
+	p.inc.chain = chain
 	return len(p.inc.pairs), nil
 }
 

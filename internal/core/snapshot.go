@@ -7,9 +7,9 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"time"
 
 	"repro/internal/od"
-	"repro/internal/sim"
 	"repro/internal/xsd"
 )
 
@@ -24,8 +24,10 @@ type SnapshotOptions struct {
 	// Reuse attempts a warm start: when Dir holds a snapshot whose
 	// fingerprint matches the current corpus + configuration, the
 	// pipeline skips the infer, candidates and describe stages entirely
-	// (and reduce's recomputation, when filter values were persisted)
-	// and runs compare/cluster against the persisted indexes.
+	// and continues the persisted store as Adopt plus a zero-batch
+	// Update: Steps 4–6 replay the bounds and pairs of the snapshot's
+	// trace segment (saved under Config.Incremental) and compute only
+	// what it does not cover.
 	Reuse bool
 	// Save persists the finalized indexes after a fresh build, stamped
 	// with the corpus fingerprint, so the next Reuse run warm-starts.
@@ -145,9 +147,9 @@ func digestSchema(w io.Writer, s *xsd.Schema) {
 }
 
 // warmStart is the StageWarmStart implementation: open the snapshot,
-// match fingerprints, and when they agree adopt the persisted store —
-// candidates included — in place of the infer/candidates/describe
-// build. A missing, corrupt or mismatched snapshot is a cache miss,
+// match fingerprints, and when they agree take the persisted store in
+// place of the infer/candidates/describe build (resume continues the
+// run from it). A missing, corrupt or mismatched snapshot is a cache miss,
 // not an error: the stage reports zero items and the pipeline falls
 // back to the fresh build (persisting a new snapshot when Save is set).
 func (p *pipelineRun) warmStart() (int, error) {
@@ -170,8 +172,8 @@ func (p *pipelineRun) warmStart() (int, error) {
 	if ds.IDSpan() != int32(ds.Size()) {
 		// A tombstoned ID space (in-place merge of an updated store)
 		// only ever carries a chained fingerprint, which can never match
-		// a fresh corpus fingerprint — but the candidate reconstruction
-		// below assumes a hole-free [0, Size) ID range, so miss
+		// a fresh corpus fingerprint — but a warm start stands in for a
+		// fresh build, whose ID range [0, Size) has no holes, so miss
 		// defensively rather than rely on that invariant.
 		ds.Close()
 		return 0, nil
@@ -189,32 +191,39 @@ func (p *pipelineRun) warmStart() (int, error) {
 		ds.Close()
 		return 0, nil // different corpus/configuration; rebuild
 	}
-	p.warm = true
 	p.store = ds
-	p.res.Store = ds
 	p.res.WarmStart = true
-	if p.inc != nil {
-		p.inc.fp = fp // seed the chain so persisted traces carry provenance
+	return ds.Size(), nil
+}
+
+// resume continues a warm start the way every persisted store is
+// continued: Adopt restores the candidates and, when the snapshot
+// carries a valid trace segment, the replay state; a zero-batch Update
+// then runs Steps 4–6, replaying bounds and pairs instead of
+// recomputing them. The adopted candidates carry nil Node and SchemaEl
+// pointers — no tree or schema survives a warm start, as for streamed
+// candidates.
+func (d *Detector) resume(p *pipelineRun, start time.Time) (*Result, error) {
+	ds := p.store.(*od.DiskStore)
+	var res *Result
+	adopted, err := Adopt(p.typeName, ds)
+	if err == nil {
+		adopted.SourceCount = len(p.inputs)
+		res, err = d.Update(adopted, UpdateBatch{})
 	}
-	p.persistedFilter = ds.PersistedFilterValues()
-	// Candidates are part of the snapshot: every OD carries its
-	// positionally qualified path and source index. Node and SchemaEl
-	// are nil, as for streamed candidates — no tree or schema survives
-	// a warm start.
-	n := ds.Size()
-	p.res.Candidates = make([]Candidate, n)
-	for id := int32(0); id < int32(n); id++ {
-		o := ds.OD(id)
-		p.res.Candidates[id] = Candidate{Source: o.Source, Path: o.Object}
+	if err != nil {
+		ds.Close()
+		return nil, err
 	}
-	return n, nil
+	res.WarmStart = true
+	res.Stages = append(append(p.res.Stages, adopted.Stages...), res.Stages...)
+	res.Stats.Elapsed = time.Since(start)
+	return res, nil
 }
 
 // snapshot is the StageSnapshot implementation, run after reduce on
 // fresh builds when SnapshotOptions.Save is set: stamp the finalized
-// store with the corpus fingerprint and persist it. Filter values are
-// persisted only when they were computed with the default IndexFilter —
-// a custom strategy's bounds must not be served to other runs.
+// store with the corpus fingerprint and persist it.
 func (p *pipelineRun) snapshot() (int, error) {
 	fp, err := p.fingerprint()
 	if err != nil {
@@ -223,14 +232,7 @@ func (p *pipelineRun) snapshot() (int, error) {
 	if p.inc != nil {
 		p.inc.fp = fp // seed for Update's chained provenance
 	}
-	var fv []float64
-	if _, isDefault := p.filter.(sim.IndexFilter); isDefault {
-		fv = p.filterValues
-	}
-	if err := od.Save(p.d.cfg.Snapshot.Dir, p.store, od.SnapshotMeta{
-		Fingerprint:  fp,
-		FilterValues: fv,
-	}); err != nil {
+	if err := od.Save(p.d.cfg.Snapshot.Dir, p.store, od.SnapshotMeta{Fingerprint: fp}); err != nil {
 		return 0, fmt.Errorf("core: snapshot: %w", err)
 	}
 	return p.store.Size(), nil

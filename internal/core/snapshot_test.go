@@ -140,7 +140,8 @@ func TestWarmStartEquivalence(t *testing.T) {
 				if !warm.WarmStart {
 					t.Fatalf("reuse run rebuilt instead of warm-starting; stages: %v", stageNames(warm))
 				}
-				wantStages := []string{core.StageWarmStart, core.StageReduce, core.StageCompare, core.StageCluster}
+				wantStages := []string{core.StageWarmStart, core.StageAdopt, core.StageUpdate,
+					core.StageReduce, core.StageCompare, core.StageCluster}
 				if !reflect.DeepEqual(stageNames(warm), wantStages) {
 					t.Errorf("warm stages = %v, want %v", stageNames(warm), wantStages)
 				}
@@ -306,9 +307,13 @@ func TestWarmStartMisses(t *testing.T) {
 	})
 }
 
-// TestWarmStartReusesPersistedFilterValues asserts the reduce stage
-// consumes the snapshot's persisted bounds on a warm start instead of
-// recomputing them, and that pruning still matches a fresh run.
+// TestWarmStartReusesPersistedFilterValues pins what a warm start
+// takes from a traced snapshot: Adopt restores the trace segment, and
+// the zero-batch Update behind the hit replays every Step 4 bound and
+// every pair instead of recomputing them — with the fresh run's filter
+// values and pruning. A single-document Update of the warm result then
+// recomputes only the bounds the batch made dirty: the filter traces
+// survive the warm start.
 func TestWarmStartReusesPersistedFilterValues(t *testing.T) {
 	cdSource, cdMapping := dirtyCDSource(t, 40, 2005)
 	cfg := core.Config{
@@ -317,6 +322,7 @@ func TestWarmStartReusesPersistedFilterValues(t *testing.T) {
 		ThetaCand:        0.55,
 		UseFilter:        true,
 		KeepFilterValues: true,
+		Incremental:      true,
 	}
 	snapDir := t.TempDir()
 	cfg.Snapshot = &core.SnapshotOptions{Dir: snapDir, Save: true}
@@ -327,17 +333,6 @@ func TestWarmStartReusesPersistedFilterValues(t *testing.T) {
 	fresh, err := det.Detect("DISC", cdSource)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// The snapshot must carry the bounds.
-	ds, err := od.OpenDiskStore(snapDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	persisted := ds.PersistedFilterValues()
-	ds.Close()
-	if !reflect.DeepEqual(persisted, fresh.FilterValues) {
-		t.Fatalf("persisted filter values diverge from the fresh run's")
 	}
 
 	cfg.Snapshot = &core.SnapshotOptions{Dir: snapDir, Reuse: true}
@@ -352,11 +347,53 @@ func TestWarmStartReusesPersistedFilterValues(t *testing.T) {
 	if !warm.WarmStart {
 		t.Fatal("reuse run rebuilt")
 	}
+	if st, ok := warm.StageByName(core.StageAdopt); !ok || st.Items == 0 {
+		t.Fatalf("warm start restored no traces (adopt stage %+v, ran %v)", st, ok)
+	}
+	if warm.Stats.Compared != 0 || warm.Stats.Patched == 0 {
+		t.Errorf("warm start compared %d pairs and patched %d, want 0 compared and every traced pair patched",
+			warm.Stats.Compared, warm.Stats.Patched)
+	}
 	if !reflect.DeepEqual(warm.FilterValues, fresh.FilterValues) {
 		t.Error("warm filter values diverge")
 	}
 	if !reflect.DeepEqual(warm.Pruned, fresh.Pruned) {
 		t.Error("warm pruning diverges")
+	}
+	if !reflect.DeepEqual(warm.Pairs, fresh.Pairs) {
+		t.Error("warm pairs diverge")
+	}
+
+	// One new disc: only bounds of objects holding a value θtuple-similar
+	// to one of its values may recompute, besides the new object's own.
+	extra, _ := dirtyCDSource(t, 1, 77)
+	next, err := det2.Update(warm, core.UpdateBatch{Add: []core.SourceInput{extra}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newFrom := int32(len(warm.Candidates))
+	allowed := map[int32]bool{}
+	for id := newFrom; id < int32(len(next.Candidates)); id++ {
+		allowed[id] = true
+		for _, tu := range next.Store.OD(id).Tuples {
+			if tu.Value == "" {
+				continue
+			}
+			for _, m := range next.Store.SimilarValues(od.Tuple{Value: tu.Value, Type: tu.Type}) {
+				for _, o := range m.Objects {
+					allowed[o] = true
+				}
+			}
+		}
+	}
+	refiltered := core.RefilteredSlots(warm, next)
+	for _, id := range refiltered {
+		if !allowed[id] {
+			t.Errorf("update recomputed the bound of slot %d, outside the batch's dirty set", id)
+		}
+	}
+	if len(refiltered) == 0 || len(allowed) >= next.Stats.Candidates {
+		t.Fatalf("vacuous: %d bounds recomputed, %d of %d slots dirty", len(refiltered), len(allowed), next.Stats.Candidates)
 	}
 }
 

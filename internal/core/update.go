@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
-	"sort"
 	"time"
 
 	"repro/internal/od"
@@ -38,10 +36,9 @@ type incState struct {
 	// match, keyed by pairKey. A pair's trace stays valid while neither
 	// endpoint's exact tuple postings change.
 	pairs map[int64]sim.PairTrace
-	// filter holds per-ID bound traces (nil when bounds were not
-	// computed, e.g. warm starts reusing persisted values). A trace
-	// stays valid while no posting of a value θtuple-similar to one of
-	// the object's tuples changes.
+	// filter holds per-ID bound traces (nil when no bounds were
+	// computed). A trace stays valid while no posting of a value
+	// θtuple-similar to one of the object's tuples changes.
 	filter [][]sim.FilterStep
 	// origin attributes where the state came from: "memory" for states
 	// recorded by an in-process run, "disk" for states Adopt restored
@@ -63,42 +60,18 @@ func pairKey(i, j int32) int64 { return int64(i)<<32 | int64(uint32(j)) }
 
 func unpairKey(k int64) (int32, int32) { return int32(k >> 32), int32(uint32(k)) }
 
-// updateCtx threads an Update run's batch state through the pipeline
-// stages.
+// updateCtx threads an Update run's batch state through its update
+// stage. The replay state Steps 4–6 read (prev, newFrom, the dirty
+// sets) is on pipelineRun, where a fresh Detect leaves it empty.
 type updateCtx struct {
-	batch   UpdateBatch
-	prev    *incState // previous run's replay state; nil forces full recompare
-	ms      od.MutableStore
-	newFrom int32 // IDs at or above this are new in this batch
+	batch UpdateBatch
+	ms    od.MutableStore
 
 	addBuf []*od.OD // staging buffer flushed to AddAfterFinalize
 
 	// changed maps every occurrence key whose posting list this batch
 	// touched (tuples of added and removed ODs) to a query tuple.
 	changed map[string]od.Tuple
-	// exactDirty marks pre-existing live IDs holding a changed key:
-	// their pairwise softIDF terms may have changed, so their pairs
-	// recompare. filterDirty is the wider θtuple-similar closure: their
-	// Step 4 bounds recompute. filterDirty ⊇ exactDirty whenever the
-	// changed values still exist.
-	exactDirty  map[int32]bool
-	filterDirty map[int32]bool
-
-	// chain is the previous state's trace chain when it still describes
-	// the DiskStore this batch extends (zero otherwise): the snapshot
-	// stage leaves the merge for later while it is appendable, and the
-	// traces stage extends it.
-	chain od.TraceChain
-	// rescored, dropped and refiltered are what the batch changed in the
-	// replay state — pair keys compared for real, previous pair keys the
-	// patch loop dropped, filter slots recorded anew or cleared: the
-	// traces stage's delta frame, with nothing diffed.
-	rescored   []int64
-	dropped    []int64
-	refiltered []int32
-
-	recompared int64 // pairs actually compared...
-	patched    int64 // ...vs replayed from the previous run's traces
 }
 
 // Update runs the incremental detection path against the result of a
@@ -122,7 +95,10 @@ type updateCtx struct {
 // surviving pair recompares — still correct, and still skipping
 // re-ingestion and the index rebuild. Stats.TraceSource attributes
 // which path ran: "memory" (in-process traces), "disk" (traces Adopt
-// restored from the snapshot's trace segment), or "none".
+// restored from the snapshot's trace segment), or "none". Traces
+// replay only the paper's measure: under a custom Comparator every
+// surviving pair recompares (over all pairs with DisableBlocking), and
+// under a custom Filter every bound recomputes.
 //
 // θtuple must match the store's; prev must carry one candidate slot per
 // store ID. With Config.Snapshot.Save set, the batch is persisted with a
@@ -169,25 +145,21 @@ func (d *Detector) Update(prev *Result, batch UpdateBatch) (*Result, error) {
 		Removed:     append(append([]int32(nil), prev.Removed...), batch.Remove...),
 	}
 	p := &pipelineRun{
-		d:          d,
-		typeName:   prev.Type,
-		inputs:     batch.Add,
-		res:        res,
-		store:      prev.Store,
-		comparator: d.comparator(),
-		filter:     d.objectFilter(),
-		upd: &updateCtx{
-			batch:       batch,
-			prev:        prev.inc,
-			ms:          ms,
-			newFrom:     ms.IDSpan(),
-			changed:     map[string]od.Tuple{},
-			exactDirty:  map[int32]bool{},
-			filterDirty: map[int32]bool{},
-		},
+		d:           d,
+		typeName:    prev.Type,
+		inputs:      batch.Add,
+		res:         res,
+		store:       prev.Store,
+		comparator:  d.comparator(),
+		filter:      d.objectFilter(),
+		upd:         &updateCtx{batch: batch, ms: ms, changed: map[string]od.Tuple{}},
+		prev:        prev.inc,
+		newFrom:     ms.IDSpan(),
+		exactDirty:  map[int32]bool{},
+		filterDirty: map[int32]bool{},
 	}
 	if ds, ok := ms.(*od.DiskStore); ok && prev.inc != nil && prev.inc.chain.DeltaSeq == ds.DeltaSeq() {
-		p.upd.chain = prev.inc.chain
+		p.chain = prev.inc.chain
 	}
 	if d.cfg.Incremental {
 		p.inc = &incState{pairs: map[int64]sim.PairTrace{}}
@@ -199,22 +171,7 @@ func (d *Detector) Update(prev *Result, batch UpdateBatch) (*Result, error) {
 		}
 	}
 
-	stages := []pipelineStage{
-		{StageUpdate, (*pipelineRun).updateApply},
-		{StageReduce, (*pipelineRun).updateReduce},
-	}
-	if d.cfg.Snapshot != nil && d.cfg.Snapshot.Save {
-		stages = append(stages, pipelineStage{StageSnapshot, (*pipelineRun).updateSnapshot})
-	}
-	if !d.cfg.FilterOnly {
-		stages = append(stages,
-			pipelineStage{StageCompare, (*pipelineRun).updateCompare},
-			pipelineStage{StageCluster, (*pipelineRun).clusterPairs},
-		)
-		if d.cfg.Incremental && d.cfg.Snapshot != nil && d.cfg.Snapshot.Save {
-			stages = append(stages, pipelineStage{StageTraces, (*pipelineRun).persistTraces})
-		}
-	}
+	stages := d.stages([]pipelineStage{{StageUpdate, (*pipelineRun).updateApply}}, (*pipelineRun).updateSnapshot)
 	if err := p.run(stages); err != nil {
 		return nil, err
 	}
@@ -308,8 +265,8 @@ func (p *pipelineRun) finishIncState() {
 	p.inc.size = p.store.Size()
 	p.inc.alive = p.alive
 	p.inc.origin = "memory"
-	if p.upd != nil && p.upd.prev != nil && p.inc.fp == "" {
-		p.inc.fp = p.upd.prev.fp
+	if p.prev != nil && p.inc.fp == "" {
+		p.inc.fp = p.prev.fp
 	}
 	p.res.inc = p.inc
 }
@@ -372,14 +329,14 @@ func (p *pipelineRun) updateApply() (int, error) {
 	// neighbors either way.
 	for _, t := range u.changed {
 		for _, id := range u.ms.ObjectsWithExact(t) {
-			if id < u.newFrom {
-				u.exactDirty[id] = true
+			if id < p.newFrom {
+				p.exactDirty[id] = true
 			}
 		}
 		for _, m := range u.ms.SimilarValues(t) {
 			for _, id := range m.Objects {
-				if id < u.newFrom {
-					u.filterDirty[id] = true
+				if id < p.newFrom {
+					p.filterDirty[id] = true
 				}
 			}
 		}
@@ -402,211 +359,6 @@ func (p *pipelineRun) recordChangedKeys(o *od.OD, scratch map[string]bool) {
 		scratch[k] = true
 		p.upd.changed[k] = od.Tuple{Value: t.Value, Type: t.Type}
 	}
-}
-
-// updateReduce is Step 4 on an updated store: bounds recompute only for
-// new or filter-dirty objects; every other live object's bound replays
-// its recorded trace under the new |ΩT| — bit-identical to recomputing,
-// at the cost of a few logarithms. Without traces everything recomputes.
-func (p *pipelineRun) updateReduce() (int, error) {
-	cfg := p.d.cfg
-	u := p.upd
-	span := p.idSpan()
-	liveN := p.store.Size()
-	p.alive = make([]bool, span)
-	for id := 0; id < span; id++ {
-		p.alive[id] = u.ms.Alive(int32(id))
-	}
-
-	if cfg.UseFilter || cfg.KeepFilterValues {
-		var prevSteps [][]sim.FilterStep
-		_, isDefault := p.filter.(sim.IndexFilter)
-		if u.prev != nil && isDefault {
-			prevSteps = u.prev.filter
-		}
-		filterValues := make([]float64, span)
-		var refiltered []bool // per slot: its trace was recorded anew or cleared
-		if p.inc != nil {
-			p.inc.filter = make([][]sim.FilterStep, span)
-			refiltered = make([]bool, span)
-		}
-		p.d.parallelRange(span, func(i int) {
-			id := int32(i)
-			if !p.alive[i] {
-				filterValues[i] = math.NaN()
-				if refiltered != nil {
-					refiltered[i] = u.prev != nil && i < len(u.prev.filter) && u.prev.filter[i] != nil
-				}
-				return
-			}
-			var steps []sim.FilterStep
-			replayable := id < u.newFrom && !u.filterDirty[id] &&
-				i < len(prevSteps) && prevSteps[i] != nil
-			switch {
-			case replayable:
-				steps = prevSteps[i]
-				filterValues[i] = sim.ReplayFilter(liveN, steps)
-			case p.inc != nil:
-				filterValues[i], steps = sim.FilterTrace(p.store, p.store.OD(id))
-			default:
-				filterValues[i] = p.filter.Bound(p.store, p.store.OD(id))
-			}
-			if p.inc != nil {
-				p.inc.filter[i] = steps
-				refiltered[i] = !replayable
-			}
-		})
-		for i, r := range refiltered {
-			if r {
-				u.refiltered = append(u.refiltered, int32(i))
-			}
-		}
-		p.filterValues = filterValues
-		if cfg.KeepFilterValues {
-			p.res.FilterValues = filterValues
-		}
-		if cfg.UseFilter {
-			for i := 0; i < span; i++ {
-				if p.alive[i] && filterValues[i] <= cfg.ThetaCand {
-					p.alive[i] = false
-					p.res.Pruned = append(p.res.Pruned, int32(i))
-				}
-			}
-		}
-	}
-	p.res.Stats.Candidates = liveN
-	p.res.Stats.Pruned = len(p.res.Pruned)
-	return len(p.res.Pruned), nil
-}
-
-// updateCompare is Step 5 on an updated store. The blocked-pair graph
-// between two surviving objects is intrinsic to their own tuple values,
-// so it cannot change under an update; what can change is (a) which
-// objects exist and survive the filter and (b) the softIDF terms behind
-// each score. Pairs with a recompare-set endpoint — new objects,
-// exact-dirty objects, and objects without a valid cached comparison —
-// are compared for real via the blocking index; every other previously
-// compared pair is patched by replaying its trace under the new |ΩT|.
-func (p *pipelineRun) updateCompare() (int, error) {
-	u := p.upd
-	span := p.idSpan()
-	liveN := p.store.Size()
-
-	prevAlive := func(id int32) bool {
-		return u.prev != nil && int(id) < len(u.prev.alive) && u.prev.alive[id]
-	}
-	inR := make([]bool, span)
-	var list []int32
-	for id := int32(0); id < int32(span); id++ {
-		if !p.alive[id] {
-			continue
-		}
-		if id >= u.newFrom || u.exactDirty[id] || !prevAlive(id) {
-			inR[id] = true
-			list = append(list, id)
-		}
-	}
-
-	numBatches := (len(list) + compareBatchSize - 1) / compareBatchSize
-	outs := make([]batchOut, numBatches)
-	// Same batch-prefetch hook as the full compare stage: one pipelined
-	// round trip per member warms the batch's similar-value lookups.
-	batchStore, _ := p.store.(od.BatchQueryStore)
-	runBatch := func(b int) {
-		out := &outs[b]
-		lo, hi := b*compareBatchSize, (b+1)*compareBatchSize
-		if hi > len(list) {
-			hi = len(list)
-		}
-		if batchStore != nil {
-			var ts []od.Tuple
-			for _, i := range list[lo:hi] {
-				ts = append(ts, p.store.OD(i).Tuples...)
-			}
-			batchStore.PrefetchSimilar(ts)
-		}
-		for _, i := range list[lo:hi] {
-			for _, j := range p.store.Neighbors(i) {
-				if !p.alive[j] || (inR[j] && j <= i) {
-					continue
-				}
-				x, y := i, j
-				if y < x {
-					x, y = y, x
-				}
-				out.compared++
-				score := p.scorePair(out, p.store.OD(x), p.store.OD(y), x, y)
-				switch p.comparator.Classify(score) {
-				case sim.ClassDuplicate:
-					out.pairs = append(out.pairs, Pair{I: x, J: y, Score: score})
-				case sim.ClassPossible:
-					out.possible = append(out.possible, Pair{I: x, J: y, Score: score})
-				}
-			}
-		}
-	}
-	p.d.parallelRange(numBatches, func(b int) { runBatch(b) })
-
-	var pairs, possible []Pair
-	for b := range outs {
-		pairs = append(pairs, outs[b].pairs...)
-		possible = append(possible, outs[b].possible...)
-		u.recompared += outs[b].compared
-		if p.inc != nil {
-			for _, tp := range outs[b].traces {
-				p.inc.pairs[tp.key] = tp.tr
-				u.rescored = append(u.rescored, tp.key)
-			}
-		}
-	}
-
-	// Patch the survivors: previously compared, both endpoints clean and
-	// still alive. Their matching is unchanged, so the recorded softIDF
-	// unions replayed under the new corpus size give the exact score.
-	if u.prev != nil {
-		for key, tr := range u.prev.pairs {
-			i, j := unpairKey(key)
-			if !p.alive[i] || !p.alive[j] || inR[i] || inR[j] {
-				if p.inc != nil {
-					if _, rescored := p.inc.pairs[key]; !rescored {
-						u.dropped = append(u.dropped, key)
-					}
-				}
-				continue
-			}
-			u.patched++
-			score := sim.ReplayScore(liveN, tr)
-			switch p.comparator.Classify(score) {
-			case sim.ClassDuplicate:
-				pairs = append(pairs, Pair{I: i, J: j, Score: score})
-			case sim.ClassPossible:
-				possible = append(possible, Pair{I: i, J: j, Score: score})
-			}
-			if p.inc != nil {
-				p.inc.pairs[key] = tr
-			}
-		}
-	}
-
-	sortPairsByID(pairs)
-	sortPairsByID(possible)
-	p.res.Pairs = pairs
-	p.res.PossiblePairs = possible
-	p.res.Stats.Compared = u.recompared
-	p.res.Stats.Patched = u.patched
-	p.res.Stats.PairsDetected = len(pairs)
-	return int(u.recompared), nil
-}
-
-// sortPairsByID orders pairs (I, J) lexicographically — the same order
-// the fresh compare stage emits naturally.
-func sortPairsByID(pairs []Pair) {
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].I != pairs[b].I {
-			return pairs[a].I < pairs[b].I
-		}
-		return pairs[a].J < pairs[b].J
-	})
 }
 
 // updateSnapshot persists the batch with a *chained* fingerprint:
@@ -633,8 +385,8 @@ func (p *pipelineRun) updateSnapshot() (int, error) {
 	ds, _ := p.store.(*od.DiskStore)
 	prevFP := ""
 	fromManifest := false
-	if u.prev != nil && u.prev.fp != "" {
-		prevFP = u.prev.fp
+	if p.prev != nil && p.prev.fp != "" {
+		prevFP = p.prev.fp
 	} else if ds != nil {
 		prevFP, fromManifest = ds.Fingerprint(), true
 	}
@@ -660,22 +412,10 @@ func (p *pipelineRun) updateSnapshot() (int, error) {
 	if p.inc != nil {
 		p.inc.fp = fp
 	}
-	if ds != nil && ds.InDir(dir) && (empty || p.inc != nil && !p.d.cfg.FilterOnly && u.chain.Appendable()) {
+	if ds != nil && ds.InDir(dir) && (empty || p.inc != nil && !p.d.cfg.FilterOnly && p.chain.Appendable()) {
 		return 0, nil
 	}
-	var fv []float64
-	if _, isDefault := p.filter.(sim.IndexFilter); isDefault && p.filterValues != nil {
-		fv = make([]float64, 0, p.store.Size())
-		for id := int32(0); id < int32(len(p.filterValues)); id++ {
-			if u.ms.Alive(id) {
-				fv = append(fv, p.filterValues[id])
-			}
-		}
-	}
-	if err := od.Save(dir, p.store, od.SnapshotMeta{
-		Fingerprint:  fp,
-		FilterValues: fv,
-	}); err != nil {
+	if err := od.Save(dir, p.store, od.SnapshotMeta{Fingerprint: fp}); err != nil {
 		return 0, fmt.Errorf("core: snapshot: %w", err)
 	}
 	return p.store.Size(), nil

@@ -211,9 +211,13 @@ func updateScenarios(t *testing.T) []updateScenario {
 // splitting each corpus into an initial load plus two Update batches
 // (the second including removals) must yield pairs, scores, filter
 // values and clusters identical to a single from-scratch run over the
-// final live corpus — on all three store backends, both with replay
-// traces (Config.Incremental) and on the trace-free full-recompare
-// fallback.
+// live corpus after each update — on all three store backends, both
+// with replay traces (Config.Incremental) and on the trace-free
+// full-recompare fallback. Two more modes run the second update, over
+// the first one's traces, with a detector whose comparator the traces
+// do not replay, once with blocking and once with
+// Config.DisableBlocking: it must score by that comparator, over the
+// pairs that comparator compares from scratch.
 func TestUpdateEquivalence(t *testing.T) {
 	backends := []struct {
 		name     string
@@ -226,84 +230,100 @@ func TestUpdateEquivalence(t *testing.T) {
 		{"dist-1", func(t *testing.T) func() od.Store { return distStore(1) }},
 		{"dist-3", func(t *testing.T) func() od.Store { return distStore(3) }},
 	}
+	traced := func(c core.Config) core.Config { c.Incremental = true; return c }
+	untraced := func(c core.Config) core.Config { return c }
+	comparator := func(c core.Config) core.Config {
+		c.Comparator = sqrtComparator{c.ThetaTuple}
+		return c
+	}
+	modes := []struct {
+		name string
+		// steps derive the configs of the detectors running the initial
+		// load and the two updates from the scenario's; the from-scratch
+		// reference after an update runs that update's config.
+		steps [3]func(core.Config) core.Config
+	}{
+		{"traced", [3]func(core.Config) core.Config{traced, traced, traced}},
+		{"recompare", [3]func(core.Config) core.Config{untraced, untraced, untraced}},
+		{"comparator", [3]func(core.Config) core.Config{traced, traced, comparator}},
+		{"comparator-noblocking", [3]func(core.Config) core.Config{traced, traced, func(c core.Config) core.Config {
+			c = comparator(c)
+			c.DisableBlocking = true
+			return c
+		}}},
+	}
 	for _, sc := range updateScenarios(t) {
 		for _, be := range backends {
-			for _, incremental := range []bool{true, false} {
-				mode := "traced"
-				if !incremental {
-					mode = "recompare"
-				}
-				t.Run(fmt.Sprintf("%s/%s/%s", sc.name, be.name, mode), func(t *testing.T) {
-					cfg := sc.cfg
-					cfg.NewStore = be.newStore(t)
-					cfg.Incremental = incremental
-					det, err := core.NewDetector(sc.mapping, cfg)
-					if err != nil {
-						t.Fatal(err)
+			for _, mode := range modes {
+				t.Run(fmt.Sprintf("%s/%s/%s", sc.name, be.name, mode.name), func(t *testing.T) {
+					detector := func(step int) *core.Detector {
+						t.Helper()
+						cfg := mode.steps[step](sc.cfg)
+						cfg.NewStore = be.newStore(t)
+						det, err := core.NewDetector(sc.mapping, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return det
 					}
 
-					// Incremental path: initial load, then two updates.
-					src := 0
+					var loaded [][]byte // every source loaded so far
+					removed := map[int]int{}
 					inputsFor := func(corpora [][]byte) []core.SourceInput {
 						var names []string
-						for range corpora {
-							names = append(names, sc.names(src))
-							src++
+						for _, corpus := range corpora {
+							names = append(names, sc.names(len(loaded)))
+							loaded = append(loaded, corpus)
 						}
 						return docInputs(t, names, corpora)
 					}
-					res, err := det.DetectInputs(sc.typeName, inputsFor(sc.initial)...)
+					// check compares res with a from-scratch run over the
+					// live corpus: the loaded sources with the removed
+					// trailing anchors physically trimmed.
+					check := func(step int, res *core.Result) *core.Result {
+						t.Helper()
+						var corpora [][]byte
+						var names []string
+						for i, corpus := range loaded {
+							if k := removed[i]; k > 0 {
+								corpus = trimTrailing(t, corpus, k)
+							}
+							corpora = append(corpora, corpus)
+							names = append(names, sc.names(i))
+						}
+						fresh, err := detector(step).DetectInputs(sc.typeName, docInputs(t, names, corpora)...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(fresh.Pairs) == 0 || len(fresh.Clusters) == 0 {
+							t.Fatal("reference run found no duplicates; equivalence would be vacuous")
+						}
+						if got, want := canonicalResult(t, res), canonicalResult(t, fresh); got != want {
+							t.Errorf("update %d diverges from from-scratch run\n got: %s\nwant: %s", step, got, want)
+						}
+						return fresh
+					}
+
+					// Incremental path: initial load, then two updates.
+					res, err := detector(0).DetectInputs(sc.typeName, inputsFor(sc.initial)...)
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err = det.Update(res, core.UpdateBatch{Add: inputsFor(sc.batch1)})
-					if err != nil {
+					if res, err = detector(1).Update(res, core.UpdateBatch{Add: inputsFor(sc.batch1)}); err != nil {
 						t.Fatal(err)
 					}
+					check(1, res)
 					var remove []int32
 					for srcIdx, k := range sc.remove2 {
 						remove = append(remove, trailingIDs(t, res, srcIdx, k)...)
+						removed[srcIdx] = k
 					}
 					sort.Slice(remove, func(i, j int) bool { return remove[i] < remove[j] })
-					res, err = det.Update(res, core.UpdateBatch{Add: inputsFor(sc.batch2), Remove: remove})
-					if err != nil {
+					if res, err = detector(2).Update(res, core.UpdateBatch{Add: inputsFor(sc.batch2), Remove: remove}); err != nil {
 						t.Fatal(err)
 					}
-
-					// From-scratch reference over the final live corpus:
-					// the same sources with the removed trailing anchors
-					// physically trimmed.
-					var freshCorpora [][]byte
-					all := append(append(append([][]byte{}, sc.initial...), sc.batch1...), sc.batch2...)
-					for i, corpus := range all {
-						if k := sc.remove2[i]; k > 0 {
-							corpus = trimTrailing(t, corpus, k)
-						}
-						freshCorpora = append(freshCorpora, corpus)
-					}
-					freshCfg := sc.cfg
-					freshCfg.NewStore = be.newStore(t)
-					freshDet, err := core.NewDetector(sc.mapping, freshCfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var freshNames []string
-					for i := range freshCorpora {
-						freshNames = append(freshNames, sc.names(i))
-					}
-					fresh, err := freshDet.DetectInputs(sc.typeName, docInputs(t, freshNames, freshCorpora)...)
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					if len(fresh.Pairs) == 0 || len(fresh.Clusters) == 0 {
-						t.Fatal("reference run found no duplicates; equivalence would be vacuous")
-					}
-					got, want := canonicalResult(t, res), canonicalResult(t, fresh)
-					if got != want {
-						t.Errorf("incremental result diverges from from-scratch run\n got: %s\nwant: %s", got, want)
-					}
-					if incremental && sc.expectPatching && res.Stats.Compared >= fresh.Stats.Compared {
+					fresh := check(2, res)
+					if mode.name == "traced" && sc.expectPatching && res.Stats.Compared >= fresh.Stats.Compared {
 						t.Errorf("traced update compared %d pairs, fresh run %d — nothing was patched",
 							res.Stats.Compared, fresh.Stats.Compared)
 					}
@@ -311,6 +331,32 @@ func TestUpdateEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sqrtComparator scores a pair by the square root of the paper's
+// measure, and a pair the measure scores 0 by 0.4 when both objects
+// hold the same number of tuples — a score the shared-value blocking
+// cannot see. Replay traces reproduce neither.
+type sqrtComparator struct{ thetaTuple float64 }
+
+func (c sqrtComparator) Compare(s od.Store, a, b *od.OD) float64 {
+	if score := (sim.Classifier{ThetaTuple: c.thetaTuple}).Compare(s, a, b); score > 0 {
+		return math.Sqrt(score)
+	}
+	if len(a.Tuples) == len(b.Tuples) {
+		return 0.4
+	}
+	return 0
+}
+
+func (sqrtComparator) Classify(score float64) sim.Class {
+	switch {
+	case score > 0.55:
+		return sim.ClassDuplicate
+	case score > 0.3:
+		return sim.ClassPossible
+	}
+	return sim.ClassNonDuplicate
 }
 
 // TestUpdateAdoptedFromDisk covers the restart workflow behind

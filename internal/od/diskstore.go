@@ -210,13 +210,6 @@ func (s *DiskStore) DeltaSeq() uint64 {
 // merges into in place and trace segments bind to by identity.
 func (s *DiskStore) InDir(dir string) bool { return sameDir(s.dir, dir) }
 
-// PersistedFilterValues returns the Step 4 filter bounds persisted with
-// the snapshot, or nil. Index-aligned with OD ids.
-func (s *DiskStore) PersistedFilterValues() []float64 {
-	s.mustBeFinal()
-	return s.r.Meta().FilterValues
-}
-
 // Add implements Store.
 func (s *DiskStore) Add(o *OD) *OD {
 	if s.finalized {

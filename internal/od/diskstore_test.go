@@ -152,10 +152,6 @@ func TestSaveRoundTrips(t *testing.T) {
 	disk := buildDisk(t, ods, 0.15)
 	defer disk.Close()
 
-	fv := make([]float64, len(ods))
-	for i := range fv {
-		fv[i] = float64(i) / 10
-	}
 	backends := []struct {
 		name string
 		s    Store
@@ -170,7 +166,7 @@ func TestSaveRoundTrips(t *testing.T) {
 			if be.name == "disk-same-dir" {
 				dir = disk.Dir()
 			}
-			meta := SnapshotMeta{Fingerprint: "fp-" + be.name, FilterValues: fv}
+			meta := SnapshotMeta{Fingerprint: "fp-" + be.name}
 			if err := Save(dir, be.s, meta); err != nil {
 				t.Fatal(err)
 			}
@@ -182,15 +178,8 @@ func TestSaveRoundTrips(t *testing.T) {
 			if re.Fingerprint() != meta.Fingerprint {
 				t.Errorf("fingerprint = %q, want %q", re.Fingerprint(), meta.Fingerprint)
 			}
-			if !reflect.DeepEqual(re.PersistedFilterValues(), fv) {
-				t.Errorf("filter values did not round-trip")
-			}
 			assertStoreParity(t, mem, re, be.name)
 		})
-	}
-
-	if err := Save(t.TempDir(), mem, SnapshotMeta{FilterValues: []float64{1}}); err == nil {
-		t.Error("Save accepted mismatched filter-value count")
 	}
 }
 

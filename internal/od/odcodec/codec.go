@@ -6,8 +6,8 @@
 //
 // A snapshot is a directory of five segment files:
 //
-//	manifest.odx  meta record: fingerprint, θtuple, OD count, optional
-//	              persisted filter values, and the size + CRC of every
+//	manifest.odx  meta record: fingerprint, θtuple, OD count, delta
+//	              watermark, tombstones, and the size + CRC of every
 //	              data segment. Written last — its presence commits the
 //	              snapshot, so a crashed writer leaves no valid snapshot.
 //	strings.odx   shared string heap. Every tuple value, name, type and
@@ -182,10 +182,6 @@ type Meta struct {
 	Theta float64
 	// NumODs is the object count.
 	NumODs int
-	// FilterValues optionally persists the Step 4 object-filter bound
-	// per OD (index-aligned), so a warm start can skip recomputing the
-	// reduce stage. Nil when not persisted.
-	FilterValues []float64
 	// DeltaSeq is the delta watermark: the highest delta-segment
 	// sequence number already folded into the base segments. Delta files
 	// with sequence numbers at or below it are stale leftovers of a
@@ -198,9 +194,7 @@ type Meta struct {
 	// mutated DiskStore writes them so the ID space survives the merge
 	// unrenumbered (the store stays usable in process); a reader treats
 	// them as removed — dead records, postings never reference them. Nil
-	// for compact snapshots. FilterValues, when present alongside
-	// tombstones, stay index-aligned with the full slot range (dead
-	// slots carry NaN).
+	// for compact snapshots.
 	Tombstones []int32
 }
 

@@ -3,6 +3,7 @@ package odcodec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -227,6 +228,8 @@ func FuzzOpenManifest(f *testing.F) {
 	short := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(short[len(short)-8:], 0) // break CRC
 	f.Add(short)
+	// A manifest as earlier writers wrote it with the Step 4 bound list.
+	f.Add(withFilterValues(f, valid, []float64{0.5, 0.25, math.NaN()}))
 	f.Fuzz(func(t *testing.T, manifest []byte) {
 		dir := t.TempDir()
 		for _, name := range []string{StringsFile, ODsFile, IndexFile} {

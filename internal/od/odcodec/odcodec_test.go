@@ -1,7 +1,6 @@
 package odcodec
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,7 +8,7 @@ import (
 )
 
 // writeSample writes a small two-type snapshot and returns its meta.
-func writeSample(t *testing.T, dir string, fp string, filterValues []float64) Meta {
+func writeSample(t *testing.T, dir string, fp string) Meta {
 	t.Helper()
 	w, err := NewWriter(dir)
 	if err != nil {
@@ -36,7 +35,7 @@ func writeSample(t *testing.T, dir string, fp string, filterValues []float64) Me
 	if err := w.AddValue("IV", []int32{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	meta := Meta{Fingerprint: fp, Theta: 0.15, FilterValues: filterValues}
+	meta := Meta{Fingerprint: fp, Theta: 0.15}
 	if err := w.Commit(meta); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func sampleODs() []sampleOD {
 
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	want := writeSample(t, dir, "fp-123", []float64{0.9, 0.1, math.NaN()})
+	want := writeSample(t, dir, "fp-123")
 	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -80,9 +79,6 @@ func TestRoundTrip(t *testing.T) {
 	meta := r.Meta()
 	if meta.Fingerprint != want.Fingerprint || meta.Theta != want.Theta || meta.NumODs != 3 {
 		t.Fatalf("meta = %+v, want %+v", meta, want)
-	}
-	if len(meta.FilterValues) != 3 || meta.FilterValues[0] != 0.9 || !math.IsNaN(meta.FilterValues[2]) {
-		t.Fatalf("filter values = %v", meta.FilterValues)
 	}
 
 	for i, want := range sampleODs() {
@@ -166,8 +162,8 @@ func TestOpenMissingSnapshot(t *testing.T) {
 // asserts the new commit fully replaces the old one.
 func TestRewriteInPlace(t *testing.T) {
 	dir := t.TempDir()
-	writeSample(t, dir, "v1", nil)
-	writeSample(t, dir, "v2", []float64{1, 2, 3})
+	writeSample(t, dir, "v1")
+	writeSample(t, dir, "v2")
 	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -183,8 +179,8 @@ func TestRewriteInPlace(t *testing.T) {
 
 func TestUpdateMeta(t *testing.T) {
 	dir := t.TempDir()
-	writeSample(t, dir, "", nil)
-	if err := UpdateMeta(dir, "fp-new", []float64{1, 2, 3}); err != nil {
+	writeSample(t, dir, "")
+	if err := UpdateMeta(dir, "fp-new"); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Open(dir)
@@ -193,14 +189,11 @@ func TestUpdateMeta(t *testing.T) {
 	}
 	defer r.Close()
 	meta := r.Meta()
-	if meta.Fingerprint != "fp-new" || !reflect.DeepEqual(meta.FilterValues, []float64{1, 2, 3}) {
+	if meta.Fingerprint != "fp-new" {
 		t.Fatalf("meta after update = %+v", meta)
 	}
 	if meta.Theta != 0.15 || meta.NumODs != 3 {
 		t.Fatalf("update clobbered theta/count: %+v", meta)
-	}
-	if err := UpdateMeta(dir, "fp", []float64{1}); err == nil {
-		t.Error("UpdateMeta accepted mismatched filter-value count")
 	}
 }
 
@@ -239,7 +232,7 @@ func TestWriterEnforcesOrder(t *testing.T) {
 // between the magics, and the manifest stamps bind the data segments.
 func TestCorruptionRejected(t *testing.T) {
 	dir := t.TempDir()
-	writeSample(t, dir, "fp", nil)
+	writeSample(t, dir, "fp")
 	for _, name := range []string{ManifestFile, StringsFile, ODsFile, IndexFile} {
 		path := filepath.Join(dir, name)
 		orig, err := os.ReadFile(path)
@@ -280,7 +273,7 @@ func TestCorruptionRejected(t *testing.T) {
 
 func TestTruncationRejected(t *testing.T) {
 	dir := t.TempDir()
-	writeSample(t, dir, "fp", nil)
+	writeSample(t, dir, "fp")
 	path := filepath.Join(dir, ODsFile)
 	orig, err := os.ReadFile(path)
 	if err != nil {

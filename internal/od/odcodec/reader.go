@@ -998,13 +998,15 @@ func readManifest(dir string) (Meta, []segmentStamp, error) {
 	if err != nil {
 		return meta, nil, err
 	}
+	// Earlier writers could persist the Step 4 bounds here as a
+	// length-prefixed list (count+1; 0 = absent). The trace segment is
+	// their one copy now: a list is length-checked and skipped.
 	if fv > 0 {
 		if fv-1 != meta.NumODs {
 			return meta, nil, corrupt(ManifestFile, "%d filter values for %d ODs", fv-1, meta.NumODs)
 		}
-		meta.FilterValues = make([]float64, fv-1)
-		for i := range meta.FilterValues {
-			if meta.FilterValues[i], err = br.float64(); err != nil {
+		for i := 0; i < meta.NumODs; i++ {
+			if _, err := br.float64(); err != nil {
 				return meta, nil, err
 			}
 		}

@@ -38,7 +38,7 @@ func sampleTrace(digest string) *TraceSet {
 
 func TestTraceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	writeSample(t, dir, "fp", nil)
+	writeSample(t, dir, "fp")
 	digest, err := ManifestDigest(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestTraceRoundTrip(t *testing.T) {
 
 func TestTraceRoundTripNoFilters(t *testing.T) {
 	dir := t.TempDir()
-	writeSample(t, dir, "fp", nil)
+	writeSample(t, dir, "fp")
 	digest, err := ManifestDigest(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestWriteTraceRejectsInvalid(t *testing.T) {
 // the CRC makes that impossible here, so rejection is total).
 func TestTraceByteFlips(t *testing.T) {
 	dir := t.TempDir()
-	writeSample(t, dir, "fp", nil)
+	writeSample(t, dir, "fp")
 	digest, err := ManifestDigest(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func modeName(m MmapMode) string {
 // platforms where the mapping would succeed.
 func TestMmapModes(t *testing.T) {
 	dir := t.TempDir()
-	writeSample(t, dir, "fp-mmap", nil)
+	writeSample(t, dir, "fp-mmap")
 	type answer struct {
 		object string
 		ids    []int32

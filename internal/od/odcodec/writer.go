@@ -348,9 +348,6 @@ func (w *Writer) Commit(meta Meta) error {
 		return fmt.Errorf("odcodec: Commit called twice")
 	}
 	meta.NumODs = len(w.odOffsets)
-	if meta.FilterValues != nil && len(meta.FilterValues) != meta.NumODs {
-		return w.fail(fmt.Errorf("odcodec: %d filter values for %d ODs", len(meta.FilterValues), meta.NumODs))
-	}
 	w.closeType()
 
 	// Index directory + trailing directory offset.
@@ -552,14 +549,7 @@ func writeManifest(dir string, meta Meta, stamps []segmentStamp) error {
 	b = appendUvarint(b, meta.DeltaSeq)
 	b = appendUvarint(b, uint64(len(meta.Tombstones)))
 	b = appendPostings(b, meta.Tombstones)
-	if meta.FilterValues == nil {
-		b = appendUvarint(b, 0)
-	} else {
-		b = appendUvarint(b, uint64(len(meta.FilterValues))+1)
-		for _, v := range meta.FilterValues {
-			b = appendFloat64(b, v)
-		}
-	}
+	b = appendUvarint(b, 0) // no filter-value list (see readManifest)
 	for _, st := range stamps {
 		b = appendUvarint(b, uint64(st.size))
 		b = binary.LittleEndian.AppendUint32(b, st.crc)
@@ -601,20 +591,16 @@ func writeManifest(dir string, meta Meta, stamps []segmentStamp) error {
 }
 
 // UpdateMeta rewrites an existing snapshot's manifest with a new
-// fingerprint and optional filter values, keeping θ, the OD count and
-// the segment stamps from disk. This is how a
-// snapshot written during Finalize (before the corpus fingerprint is
-// known) is stamped with provenance afterwards without rewriting the
-// data segments.
-func UpdateMeta(dir, fingerprint string, filterValues []float64) error {
+// fingerprint, keeping θ, the OD count, the delta watermark, the
+// tombstones and the segment stamps from disk. This is how a snapshot
+// written during Finalize (before the corpus fingerprint is known) is
+// stamped with provenance afterwards without rewriting the data
+// segments.
+func UpdateMeta(dir, fingerprint string) error {
 	meta, stamps, err := readManifest(dir)
 	if err != nil {
 		return err
 	}
-	if filterValues != nil && len(filterValues) != meta.NumODs {
-		return fmt.Errorf("odcodec: %d filter values for %d ODs", len(filterValues), meta.NumODs)
-	}
 	meta.Fingerprint = fingerprint
-	meta.FilterValues = filterValues
 	return writeManifest(dir, meta, stamps)
 }

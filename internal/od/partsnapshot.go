@@ -36,8 +36,7 @@ func partitionFingerprint(fedFingerprint string, part, parts int, seed uint32) s
 // (mutated federations compact identically in every member — they
 // share one alive set), the coordinator's object directory exports as
 // a snapshot with no value indexes, and the federation manifest
-// commits the whole set. meta follows the Save contract
-// (live-compacted FilterValues, one per live object in ID order).
+// commits the whole set.
 //
 // Every member must expose its backing store (local members and
 // loopback transports do); a genuinely remote member persists on its
@@ -49,9 +48,6 @@ func partitionFingerprint(fedFingerprint string, part, parts int, seed uint32) s
 func SavePartitioned(dir string, s *PartitionedStore, meta SnapshotMeta) error {
 	s.mustBeFinal()
 	s.mustBeHealthy()
-	if meta.FilterValues != nil && len(meta.FilterValues) != s.Size() {
-		return fmt.Errorf("od: save: %d filter values for %d live ODs", len(meta.FilterValues), s.Size())
-	}
 	for i, p := range s.parts {
 		bs, ok := p.(BackingStore)
 		if !ok || bs.BackingStore() == nil {
@@ -116,10 +112,9 @@ func SavePartitioned(dir string, s *PartitionedStore, meta SnapshotMeta) error {
 		return err
 	}
 	if err := w.Commit(odcodec.Meta{
-		Fingerprint:  meta.Fingerprint,
-		Theta:        s.theta,
-		FilterValues: meta.FilterValues,
-		DeltaSeq:     staleSeq,
+		Fingerprint: meta.Fingerprint,
+		Theta:       s.theta,
+		DeltaSeq:    staleSeq,
 	}); err != nil {
 		return err
 	}

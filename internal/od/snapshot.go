@@ -2,7 +2,6 @@ package od
 
 import (
 	"fmt"
-	"math"
 	"path/filepath"
 	"sort"
 
@@ -15,9 +14,6 @@ type SnapshotMeta struct {
 	// indexes were built from (internal/core computes it); warm starts
 	// require an exact match.
 	Fingerprint string
-	// FilterValues optionally persists the Step 4 object-filter bounds
-	// per OD so a warm start can skip recomputing them. May be nil.
-	FilterValues []float64
 }
 
 // Save persists a finalized store into dir in the DiskStore segment
@@ -31,8 +27,6 @@ type SnapshotMeta struct {
 // A mutated store exports its live set with the ID space compacted
 // (holes from Remove close up, order preserved), so the snapshot is
 // indistinguishable from a fresh build over the live objects.
-// meta.FilterValues must therefore be live-compacted too: one value per
-// live OD in ascending ID order.
 //
 // A mutated DiskStore saving into its own directory is *merged in
 // place*: the overlay folds into fresh base segments that keep the ID
@@ -43,15 +37,12 @@ type SnapshotMeta struct {
 // usable — queries and further AddAfterFinalize/Remove batches continue
 // with the same IDs, and a reopen reproduces the exact same state.
 func Save(dir string, s Store, meta SnapshotMeta) error {
-	if meta.FilterValues != nil && len(meta.FilterValues) != s.Size() {
-		return fmt.Errorf("od: save: %d filter values for %d live ODs", len(meta.FilterValues), s.Size())
-	}
 	if ds, ok := s.(*DiskStore); ok && sameDir(ds.dir, dir) {
 		ds.mustBeFinal()
 		if !ds.dirty {
 			// The base manifest already describes the live state
 			// (tombstones included); only the provenance changes.
-			return odcodec.UpdateMeta(dir, meta.Fingerprint, ds.expandFilterValues(meta.FilterValues))
+			return odcodec.UpdateMeta(dir, meta.Fingerprint)
 		}
 		return ds.mergeInPlace(meta)
 	}
@@ -81,10 +72,9 @@ func exportTo(dir string, s Store, meta SnapshotMeta) error {
 		return err
 	}
 	if err := w.Commit(odcodec.Meta{
-		Fingerprint:  meta.Fingerprint,
-		Theta:        s.Theta(),
-		FilterValues: meta.FilterValues,
-		DeltaSeq:     staleSeq,
+		Fingerprint: meta.Fingerprint,
+		Theta:       s.Theta(),
+		DeltaSeq:    staleSeq,
 	}); err != nil {
 		return err
 	}
@@ -365,29 +355,6 @@ func (s *DiskStore) exportLiveTypes(w *odcodec.Writer, remap []int32) error {
 	return nil
 }
 
-// expandFilterValues re-expands live-compacted filter bounds (one per
-// live OD, ascending ID order — the shape Save's contract requires)
-// into the slot-aligned layout a tombstoned manifest stores: one value
-// per ID in [0, IDSpan()), NaN at dead slots. Identity when the store
-// has no holes.
-func (s *DiskStore) expandFilterValues(fv []float64) []float64 {
-	if fv == nil || s.mut == nil {
-		return fv
-	}
-	span := s.IDSpan()
-	out := make([]float64, span)
-	next := 0
-	for id := int32(0); id < span; id++ {
-		if s.Alive(id) {
-			out[id] = fv[next]
-			next++
-		} else {
-			out[id] = math.NaN()
-		}
-	}
-	return out
-}
-
 // mergeInPlace folds a dirty DiskStore's overlay into fresh base
 // segments in its own directory without renumbering the ID space:
 // every slot keeps its record (removed ones as empty stubs listed in
@@ -444,11 +411,10 @@ func (s *DiskStore) mergeInPlace(meta SnapshotMeta) error {
 	}
 	sortInt32s(tombstones)
 	if err := w.Commit(odcodec.Meta{
-		Fingerprint:  meta.Fingerprint,
-		Theta:        s.theta,
-		FilterValues: s.expandFilterValues(meta.FilterValues),
-		DeltaSeq:     m.seq,
-		Tombstones:   tombstones,
+		Fingerprint: meta.Fingerprint,
+		Theta:       s.theta,
+		DeltaSeq:    m.seq,
+		Tombstones:  tombstones,
 	}); err != nil {
 		return err
 	}

@@ -61,8 +61,8 @@ type TraceSet struct {
 	// Both endpoints must be survivors.
 	Pairs map[int64]PairTrace
 	// Filter holds per-slot filter-bound traces (nil slot = none
-	// recorded); nil entirely when the run replayed persisted filter
-	// values instead of recording bounds.
+	// recorded); nil entirely when the run computed no bounds (no
+	// UseFilter, no KeepFilterValues).
 	Filter [][]FilterStep
 	// Chain is the shape of the persisted chain LoadTraces read the set
 	// from (zero for a set built in memory). SaveTraces and AppendTraces
