@@ -2,8 +2,8 @@ package od
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/od/odcodec"
@@ -206,9 +206,10 @@ func (s *DiskStore) DeltaSeq() uint64 {
 	return s.r.Meta().DeltaSeq
 }
 
-// InDir reports whether dir is the store's own directory: the one Save
-// merges into in place and trace segments bind to by identity.
-func (s *DiskStore) InDir(dir string) bool { return sameDir(s.dir, dir) }
+// InDir reports whether dir is the store's own directory, by any path
+// to it: the one Save merges into in place and trace segments bind to
+// by identity (see snapshotIDs).
+func (s *DiskStore) InDir(dir string) bool { return snapshotIDs(dir, s).keep }
 
 // Add implements Store.
 func (s *DiskStore) Add(o *OD) *OD {
@@ -262,50 +263,20 @@ func (s *DiskStore) Finalize(theta float64) {
 	}
 	s.finalized = true
 
-	occ := buildOccurrence(s.ods)
-	valueObjs := groupValuesByType(occ)
+	valueObjs := groupValuesByType(buildOccurrence(s.ods))
 	maxLens := maxValueLens(valueObjs)
-
-	w, err := odcodec.NewWriter(s.dir)
+	err := writeSnapshot(s.dir, snapshotSource{
+		theta:  theta,
+		span:   int32(len(s.ods)),
+		record: odsRecords(s.ods),
+		types:  slices.Collect(maps.Keys(valueObjs)),
+		table: func(typ string) (int, valueScan, error) {
+			return maxLens[typ], mapScan(valueObjs[typ]), nil
+		},
+	}, idPlan{}, "")
 	if err != nil {
 		panic(fmt.Sprintf("od: DiskStore finalize: %v", err))
 	}
-	defer w.Abort()
-	if err := writeODs(w, s.ods); err != nil {
-		panic(fmt.Sprintf("od: DiskStore finalize: %v", err))
-	}
-	types := make([]string, 0, len(valueObjs))
-	for typ := range valueObjs {
-		types = append(types, typ)
-	}
-	sort.Strings(types)
-	for _, typ := range types {
-		m := valueObjs[typ]
-		if err := w.BeginType(typ, maxLens[typ], editBudget(theta, maxLens[typ])); err != nil {
-			panic(fmt.Sprintf("od: DiskStore finalize: %v", err))
-		}
-		values := make([]string, 0, len(m))
-		for v := range m {
-			values = append(values, v)
-		}
-		sort.Strings(values)
-		for _, v := range values {
-			if err := w.AddValue(v, m[v]); err != nil {
-				panic(fmt.Sprintf("od: DiskStore finalize: %v", err))
-			}
-		}
-	}
-	// Stamp the manifest with the directory's highest stale delta
-	// sequence: leftovers of an earlier store in this directory must sit
-	// at or below the watermark so they can never replay onto this base.
-	staleSeq, err := odcodec.MaxDeltaSeq(s.dir)
-	if err != nil {
-		panic(fmt.Sprintf("od: DiskStore finalize: %v", err))
-	}
-	if err := w.Commit(odcodec.Meta{Theta: theta, DeltaSeq: staleSeq}); err != nil {
-		panic(fmt.Sprintf("od: DiskStore finalize: %v", err))
-	}
-	odcodec.RemoveDeltas(s.dir, staleSeq)
 
 	s.ods = nil // from here on the segment files are the store
 	r, err := odcodec.OpenWith(s.dir, s.opts.codecOptions())
@@ -390,11 +361,7 @@ func (s *DiskStore) AddAfterFinalize(ods []*OD) error {
 	}
 	added := make([]odcodec.DeltaOD, len(ods))
 	for i, o := range ods {
-		tuples := make([]odcodec.Tuple, len(o.Tuples))
-		for j, t := range o.Tuples {
-			tuples[j] = odcodec.Tuple{Value: t.Value, Name: t.Name, Type: t.Type}
-		}
-		added[i] = odcodec.DeltaOD{Object: o.Object, Source: int32(o.Source), Tuples: tuples}
+		added[i] = odcodec.DeltaOD{Object: o.Object, Source: int32(o.Source), Tuples: appendCodecTuples(nil, o)}
 	}
 	if err := odcodec.WriteDelta(s.dir, odcodec.Delta{Seq: m.seq + 1, Added: added}); err != nil {
 		return fmt.Errorf("od: DiskStore: %w", err)
@@ -919,15 +886,8 @@ func (s *DiskStore) Stats() []TypeStats {
 	if s.mut == nil {
 		return append([]TypeStats(nil), s.stats...)
 	}
-	types := map[string]bool{}
-	for _, tm := range s.r.Types() {
-		types[tm.Name] = true
-	}
-	for typ := range s.mut.addedVals {
-		types[typ] = true
-	}
 	var out []TypeStats
-	for typ := range types {
+	for _, typ := range s.typeNames() {
 		distinct, maxLen := 0, 0
 		err := s.forEachLiveValue(typ, func(runeLen int) {
 			distinct++
@@ -949,6 +909,20 @@ func (s *DiskStore) Stats() []TypeStats {
 	}
 	sortTypeStats(out)
 	return out
+}
+
+// typeNames lists every type with base values or appended ones, in no
+// particular order.
+func (s *DiskStore) typeNames() []string {
+	names := slices.Collect(maps.Keys(s.typeMeta))
+	if s.mut != nil {
+		for typ := range s.mut.addedVals {
+			if _, ok := s.typeMeta[typ]; !ok {
+				names = append(names, typ)
+			}
+		}
+	}
+	return names
 }
 
 // routingFilters implements variantFilterSource: covered filters are

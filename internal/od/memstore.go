@@ -1,5 +1,10 @@
 package od
 
+import (
+	"maps"
+	"slices"
+)
+
 // MemStore is the single-map in-memory Store: one occurrence index and one
 // typeIndex per real-world type, built serially in Finalize. It is the
 // reference implementation every other backend must agree with.
@@ -173,10 +178,7 @@ func (s *MemStore) maybeCompact(touched map[string]bool) {
 		if d == nil || !d.due(baseVals) {
 			continue
 		}
-		m, _ := liveValueTable(base, d, func(val string) []int32 {
-			return s.occ[occKeyOf(typ, val)]
-		})
-		if m == nil {
+		if m, _ := s.liveValues(typ); m == nil {
 			delete(s.types, typ)
 		} else {
 			s.types[typ] = buildTypeIndex(m, s.theta)
@@ -242,50 +244,42 @@ func (s *MemStore) Neighbors(id int32) []int32 {
 func (s *MemStore) Stats() []TypeStats {
 	s.mustBeFinal()
 	var out []TypeStats
-	seen := map[string]bool{}
-	for typ, ti := range s.types {
-		seen[typ] = true
-		if d := s.deltas[typ]; d != nil {
-			if st, ok := s.liveTypeStats(typ, ti, d); ok {
-				out = append(out, st)
-			}
+	for _, typ := range s.typeNames() {
+		ti := s.types[typ]
+		st := TypeStats{Type: typ, Indexed: ti != nil && ti.neighbor != nil}
+		if s.deltas[typ] == nil {
+			st.DistinctValues, st.MaxLen = len(ti.values), ti.maxLen
+		} else if m, maxLen := s.liveValues(typ); m != nil {
+			st.DistinctValues, st.MaxLen = len(m), maxLen
+		} else {
 			continue
 		}
-		out = append(out, TypeStats{
-			Type:           typ,
-			DistinctValues: len(ti.values),
-			MaxLen:         ti.maxLen,
-			EditBudget:     ti.budget,
-			Indexed:        ti.neighbor != nil,
-		})
-	}
-	for typ, d := range s.deltas {
-		if seen[typ] {
-			continue
-		}
-		if st, ok := s.liveTypeStats(typ, nil, d); ok {
-			out = append(out, st)
-		}
+		st.EditBudget = editBudget(s.theta, st.MaxLen)
+		out = append(out, st)
 	}
 	sortTypeStats(out)
 	return out
 }
 
-// liveTypeStats recomputes one mutated type's diagnostics row exactly.
-func (s *MemStore) liveTypeStats(typ string, ti *typeIndex, d *typeDelta) (TypeStats, bool) {
-	m, maxLen := liveValueTable(ti, d, func(val string) []int32 {
+// typeNames lists every type with a base index or a mutation overlay,
+// in no particular order.
+func (s *MemStore) typeNames() []string {
+	names := slices.Collect(maps.Keys(s.types))
+	for typ := range s.deltas {
+		if s.types[typ] == nil {
+			names = append(names, typ)
+		}
+	}
+	return names
+}
+
+// liveValues is one type's live value table with its maximum value
+// length, assembled through the type's overlay; nil when no value of
+// the type lives.
+func (s *MemStore) liveValues(typ string) (map[string][]int32, int) {
+	return liveValueTable(s.types[typ], s.deltas[typ], func(val string) []int32 {
 		return s.occ[occKeyOf(typ, val)]
 	})
-	if m == nil {
-		return TypeStats{}, false
-	}
-	return TypeStats{
-		Type:           typ,
-		DistinctValues: len(m),
-		MaxLen:         maxLen,
-		EditBudget:     editBudget(s.theta, maxLen),
-		Indexed:        ti != nil && ti.neighbor != nil,
-	}, true
 }
 
 // routingFilters implements variantFilterSource: one covered filter

@@ -564,3 +564,114 @@ func TestMutableStatsExactBudgetAfterLongestValueRemoval(t *testing.T) {
 		}
 	}
 }
+
+// snapshotFiles reads every file of a snapshot directory by name.
+func snapshotFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = data
+	}
+	return out
+}
+
+// TestSnapshotWritersAgree pins that every writer path produces a fresh
+// build's bytes: a MemStore export and a DiskStore export to another
+// directory, each unmutated and after the mutation script, equal file
+// by file a DiskStore freshly built over the same live set.
+func TestSnapshotWritersAgree(t *testing.T) {
+	initial, batch2, batch3, remove, liveOf := mutableFixture()
+	const theta = 0.15
+	reference := func(t *testing.T, live []*OD) map[string][]byte {
+		dir := t.TempDir()
+		s := NewDiskStore(dir)
+		for _, o := range copyODs(live) {
+			s.Add(o)
+		}
+		s.Finalize(theta)
+		s.Close()
+		return snapshotFiles(t, dir)
+	}
+	for _, tc := range []struct {
+		name    string
+		backend func(t *testing.T) MutableStore
+		mutate  bool
+	}{
+		{"mem", func(*testing.T) MutableStore { return NewMemStore() }, false},
+		{"mem-mutated", func(*testing.T) MutableStore { return NewMemStore() }, true},
+		{"disk", func(t *testing.T) MutableStore { return NewDiskStore(t.TempDir()) }, false},
+		{"disk-mutated", func(t *testing.T) MutableStore { return NewDiskStore(t.TempDir()) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.backend(t)
+			for _, o := range copyODs(initial) {
+				s.Add(o)
+			}
+			s.Finalize(theta)
+			if tc.mutate {
+				mutationScript(t, s, batch2, batch3, remove)
+			}
+			want := reference(t, liveOf(s))
+			dir := t.TempDir()
+			if err := Save(dir, s, SnapshotMeta{}); err != nil {
+				t.Fatal(err)
+			}
+			got := snapshotFiles(t, dir)
+			if len(got) != len(want) {
+				t.Fatalf("saved files %d, fresh build %d", len(got), len(want))
+			}
+			for name, data := range want {
+				if !reflect.DeepEqual(got[name], data) {
+					t.Errorf("%s differs from the fresh build's (%d vs %d bytes)", name, len(got[name]), len(data))
+				}
+			}
+		})
+	}
+}
+
+// TestDiskStoreSaveThroughSymlink pins that a save through a second
+// path to a DiskStore's own directory is an in-place merge: the store's
+// ID space survives, so mutations after the save still name the objects
+// they named before, and a reopen matches the in-process live set.
+func TestDiskStoreSaveThroughSymlink(t *testing.T) {
+	initial, batch2, batch3, remove, liveOf := mutableFixture()
+	const theta = 0.15
+	root := t.TempDir()
+	idx, link := filepath.Join(root, "idx"), filepath.Join(root, "link")
+	s := NewDiskStore(idx)
+	for _, o := range copyODs(initial) {
+		s.Add(o)
+	}
+	s.Finalize(theta)
+	if err := os.Symlink(idx, link); err != nil {
+		t.Skipf("symlinks unavailable: %v", err)
+	}
+	mutationScript(t, s, batch2, batch3, remove)
+	if err := Save(link, s, SnapshotMeta{Fingerprint: "link"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Remove([]int32{30}); err != nil {
+		t.Fatal(err)
+	}
+	span := s.IDSpan()
+	fresh := freshOver(liveOf(s), theta)
+	s.Close()
+
+	re, err := OpenDiskStore(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.IDSpan(); got != span {
+		t.Fatalf("reopened ID span %d, in-process store spans %d", got, span)
+	}
+	assertStoreMatchesFresh(t, "symlink-save-reopen", re, fresh)
+}

@@ -76,7 +76,7 @@ func SavePartitioned(dir string, s *PartitionedStore, meta SnapshotMeta) error {
 	for i, p := range s.parts {
 		backing := p.(BackingStore).BackingStore()
 		partDir := filepath.Join(dir, odcodec.PartitionDir(i))
-		if ds, ok := backing.(*DiskStore); ok && sameDir(ds.dir, partDir) && ds.mut != nil {
+		if ds, ok := backing.(*DiskStore); ok && ds.InDir(partDir) && ds.mut != nil {
 			return fmt.Errorf("od: save: partition %d is a mutated DiskStore living in its own target directory; an in-place merge would misalign the federation's compacted IDs — save into a fresh directory", i)
 		}
 		fp := partitionFingerprint(meta.Fingerprint, i, len(s.parts), s.seed)
@@ -99,26 +99,15 @@ func SavePartitioned(dir string, s *PartitionedStore, meta SnapshotMeta) error {
 
 	// Coordinator snapshot: the full object directory, compacted over
 	// the live set exactly like the members, with no value indexes.
-	w, err := odcodec.NewWriter(dir)
+	err := writeSnapshot(dir, snapshotSource{
+		theta:  s.theta,
+		span:   int32(len(s.ods)),
+		alive:  func(id int32) bool { return s.ods[id] != nil },
+		record: odsRecords(s.ods),
+	}, idPlan{}, meta.Fingerprint)
 	if err != nil {
 		return err
 	}
-	defer w.Abort()
-	if err := writeODs(w, s.ods); err != nil {
-		return err
-	}
-	staleSeq, err := odcodec.MaxDeltaSeq(dir)
-	if err != nil {
-		return err
-	}
-	if err := w.Commit(odcodec.Meta{
-		Fingerprint: meta.Fingerprint,
-		Theta:       s.theta,
-		DeltaSeq:    staleSeq,
-	}); err != nil {
-		return err
-	}
-	odcodec.RemoveDeltas(dir, staleSeq)
 
 	// The federation manifest commits the set — written last, so a
 	// crash mid-save leaves no (new) federation.

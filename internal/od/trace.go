@@ -118,39 +118,31 @@ func SaveTraces(dir string, s Store, ts *TraceSet) (TraceChain, error) {
 		Fingerprint:    ts.Fingerprint,
 		Size:           ts.Size,
 	}
-	var remap []int32
-	if ds, ok := s.(*DiskStore); ok && ds.InDir(dir) {
-		out.DeltaSeq = ds.DeltaSeq()
-		out.Alive = ts.Alive
-		if ts.Filter != nil {
-			out.Filters = encodeFilters(ts.Filter)
-		}
-	} else {
-		// A store reopened from the export starts at the manifest's
-		// delta watermark, with nothing to replay.
-		if out.DeltaSeq, err = odcodec.ManifestDeltaSeq(dir); err != nil {
-			return TraceChain{}, fmt.Errorf("od: save traces: %w", err)
-		}
-		// The exported snapshot compacted IDs over the store's live
-		// set (not the run's survivor set — filter-pruned objects are
-		// still live and keep slots), so the trace compacts the same
-		// way and carries survival per compacted slot.
-		live := aliveFunc(s)
-		remap = buildRemap(int32(span), live)
-		out.Alive = make([]bool, s.Size())
-		for id := 0; id < span; id++ {
-			if live(int32(id)) {
-				out.Alive[remap[id]] = ts.Alive[id]
+	// A kept ID space carries every slot and the delta sequence the
+	// store's live state ends at. A compacted one carries the store's
+	// live set (not the run's survivor set — filter-pruned objects are
+	// still live and keep slots), survival and filter traces moving with
+	// their slots, and the manifest's delta watermark: a store reopened
+	// from the export has nothing to replay.
+	ids := snapshotIDs(dir, s)
+	slots := s.Size()
+	if ids.keep {
+		slots = span
+		out.DeltaSeq = s.(*DiskStore).DeltaSeq()
+	} else if out.DeltaSeq, err = odcodec.ManifestDeltaSeq(dir); err != nil {
+		return TraceChain{}, fmt.Errorf("od: save traces: %w", err)
+	}
+	live := aliveFunc(s)
+	out.Alive = make([]bool, slots)
+	if ts.Filter != nil {
+		out.Filters = make([][]odcodec.TraceFilterStep, slots)
+	}
+	for id := int32(0); id < int32(span); id++ {
+		if ids.keep || live(id) {
+			out.Alive[ids.id(id)] = ts.Alive[id]
+			if out.Filters != nil {
+				out.Filters[ids.id(id)] = encodeSteps(ts.Filter[id])
 			}
-		}
-		if ts.Filter != nil {
-			filter := make([][]FilterStep, s.Size())
-			for id, steps := range ts.Filter {
-				if live(int32(id)) {
-					filter[remap[id]] = steps
-				}
-			}
-			out.Filters = encodeFilters(filter)
 		}
 	}
 	out.Pairs = make([]odcodec.TracePair, 0, len(ts.Pairs))
@@ -159,9 +151,7 @@ func SaveTraces(dir string, s Store, ts *TraceSet) (TraceChain, error) {
 		if int(j) >= span || !ts.Alive[i] || !ts.Alive[j] {
 			continue // defensive: a non-survivor endpoint can never replay
 		}
-		if remap != nil {
-			key = int64(remap[i])<<32 | int64(uint32(remap[j]))
-		}
+		key = int64(ids.id(i))<<32 | int64(uint32(ids.id(j)))
 		out.Pairs = append(out.Pairs, odcodec.TracePair{Key: uint64(key), SimU: tr.SimU, ConU: tr.ConU})
 	}
 	sort.Slice(out.Pairs, func(a, b int) bool { return out.Pairs[a].Key < out.Pairs[b].Key })
@@ -272,14 +262,6 @@ func aliveFunc(s Store) func(int32) bool {
 		return ms.Alive
 	}
 	return func(int32) bool { return true }
-}
-
-func encodeFilters(filter [][]FilterStep) [][]odcodec.TraceFilterStep {
-	out := make([][]odcodec.TraceFilterStep, len(filter))
-	for i, steps := range filter {
-		out[i] = encodeSteps(steps)
-	}
-	return out
 }
 
 // encodeSteps converts one slot's filter-bound trace; nil stays nil.

@@ -152,7 +152,8 @@ func (k *kernel) matchGroup(g *group, res *Result, tr *PairTrace) {
 	if len(as) == 1 && len(bs) == 1 && res == nil {
 		// One tuple each: they pair up either way, and a score needs only
 		// the side of θtuple the distance falls on, never the distance.
-		k.matched(g, pairDist{}, k.below(as[0], bs[0]), nil, tr)
+		a, b := as[0], bs[0]
+		k.matched(g, pairDist{}, strdist.NormalizedBelowSig(a.Runes, b.Runes, a.Sig, b.Sig, k.theta), nil, tr)
 		return
 	}
 	// Full distance matrix; groups are small (element multiplicities).
@@ -199,22 +200,6 @@ func (k *kernel) matchGreedily(g *group, similar bool, res *Result, tr *PairTrac
 		k.usedA[p.i], k.usedB[p.j] = true, true
 		k.matched(g, p, similar, res, tr)
 	}
-}
-
-// below reports ned(a, b) < θtuple exactly as comparing the full
-// normalized distance would, from a banded computation. The band is one
-// edit wider than the strict budget θtuple allows: the budget rounds
-// θ·m once and the quotient lev/m rounds again, so a distance right at
-// the budget is decided by the same division the full path performs,
-// while anything past the wider band is at least 1/m above θ.
-func (k *kernel) below(a, b od.CompiledTuple) bool {
-	m := max(len(a.Runes), len(b.Runes))
-	band := strdist.MaxEditsBelow(k.theta, m) + 1
-	if strdist.SignatureBound(a.Sig, b.Sig) > band {
-		return false
-	}
-	d, ok := strdist.LevenshteinBoundedRunes(a.Runes, b.Runes, band)
-	return ok && float64(d)/float64(m) < k.theta
 }
 
 // matched accounts one matched tuple pair: its softIDF term joins the

@@ -1,7 +1,6 @@
 package strdist
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -112,9 +111,8 @@ func FuzzEditKernels(f *testing.F) {
 		}
 		// NormalizedBelow decides by the strict edit budget of θ — the
 		// same budget the neighborhood index tiers and routing filters are
-		// sized by. That is ned < θ except where lev/m rounds onto θ itself
-		// (θ = 0.55 at m = 100: the budget admits 55 edits, 55/100 does not
-		// compare below 0.55), so the quotient is checked away from θ only.
+		// sized by — and that budget is the quotient rule ned < θ, also
+		// where lev/m rounds onto θ itself (θ = 0.55 at m = 100).
 		m := max(len(ra), len(rb))
 		ned := Normalized(a, b)
 		for _, theta := range thetas {
@@ -122,7 +120,7 @@ func FuzzEditKernels(f *testing.F) {
 			if byBudget := m == 0 || want <= MaxEditsBelow(theta, m); got != byBudget {
 				t.Fatalf("NormalizedBelow(%q, %q, %v) = %v; distance %d, budget %d", a, b, theta, got, want, MaxEditsBelow(theta, m))
 			}
-			if math.Abs(ned-theta) > 1e-9 && got != (ned < theta) {
+			if got != (ned < theta) {
 				t.Fatalf("NormalizedBelow(%q, %q, %v) = %v, Normalized = %v", a, b, theta, got, ned)
 			}
 		}

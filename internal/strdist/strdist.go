@@ -215,10 +215,9 @@ func NormalizedRunes(ra, rb []rune) float64 {
 // lower bound and a relaxation of the bag-distance lower bound (see
 // SignatureBound) first, so most non-matches never reach the DP. This is
 // the comparison-reduction trick of [18]. The decision is lev <=
-// MaxEditsBelow(theta, m), the budget the index tiers are sized by; it
-// differs from comparing the rounded quotient lev/m only where that
-// rounds onto theta itself (theta 0.55, m 100, lev 55), and there it
-// errs towards "below".
+// MaxEditsBelow(theta, m), the budget the index tiers are sized by,
+// which is the quotient comparison float64(lev)/float64(m) < theta
+// exactly.
 func NormalizedBelow(a, b string, theta float64) bool {
 	var sa, sb [stackRunes]rune
 	return NormalizedBelowRunes(AppendRunes(sa[:0], a), AppendRunes(sb[:0], b), theta)
@@ -237,8 +236,7 @@ func NormalizedBelowSig(ra, rb []rune, sigA, sigB uint64, theta float64) bool {
 	if m == 0 {
 		return 0 < theta // ned = 0
 	}
-	// strict inequality: lev < theta*m  =>  lev <= ceil(theta*m)-1
-	maxDist := strictBudget(theta, m)
+	maxDist := MaxEditsBelow(theta, m)
 	if maxDist < 0 {
 		return false
 	}
@@ -274,28 +272,22 @@ func SignatureBound(a, b uint64) int {
 	return max(bits.OnesCount64(a&^b), bits.OnesCount64(b&^a))
 }
 
-// strictBudget returns the largest integer d with d < theta*m, i.e. the
-// maximum edit distance still strictly below the threshold.
-func strictBudget(theta float64, m int) int {
-	lim := theta * float64(m)
-	d := int(lim)
-	if float64(d) >= lim {
-		d--
-	}
-	return d
-}
-
-// MaxEditsBelow exposes the strict edit budget used by NormalizedBelow for
-// strings of maximum rune length m: the largest d with d/m < theta.
+// MaxEditsBelow returns the strict edit budget of strings of maximum
+// rune length m: the largest d with float64(d)/float64(m) < theta — the
+// paper's ned < θtuple, decided by the same quotient the matcher
+// compares — or -1 when not even d = 0 qualifies. int(theta*m) is
+// within one edit of it, so one correction step settles the rounding.
 func MaxEditsBelow(theta float64, m int) int {
 	if m <= 0 {
 		return 0
 	}
-	d := strictBudget(theta, m)
-	if d < 0 {
-		return -1
+	d := int(theta * float64(m))
+	if float64(d)/float64(m) >= theta {
+		d--
+	} else if float64(d+1)/float64(m) < theta {
+		d++
 	}
-	return d
+	return max(d, -1)
 }
 
 // LengthLowerBound returns |len(a)-len(b)|, a lower bound on Levenshtein.

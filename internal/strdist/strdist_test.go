@@ -101,20 +101,21 @@ func TestNormalizedBelow(t *testing.T) {
 }
 
 func TestMaxEditsBelow(t *testing.T) {
-	// strictly-below semantics: lev < theta*m
+	// strictly-below semantics: lev/m < theta
 	cases := []struct {
 		theta float64
 		m     int
 		want  int
 	}{
-		{0.15, 8, 1},   // 1.2 -> 1
-		{0.15, 6, 0},   // 0.9 -> 0
-		{0.15, 20, 2},  // 3.0 -> 2 (strict)
-		{0.5, 4, 1},    // 2.0 -> 1 (strict)
-		{0.15, 40, 5},  // 6.0 -> 5
-		{0.05, 10, -1}, // 0.5 -> no edit allowedexact-only: budget 0 means lev 0 < 0.5 ok => 0
+		{0.15, 8, 1},    // 1.2 -> 1
+		{0.15, 6, 0},    // 0.9 -> 0
+		{0.15, 20, 2},   // 3.0 -> 2 (strict)
+		{0.5, 4, 1},     // 2.0 -> 1 (strict)
+		{0.15, 40, 5},   // 6.0 -> 5
+		{0.05, 10, -1},  // 0.5 -> no edit allowedexact-only: budget 0 means lev 0 < 0.5 ok => 0
+		{0.55, 100, 54}, // 0.55*100 rounds above 55, but 55/100 is not below 0.55
 	}
-	// fix the last case: 0 < 0.5, so budget is 0
+	// fix the θ = 0.05 case: 0 < 0.5, so budget is 0
 	cases[5].want = 0
 	for _, tc := range cases {
 		if got := MaxEditsBelow(tc.theta, tc.m); got != tc.want {
