@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build test test-race test-disk test-dist test-daemon test-bench vet fmt-check docs-check bench bench-kernel bench-smoke bench-ref bench-compare fuzz loc clean
+.PHONY: all build test test-race test-disk test-dist test-daemon test-bench vet fmt-check docs-check deadcode bench bench-kernel bench-smoke bench-ref bench-compare fuzz loc clean
 
-all: build test vet fmt-check docs-check
+all: build test vet fmt-check docs-check deadcode
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,14 @@ test-daemon:
 docs-check:
 	$(GO) vet ./...
 	$(GO) run ./cmd/docscheck README.md ARCHITECTURE.md ROADMAP.md
+
+# Reachability gate: every non-test function of the module is reached by
+# a program (cmd/*, examples/*, the bench module) or listed with its
+# reason in cmd/deadcode/allow.txt, and no allowlist line is stale. The
+# linker decides what is reached (see cmd/deadcode). CI runs this in the
+# test job.
+deadcode:
+	$(GO) run ./cmd/deadcode
 
 # Brief fuzz shake of the odcodec round-trip, manifest, delta-segment
 # and federation-manifest decoding, the odrpc wire frames, and the

@@ -13,7 +13,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	"repro/internal/core"
@@ -24,25 +26,34 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 200, "catalog size before duplication")
-	seed := flag.Int64("seed", 11, "generator seed")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, args []string) error {
+	flags := flag.NewFlagSet("filtertuning", flag.ContinueOnError)
+	n := flags.Int("n", 200, "catalog size before duplication")
+	seed := flags.Int64("seed", 11, "generator seed")
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 
 	cds := datagen.FreeDB(*n, *seed)
 	doc := datagen.FreeDBToXML(cds)
 	schema, err := xsd.Infer(doc)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	gen, err := dirty.New(dirty.Params{
 		DuplicatePct: 0.4, TypoPct: 0.2, MissingPct: 0.1, SynonymPct: 0.08,
 	}, *seed+1, datagen.FreeDBSynonyms())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dres, err := gen.DirtyDocument(doc, "/freedb/disc")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	hasDup := make(map[int32]bool)
 	for _, p := range dres.GoldPairs {
@@ -62,24 +73,24 @@ func main() {
 		KeepFilterValues: true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := det.Detect("DISC", core.Source{Doc: doc, Schema: schema})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	fs := res.FilterValues
 
 	sorted := append([]float64(nil), fs...)
 	sort.Float64s(sorted)
-	fmt.Printf("objects: %d (%d with a true duplicate)\n\n", len(fs), len(hasDup))
-	fmt.Println("f(OD) distribution:")
+	fmt.Fprintf(w, "objects: %d (%d with a true duplicate)\n\n", len(fs), len(hasDup))
+	fmt.Fprintln(w, "f(OD) distribution:")
 	for _, q := range []float64{0.10, 0.25, 0.50, 0.75, 0.90} {
-		fmt.Printf("  p%.0f = %.3f\n", q*100, sorted[int(q*float64(len(sorted)))])
+		fmt.Fprintf(w, "  p%.0f = %.3f\n", q*100, sorted[int(q*float64(len(sorted)))])
 	}
 
-	fmt.Println("\nθcand  pruned  objects-with-dup pruned  comparisons left")
+	fmt.Fprintln(w, "\nθcand  pruned  objects-with-dup pruned  comparisons left")
 	for _, theta := range []float64{0.40, 0.50, 0.55, 0.60, 0.70} {
 		pruned, wrong := 0, 0
 		for i, f := range fs {
@@ -91,9 +102,10 @@ func main() {
 			}
 		}
 		left := len(fs) - pruned
-		fmt.Printf("%.2f   %6d  %23d  %10d pairs\n",
+		fmt.Fprintf(w, "%.2f   %6d  %23d  %10d pairs\n",
 			theta, pruned, wrong, left*(left-1)/2)
 	}
-	fmt.Println("\npick the largest θcand that prunes no true duplicates;")
-	fmt.Println("the paper's default of 0.55 balances safety against cost.")
+	fmt.Fprintln(w, "\npick the largest θcand that prunes no true duplicates;")
+	fmt.Fprintln(w, "the paper's default of 0.55 balances safety against cost.")
+	return nil
 }

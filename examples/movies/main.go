@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -26,10 +27,19 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 150, "movies per source")
-	seed := flag.Int64("seed", 7, "generator seed")
-	stages := flag.Bool("stages", false, "report pipeline stages live on stderr")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, args []string) error {
+	flags := flag.NewFlagSet("movies", flag.ContinueOnError)
+	n := flags.Int("n", 150, "movies per source")
+	seed := flags.Int64("seed", 7, "generator seed")
+	stages := flags.Bool("stages", false, "report pipeline stages live on stderr")
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 
 	movies := datagen.Movies(*n, *seed)
 	imdb := datagen.IMDBToXML(movies)
@@ -49,8 +59,8 @@ func main() {
 		gold.Add(int32(i), int32(*n+i))
 	}
 
-	fmt.Printf("%d movies in each source; gold standard pairs source ranks 1:1\n\n", *n)
-	fmt.Println("radius  pairs  cross  recall  precision")
+	fmt.Fprintf(w, "%d movies in each source; gold standard pairs source ranks 1:1\n\n", *n)
+	fmt.Fprintln(w, "radius  pairs  cross  recall  precision")
 	for r := 1; r <= 4; r++ {
 		cfg := core.Config{
 			Heuristic:  heuristics.RDistantDescendants(r),
@@ -66,14 +76,14 @@ func main() {
 		}
 		det, err := core.NewDetector(mapping, cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res, err := det.Detect("MOVIE",
 			core.Source{Name: "imdb", Doc: imdb},
 			core.Source{Name: "filmdienst", Doc: fd},
 		)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cross := 0
 		for _, p := range res.Pairs {
@@ -82,11 +92,12 @@ func main() {
 			}
 		}
 		pr := evalmetrics.PairsPR(evalmetrics.NewPairSet(res.PairSet()...), gold)
-		fmt.Printf("r=%d     %5d  %5d  %5.1f%%     %5.1f%%\n",
+		fmt.Fprintf(w, "r=%d     %5d  %5d  %5.1f%%     %5.1f%%\n",
 			r, len(res.Pairs), cross, pr.Recall*100, pr.Precision*100)
 	}
-	fmt.Println("\nlow radii see only the year (high recall, poor precision);")
-	fmt.Println("middle radii add titles, genres and the contradicting date")
-	fmt.Println("formats; the widest radius adds person lists, strong evidence")
-	fmt.Println("once firstname + lastname are compared as one composite value.")
+	fmt.Fprintln(w, "\nlow radii see only the year (high recall, poor precision);")
+	fmt.Fprintln(w, "middle radii add titles, genres and the contradicting date")
+	fmt.Fprintln(w, "formats; the widest radius adds person lists, strong evidence")
+	fmt.Fprintln(w, "once firstname + lastname are compared as one composite value.")
+	return nil
 }

@@ -16,7 +16,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -28,29 +30,30 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run returns every failure as an error, so the deferred removal of the
+// generated corpus and index always runs.
+func run(w io.Writer) error {
 	doc := datagen.FreeDBToXML(datagen.FreeDB(80, 42))
 	gen, err := dirty.New(dirty.Dataset1Params(), 43, datagen.FreeDBSynonyms())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := gen.DirtyDocument(doc, "/freedb/disc"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dir, err := os.MkdirTemp("", "dogmatix-persistent")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "cds.xml")
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := doc.WriteXML(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
+	if err := os.WriteFile(path, []byte(doc.String()), 0o644); err != nil {
+		return err
 	}
 	storeDir := filepath.Join(dir, "index")
 
@@ -61,7 +64,7 @@ func main() {
 
 	// Each call builds a fresh detector, the way a restarted process
 	// would: nothing carries over but the snapshot directory.
-	detect := func(label string) *core.Result {
+	detect := func(label string, wantWarm bool) (*core.Result, error) {
 		det, err := core.NewDetector(mapping, core.Config{
 			Heuristic: heuristics.KClosestDescendants(6),
 			UseFilter: true,
@@ -72,26 +75,32 @@ func main() {
 			Incremental: true,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		res, err := det.DetectInputs("DISC", core.FileSource(path, nil))
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
-		fmt.Printf("%s: warm-start=%v — %d candidates, %d pairs, %d clusters in %v\n",
+		fmt.Fprintf(w, "%s: warm-start=%v — %d candidates, %d pairs, %d clusters in %v\n",
 			label, res.WarmStart, res.Stats.Candidates,
 			res.Stats.PairsDetected, len(res.Clusters), res.Stats.Elapsed)
 		for _, st := range res.Stages {
-			fmt.Printf("  %-10s items=%-6d %v\n", st.Name, st.Items, st.Elapsed)
+			fmt.Fprintf(w, "  %-10s items=%-6d %v\n", st.Name, st.Items, st.Elapsed)
 		}
-		return res
+		if res.WarmStart != wantWarm {
+			return nil, fmt.Errorf("%s: warm-start=%v, want %v", label, res.WarmStart, wantWarm)
+		}
+		return res, nil
 	}
 
-	cold := detect("first run  (build + save)")
-	fmt.Println()
-	warm := detect("second run (reuse)")
-	if !warm.WarmStart {
-		log.Fatal("second run was expected to warm-start")
+	cold, err := detect("first run  (build + save)", false)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	warm, err := detect("second run (reuse)", true)
+	if err != nil {
+		return err
 	}
 
 	// Persisted indexes must change nothing observable.
@@ -100,24 +109,26 @@ func main() {
 		same = cold.Pairs[i] == warm.Pairs[i]
 	}
 	if !same {
-		log.Fatal("warm-start result diverges from the fresh build")
+		return errors.New("warm-start result diverges from the fresh build")
 	}
-	fmt.Printf("\nwarm start reproduced all %d pairs bit-identically\n\n", len(warm.Pairs))
+	fmt.Fprintf(w, "\nwarm start reproduced all %d pairs bit-identically\n\n", len(warm.Pairs))
 
 	// Touch the corpus: the fingerprint must refuse the stale snapshot.
 	g, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := g.WriteString("<!-- one more byte changes everything -->\n"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := g.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	changed := detect("third run  (corpus changed)")
-	if changed.WarmStart {
-		log.Fatal("stale snapshot was served for a changed corpus")
+	// A warm start here would be a stale snapshot served for a changed
+	// corpus.
+	if _, err := detect("third run  (corpus changed)", false); err != nil {
+		return err
 	}
-	fmt.Println("\nchanged corpus missed the fingerprint and rebuilt — never stale")
+	fmt.Fprintln(w, "\nchanged corpus missed the fingerprint and rebuilt — never stale")
+	return nil
 }

@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -39,9 +40,15 @@ const movieDoc = `<moviedoc>
 </moviedoc>`
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	doc, err := xmltree.ParseString(movieDoc)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Table 3: the mapping M from schema paths to real-world types.
@@ -57,7 +64,7 @@ func main() {
 	// type with text — the paper's hrd[csdt ∧ ccm] example combination.
 	h, err := heuristics.ParseSpec("rd:2[csdt,ccm]")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	det, err := core.NewDetector(mapping, core.Config{
@@ -66,33 +73,34 @@ func main() {
 		ThetaCand:  0.55,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	res, err := det.Detect("MOVIE", core.Source{Name: "moviedoc", Doc: doc})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("candidates: %d\n", res.Stats.Candidates)
+	fmt.Fprintf(w, "candidates: %d\n", res.Stats.Candidates)
 	for _, o := range res.Store.ODs() {
-		fmt.Printf("OD of %s:\n", o.Object)
+		fmt.Fprintf(w, "OD of %s:\n", o.Object)
 		for _, t := range o.Tuples {
-			fmt.Printf("  %s\n", t)
+			fmt.Fprintf(w, "  %s\n", t)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, p := range res.Pairs {
-		fmt.Printf("duplicates: %s <-> %s (sim %.2f)\n",
+		fmt.Fprintf(w, "duplicates: %s <-> %s (sim %.2f)\n",
 			res.Candidates[p.I].Path, res.Candidates[p.J].Path, p.Score)
 	}
-	fmt.Println()
-	if err := res.WriteXML(os.Stdout); err != nil {
-		log.Fatal(err)
+	fmt.Fprintln(w)
+	if err := res.WriteXML(w); err != nil {
+		return err
 	}
 
-	fmt.Println("\npipeline stages:")
+	fmt.Fprintln(w, "\npipeline stages:")
 	for _, st := range res.Stages {
-		fmt.Printf("  %-10s items=%-4d %v\n", st.Name, st.Items, st.Elapsed)
+		fmt.Fprintf(w, "  %-10s items=%-4d %v\n", st.Name, st.Items, st.Elapsed)
 	}
+	return nil
 }

@@ -15,7 +15,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -28,36 +31,34 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run returns every failure as an error, so the deferred removal of the
+// generated corpus always runs.
+func run(w io.Writer) error {
 	// Generate and persist the corpus: 80 CDs plus duplicates.
 	doc := datagen.FreeDBToXML(datagen.FreeDB(80, 42))
 	gen, err := dirty.New(dirty.Dataset1Params(), 43, datagen.FreeDBSynonyms())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := gen.DirtyDocument(doc, "/freedb/disc"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dir, err := os.MkdirTemp("", "dogmatix-streaming")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "cds.xml")
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
+	corpus := doc.String()
+	if err := os.WriteFile(path, []byte(corpus), 0o644); err != nil {
+		return err
 	}
-	if err := doc.WriteXML(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("corpus: %s (%.1f KB on disk)\n\n", path, float64(info.Size())/1024)
+	fmt.Fprintf(w, "corpus: %s (%.1f KB on disk)\n\n", filepath.Base(path), float64(len(corpus))/1024)
 
 	mapping := core.NewMapping()
 	for typ, paths := range datagen.FreeDBMappingPaths() {
@@ -68,41 +69,44 @@ func main() {
 		UseFilter: true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	run := func(mode string, input core.SourceInput) *core.Result {
+	detect := func(mode string, input core.SourceInput) (*core.Result, error) {
 		res, err := det.DetectInputs("DISC", input)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s: %d candidates, %d pairs, %d clusters in %v\n",
-			mode, res.Stats.Candidates, res.Stats.PairsDetected,
-			len(res.Clusters), res.Stats.Elapsed)
-		for _, st := range res.Stages {
-			fmt.Printf("  %-10s items=%-6d %v\n", st.Name, st.Items, st.Elapsed)
-		}
-		return res
-	}
-
-	// Materialized: parse the file into a tree, then detect.
-	parsed, err := func() (*xmltree.Document, error) {
-		f, err := os.Open(path)
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		return xmltree.Parse(f)
-	}()
-	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(w, "%s: %d candidates, %d pairs, %d clusters in %v\n",
+			mode, res.Stats.Candidates, res.Stats.PairsDetected,
+			len(res.Clusters), res.Stats.Elapsed)
+		for _, st := range res.Stages {
+			fmt.Fprintf(w, "  %-10s items=%-6d %v\n", st.Name, st.Items, st.Elapsed)
+		}
+		return res, nil
 	}
-	docRes := run("materialized", core.DocSource{Name: path, Doc: parsed})
+
+	// Materialized: parse the file into a tree, then detect.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	parsed, err := xmltree.Parse(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	docRes, err := detect("materialized", core.DocSource{Name: path, Doc: parsed})
+	if err != nil {
+		return err
+	}
 
 	// Streamed: the file is read twice (schema inference, then anchor
 	// ingestion) but never materialized.
-	fmt.Println()
-	streamRes := run("streamed", core.FileSource(path, nil))
+	fmt.Fprintln(w)
+	streamRes, err := detect("streamed", core.FileSource(path, nil))
+	if err != nil {
+		return err
+	}
 
 	// The equivalence contract: same pairs, same clusters, bit for bit.
 	same := len(docRes.Pairs) == len(streamRes.Pairs) &&
@@ -114,21 +118,22 @@ func main() {
 		}
 	}
 	if !same {
-		log.Fatal("streamed result diverges from materialized result")
+		return errors.New("streamed result diverges from materialized result")
 	}
-	fmt.Printf("\nboth modes agree: %d duplicate clusters\n", len(streamRes.Clusters))
+	fmt.Fprintf(w, "\nboth modes agree: %d duplicate clusters\n", len(streamRes.Clusters))
 	for i, cl := range streamRes.Clusters {
 		if len(cl) < 2 {
 			continue
 		}
-		fmt.Printf("  cluster %d:", i)
+		fmt.Fprintf(w, "  cluster %d:", i)
 		for _, id := range cl {
-			fmt.Printf(" %s", streamRes.Candidates[id].Path)
+			fmt.Fprintf(w, " %s", streamRes.Candidates[id].Path)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if i >= 4 {
-			fmt.Printf("  ... and %d more\n", len(streamRes.Clusters)-i-1)
+			fmt.Fprintf(w, "  ... and %d more\n", len(streamRes.Clusters)-i-1)
 			break
 		}
 	}
+	return nil
 }

@@ -137,9 +137,6 @@ func New(cfg Config) (*Service, error) {
 // update, or the initial one).
 func (s *Service) Result() *core.Result { return s.view.Load().res }
 
-// Epoch returns the number of Update runs published so far.
-func (s *Service) Epoch() int64 { return s.epoch.Load() }
-
 // status reports the health string under the admission gate's rules.
 func (s *Service) status() string {
 	s.mu.Lock()

@@ -15,7 +15,6 @@ import (
 type UnionFind struct {
 	parent []int32
 	rank   []uint8
-	sets   int
 }
 
 // NewUnionFind creates n singleton sets, ids 0..n-1.
@@ -23,7 +22,6 @@ func NewUnionFind(n int) *UnionFind {
 	uf := &UnionFind{
 		parent: make([]int32, n),
 		rank:   make([]uint8, n),
-		sets:   n,
 	}
 	for i := range uf.parent {
 		uf.parent[i] = int32(i)
@@ -53,18 +51,8 @@ func (u *UnionFind) Union(a, b int32) bool {
 	if u.rank[ra] == u.rank[rb] {
 		u.rank[ra]++
 	}
-	u.sets--
 	return true
 }
-
-// Same reports whether a and b are in the same set.
-func (u *UnionFind) Same(a, b int32) bool { return u.Find(a) == u.Find(b) }
-
-// Sets returns the current number of disjoint sets.
-func (u *UnionFind) Sets() int { return u.sets }
-
-// Size returns the number of elements.
-func (u *UnionFind) Size() int { return len(u.parent) }
 
 // Clusters returns all sets with at least minSize members, each sorted
 // ascending, ordered by their smallest member.

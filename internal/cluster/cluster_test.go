@@ -11,8 +11,8 @@ import (
 
 func TestUnionFindBasics(t *testing.T) {
 	uf := NewUnionFind(5)
-	if uf.Sets() != 5 || uf.Size() != 5 {
-		t.Fatalf("initial sets=%d size=%d", uf.Sets(), uf.Size())
+	if setCount(uf) != 5 || len(uf.parent) != 5 {
+		t.Fatalf("initial sets=%d size=%d", setCount(uf), len(uf.parent))
 	}
 	if !uf.Union(0, 1) {
 		t.Error("first union should merge")
@@ -20,15 +20,24 @@ func TestUnionFindBasics(t *testing.T) {
 	if uf.Union(1, 0) {
 		t.Error("repeated union should not merge")
 	}
-	if !uf.Same(0, 1) {
+	if uf.Find(0) != uf.Find(1) {
 		t.Error("0 and 1 should be together")
 	}
-	if uf.Same(0, 2) {
+	if uf.Find(0) == uf.Find(2) {
 		t.Error("0 and 2 should be apart")
 	}
-	if uf.Sets() != 4 {
-		t.Errorf("sets = %d, want 4", uf.Sets())
+	if setCount(uf) != 4 {
+		t.Errorf("sets = %d, want 4", setCount(uf))
 	}
+}
+
+// setCount is the number of disjoint sets in uf.
+func setCount(uf *UnionFind) int {
+	reps := map[int32]bool{}
+	for i := range uf.parent {
+		reps[uf.Find(int32(i))] = true
+	}
+	return len(reps)
 }
 
 func TestTransitivity(t *testing.T) {
@@ -36,7 +45,7 @@ func TestTransitivity(t *testing.T) {
 	uf := NewUnionFind(4)
 	uf.Union(0, 1)
 	uf.Union(1, 2)
-	if !uf.Same(0, 2) {
+	if uf.Find(0) != uf.Find(2) {
 		t.Error("transitivity violated")
 	}
 	got := uf.Clusters(2)
@@ -125,17 +134,12 @@ func TestQuickUnionFindClosure(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if uf.Same(int32(i), int32(j)) != adj[i][j] {
+				if (uf.Find(int32(i)) == uf.Find(int32(j))) != adj[i][j] {
 					return false
 				}
 			}
 		}
-		// set count matches the number of distinct closures
-		reps := map[int32]bool{}
-		for i := 0; i < n; i++ {
-			reps[uf.Find(int32(i))] = true
-		}
-		return len(reps) == uf.Sets()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -63,7 +63,6 @@ import (
 // rely on ordering and lifetime guarantees that only these two
 // implementations provide.
 type SourceInput interface {
-	SourceName() string
 	// check validates the source before any stage touches it.
 	check() error
 	// declaredSchema returns the schema provided with the source, or nil.
@@ -92,9 +91,6 @@ type DocSource struct {
 // Source is the historical name of DocSource; existing callers keep
 // working unchanged.
 type Source = DocSource
-
-// SourceName implements SourceInput.
-func (s DocSource) SourceName() string { return s.Name }
 
 func (s DocSource) check() error {
 	if s.Doc == nil {
@@ -151,29 +147,6 @@ func FileSource(path string, schema *xsd.Schema) *StreamSource {
 		Open:   func() (io.ReadCloser, error) { return os.Open(path) },
 	}
 }
-
-// ReaderSource returns a StreamSource over a one-shot reader, so the
-// schema must be non-nil: with a nil schema the pipeline's inference
-// pass consumes the reader and ingestion then fails with a clear
-// "reader already consumed" error. For schema-less streaming use
-// FileSource or a custom reopenable Open.
-func ReaderSource(name string, r io.Reader, schema *xsd.Schema) *StreamSource {
-	used := false
-	return &StreamSource{
-		Name:   name,
-		Schema: schema,
-		Open: func() (io.ReadCloser, error) {
-			if used {
-				return nil, fmt.Errorf("reader already consumed; provide a reopenable Open or a Schema")
-			}
-			used = true
-			return io.NopCloser(r), nil
-		},
-	}
-}
-
-// SourceName implements SourceInput.
-func (s *StreamSource) SourceName() string { return s.Name }
 
 func (s *StreamSource) check() error {
 	if s.Open == nil {

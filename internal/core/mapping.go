@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -148,17 +147,4 @@ func ParseMapping(r io.Reader) (*Mapping, error) {
 		return nil, fmt.Errorf("core: mapping: %w", err)
 	}
 	return m, nil
-}
-
-// WriteMapping renders m in the ParseMapping format, types sorted for
-// stable output.
-func (m *Mapping) WriteMapping(w io.Writer) error {
-	types := m.Types()
-	sort.Strings(types)
-	for _, t := range types {
-		if _, err := fmt.Fprintf(w, "%s %s\n", t, strings.Join(m.pathsOf[t], " ")); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -323,10 +323,10 @@ func TestFileSource(t *testing.T) {
 	}
 }
 
-// TestReaderSourceSinglePass pins the ReaderSource contract: with a
-// schema the one-shot reader suffices; without one the second open is
-// rejected with a clear error rather than producing empty results.
-func TestReaderSourceSinglePass(t *testing.T) {
+// TestStreamSourceOpensOncePerPass pins the StreamSource contract: with
+// a schema, ingestion is the only pass over the stream; without one,
+// inference takes a second.
+func TestStreamSourceOpensOncePerPass(t *testing.T) {
 	data := xmlBytes(t, datagen.FreeDBToXML(datagen.FreeDB(10, 3)))
 	doc, err := xmltree.Parse(bytes.NewReader(data))
 	if err != nil {
@@ -346,20 +346,24 @@ func TestReaderSourceSinglePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := det.DetectInputs("DISC",
-		core.ReaderSource("cds", bytes.NewReader(data), schema))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Candidates != 10 {
-		t.Fatalf("candidates = %d, want 10", res.Stats.Candidates)
-	}
-
-	// Schema-less: inference consumes the reader, ingestion must fail
-	// loudly.
-	_, err = det.DetectInputs("DISC",
-		core.ReaderSource("cds", bytes.NewReader(data), nil))
-	if err == nil || !strings.Contains(err.Error(), "already consumed") {
-		t.Fatalf("err = %v, want reader-already-consumed error", err)
+	for _, tc := range []struct {
+		schema *xsd.Schema
+		opens  int
+	}{{schema, 1}, {nil, 2}} {
+		opens := 0
+		src := &core.StreamSource{Name: "cds", Schema: tc.schema, Open: func() (io.ReadCloser, error) {
+			opens++
+			return io.NopCloser(bytes.NewReader(data)), nil
+		}}
+		res, err := det.DetectInputs("DISC", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Candidates != 10 {
+			t.Fatalf("candidates = %d, want 10", res.Stats.Candidates)
+		}
+		if opens != tc.opens {
+			t.Errorf("schema given %v: %d opens, want %d", tc.schema != nil, opens, tc.opens)
+		}
 	}
 }

@@ -438,7 +438,7 @@ func TestUpdateValidation(t *testing.T) {
 
 	incCfg := sc.cfg
 	incCfg.Incremental = true
-	incCfg.Filter = sim.ExactFilter{ThetaTuple: 0.15}
+	incCfg.Filter = sim.IndexFilter{}
 	if _, err := core.NewDetector(sc.mapping, incCfg); err == nil {
 		t.Fatal("Incremental with a custom filter accepted")
 	}

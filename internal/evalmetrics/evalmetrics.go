@@ -4,11 +4,6 @@
 // Fig. 8 experiment.
 package evalmetrics
 
-import (
-	"fmt"
-	"sort"
-)
-
 // Pair is an unordered object pair; construct with NewPair so that
 // A < B canonically.
 type Pair struct{ A, B int32 }
@@ -39,24 +34,6 @@ func (s PairSet) Add(a, b int32) { s[NewPair(a, b)] = true }
 // Has reports membership of (a, b).
 func (s PairSet) Has(a, b int32) bool { return s[NewPair(a, b)] }
 
-// Len returns the number of pairs.
-func (s PairSet) Len() int { return len(s) }
-
-// Sorted returns the pairs in (A, B) order, for deterministic output.
-func (s PairSet) Sorted() []Pair {
-	out := make([]Pair, 0, len(s))
-	for p := range s {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
-
 // PR holds a recall/precision measurement.
 type PR struct {
 	Recall    float64
@@ -72,11 +49,6 @@ func (pr PR) F1() float64 {
 		return 0
 	}
 	return 2 * pr.Recall * pr.Precision / (pr.Recall + pr.Precision)
-}
-
-// String renders the measurement like the paper's axes, in percent.
-func (pr PR) String() string {
-	return fmt.Sprintf("recall=%.1f%% precision=%.1f%%", pr.Recall*100, pr.Precision*100)
 }
 
 // PairsPR evaluates detected duplicate pairs against the gold standard.
@@ -106,20 +78,6 @@ func PairsPR(detected, gold PairSet) PR {
 		pr.Precision = float64(tp) / float64(len(detected))
 	}
 	return pr
-}
-
-// ClustersToPairs expands duplicate clusters into all implied pairs
-// (transitivity makes every in-cluster pair a duplicate claim).
-func ClustersToPairs(clusters [][]int32) PairSet {
-	s := PairSet{}
-	for _, members := range clusters {
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				s.Add(members[i], members[j])
-			}
-		}
-	}
-	return s
 }
 
 // FilterPR evaluates the object filter per Fig. 8: recall is the number of

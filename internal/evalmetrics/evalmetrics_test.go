@@ -14,8 +14,8 @@ func TestPairCanonical(t *testing.T) {
 	if !s.Has(2, 5) || !s.Has(5, 2) {
 		t.Error("unordered membership broken")
 	}
-	if s.Len() != 1 {
-		t.Errorf("len = %d", s.Len())
+	if len(s) != 1 {
+		t.Errorf("len = %d", len(s))
 	}
 }
 
@@ -57,29 +57,6 @@ func TestPairsPREdgeCases(t *testing.T) {
 	}
 }
 
-func TestClustersToPairs(t *testing.T) {
-	s := ClustersToPairs([][]int32{{0, 1, 2}, {5, 6}})
-	if s.Len() != 4 {
-		t.Fatalf("pairs = %v", s.Sorted())
-	}
-	for _, want := range [][2]int32{{0, 1}, {0, 2}, {1, 2}, {5, 6}} {
-		if !s.Has(want[0], want[1]) {
-			t.Errorf("missing pair %v", want)
-		}
-	}
-}
-
-func TestSortedDeterministic(t *testing.T) {
-	s := NewPairSet([2]int32{4, 5}, [2]int32{0, 3}, [2]int32{0, 1})
-	got := s.Sorted()
-	want := []Pair{{0, 1}, {0, 3}, {4, 5}}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("sorted[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestFilterPR(t *testing.T) {
 	// 10 objects; 0-3 have duplicates, 4-9 do not.
 	hasDup := func(id int32) bool { return id < 4 }
@@ -103,12 +80,5 @@ func TestFilterPREdgeCases(t *testing.T) {
 	pr = FilterPR(nil, noDup, 4)
 	if pr.Recall != 0 || pr.Precision != 1 {
 		t.Errorf("no prunes, all non-dup = %+v", pr)
-	}
-}
-
-func TestPRString(t *testing.T) {
-	pr := PR{Recall: 0.5, Precision: 0.75}
-	if got := pr.String(); got != "recall=50.0% precision=75.0%" {
-		t.Errorf("String = %q", got)
 	}
 }

@@ -330,21 +330,21 @@ func TestDatasetBuilders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.Gold.Len() != 40 {
-		t.Errorf("dataset1 gold = %d, want 40 (100%% duplicates)", d1.Gold.Len())
+	if len(d1.Gold) != 40 {
+		t.Errorf("dataset1 gold = %d, want 40 (100%% duplicates)", len(d1.Gold))
 	}
 	d2, err := BuildDataset2(25, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.Gold.Len() != 25 {
-		t.Errorf("dataset2 gold = %d", d2.Gold.Len())
+	if len(d2.Gold) != 25 {
+		t.Errorf("dataset2 gold = %d", len(d2.Gold))
 	}
 	d3, err := BuildDataset3(300, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d3.Gold.Len() == 0 {
+	if len(d3.Gold) == 0 {
 		t.Error("dataset3 has no injected duplicates")
 	}
 	// builders are deterministic

@@ -1,8 +1,9 @@
 // Package heuristics implements the description-selection heuristics of
 // Section 4: r-distant ancestors (Heuristic 1), r-distant descendants
 // (Heuristic 2) and k-closest descendants (Heuristic 3), the four schema
-// conditions ccm / csdt / cme / cse (Conditions 1-4), and the AND / OR /
-// h[c] combinators (Combinations 1-3).
+// conditions ccm / csdt / cme / cse (Conditions 1-4), and the combinators
+// a -heuristic spec can name: OR of heuristics, AND of conditions and
+// h[c] (Combinations 1-3).
 //
 // A heuristic maps a candidate schema element e0 to the set of schema
 // elements whose instances form e0's description σ. Conditions refine a
@@ -11,7 +12,6 @@ package heuristics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/xsd"
@@ -96,27 +96,6 @@ func (h kClosest) Select(anchor *xsd.Element) []*xsd.Element {
 func (h kClosest) String() string { return fmt.Sprintf("h%dk", h.k) }
 
 // ----- Combinations of heuristics (Combination 1) -----
-
-type andH struct{ a, b Heuristic }
-
-// And returns the AND combination of two heuristics: σ1 ∩ σ2.
-func And(a, b Heuristic) Heuristic { return andH{a, b} }
-
-func (h andH) Select(anchor *xsd.Element) []*xsd.Element {
-	inB := map[*xsd.Element]bool{}
-	for _, e := range h.b.Select(anchor) {
-		inB[e] = true
-	}
-	var out []*xsd.Element
-	for _, e := range h.a.Select(anchor) {
-		if inB[e] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func (h andH) String() string { return fmt.Sprintf("(%s AND %s)", h.a, h.b) }
 
 type orH struct{ a, b Heuristic }
 
@@ -248,16 +227,6 @@ func (c condAnd) Satisfied(e, anchor *xsd.Element) bool {
 }
 func (c condAnd) String() string { return fmt.Sprintf("(%s AND %s)", c.a, c.b) }
 
-type condOr struct{ a, b Condition }
-
-// CondOr returns c1 ∨c c2.
-func CondOr(a, b Condition) Condition { return condOr{a, b} }
-
-func (c condOr) Satisfied(e, anchor *xsd.Element) bool {
-	return c.a.Satisfied(e, anchor) || c.b.Satisfied(e, anchor)
-}
-func (c condOr) String() string { return fmt.Sprintf("(%s OR %s)", c.a, c.b) }
-
 // ----- Combination of heuristics with conditions (Combination 3) -----
 
 type filtered struct {
@@ -351,15 +320,4 @@ func RelPath(anchor, e *xsd.Element) string {
 		return strings.Join(ups, "/")
 	}
 	return e.Path
-}
-
-// Describe renders a selection as sorted relative paths, handy for tests
-// and the Table 5 / Table 6 output.
-func Describe(anchor *xsd.Element, sel []*xsd.Element) []string {
-	out := make([]string, len(sel))
-	for i, e := range sel {
-		out[i] = RelPath(anchor, e)
-	}
-	sort.Strings(out)
-	return out
 }

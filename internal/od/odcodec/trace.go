@@ -176,13 +176,6 @@ func WriteTrace(dir string, ts *TraceSet) (uint32, error) {
 	return crc, nil
 }
 
-// RemoveTrace deletes the trace segment, if any. Best-effort: a file
-// that resists deletion stays on disk and is rejected by its manifest
-// digest anyway.
-func RemoveTrace(dir string) {
-	os.Remove(filepath.Join(dir, TraceFile))
-}
-
 // appendAliveBitmap packs a survival slice into its wire bitmap.
 func appendAliveBitmap(b []byte, alive []bool) []byte {
 	bitmap := make([]byte, (len(alive)+7)/8)

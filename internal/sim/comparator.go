@@ -85,16 +85,3 @@ var _ ObjectFilter = IndexFilter{}
 func (IndexFilter) Bound(store od.Store, o *od.OD) float64 {
 	return Filter(store, o)
 }
-
-// ExactFilter is the literal Equation 9 filter (see FilterExact): exact
-// but quadratic, for validation runs and small data.
-type ExactFilter struct {
-	ThetaTuple float64
-}
-
-var _ ObjectFilter = ExactFilter{}
-
-// Bound implements ObjectFilter with FilterExact.
-func (f ExactFilter) Bound(store od.Store, o *od.OD) float64 {
-	return FilterExact(store, o, f.ThetaTuple)
-}

@@ -122,7 +122,9 @@ func Classify(score, thetaCand float64) bool {
 // partner that shares the paper's uniform-structure assumptions, and are
 // pruned wholesale in Step 4. Note the unique-side term makes this filter
 // slightly more aggressive than the paper's Sunique intersection when data
-// is missing entirely (see FilterExact and DESIGN.md).
+// is missing entirely: a tuple no other object shares counts as unique
+// even against a partner that has no tuple of its type, where Equation 9
+// would count it as neither (FilterExact is the literal form).
 func Filter(store od.Store, o *od.OD) float64 {
 	bound, _ := filter(store, o, false)
 	return bound

@@ -141,7 +141,6 @@ func TestKernelsAllocationFree(t *testing.T) {
 		"BagDistance":        func() { BagDistance(a, b); BagDistance(wide, a) },
 		"Normalized":         func() { Normalized(a, b) },
 		"NormalizedBelow":    func() { NormalizedBelow(a, b, 0.15); NormalizedBelow(a, a[:len(a)-1], 0.15) },
-		"LengthLowerBound":   func() { LengthLowerBound(a, b) },
 		"Pattern":            func() { p.Set(ra); p.Distance(rb) },
 	} {
 		if n := testing.AllocsPerRun(20, fn); n != 0 {

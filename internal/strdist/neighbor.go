@@ -53,9 +53,6 @@ func NewNeighborIndex(values []string, maxEdits int) *NeighborIndex {
 	return idx
 }
 
-// MaxEdits returns the edit budget the index was built with.
-func (idx *NeighborIndex) MaxEdits() int { return idx.maxEdits }
-
 // NumVariants returns the number of distinct deletion variants the
 // index buckets under.
 func (idx *NeighborIndex) NumVariants() int { return len(idx.keys) }

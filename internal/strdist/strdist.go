@@ -4,20 +4,14 @@
 // bounds (length difference and bag distance) that Weis & Naumann introduced
 // in their 2004 workshop paper [18] to avoid full edit distance
 // computations. It also ships a deletion-neighborhood index for fast
-// "within d edits" candidate lookup, and a handful of classic similarity
-// measures (Jaro, Jaro-Winkler, q-grams, token cosine) used by the baseline
-// comparators.
+// "within d edits" candidate lookup.
 //
 // All functions operate on runes, not bytes, so non-ASCII data (the
 // FilmDienst German corpus) is measured correctly.
 package strdist
 
 import (
-	"math"
 	"math/bits"
-	"sort"
-	"strings"
-	"unicode"
 	"unicode/utf8"
 )
 
@@ -220,17 +214,14 @@ func NormalizedRunes(ra, rb []rune) float64 {
 // exactly.
 func NormalizedBelow(a, b string, theta float64) bool {
 	var sa, sb [stackRunes]rune
-	return NormalizedBelowRunes(AppendRunes(sa[:0], a), AppendRunes(sb[:0], b), theta)
-}
-
-// NormalizedBelowRunes is NormalizedBelow over pre-decoded runes.
-func NormalizedBelowRunes(ra, rb []rune, theta float64) bool {
+	ra, rb := AppendRunes(sa[:0], a), AppendRunes(sb[:0], b)
 	return NormalizedBelowSig(ra, rb, Signature(ra), Signature(rb), theta)
 }
 
-// NormalizedBelowSig is NormalizedBelowRunes for callers that keep each
-// value's Signature next to its runes: comparing one query against many
-// stored values then costs no pass over either string before the DP.
+// NormalizedBelowSig is NormalizedBelow over pre-decoded runes, for
+// callers that keep each value's Signature next to its runes: comparing
+// one query against many stored values then costs no pass over either
+// string before the DP.
 func NormalizedBelowSig(ra, rb []rune, sigA, sigB uint64, theta float64) bool {
 	m := max(len(ra), len(rb))
 	if m == 0 {
@@ -288,153 +279,6 @@ func MaxEditsBelow(theta float64, m int) int {
 		d++
 	}
 	return max(d, -1)
-}
-
-// LengthLowerBound returns |len(a)-len(b)|, a lower bound on Levenshtein.
-func LengthLowerBound(a, b string) int {
-	return Abs(utf8.RuneCountInString(a) - utf8.RuneCountInString(b))
-}
-
-// Jaro returns the Jaro similarity in [0,1].
-func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	if la == 0 || lb == 0 {
-		return 0
-	}
-	window := max(la, lb)/2 - 1
-	if window < 0 {
-		window = 0
-	}
-	matchA := make([]bool, la)
-	matchB := make([]bool, lb)
-	matches := 0
-	for i := 0; i < la; i++ {
-		lo := max(0, i-window)
-		hi := min(lb-1, i+window)
-		for j := lo; j <= hi; j++ {
-			if matchB[j] || ra[i] != rb[j] {
-				continue
-			}
-			matchA[i] = true
-			matchB[j] = true
-			matches++
-			break
-		}
-	}
-	if matches == 0 {
-		return 0
-	}
-	transpositions := 0
-	j := 0
-	for i := 0; i < la; i++ {
-		if !matchA[i] {
-			continue
-		}
-		for !matchB[j] {
-			j++
-		}
-		if ra[i] != rb[j] {
-			transpositions++
-		}
-		j++
-	}
-	m := float64(matches)
-	t := float64(transpositions) / 2
-	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
-}
-
-// JaroWinkler returns the Jaro-Winkler similarity with the standard prefix
-// scale 0.1 and max prefix length 4.
-func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
-	ra, rb := []rune(a), []rune(b)
-	prefix := 0
-	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
-		prefix++
-	}
-	return j + float64(prefix)*0.1*(1-j)
-}
-
-// QGramJaccard returns the Jaccard similarity of the q-gram sets of a and
-// b. Strings shorter than q are padded with '#'.
-func QGramJaccard(a, b string, q int) float64 {
-	ga, gb := qgrams(a, q), qgrams(b, q)
-	if len(ga) == 0 && len(gb) == 0 {
-		return 1
-	}
-	inter := 0
-	for g := range ga {
-		if gb[g] {
-			inter++
-		}
-	}
-	union := len(ga) + len(gb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-func qgrams(s string, q int) map[string]bool {
-	if q <= 0 {
-		q = 2
-	}
-	r := []rune(s)
-	for len(r) < q && len(r) > 0 {
-		r = append(r, '#')
-	}
-	out := map[string]bool{}
-	for i := 0; i+q <= len(r); i++ {
-		out[string(r[i:i+q])] = true
-	}
-	return out
-}
-
-// TokenCosine returns the cosine similarity of the whitespace token
-// frequency vectors of a and b, lowercased.
-func TokenCosine(a, b string) float64 {
-	ta, tb := tokenCounts(a), tokenCounts(b)
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	var dot, na, nb float64
-	for tok, ca := range ta {
-		na += float64(ca * ca)
-		if cb, ok := tb[tok]; ok {
-			dot += float64(ca * cb)
-		}
-	}
-	for _, cb := range tb {
-		nb += float64(cb * cb)
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-func tokenCounts(s string) map[string]int {
-	out := map[string]int{}
-	for _, tok := range strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	}) {
-		out[tok]++
-	}
-	return out
-}
-
-// SortedTokens returns the lowercased tokens of s in sorted order joined by
-// spaces. Used by the sorted-neighborhood baseline to build sorting keys.
-func SortedTokens(s string) string {
-	toks := strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-	sort.Strings(toks)
-	return strings.Join(toks, " ")
 }
 
 // Abs returns |x|. Exported because length-window pruning around edit

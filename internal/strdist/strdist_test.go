@@ -142,61 +142,6 @@ func TestBagDistanceKnown(t *testing.T) {
 	}
 }
 
-func TestJaroWinklerKnown(t *testing.T) {
-	if got := Jaro("", ""); got != 1 {
-		t.Errorf("Jaro empty = %v", got)
-	}
-	if got := Jaro("abc", ""); got != 0 {
-		t.Errorf("Jaro vs empty = %v", got)
-	}
-	if got := Jaro("martha", "marhta"); !approxEqual(got, 0.944444) {
-		t.Errorf("Jaro(martha,marhta) = %v", got)
-	}
-	if got := JaroWinkler("martha", "marhta"); !approxEqual(got, 0.961111) {
-		t.Errorf("JaroWinkler(martha,marhta) = %v", got)
-	}
-	if got := JaroWinkler("same", "same"); got != 1 {
-		t.Errorf("JaroWinkler same = %v", got)
-	}
-}
-
-func TestQGramJaccard(t *testing.T) {
-	if got := QGramJaccard("", "", 2); got != 1 {
-		t.Errorf("empty qgram = %v", got)
-	}
-	if got := QGramJaccard("abc", "abc", 2); got != 1 {
-		t.Errorf("identical qgram = %v", got)
-	}
-	if got := QGramJaccard("abc", "xyz", 2); got != 0 {
-		t.Errorf("disjoint qgram = %v", got)
-	}
-	mid := QGramJaccard("night", "nacht", 2)
-	if mid <= 0 || mid >= 1 {
-		t.Errorf("night/nacht qgram = %v, want in (0,1)", mid)
-	}
-}
-
-func TestTokenCosine(t *testing.T) {
-	if got := TokenCosine("the matrix", "Matrix, The"); !approxEqual(got, 1) {
-		t.Errorf("token cosine reordered = %v", got)
-	}
-	if got := TokenCosine("alpha beta", "gamma delta"); got != 0 {
-		t.Errorf("disjoint cosine = %v", got)
-	}
-	if got := TokenCosine("", ""); got != 1 {
-		t.Errorf("empty cosine = %v", got)
-	}
-}
-
-func TestSortedTokens(t *testing.T) {
-	if got := SortedTokens("The Matrix, Reloaded"); got != "matrix reloaded the" {
-		t.Errorf("SortedTokens = %q", got)
-	}
-	if got := SortedTokens(""); got != "" {
-		t.Errorf("SortedTokens empty = %q", got)
-	}
-}
-
 func TestNeighborIndexBasic(t *testing.T) {
 	values := []string{"0001", "0002", "0011", "9999", "0001"}
 	idx := NewNeighborIndex(values, 1)
@@ -265,8 +210,8 @@ func TestQuickBoundsSandwich(t *testing.T) {
 		a, b = clip(a), clip(b)
 		lev := Levenshtein(a, b)
 		bag := BagDistance(a, b)
-		ld := LengthLowerBound(a, b)
 		ra, rb := len([]rune(a)), len([]rune(b))
+		ld := Abs(ra - rb)
 		m := ra
 		if rb > m {
 			m = rb

@@ -47,8 +47,8 @@ type Anchor struct {
 	Target int
 	// Node is the materialized subtree, detached from any document. Its
 	// Parent chain is a fresh run of name-only stub ancestors so that
-	// SchemaPath and RelativeSchemaPath resolve exactly as they would
-	// in the full tree; the stubs carry no text, attributes or siblings.
+	// SchemaPath resolves exactly as it would in the full tree; the
+	// stubs carry no text, attributes or siblings.
 	Node *xmltree.Node
 
 	steps []step

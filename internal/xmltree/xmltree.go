@@ -1,7 +1,7 @@
 // Package xmltree provides a lightweight in-memory XML document model used
 // by every other DogmatiX subsystem. It supports parsing from any io.Reader
 // via encoding/xml, navigation along the axes the paper's heuristics need
-// (children, descendants, parents, ancestors, breadth-first order), absolute
+// (children, descendants, parents and the root), absolute
 // and schema-level paths, and serialization back to XML.
 //
 // The model deliberately keeps only what duplicate detection needs: element
@@ -14,7 +14,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -135,17 +134,6 @@ func (n *Node) AppendChild(child *Node) *Node {
 	return child
 }
 
-// SetAttr sets (or replaces) an attribute on n.
-func (n *Node) SetAttr(name, value string) {
-	for i := range n.Attrs {
-		if n.Attrs[i].Name == name {
-			n.Attrs[i].Value = value
-			return
-		}
-	}
-	n.Attrs = append(n.Attrs, Attr{Name: name, Value: value})
-}
-
 // Attr returns the value of the named attribute and whether it exists.
 func (n *Node) Attr(name string) (string, bool) {
 	for _, a := range n.Attrs {
@@ -177,15 +165,6 @@ func (n *Node) ChildrenNamed(name string) []*Node {
 	return out
 }
 
-// Depth returns the number of ancestors of n (root has depth 0).
-func (n *Node) Depth() int {
-	d := 0
-	for p := n.Parent; p != nil; p = p.Parent {
-		d++
-	}
-	return d
-}
-
 // Root returns the topmost ancestor of n.
 func (n *Node) Root() *Node {
 	r := n
@@ -193,19 +172,6 @@ func (n *Node) Root() *Node {
 		r = r.Parent
 	}
 	return r
-}
-
-// Ancestors returns the ancestors of n from parent outward, at most limit
-// entries (limit <= 0 means all).
-func (n *Node) Ancestors(limit int) []*Node {
-	var out []*Node
-	for p := n.Parent; p != nil; p = p.Parent {
-		out = append(out, p)
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out
 }
 
 // Descendants returns all descendants of n in document (pre-)order.
@@ -219,43 +185,6 @@ func (n *Node) Descendants() []*Node {
 		}
 	}
 	walk(n)
-	return out
-}
-
-// DescendantsAtDepth returns the descendants exactly depth levels below n
-// (depth 1 = direct children).
-func (n *Node) DescendantsAtDepth(depth int) []*Node {
-	if depth <= 0 {
-		return nil
-	}
-	level := []*Node{n}
-	for d := 0; d < depth; d++ {
-		var next []*Node
-		for _, m := range level {
-			next = append(next, m.Children...)
-		}
-		level = next
-		if len(level) == 0 {
-			break
-		}
-	}
-	return level
-}
-
-// BreadthFirst returns the descendants of n in breadth-first order, at most
-// limit entries (limit <= 0 means all). n itself is not included.
-func (n *Node) BreadthFirst(limit int) []*Node {
-	var out []*Node
-	queue := append([]*Node(nil), n.Children...)
-	for len(queue) > 0 {
-		m := queue[0]
-		queue = queue[1:]
-		out = append(out, m)
-		if limit > 0 && len(out) >= limit {
-			return out
-		}
-		queue = append(queue, m.Children...)
-	}
 	return out
 }
 
@@ -298,24 +227,6 @@ func (n *Node) SchemaPath() string {
 	return "/" + strings.Join(parts, "/")
 }
 
-// RelativeSchemaPath returns n's schema path relative to ancestor, in the
-// "./a/b" form the paper uses for selections σ. If ancestor is not an
-// ancestor of n (or n itself), ok is false.
-func (n *Node) RelativeSchemaPath(ancestor *Node) (path string, ok bool) {
-	var parts []string
-	for m := n; m != nil; m = m.Parent {
-		if m == ancestor {
-			reverse(parts)
-			if len(parts) == 0 {
-				return ".", true
-			}
-			return "./" + strings.Join(parts, "/"), true
-		}
-		parts = append(parts, m.Name)
-	}
-	return "", false
-}
-
 // Clone deep-copies the subtree rooted at n. The clone is detached.
 func (n *Node) Clone() *Node {
 	cp := &Node{Name: n.Name, Text: n.Text, pos: n.pos}
@@ -350,14 +261,6 @@ func (n *Node) renumber(name string) {
 			c.pos = pos
 		}
 	}
-}
-
-// CountNodes returns the number of elements in the subtree rooted at n,
-// including n itself.
-func (n *Node) CountNodes() int {
-	count := 0
-	n.Walk(func(*Node) bool { count++; return true })
-	return count
 }
 
 // WriteXML serializes the subtree rooted at n as indented XML.
@@ -432,19 +335,6 @@ func (n *Node) TextContent() string {
 		return true
 	})
 	return strings.Join(parts, " ")
-}
-
-// ElementNames returns the sorted set of distinct element names in the
-// subtree rooted at n.
-func (n *Node) ElementNames() []string {
-	seen := map[string]bool{}
-	n.Walk(func(m *Node) bool { seen[m.Name] = true; return true })
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func escapeText(s string) string {

@@ -118,35 +118,9 @@ func TestPathAndSchemaPath(t *testing.T) {
 	}
 }
 
-func TestRelativeSchemaPath(t *testing.T) {
-	doc := mustParse(t, movieDoc)
-	movie := doc.Root.ChildrenNamed("movie")[0]
-	name := movie.ChildrenNamed("actor")[0].Child("name")
-	if p, ok := name.RelativeSchemaPath(movie); !ok || p != "./actor/name" {
-		t.Errorf("rel path = %q,%v", p, ok)
-	}
-	if p, ok := movie.RelativeSchemaPath(movie); !ok || p != "." {
-		t.Errorf("self rel path = %q,%v", p, ok)
-	}
-	other := doc.Root.ChildrenNamed("movie")[1]
-	if _, ok := name.RelativeSchemaPath(other); ok {
-		t.Error("RelativeSchemaPath against non-ancestor should fail")
-	}
-}
-
-func TestDepthAndAncestors(t *testing.T) {
+func TestRoot(t *testing.T) {
 	doc := mustParse(t, movieDoc)
 	name := doc.Root.ChildrenNamed("movie")[0].ChildrenNamed("actor")[0].Child("name")
-	if d := name.Depth(); d != 3 {
-		t.Errorf("depth = %d, want 3", d)
-	}
-	anc := name.Ancestors(0)
-	if len(anc) != 3 || anc[0].Name != "actor" || anc[2].Name != "moviedoc" {
-		t.Errorf("ancestors = %v", nodeNames(anc))
-	}
-	if got := name.Ancestors(2); len(got) != 2 {
-		t.Errorf("limited ancestors = %d, want 2", len(got))
-	}
 	if name.Root() != doc.Root {
 		t.Error("Root() did not return document root")
 	}
@@ -159,32 +133,6 @@ func TestDescendants(t *testing.T) {
 	// title, year, actor, name, role, actor, name, role
 	if len(all) != 8 {
 		t.Errorf("descendants = %d, want 8", len(all))
-	}
-	lvl1 := movie.DescendantsAtDepth(1)
-	if got := nodeNames(lvl1); !reflect.DeepEqual(got, []string{"title", "year", "actor", "actor"}) {
-		t.Errorf("depth-1 = %v", got)
-	}
-	lvl2 := movie.DescendantsAtDepth(2)
-	if got := nodeNames(lvl2); !reflect.DeepEqual(got, []string{"name", "role", "name", "role"}) {
-		t.Errorf("depth-2 = %v", got)
-	}
-	if got := movie.DescendantsAtDepth(3); len(got) != 0 {
-		t.Errorf("depth-3 = %v, want empty", nodeNames(got))
-	}
-	if got := movie.DescendantsAtDepth(0); got != nil {
-		t.Errorf("depth-0 = %v, want nil", got)
-	}
-}
-
-func TestBreadthFirst(t *testing.T) {
-	doc := mustParse(t, `<r><a><c/><d/></a><b><e/></b></r>`)
-	got := nodeNames(doc.Root.BreadthFirst(0))
-	want := []string{"a", "b", "c", "d", "e"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("bfs = %v, want %v", got, want)
-	}
-	if got := nodeNames(doc.Root.BreadthFirst(3)); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Errorf("bfs(3) = %v", got)
 	}
 }
 
@@ -212,8 +160,8 @@ func TestCloneIsDeepAndDetached(t *testing.T) {
 	if movie.Child("title").Text == "CHANGED" {
 		t.Error("clone shares state with original")
 	}
-	if cp.CountNodes() != movie.CountNodes() {
-		t.Errorf("clone size %d != original %d", cp.CountNodes(), movie.CountNodes())
+	if len(cp.Descendants()) != len(movie.Descendants()) {
+		t.Errorf("clone size %d != original %d", len(cp.Descendants()), len(movie.Descendants()))
 	}
 }
 
@@ -249,7 +197,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 
 func TestSerializationEscaping(t *testing.T) {
 	n := NewTextNode("a", "x < y & z")
-	n.SetAttr("q", `say "hi" & <bye>`)
+	n.Attrs = append(n.Attrs, Attr{Name: "q", Value: `say "hi" & <bye>`})
 	out := n.String()
 	doc, err := ParseString(out)
 	if err != nil {
@@ -263,26 +211,10 @@ func TestSerializationEscaping(t *testing.T) {
 	}
 }
 
-func TestSetAttrReplaces(t *testing.T) {
-	n := NewNode("a")
-	n.SetAttr("k", "1")
-	n.SetAttr("k", "2")
-	if len(n.Attrs) != 1 {
-		t.Fatalf("attrs = %d, want 1", len(n.Attrs))
-	}
-	if v, _ := n.Attr("k"); v != "2" {
-		t.Errorf("attr = %q, want 2", v)
-	}
-}
-
-func TestTextContentAndElementNames(t *testing.T) {
+func TestTextContent(t *testing.T) {
 	doc := mustParse(t, `<r><a>one</a><b><c>two</c></b></r>`)
 	if got := doc.Root.TextContent(); got != "one two" {
 		t.Errorf("TextContent = %q", got)
-	}
-	names := doc.Root.ElementNames()
-	if !reflect.DeepEqual(names, []string{"a", "b", "c", "r"}) {
-		t.Errorf("ElementNames = %v", names)
 	}
 }
 

@@ -125,16 +125,6 @@ func (e *Element) HasText() bool {
 	return e.Content == CMSimple || e.Content == CMMixed
 }
 
-// Child returns the child declaration with the given name, or nil.
-func (e *Element) Child(name string) *Element {
-	for _, c := range e.Children {
-		if c.Name == name {
-			return c
-		}
-	}
-	return nil
-}
-
 // Walk visits e and all declarations below it in document order.
 func (e *Element) Walk(fn func(*Element) bool) {
 	if !fn(e) {
