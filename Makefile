@@ -98,16 +98,20 @@ bench:
 # two similar-value lookup tiers and the blocking-set merge in memory,
 # the same tiers on disk by mmap and by pread, one posting-list question
 # and the shared cache's hit path (od), one scored pair and one filter
-# bound (sim), and the whole pipeline at the reference benchmark's
+# bound (sim), the whole pipeline at the reference benchmark's
 # detect_cd_mem shape on MemStore and on DiskStore plus one
-# single-document update on each, per stage (core). CI smoke-runs it
-# with BENCHTIME=1x.
+# single-document update on each, per stage, and the two ingestion
+# modes through Step 4 (core), and materialized ingest alone at 1 k and
+# 10 k sibling candidates (xmltree: parse plus every candidate's Path;
+# linear ingest puts the rungs ~10x apart, a sibling rescan ~100x). CI
+# smoke-runs it with BENCHTIME=1x.
 BENCHTIME ?= 1s
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'Kernels|NeighborIndexLookup' -benchmem -benchtime $(BENCHTIME) ./internal/strdist/
 	$(GO) test -run '^$$' -bench 'TypeIndexCollect|NeighborsOf|DiskSimilarValues|DiskObjectsWithExact|ShardedLRUGet' -benchmem -benchtime $(BENCHTIME) ./internal/od/
 	$(GO) test -run '^$$' -bench 'KernelScore|KernelFilter' -benchmem -benchtime $(BENCHTIME) ./internal/sim/
-	$(GO) test -run '^$$' -bench 'DetectKernel|UpdateKernel' -benchmem -benchtime $(BENCHTIME) ./internal/core/
+	$(GO) test -run '^$$' -bench 'DetectKernel|UpdateKernel|Ingest' -benchmem -benchtime $(BENCHTIME) ./internal/core/
+	$(GO) test -run '^$$' -bench 'ParsePaths' -benchmem -benchtime $(BENCHTIME) ./internal/xmltree/
 
 # The reference benchmark (bench/, a Go module of its own, so `make
 # test` does not reach it; see bench/README.md). test-bench runs its
@@ -137,12 +141,12 @@ bench-compare:
 	$(GO) run -C bench . -compare $(A) $(B)
 
 # Non-test Go line counts, information only: the main module outside
-# bench/, then the store and pipeline packages one by one (each its own
-# directory, subpackages excluded).
+# bench/ and testdata/ fixtures, then the store and pipeline packages
+# one by one (each its own directory, subpackages excluded).
 LOC_PKGS = internal/od internal/od/odcodec internal/od/odrpc internal/core
 loc:
 	@printf '%-28s %6d\n' 'main module (without bench/)' \
-		$$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
+		$$(find . -path ./bench -prune -o -path '*/testdata' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
 	@for d in $(LOC_PKGS); do \
 		printf '%-28s %6d\n' $$d $$(ls $$d/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \
 	done

@@ -124,6 +124,27 @@ func TestMaxEditsBelow(t *testing.T) {
 	}
 }
 
+// TestMaxEditsBelowExhaustive checks the budget against its definition,
+// the largest d with float64(d)/float64(m) < θ, for θ on a 0.01 grid and
+// every m up to 300. Grid points like θ = 0.29, m = 100 land exactly on
+// the boundary, where the correction step's strict comparison matters.
+func TestMaxEditsBelowExhaustive(t *testing.T) {
+	for i := 0; i <= 100; i++ {
+		theta := float64(i) / 100
+		for m := 1; m <= 300; m++ {
+			want := -1
+			for d := 0; d <= m; d++ {
+				if float64(d)/float64(m) < theta {
+					want = d
+				}
+			}
+			if got := MaxEditsBelow(theta, m); got != want {
+				t.Errorf("MaxEditsBelow(%v, %d) = %d, want %d", theta, m, got, want)
+			}
+		}
+	}
+}
+
 func TestBagDistanceKnown(t *testing.T) {
 	cases := []struct {
 		a, b string

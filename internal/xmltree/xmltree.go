@@ -11,9 +11,12 @@
 package xmltree
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -26,9 +29,12 @@ type Node struct {
 	Parent   *Node
 	Children []*Node
 
-	// pos is the 1-based index among same-named siblings, set during
-	// parsing/building and used for positional XPaths.
-	pos int
+	// pos is the 1-based index among same-named siblings and shared
+	// whether any such sibling exists. AppendChild and RemoveChild keep
+	// both current, so Path renders a step without scanning siblings.
+	// An int32 keeps the pair in the word an int pos took alone.
+	pos    int32
+	shared bool
 }
 
 // Attr is a single XML attribute.
@@ -63,6 +69,10 @@ func Parse(r io.Reader) (*Document, error) {
 	dec := xml.NewDecoder(r)
 	var root *Node
 	var stack []*Node
+	// texts[i] collects the raw character data of stack[i]. The buffers
+	// are reused by depth, so a parent's inter-element whitespace grows
+	// one buffer instead of re-concatenating Text at every child.
+	var texts [][]byte
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
@@ -83,16 +93,20 @@ func Parse(r io.Reader) (*Document, error) {
 				stack[len(stack)-1].AppendChild(n)
 			}
 			stack = append(stack, n)
+			if len(texts) < len(stack) {
+				texts = append(texts, nil)
+			}
+			texts[len(stack)-1] = texts[len(stack)-1][:0]
 		case xml.EndElement:
 			if len(stack) == 0 {
 				return nil, fmt.Errorf("xmltree: parse: unbalanced end element %s", t.Name.Local)
 			}
-			top := stack[len(stack)-1]
-			top.Text = strings.TrimSpace(top.Text)
-			stack = stack[:len(stack)-1]
+			top := len(stack) - 1
+			stack[top].Text = string(bytes.TrimSpace(texts[top]))
+			stack = stack[:top]
 		case xml.CharData:
 			if len(stack) > 0 {
-				stack[len(stack)-1].Text += string(t)
+				texts[len(stack)-1] = append(texts[len(stack)-1], t...)
 			}
 		}
 	}
@@ -121,13 +135,16 @@ func NewTextNode(name, text string) *Node {
 }
 
 // AppendChild attaches child as the last child of n and maintains the
-// positional index used by Path.
+// positional index used by Path. The position follows from the nearest
+// preceding namesake, so a run of same-named children appends in O(1).
 func (n *Node) AppendChild(child *Node) *Node {
 	child.Parent = n
-	child.pos = 1
-	for _, c := range n.Children {
-		if c.Name == child.Name {
-			child.pos++
+	child.pos, child.shared = 1, false
+	for i := len(n.Children) - 1; i >= 0; i-- {
+		if c := n.Children[i]; c.Name == child.Name {
+			child.pos = c.pos + 1
+			child.shared, c.shared = true, true
+			break
 		}
 	}
 	n.Children = append(n.Children, child)
@@ -201,35 +218,63 @@ func (n *Node) Walk(fn func(*Node) bool) {
 
 // Path returns the absolute, positionally qualified XPath of n, e.g.
 // /moviedoc/movie[2]/actor[1]/name. Position predicates are included only
-// for elements with same-named siblings.
+// for elements with same-named siblings. It costs O(depth).
 func (n *Node) Path() string {
-	var parts []string
-	for m := n; m != nil; m = m.Parent {
-		step := m.Name
-		if m.Parent != nil && len(m.Parent.ChildrenNamed(m.Name)) > 1 {
-			step = fmt.Sprintf("%s[%d]", m.Name, m.pos)
-		}
-		parts = append(parts, step)
-	}
-	reverse(parts)
-	return "/" + strings.Join(parts, "/")
+	return n.path(true)
 }
 
 // SchemaPath returns the absolute path of n without positional predicates,
 // e.g. /moviedoc/movie/actor/name. This is the "name" component of OD
 // tuples and the key used to look up real-world types in mapping M.
 func (n *Node) SchemaPath() string {
-	var parts []string
+	return n.path(false)
+}
+
+// path renders the steps from the root down to n into one exactly sized
+// allocation.
+func (n *Node) path(positional bool) string {
+	var buf [16]*Node
+	steps := buf[:0]
+	size := 0
 	for m := n; m != nil; m = m.Parent {
-		parts = append(parts, m.Name)
+		steps = append(steps, m)
+		size += 1 + len(m.Name)
+		if positional && m.predicated() {
+			size += 2 + decimalLen(int(m.pos))
+		}
 	}
-	reverse(parts)
-	return "/" + strings.Join(parts, "/")
+	var sb strings.Builder
+	sb.Grow(size)
+	var num [20]byte
+	for i := len(steps) - 1; i >= 0; i-- {
+		m := steps[i]
+		sb.WriteByte('/')
+		sb.WriteString(m.Name)
+		if positional && m.predicated() {
+			sb.WriteByte('[')
+			sb.Write(strconv.AppendInt(num[:0], int64(m.pos), 10))
+			sb.WriteByte(']')
+		}
+	}
+	return sb.String()
+}
+
+// predicated reports whether n's step in Path carries a position.
+func (n *Node) predicated() bool {
+	return n.Parent != nil && n.shared
+}
+
+func decimalLen(v int) int {
+	l := 1
+	for ; v >= 10; v /= 10 {
+		l++
+	}
+	return l
 }
 
 // Clone deep-copies the subtree rooted at n. The clone is detached.
 func (n *Node) Clone() *Node {
-	cp := &Node{Name: n.Name, Text: n.Text, pos: n.pos}
+	cp := &Node{Name: n.Name, Text: n.Text, pos: n.pos, shared: n.shared}
 	cp.Attrs = append([]Attr(nil), n.Attrs...)
 	for _, c := range n.Children {
 		cc := c.Clone()
@@ -254,52 +299,63 @@ func (n *Node) RemoveChild(child *Node) bool {
 }
 
 func (n *Node) renumber(name string) {
-	pos := 0
+	total := 0
+	for _, c := range n.Children {
+		if c.Name == name {
+			total++
+		}
+	}
+	var pos int32
 	for _, c := range n.Children {
 		if c.Name == name {
 			pos++
-			c.pos = pos
+			c.pos, c.shared = pos, total > 1
 		}
 	}
 }
 
 // WriteXML serializes the subtree rooted at n as indented XML.
 func (n *Node) WriteXML(w io.Writer) error {
-	return n.write(w, 0)
+	bw := bufio.NewWriter(w)
+	n.write(bw, 0)
+	return bw.Flush()
 }
 
-func (n *Node) write(w io.Writer, depth int) error {
-	ind := strings.Repeat("  ", depth)
-	var attrs strings.Builder
+// write escapes straight into bw. bufio.Writer keeps the first write
+// error and Flush reports it, so the calls here need not check.
+func (n *Node) write(bw *bufio.Writer, depth int) {
+	indent(bw, depth)
+	bw.WriteByte('<')
+	bw.WriteString(n.Name)
 	for _, a := range n.Attrs {
-		fmt.Fprintf(&attrs, " %s=\"%s\"", a.Name, escapeAttr(a.Value))
+		bw.WriteByte(' ')
+		bw.WriteString(a.Name)
+		bw.WriteString(`="`)
+		attrEscaper.WriteString(bw, a.Value)
+		bw.WriteByte('"')
 	}
 	if len(n.Children) == 0 && n.Text == "" {
-		_, err := fmt.Fprintf(w, "%s<%s%s/>\n", ind, n.Name, attrs.String())
-		return err
+		bw.WriteString("/>\n")
+		return
 	}
-	if len(n.Children) == 0 {
-		_, err := fmt.Fprintf(w, "%s<%s%s>%s</%s>\n", ind, n.Name, attrs.String(), escapeText(n.Text), n.Name)
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s<%s%s>", ind, n.Name, attrs.String()); err != nil {
-		return err
-	}
-	if n.Text != "" {
-		if _, err := io.WriteString(w, escapeText(n.Text)); err != nil {
-			return err
+	bw.WriteByte('>')
+	textEscaper.WriteString(bw, n.Text)
+	if len(n.Children) > 0 {
+		bw.WriteByte('\n')
+		for _, c := range n.Children {
+			c.write(bw, depth+1)
 		}
+		indent(bw, depth)
 	}
-	if _, err := io.WriteString(w, "\n"); err != nil {
-		return err
+	bw.WriteString("</")
+	bw.WriteString(n.Name)
+	bw.WriteString(">\n")
+}
+
+func indent(bw *bufio.Writer, depth int) {
+	for range depth {
+		bw.WriteString("  ")
 	}
-	for _, c := range n.Children {
-		if err := c.write(w, depth+1); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%s</%s>\n", ind, n.Name)
-	return err
 }
 
 // String renders the subtree as XML text.
@@ -311,10 +367,10 @@ func (n *Node) String() string {
 
 // WriteXML serializes the document with an XML declaration.
 func (d *Document) WriteXML(w io.Writer) error {
-	if _, err := io.WriteString(w, "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"); err != nil {
-		return err
-	}
-	return d.Root.WriteXML(w)
+	bw := bufio.NewWriter(w)
+	bw.WriteString("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n")
+	d.Root.write(bw, 0)
+	return bw.Flush()
 }
 
 // String renders the document as XML text.
@@ -337,18 +393,9 @@ func (n *Node) TextContent() string {
 	return strings.Join(parts, " ")
 }
 
-func escapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
-
-func escapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", "\"", "&quot;")
-	return r.Replace(s)
-}
-
-func reverse(s []string) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
+// The serializer's escapers. A Replacer is safe for concurrent use and
+// builds its lookup table once, on first use.
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", "\"", "&quot;")
+)

@@ -12,6 +12,7 @@
 package xsd
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -462,7 +463,7 @@ type inferStats struct {
 // bookkeeping and childIdx the running index over all children.
 type inferFrame struct {
 	path     string
-	text     strings.Builder
+	text     []byte
 	counts   map[string]int
 	firstPos map[string]int
 	childIdx int
@@ -476,6 +477,7 @@ type inferBuilder struct {
 	byPath   map[string]*inferStats
 	order    []string
 	stack    []*inferFrame
+	frames   []*inferFrame // one per depth reached, reused by open
 	rootName string
 }
 
@@ -514,28 +516,35 @@ func (b *inferBuilder) open(name string) error {
 		path = parent.path + "/" + name
 	}
 	b.stats(path).occurrences++
-	b.stack = append(b.stack, &inferFrame{
-		path:     path,
-		counts:   map[string]int{},
-		firstPos: map[string]int{},
-	})
+	depth := len(b.stack)
+	if depth == len(b.frames) {
+		b.frames = append(b.frames, &inferFrame{counts: map[string]int{}, firstPos: map[string]int{}})
+	}
+	f := b.frames[depth]
+	f.path, f.text, f.childIdx = path, f.text[:0], 0
+	clear(f.counts)
+	clear(f.firstPos)
+	b.stack = append(b.stack, f)
 	return nil
 }
 
 // text appends raw character data to the open element.
 func (b *inferBuilder) text(s string) {
 	if len(b.stack) > 0 {
-		b.stack[len(b.stack)-1].text.WriteString(s)
+		f := b.stack[len(b.stack)-1]
+		f.text = append(f.text, s...)
 	}
 }
 
 // close records the end of the open element, folding its text and
-// per-child-name occurrence evidence into the path stats.
+// per-child-name occurrence evidence into the path stats. The frame
+// stays in b.frames for the next element opened at its depth.
 func (b *inferBuilder) close() {
 	f := b.stack[len(b.stack)-1]
 	b.stack = b.stack[:len(b.stack)-1]
 	st := b.byPath[f.path]
-	if txt := strings.TrimSpace(f.text.String()); txt != "" {
+	if raw := bytes.TrimSpace(f.text); len(raw) > 0 {
+		txt := string(raw)
 		st.hasText = true
 		st.values[txt]++
 		st.valueCount++
