@@ -1,5 +1,5 @@
 // Command docscheck is the repository's documentation gate, run by
-// `make docs-check` and the CI docs job. It enforces two invariants:
+// `make docs-check` and the CI docs job. It enforces three invariants:
 //
 //  1. Every Go package under the repository has a package-level doc
 //     comment ("// Package ..." or "// Command ...") on at least one of
@@ -8,6 +8,9 @@
 //  2. Every relative markdown link in the files passed as arguments
 //     resolves to an existing file, so README/ARCHITECTURE/ROADMAP
 //     cross-references cannot rot silently.
+//  3. Every *.md file that a comment in the main module's Go files
+//     names exists, relative to the root or to the Go file's directory;
+//     nested modules (their own go.mod, e.g. bench/) are skipped.
 //
 // Usage:
 //
@@ -34,6 +37,7 @@ func main() {
 
 	var problems []string
 	problems = append(problems, checkPackageDocs(*root)...)
+	problems = append(problems, checkCommentCitations(*root)...)
 	for _, md := range flag.Args() {
 		problems = append(problems, checkMarkdownLinks(md)...)
 	}
@@ -54,8 +58,7 @@ func checkPackageDocs(root string) []string {
 			return nil
 		}
 		if d.IsDir() {
-			name := d.Name()
-			if name == ".git" || name == "testdata" || (strings.HasPrefix(name, ".") && path != root) {
+			if skipDir(root, path, d.Name()) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -87,6 +90,49 @@ func checkPackageDocs(root string) []string {
 		}
 	}
 	return problems
+}
+
+// skipDir skips version control, test fixtures and hidden directories.
+func skipDir(root, path, name string) bool {
+	return name == ".git" || name == "testdata" || (strings.HasPrefix(name, ".") && path != root)
+}
+
+// mdName matches a cited markdown file: ROADMAP.md, bench/README.md.
+var mdName = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// checkCommentCitations enforces invariant 3, over test files too.
+func checkCommentCitations(root string) []string {
+	var problems []string
+	fset := token.NewFileSet()
+	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+		case d.IsDir() && (skipDir(root, path, d.Name()) || path != root && exists(filepath.Join(path, "go.mod"))):
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go"):
+			af, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			if err != nil {
+				problems = append(problems, fmt.Sprintf("%s: %v", path, err))
+				return nil
+			}
+			for _, cg := range af.Comments {
+				for _, c := range cg.List {
+					for _, name := range mdName.FindAllString(c.Text, -1) {
+						if !exists(filepath.Join(root, name)) && !exists(filepath.Join(filepath.Dir(path), name)) {
+							problems = append(problems, fmt.Sprintf("%s: comment cites %s, which does not exist", fset.Position(c.Pos()), name))
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	return problems
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // mdLink matches inline markdown links/images: [text](target).

@@ -31,8 +31,7 @@
 // Observer in pipeline.go). Where the XML comes from is pluggable through
 // the SourceInput seam (DocSource for in-memory trees, StreamSource for
 // pull-parsed corpora larger than RAM — both bit-identical); the storage
-// backend behind Steps 3–5 and the Step 4/5 strategies are pluggable
-// through Config.NewStore, Config.Comparator and Config.Filter.
+// backend behind Steps 3–5 is pluggable through Config.NewStore.
 //
 // Candidate definition (which real-world type to deduplicate, mapping M)
 // and duplicate definition (heuristic, thresholds) are provided offline
@@ -218,7 +217,8 @@ type Config struct {
 	// UseFilter enables Step 4's object filter (Sec. 5.2).
 	UseFilter bool
 	// DisableBlocking turns off the lossless shared-value blocking in
-	// Step 5 and compares all surviving pairs. Mostly for ablation.
+	// Step 5 and compares all surviving pairs: the all-pairs reference
+	// that tests check blocking's losslessness against.
 	DisableBlocking bool
 	// KeepFilterValues records f(ODi) for every candidate in the result,
 	// needed by the Fig. 8 experiment and diagnostics.
@@ -244,23 +244,12 @@ type Config struct {
 	// infer/candidates/describe entirely and replaying the persisted
 	// traces. See SnapshotOptions.
 	Snapshot *SnapshotOptions
-	// Comparator overrides the Step 5 scoring/classification strategy.
-	// nil uses the paper's sim.Classifier built from the θ values above.
-	// Caution: shared-value blocking and the Step 4 filter bound are
-	// lossless only for the paper's measure; a comparator that scores
-	// pairs without θtuple-similar values needs DisableBlocking (and no
-	// UseFilter, or a matching Filter) — see sim.Comparator.
-	Comparator sim.Comparator
-	// Filter overrides the Step 4 object-filter strategy. nil uses the
-	// indexed sim.IndexFilter (Sec. 5.2).
-	Filter sim.ObjectFilter
 	// Incremental records replay traces (per-pair softIDF unions, per-
 	// object filter steps) on the Result so a later Update call can
 	// patch untouched pairs and bounds in place instead of recomputing
-	// them. Costs memory proportional to the compared pairs; requires
-	// the default Comparator and Filter, whose scores the traces replay
-	// bit-identically. Update works without it — it then recompares all
-	// surviving pairs — so leave it off for one-shot detections.
+	// them bit-identically. Costs memory proportional to the compared
+	// pairs. Update works without it — it then recompares all surviving
+	// pairs — so leave it off for one-shot detections.
 	Incremental bool
 	// Observer, when non-nil, receives stage start/done events.
 	Observer Observer
@@ -296,20 +285,14 @@ func (c Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("core: snapshot options enable neither Reuse nor Save")
 		}
 	}
-	if c.Incremental && (c.Comparator != nil || c.Filter != nil) {
-		return c, fmt.Errorf("core: Incremental requires the default comparator and filter — replay traces only reproduce the paper's measure")
-	}
 	return c, nil
 }
 
-// Candidate is one duplicate candidate (a member of ΩT). Node is nil for
-// candidates ingested from a StreamSource — their subtree was transient
-// and has already been flattened into the object description.
+// Candidate is one duplicate candidate (a member of ΩT): where it came
+// from. No parsed tree is kept; detection reads only the store's ODs.
 type Candidate struct {
-	Node     *xmltree.Node
-	Source   int    // index into the sources passed to Detect
-	Path     string // positionally qualified XPath within its document
-	SchemaEl *xsd.Element
+	Source int    // index into the sources passed to Detect
+	Path   string // positionally qualified XPath within its document
 }
 
 // Pair is a detected duplicate pair with its similarity score.
@@ -356,9 +339,7 @@ type Result struct {
 	// instead of building one (Config.Snapshot.Reuse hit) and ran as a
 	// zero-batch Update of it: Stats.Patched counts the pairs replayed
 	// from the snapshot's traces, Stats.TraceSource says whether there
-	// were any. Warm-started Candidates carry nil Node and SchemaEl
-	// pointers: no tree or schema survives a restart, matching the
-	// streaming contract.
+	// were any.
 	WarmStart bool
 	// SourceCount is the number of sources the candidate Source indexes
 	// range over; Update extends it as batches append sources.
@@ -417,12 +398,10 @@ func (d *Detector) DetectInputs(typeName string, inputs ...SourceInput) (*Result
 		return nil, fmt.Errorf("core: type %q has no candidate paths in the mapping", typeName)
 	}
 	p := &pipelineRun{
-		d:          d,
-		typeName:   typeName,
-		inputs:     inputs,
-		res:        &Result{Type: typeName, SourceCount: len(inputs)},
-		comparator: d.comparator(),
-		filter:     d.objectFilter(),
+		d:        d,
+		typeName: typeName,
+		inputs:   inputs,
+		res:      &Result{Type: typeName, SourceCount: len(inputs)},
 	}
 	if d.cfg.Incremental {
 		p.inc = &incState{pairs: map[int64]sim.PairTrace{}}
@@ -445,26 +424,6 @@ func (d *Detector) DetectInputs(typeName string, inputs ...SourceInput) (*Result
 	p.finishIncState()
 	p.res.Stats.Elapsed = time.Since(start)
 	return p.res, nil
-}
-
-// comparator resolves the Step 5 strategy.
-func (d *Detector) comparator() sim.Comparator {
-	if d.cfg.Comparator != nil {
-		return d.cfg.Comparator
-	}
-	return sim.Classifier{
-		ThetaTuple:    d.cfg.ThetaTuple,
-		ThetaCand:     d.cfg.ThetaCand,
-		ThetaPossible: d.cfg.ThetaPossible,
-	}
-}
-
-// objectFilter resolves the Step 4 strategy.
-func (d *Detector) objectFilter() sim.ObjectFilter {
-	if d.cfg.Filter != nil {
-		return d.cfg.Filter
-	}
-	return sim.IndexFilter{}
 }
 
 // WriteXML renders the duplicate clusters in the Fig. 3 dupcluster format.

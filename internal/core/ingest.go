@@ -61,13 +61,8 @@ func newIngestSink(p *pipelineRun, source int, paths []ingestPath, streaming boo
 func (k *ingestSink) emit(pathIdx int, node *xmltree.Node, deferredPath func() string) error {
 	ap := &k.paths[pathIdx]
 	o := k.p.flatten(ap, node, k.source)
-	cand := Candidate{Source: k.source, SchemaEl: ap.el}
-	if k.streaming {
-		// The subtree is transient: everything detection needs is in the
-		// flat OD now, so drop the only reference and let it go.
-		o.Node = nil
-	} else {
-		cand.Node = node
+	cand := Candidate{Source: k.source}
+	if !k.streaming {
 		cand.Path = node.Path()
 		o.Object = cand.Path
 	}

@@ -24,10 +24,10 @@ var benchSink *core.Result
 // serialized CD corpus, through the filter-only pipeline (infer through
 // reduce — the stages ingestion feeds). Beyond ns/op and B/op it reports
 // retained-MB: the live heap still referenced by the Result after a final
-// GC. The materialized path retains the whole document tree through
-// Candidate.Node; the streamed path retains only the flat ODs — its peak
-// live heap during the pass is bounded by one anchor subtree, not by
-// document size.
+// GC. Neither path retains the document tree — a Result holds only
+// candidates and flat ODs, so the two rows retain the same — but only
+// the streamed path never holds it: its peak live heap during the pass
+// is bounded by one anchor subtree, not by document size.
 //
 //	go test ./internal/core -run xxx -bench BenchmarkIngest -benchtime 5x
 func BenchmarkIngest(b *testing.B) {

@@ -24,7 +24,10 @@ import (
 // corpus on a fresh DiskStore — what it costs over "score" is the disk
 // tier's. The warm variant is a -reuse-index hit: a traced snapshot
 // saved once, then one warm start per iteration, which replays the
-// persisted bounds and pairs instead of computing them.
+// persisted bounds and pairs instead of computing them. The two
+// ablations run the "score" configuration with one lossless shortcut
+// switched off: nofilter without the Step 4 filter, noblocking with
+// every surviving pair compared instead of the shared-value blocking.
 //
 //	go test ./internal/core -run xxx -bench DetectKernel -benchmem
 func BenchmarkDetectKernel(b *testing.B) {
@@ -37,15 +40,16 @@ func BenchmarkDetectKernel(b *testing.B) {
 		b.Fatal(err)
 	}
 	src := core.Source{Doc: ds.Doc, Schema: ds.Schema}
-	for _, name := range []string{"score", "traced", "disk", "warm"} {
+	for _, name := range []string{"score", "traced", "disk", "warm", "nofilter", "noblocking"} {
 		b.Run(name, func(b *testing.B) {
 			cfg := core.Config{
-				Heuristic:   h,
-				ThetaTuple:  experiments.ThetaTuple,
-				ThetaCand:   experiments.ThetaCand,
-				UseFilter:   true,
-				Workers:     1,
-				Incremental: name == "traced" || name == "warm",
+				Heuristic:       h,
+				ThetaTuple:      experiments.ThetaTuple,
+				ThetaCand:       experiments.ThetaCand,
+				UseFilter:       name != "nofilter",
+				DisableBlocking: name == "noblocking",
+				Workers:         1,
+				Incremental:     name == "traced" || name == "warm",
 			}
 			if name == "disk" {
 				dir := b.TempDir()

@@ -102,8 +102,6 @@ type pipelineRun struct {
 
 	schemas    []*xsd.Schema // resolved per source by the infer stage
 	store      od.Store
-	comparator sim.Comparator
-	filter     sim.ObjectFilter
 	tupleCount int // OD tuples flattened during ingestion
 	alive      []bool
 
@@ -162,11 +160,10 @@ func (p *pipelineRun) addOD(o *od.OD) {
 
 // ingestPath is one compiled (candidate path, description query) unit a
 // source's ingest pass matches anchors against: the plain absolute schema
-// path, the schema declaration behind it, the compiled Step 1 candidate
-// query, and the compiled Step 2 description queries σ.
+// path, the compiled Step 1 candidate query, and the compiled Step 2
+// description queries σ.
 type ingestPath struct {
 	schemaPath string
-	el         *xsd.Element
 	query      *xpath.Path
 	desc       []*xpath.Path
 }
@@ -336,7 +333,7 @@ func (p *pipelineRun) compilePaths(candPaths []string, si int, streaming bool) (
 			}
 			desc = append(desc, rp)
 		}
-		active = append(active, ingestPath{schemaPath: cp, el: el, query: q, desc: desc})
+		active = append(active, ingestPath{schemaPath: cp, query: q, desc: desc})
 	}
 	return active, nil
 }
@@ -345,7 +342,7 @@ func (p *pipelineRun) compilePaths(candPaths []string, si int, streaming bool) (
 // Steps 2+3 for one candidate. The OD's Object path is filled in by the
 // sink (immediately for doc sources, after the pass for streams).
 func (p *pipelineRun) flatten(ap *ingestPath, node *xmltree.Node, si int) *od.OD {
-	o := &od.OD{Source: si, Node: node}
+	o := &od.OD{Source: si}
 	for _, n := range xpath.EvalAll(ap.desc, node) {
 		name := n.SchemaPath()
 		value := n.Text
@@ -375,8 +372,7 @@ func (p *pipelineRun) describe() (int, error) {
 // filter-dirty object computes its bound, and every other live object
 // replays its recorded trace under the new |ΩT| — bit-identical to
 // recomputing, at the cost of a few logarithms. Without filter traces
-// of the default filter (a fresh Detect, a trace-less prev, a custom
-// Filter) every bound computes.
+// (a fresh Detect, a trace-less prev) every bound computes.
 func (p *pipelineRun) reduce() (int, error) {
 	cfg := p.d.cfg
 	span := p.idSpan()
@@ -389,7 +385,7 @@ func (p *pipelineRun) reduce() (int, error) {
 
 	if cfg.UseFilter || cfg.KeepFilterValues {
 		var prevSteps [][]sim.FilterStep
-		if _, isDefault := p.filter.(sim.IndexFilter); isDefault && p.prev != nil {
+		if p.prev != nil {
 			prevSteps = p.prev.filter
 		}
 		filterValues := make([]float64, span)
@@ -419,7 +415,7 @@ func (p *pipelineRun) reduce() (int, error) {
 			case p.inc != nil:
 				filterValues[i], steps = sim.FilterTrace(p.store, p.store.OD(id))
 			default:
-				filterValues[i] = p.filter.Bound(p.store, p.store.OD(id))
+				filterValues[i] = sim.Filter(p.store, p.store.OD(id))
 			}
 			if p.inc != nil {
 				p.inc.filter[i] = steps
@@ -456,29 +452,25 @@ func (p *pipelineRun) reduce() (int, error) {
 // the rest of the pool, and per-batch outputs merge in batch order.
 const compareBatchSize = 32
 
-// compare is Step 5: pairwise comparisons under the configured
-// Comparator over the lossless shared-value blocking (or all surviving
-// pairs when blocking is disabled), computed as an update of the
-// previous state. Whether two survivors are blocked together depends
-// only on their own values; what an update changes is which objects
-// survive and the softIDF terms behind each score. So pairs with an
-// endpoint in the recompare set — new objects, exact-dirty objects and
-// objects without a previous comparison — are compared for real, and
-// every other previously compared pair is patched by replaying its
-// trace under the new |ΩT|. Traces replay only the paper's measure: a
-// custom Comparator, like a fresh Detect, compares every pair.
+// compare is Step 5: pairwise comparisons under the Sec. 5.1 measure
+// and the Def. 6 classifier over the lossless shared-value blocking (or
+// all surviving pairs when blocking is disabled), computed as an update
+// of the previous state. Whether two survivors are blocked together
+// depends only on their own values; what an update changes is which
+// objects survive and the softIDF terms behind each score. So pairs
+// with an endpoint in the recompare set — new objects, exact-dirty
+// objects and objects without a previous comparison — are compared for
+// real, and every other previously compared pair is patched by
+// replaying its trace under the new |ΩT|. A fresh Detect, with no
+// previous state, compares every pair.
 func (p *pipelineRun) compare() (int, error) {
 	cfg := p.d.cfg
 	span := p.idSpan()
-	prev := p.prev
-	if cfg.Comparator != nil {
-		prev = nil
-	}
 	inR := make([]bool, span)
 	var list []int32
 	for id := int32(0); id < int32(span); id++ {
-		if p.alive[id] && (id >= p.newFrom || p.exactDirty[id] || prev == nil ||
-			int(id) >= len(prev.alive) || !prev.alive[id]) {
+		if p.alive[id] && (id >= p.newFrom || p.exactDirty[id] || p.prev == nil ||
+			int(id) >= len(p.prev.alive) || !p.prev.alive[id]) {
 			inR[id] = true
 			list = append(list, id)
 		}
@@ -514,7 +506,7 @@ func (p *pipelineRun) compare() (int, error) {
 					x, y, ox, oy = y, x, oy, ox
 				}
 				out.compared++
-				out.classify(p.comparator, x, y, p.scorePair(out, ox, oy, x, y))
+				out.classify(&cfg, x, y, p.scorePair(out, ox, oy, x, y))
 			}
 			if cfg.DisableBlocking {
 				for j := int32(0); j < int32(span); j++ {
@@ -537,7 +529,7 @@ func (p *pipelineRun) compare() (int, error) {
 		if p.inc != nil {
 			for _, tp := range outs[b].traces {
 				p.inc.pairs[tp.key] = tp.tr
-				if prev != nil {
+				if p.prev != nil {
 					p.rescored = append(p.rescored, tp.key)
 				}
 			}
@@ -547,10 +539,10 @@ func (p *pipelineRun) compare() (int, error) {
 	// Patch the survivors: previously compared, both endpoints clean and
 	// still alive. Their matching is unchanged, so the recorded softIDF
 	// unions replayed under the new corpus size give the exact score.
-	if prev != nil {
+	if p.prev != nil {
 		var patched batchOut
 		liveN := p.store.Size()
-		for key, tr := range prev.pairs {
+		for key, tr := range p.prev.pairs {
 			i, j := unpairKey(key)
 			if !p.alive[i] || !p.alive[j] || inR[i] || inR[j] {
 				if p.inc != nil {
@@ -561,7 +553,7 @@ func (p *pipelineRun) compare() (int, error) {
 				continue
 			}
 			p.res.Stats.Patched++
-			patched.classify(p.comparator, i, j, sim.ReplayScore(liveN, tr))
+			patched.classify(&cfg, i, j, sim.ReplayScore(liveN, tr))
 			if p.inc != nil {
 				p.inc.pairs[key] = tr
 			}
@@ -606,12 +598,13 @@ type batchOut struct {
 	scratch  sim.PairTrace // every traced pair of the batch is scored into it
 }
 
-// classify files one scored pair under its class.
-func (out *batchOut) classify(c sim.Comparator, i, j int32, score float64) {
-	switch c.Classify(score) {
-	case sim.ClassDuplicate:
+// classify files one scored pair as a duplicate (Def. 6) or, in the
+// θpossible band when set, a possible duplicate (C2, Sec. 2.2).
+func (out *batchOut) classify(cfg *Config, i, j int32, score float64) {
+	switch {
+	case sim.Classify(score, cfg.ThetaCand):
 		out.pairs = append(out.pairs, Pair{I: i, J: j, Score: score})
-	case sim.ClassPossible:
+	case cfg.ThetaPossible > 0 && score > cfg.ThetaPossible:
 		out.possible = append(out.possible, Pair{I: i, J: j, Score: score})
 	}
 }
@@ -623,7 +616,7 @@ func (out *batchOut) classify(c sim.Comparator, i, j int32, score float64) {
 // one exact-size copy out of the batch's scratch.
 func (p *pipelineRun) scorePair(out *batchOut, oi, oj *od.OD, i, j int32) float64 {
 	if p.inc == nil {
-		return p.comparator.Compare(p.store, oi, oj)
+		return sim.Score(p.store, oi, oj, p.d.cfg.ThetaTuple)
 	}
 	tr := &out.scratch
 	score := sim.ScoreTrace(p.store, oi, oj, p.d.cfg.ThetaTuple, tr)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/dirty"
 	"repro/internal/heuristics"
 	"repro/internal/od"
-	"repro/internal/sim"
 	"repro/internal/xmltree"
 	"repro/internal/xsd"
 )
@@ -232,48 +231,3 @@ func TestPipelineStages(t *testing.T) {
 		t.Error("filter-only run reported a compare stage")
 	}
 }
-
-// TestComparatorStrategyIsSwappable plugs a custom Comparator into the
-// pipeline and checks the compare stage consults it.
-func TestComparatorStrategyIsSwappable(t *testing.T) {
-	doc, err := xmltree.ParseString(`<db>
-	  <rec><name>Alpha Beta</name></rec>
-	  <rec><name>Alpha Beta</name></rec>
-	  <rec><name>Zeta Omega</name></rec>
-	</db>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := core.NewMapping().MustAdd("REC", "/db/rec")
-	det, err := core.NewDetector(m, core.Config{
-		Heuristic:  heuristics.RDistantDescendants(1),
-		ThetaTuple: 0.30,
-		ThetaCand:  0.55,
-		Comparator: everythingMatches{},
-		// Blocking would hide the pair sharing no value from the
-		// comparator; disable it so every pair reaches the strategy.
-		DisableBlocking: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := det.Detect("REC", core.Source{Doc: doc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All three candidates pair up under the always-duplicate strategy,
-	// despite the third record sharing no value.
-	if len(res.Pairs) != 3 || len(res.Clusters) != 1 || len(res.Clusters[0]) != 3 {
-		t.Errorf("pairs=%v clusters=%v, want a single 3-clique", res.Pairs, res.Clusters)
-	}
-	for _, p := range res.Pairs {
-		if p.Score != 1 {
-			t.Errorf("pair %v did not come from the custom comparator", p)
-		}
-	}
-}
-
-type everythingMatches struct{}
-
-func (everythingMatches) Compare(od.Store, *od.OD, *od.OD) float64 { return 1 }
-func (everythingMatches) Classify(float64) sim.Class               { return sim.ClassDuplicate }

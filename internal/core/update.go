@@ -95,10 +95,7 @@ type updateCtx struct {
 // surviving pair recompares — still correct, and still skipping
 // re-ingestion and the index rebuild. Stats.TraceSource attributes
 // which path ran: "memory" (in-process traces), "disk" (traces Adopt
-// restored from the snapshot's trace segment), or "none". Traces
-// replay only the paper's measure: under a custom Comparator every
-// surviving pair recompares (over all pairs with DisableBlocking), and
-// under a custom Filter every bound recomputes.
+// restored from the snapshot's trace segment), or "none".
 //
 // θtuple must match the store's; prev must carry one candidate slot per
 // store ID. With Config.Snapshot.Save set, the batch is persisted with a
@@ -150,8 +147,6 @@ func (d *Detector) Update(prev *Result, batch UpdateBatch) (*Result, error) {
 		inputs:      batch.Add,
 		res:         res,
 		store:       prev.Store,
-		comparator:  d.comparator(),
-		filter:      d.objectFilter(),
 		upd:         &updateCtx{batch: batch, ms: ms, changed: map[string]od.Tuple{}},
 		prev:        prev.inc,
 		newFrom:     ms.IDSpan(),

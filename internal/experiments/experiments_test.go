@@ -182,8 +182,8 @@ func TestFig8Shape(t *testing.T) {
 	// The paper's claim: recall and precision above ~70% at every
 	// duplicate percentage. Our corpus holds that band through 80%
 	// duplicates; at the 90% extreme (only 50 singletons remain)
-	// precision dips to ~58% — recorded as a deviation in
-	// EXPERIMENTS.md.
+	// precision dips to ~58% — a deviation for the paper-scale record
+	// of ROADMAP.md item 19b.
 	for _, p := range points {
 		lo := 0.69
 		if p.DuplicatePct > 0.85 {

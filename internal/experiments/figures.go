@@ -205,7 +205,8 @@ type Fig8Point struct {
 // (sim.FilterExact) is globally brittle — a single object missing a field
 // removes that field from every object's Sunique — so the pipeline
 // semantics ("unique = similar to no other object") is what the sweep
-// evaluates; see EXPERIMENTS.md.
+// evaluates. The paper-scale record of such deviations is ROADMAP.md
+// item 19b.
 func Fig8(n int, seed int64, pcts []float64) ([]Fig8Point, error) {
 	if len(pcts) == 0 {
 		for p := 0.0; p <= 0.9001; p += 0.1 {

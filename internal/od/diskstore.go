@@ -675,9 +675,9 @@ func (s *DiskStore) OD(id int32) *OD {
 }
 
 // ODs implements Store. For a disk store this materializes every OD in
-// memory on first call and keeps the slice — the escape hatch for
-// consumers that genuinely need the whole set (the tree-edit baseline,
-// diagnostics). The pipeline itself only uses OD(id).
+// memory on first call and keeps the slice — for consumers that need
+// the whole set (the Fig. 8 sweep, FilterExact, the quickstart's
+// listing). The pipeline itself only uses OD(id).
 func (s *DiskStore) ODs() []*OD {
 	s.mustBeFinal()
 	s.allMu.Lock()

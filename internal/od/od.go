@@ -45,7 +45,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/strdist"
-	"repro/internal/xmltree"
 )
 
 // Tuple is one OD tuple (value, name) plus the real-world type that the
@@ -67,19 +66,14 @@ func (t Tuple) occKey() string {
 	return t.Type + "\x00" + t.Value
 }
 
-// OD is the description of one duplicate candidate. Node is a
-// convenience pointer back at the candidate element; it is nil when the
-// OD was flattened from a transient subtree (streaming ingestion) or
-// built without a tree (tests). No store index or similarity computation
-// reads it, but consumers that re-examine the original element — e.g.
-// the tree-edit baseline — require it and only work with materialized
-// sources.
+// OD is the description of one duplicate candidate: the flat tuples
+// Steps 4–5 read and where the candidate came from. It holds no pointer
+// into the parsed source, so a store never keeps a document alive.
 type OD struct {
 	ID     int32  // index in the store
 	Object string // positionally qualified XPath of the candidate element
 	Source int    // which input document the candidate came from
 	Tuples []Tuple
-	Node   *xmltree.Node
 
 	compiled atomic.Value // *Compiled, see Compiled()
 }

@@ -62,7 +62,7 @@ func corpusOn(tb testing.TB, n, k int, newStore func() od.Store) (od.Store, [][2
 	return store, pairs
 }
 
-// The score-only path (Classifier.Compare) and the traced one
+// The score-only path (Score) and the traced one
 // (ScoreTrace) must produce Similarity's score bit for bit, in either
 // argument order: the pipeline runs those two, explain output and
 // FilterExact the breakdown, and replayed traces must reproduce what was
@@ -81,11 +81,11 @@ func TestScorePathsBitIdentical(t *testing.T) {
 				res, fullTrace := sim.SimilarityTrace(store, a, b, theta)
 				traced := sim.ScoreTrace(store, a, b, theta, &tr)
 				for name, got := range map[string]float64{
-					"Classifier.Compare": sim.Classifier{ThetaTuple: theta}.Compare(store, a, b),
-					"ScoreTrace":         traced,
-					"SimilarityTrace":    res.Score,
-					"ReplayScore":        sim.ReplayScore(store.Size(), tr),
-					"ReplayScore(full)":  sim.ReplayScore(store.Size(), fullTrace),
+					"Score":             sim.Score(store, a, b, theta),
+					"ScoreTrace":        traced,
+					"SimilarityTrace":   res.Score,
+					"ReplayScore":       sim.ReplayScore(store.Size(), tr),
+					"ReplayScore(full)": sim.ReplayScore(store.Size(), fullTrace),
 				} {
 					if math.Float64bits(got) != math.Float64bits(want.Score) {
 						t.Fatalf("k=%d %s(%d,%d) = %v, Similarity().Score = %v", k, name, a.ID, b.ID, got, want.Score)
@@ -119,12 +119,12 @@ func TestKernelAllocationFree(t *testing.T) {
 	}{{6, nil}, {14, nil}, {6, func() od.Store { return od.NewDiskStore(diskDir) }}} {
 		k := bc.k
 		store, pairs := corpusOn(t, 40, k, bc.newStore)
-		cl := sim.Classifier{ThetaTuple: store.Theta()}
+		theta := store.Theta()
 		var tr sim.PairTrace
 		score := func() {
 			for _, p := range pairs {
-				cl.Compare(store, p[0], p[1])
-				sim.ScoreTrace(store, p[0], p[1], cl.ThetaTuple, &tr)
+				sim.Score(store, p[0], p[1], theta)
+				sim.ScoreTrace(store, p[0], p[1], theta, &tr)
 			}
 		}
 		filter := func() {
@@ -151,27 +151,27 @@ func BenchmarkKernelScore(b *testing.B) {
 		k    int
 	}{{"kd6", 6}, {"kd14", 14}} {
 		store, pairs := corpus(b, 250, bc.k)
-		cl := sim.Classifier{ThetaTuple: store.Theta()}
+		theta := store.Theta()
 		var tr sim.PairTrace
 		b.Run(bc.name+"/score", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p := pairs[i%len(pairs)]
-				scoreSink = cl.Compare(store, p[0], p[1])
+				scoreSink = sim.Score(store, p[0], p[1], theta)
 			}
 		})
 		b.Run(bc.name+"/traced", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p := pairs[i%len(pairs)]
-				scoreSink = sim.ScoreTrace(store, p[0], p[1], cl.ThetaTuple, &tr)
+				scoreSink = sim.ScoreTrace(store, p[0], p[1], theta, &tr)
 			}
 		})
 		b.Run(bc.name+"/similarity", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p := pairs[i%len(pairs)]
-				scoreSink = sim.Similarity(store, p[0], p[1], store.Theta()).Score
+				scoreSink = sim.Similarity(store, p[0], p[1], theta).Score
 			}
 		})
 	}

@@ -64,6 +64,14 @@ func SimilarityTrace(store od.Store, a, b *od.OD, thetaTuple float64) (Result, P
 	return k.breakdown(a, b, &tr), tr
 }
 
+// Score is Similarity(...).Score, bit for bit, without materializing
+// the matched pairs: the score-only path of Step 5.
+func Score(store od.Store, a, b *od.OD, thetaTuple float64) float64 {
+	k := borrowKernel(store, thetaTuple)
+	defer k.giveBack()
+	return k.compare(a, b, false, nil)
+}
+
 // ScoreTrace is the score of SimilarityTrace without the matched pairs:
 // the union sizes are appended to tr's slices after truncating them, so
 // a caller that keeps few traces scores every pair into one PairTrace

@@ -381,7 +381,8 @@ func (d *Document) String() string {
 }
 
 // TextContent returns the concatenation of all text in the subtree, in
-// document order, separated by single spaces. Useful for naive baselines.
+// document order, separated by single spaces: the value of a composite
+// element (core.Mapping.MarkComposite).
 func (n *Node) TextContent() string {
 	var parts []string
 	n.Walk(func(m *Node) bool {
