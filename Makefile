@@ -94,7 +94,8 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
 # The Step 4–5 kernel layer by layer, with ns/op, B/op and allocs/op:
-# the edit-distance kernels and the neighborhood probe (strdist), the
+# the edit-distance kernels, the neighborhood probe and the
+# neighborhood build at detect_cd_mem's ARTIST shape (strdist), the
 # two similar-value lookup tiers and the blocking-set merge in memory,
 # the same tiers on disk by mmap and by pread, one posting-list question
 # and the shared cache's hit path (od), one scored pair and one filter
@@ -107,7 +108,7 @@ bench:
 # smoke-runs it with BENCHTIME=1x.
 BENCHTIME ?= 1s
 bench-kernel:
-	$(GO) test -run '^$$' -bench 'Kernels|NeighborIndexLookup' -benchmem -benchtime $(BENCHTIME) ./internal/strdist/
+	$(GO) test -run '^$$' -bench 'Kernels|NeighborIndex' -benchmem -benchtime $(BENCHTIME) ./internal/strdist/
 	$(GO) test -run '^$$' -bench 'TypeIndexCollect|NeighborsOf|DiskSimilarValues|DiskObjectsWithExact|ShardedLRUGet' -benchmem -benchtime $(BENCHTIME) ./internal/od/
 	$(GO) test -run '^$$' -bench 'KernelScore|KernelFilter' -benchmem -benchtime $(BENCHTIME) ./internal/sim/
 	$(GO) test -run '^$$' -bench 'DetectKernel|UpdateKernel|Ingest' -benchmem -benchtime $(BENCHTIME) ./internal/core/

@@ -3,7 +3,7 @@ package main
 // Client modes against a running dogmatixd daemon:
 //
 //	dogmatix query  -daemon http://HOST:PORT [-id N | -similar -type T -value V | -metrics | -health]
-//	dogmatix submit -daemon http://HOST:PORT [-name NAME] [-remove OBJECT-PATH]... [doc.xml ...]
+//	dogmatix submit -daemon http://HOST:PORT [-name NAME] [-remove [N:]OBJECT-PATH]... [doc.xml ...]
 //
 // query without a selector fetches the full clustering (/v1/clusters).
 // submit reads each document file, posts everything as one update
@@ -94,7 +94,7 @@ func runSubmit(args []string, stdout, stderr io.Writer) error {
 	var names stringList
 	fs.Var(&names, "name", "source name for the Nth document (repeatable; default: the file path)")
 	var removes stringList
-	fs.Var(&removes, "remove", "object path of a candidate to remove, optionally SOURCE:path (repeatable)")
+	fs.Var(&removes, "remove", "`[N:]PATH` of a candidate to remove, N the 0-based source index where PATH recurs across sources (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -9,7 +9,7 @@
 //	         [-store mem|disk|dist] \
 //	         [-partitions 3 | -partition-addrs H1:P1,H2:P2] \
 //	         [-store-dir DIR] [-reuse-index] \
-//	         [-update] [-remove OBJECT-PATH]... \
+//	         [-update] [-remove [N:]OBJECT-PATH]... \
 //	         [-stream] doc1.xml [doc2.xml ...]
 //
 // The mapping file associates real-world types with schema XPaths, one
@@ -59,7 +59,9 @@
 // -update runs incremental detection against the persisted indexes in
 // -store-dir instead of rebuilding them: the listed documents are
 // ingested as *new* sources appended to the corpus, every -remove
-// OBJECT-PATH deletes an existing candidate, and only the affected
+// [N:]OBJECT-PATH deletes an existing candidate (N, the 0-based index
+// of its source, tells apart a path that recurs across sources), and
+// only the affected
 // portion of the pipeline re-runs (delta index maintenance, scoped
 // filter-bound recomputation, recomparison of affected pairs). The
 // batch is persisted to -store-dir as a delta segment plus one trace
@@ -80,7 +82,7 @@
 // detecting locally (see clientmode.go and cmd/dogmatixd):
 //
 //	dogmatix query  -daemon http://HOST:PORT [-id N | -similar -type T -value V | -metrics | -health]
-//	dogmatix submit -daemon http://HOST:PORT [-remove OBJECT-PATH]... [doc.xml ...]
+//	dogmatix submit -daemon http://HOST:PORT [-remove [N:]OBJECT-PATH]... [doc.xml ...]
 //
 // A third subcommand re-partitions a persisted federation in place of
 // any re-ingestion (see rebalance.go):
@@ -164,7 +166,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.format, "format", "xml", "output format: xml (Fig. 3) | json | csv")
 	fs.BoolVar(&o.stream, "stream", false, "ingest documents through the pull parser (bounded memory) instead of materializing them")
 	fs.BoolVar(&o.update, "update", false, "incremental run: append the documents to (and apply -remove against) the persisted indexes in -store-dir")
-	fs.Var((*stringList)(&o.removePaths), "remove", "with -update: object path of a candidate to remove (repeatable)")
+	fs.Var((*stringList)(&o.removePaths), "remove", "with -update: `[N:]PATH` of a candidate to remove, N the 0-based source index where PATH recurs across sources (repeatable)")
 }
 
 // validate checks every flag combination up front — before any file is
@@ -352,16 +354,20 @@ func runUpdate(opts options, det *core.Detector, inputs []core.SourceInput) (*co
 
 // resolveRemovals maps -remove object paths onto live candidate IDs.
 // The same path can recur across sources, so a removal may qualify the
-// source with an `N:` prefix ("1:/db/rec[3]" removes source 1's
-// candidate); an unqualified path must be unambiguous.
+// source with an `N:` prefix, N the 0-based source index ("1:/db/rec[3]"
+// removes source 1's candidate); an unqualified path must be
+// unambiguous. A spec that does not start with '/' must carry the
+// prefix: anything else before the colon, a file name say, is an error.
 func resolveRemovals(prev *core.Result, store od.MutableStore, paths []string) ([]int32, error) {
 	var out []int32
 	for _, spec := range paths {
 		path, source := spec, -1
-		if colon := strings.IndexByte(spec, ':'); colon > 0 {
-			if n, err := strconv.Atoi(spec[:colon]); err == nil {
-				source, path = n, spec[colon+1:]
+		if colon := strings.IndexByte(spec, ':'); colon > 0 && spec[0] != '/' {
+			n, err := strconv.Atoi(spec[:colon])
+			if err != nil || n < 0 {
+				return nil, fmt.Errorf("-remove %s: %q is not a source index — qualify as N:%s, N the 0-based source index", spec, spec[:colon], spec[colon+1:])
 			}
+			source, path = n, spec[colon+1:]
 		}
 		var matches []int32
 		for id, c := range prev.Candidates {
@@ -379,7 +385,7 @@ func resolveRemovals(prev *core.Result, store od.MutableStore, paths []string) (
 			for _, id := range matches {
 				srcs = append(srcs, strconv.Itoa(prev.Candidates[id].Source))
 			}
-			return nil, fmt.Errorf("-remove %s: ambiguous, candidates exist in sources %s — qualify as SOURCE:%s", spec, strings.Join(srcs, ", "), path)
+			return nil, fmt.Errorf("-remove %s: ambiguous, candidates exist in sources %s — qualify as N:%s, N one of these source indexes", spec, strings.Join(srcs, ", "), path)
 		}
 	}
 	return out, nil

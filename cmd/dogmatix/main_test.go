@@ -342,8 +342,16 @@ func TestRunUpdateEndToEnd(t *testing.T) {
 		t.Fatalf("unknown -remove path: %v", err)
 	}
 	bad.removePaths = []string{"/db/rec[1]"} // exists in sources 0 and 1
-	if err := run(bad, nil, &out, &out); err == nil || !strings.Contains(err.Error(), "ambiguous") {
+	if err := run(bad, nil, &out, &out); err == nil || !strings.Contains(err.Error(), "ambiguous") ||
+		!strings.Contains(err.Error(), "N:/db/rec[1]") {
 		t.Fatalf("ambiguous -remove path: %v", err)
+	}
+	// A file name is not a source qualifier: the error names the index
+	// form instead of claiming the path is unknown.
+	bad.removePaths = []string{"d1.xml:/db/rec[1]"}
+	if err := run(bad, nil, &out, &out); err == nil || !strings.Contains(err.Error(), "not a source index") ||
+		!strings.Contains(err.Error(), "N:/db/rec[1]") {
+		t.Fatalf("file-qualified -remove path: %v", err)
 	}
 }
 

@@ -98,7 +98,8 @@ type UpdateDoc struct {
 
 // UpdateRequest is the body of POST /v1/updates. Remove entries follow
 // the CLI's -remove syntax: an object path, optionally qualified as
-// "SOURCE:path" when the same path recurs across sources. Removals
+// "N:path", N the 0-based source index, when the same path recurs
+// across sources. Removals
 // resolve against the corpus as of the batch's apply time; a removal
 // cannot name an object added by a batch coalesced into the same
 // Update call.

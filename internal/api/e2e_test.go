@@ -830,6 +830,10 @@ func TestDaemonRejections(t *testing.T) {
 	if _, err := cl.Submit(ctx, &api.UpdateRequest{Remove: []string{"/freedb/disc[99999]"}}); !isCode(err, api.CodeBadRequest, 400) {
 		t.Errorf("bogus removal err = %v, want 400", err)
 	}
+	if _, err := cl.Submit(ctx, &api.UpdateRequest{Remove: []string{"cds.xml:/freedb/disc[1]"}}); !isCode(err, api.CodeBadRequest, 400) ||
+		!strings.Contains(err.Error(), "not a source index") {
+		t.Errorf("file-qualified removal err = %v, want 400 naming the N: form", err)
+	}
 
 	// None of those poisoned the daemon: a real batch still applies.
 	if r := submitBatch(t, cl, fix, 1, nil); r.Epoch != 1 {

@@ -417,9 +417,11 @@ func (v *view) ref(id int32) ObjectRef {
 	return ObjectRef{ID: id, Path: c.Path, Source: c.Source}
 }
 
-// resolveRemovals maps removal specs ("path" or "SOURCE:path", the
-// CLI's -remove syntax) onto live candidate IDs of res. An unqualified
-// path that matches candidates in several sources is ambiguous.
+// resolveRemovals maps removal specs ("path" or "N:path", N the
+// 0-based source index: the CLI's -remove syntax) onto live candidate
+// IDs of res. An unqualified path that matches candidates in several
+// sources is ambiguous; a spec not starting with '/' must carry a
+// numeric N.
 func resolveRemovals(res *core.Result, specs []string) ([]int32, error) {
 	if len(specs) == 0 {
 		return nil, nil
@@ -431,10 +433,13 @@ func resolveRemovals(res *core.Result, specs []string) ([]int32, error) {
 	var out []int32
 	for _, spec := range specs {
 		path, source := spec, -1
-		if colon := strings.IndexByte(spec, ':'); colon > 0 {
-			if n, err := strconv.Atoi(spec[:colon]); err == nil {
-				source, path = n, spec[colon+1:]
+		if colon := strings.IndexByte(spec, ':'); colon > 0 && spec[0] != '/' {
+			n, err := strconv.Atoi(spec[:colon])
+			if err != nil || n < 0 {
+				return nil, fmt.Errorf("remove %s: %q is not a source index — qualify as N:%s, N the 0-based source index",
+					spec, spec[:colon], spec[colon+1:])
 			}
+			source, path = n, spec[colon+1:]
 		}
 		var matches []int32
 		for id, c := range res.Candidates {
@@ -452,7 +457,7 @@ func resolveRemovals(res *core.Result, specs []string) ([]int32, error) {
 			for _, id := range matches {
 				srcs = append(srcs, strconv.Itoa(res.Candidates[id].Source))
 			}
-			return nil, fmt.Errorf("remove %s: ambiguous, candidates exist in sources %s — qualify as SOURCE:%s",
+			return nil, fmt.Errorf("remove %s: ambiguous, candidates exist in sources %s — qualify as N:%s, N one of these source indexes",
 				spec, strings.Join(srcs, ", "), path)
 		}
 	}

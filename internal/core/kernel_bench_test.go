@@ -28,6 +28,11 @@ import (
 // ablations run the "score" configuration with one lossless shortcut
 // switched off: nofilter without the Step 4 filter, noblocking with
 // every surviving pair compared instead of the shared-value blocking.
+// This corpus's ARTIST values reach 21 runes, an edit budget of 3, so
+// the type runs on the length-windowed scan tier and never builds the
+// deletion-neighborhood index; the reference corpus cuts ARTIST to 20
+// runes (budget 2) and does, which BenchmarkNeighborIndexBuild in
+// internal/strdist measures at that shape.
 //
 //	go test ./internal/core -run xxx -bench DetectKernel -benchmem
 func BenchmarkDetectKernel(b *testing.B) {

@@ -483,6 +483,9 @@ func (p *pipelineRun) compare() (int, error) {
 	// per-pair comparisons start issuing them one by one. Cache-only:
 	// answers are bit-identical with or without the prefetch.
 	batchStore, _ := p.store.(od.BatchQueryStore)
+	// Every compared object resolves its tuples' postings once, on its
+	// first pair; later pairs read them by (id, slot).
+	post := sim.NewPostings(p.store, span)
 	runBatch := func(b int) {
 		out := &outs[b]
 		batch := list[b*compareBatchSize : min((b+1)*compareBatchSize, len(list))]
@@ -506,7 +509,7 @@ func (p *pipelineRun) compare() (int, error) {
 					x, y, ox, oy = y, x, oy, ox
 				}
 				out.compared++
-				out.classify(&cfg, x, y, p.scorePair(out, ox, oy, x, y))
+				out.classify(&cfg, x, y, p.scorePair(out, post, ox, oy, x, y))
 			}
 			if cfg.DisableBlocking {
 				for j := int32(0); j < int32(span); j++ {
@@ -614,12 +617,12 @@ func (out *batchOut) classify(cfg *Config, i, j int32, score float64) {
 // least one similar match — a pair without one scores 0 under any
 // corpus size, so there is nothing to patch later — and a kept trace is
 // one exact-size copy out of the batch's scratch.
-func (p *pipelineRun) scorePair(out *batchOut, oi, oj *od.OD, i, j int32) float64 {
+func (p *pipelineRun) scorePair(out *batchOut, post *sim.Postings, oi, oj *od.OD, i, j int32) float64 {
 	if p.inc == nil {
-		return sim.Score(p.store, oi, oj, p.d.cfg.ThetaTuple)
+		return sim.Score(post, oi, oj, p.d.cfg.ThetaTuple)
 	}
 	tr := &out.scratch
-	score := sim.ScoreTrace(p.store, oi, oj, p.d.cfg.ThetaTuple, tr)
+	score := sim.ScoreTrace(post, oi, oj, p.d.cfg.ThetaTuple, tr)
 	if ns := len(tr.SimU); ns > 0 {
 		unions := append(append(make([]int32, 0, ns+len(tr.ConU)), tr.SimU...), tr.ConU...)
 		out.traces = append(out.traces, tracedPair{key: pairKey(i, j), tr: sim.PairTrace{SimU: unions[:ns:ns], ConU: unions[ns:]}})

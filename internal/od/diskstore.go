@@ -946,7 +946,7 @@ func (s *DiskStore) routingFilters() []VariantFilter {
 		f := VariantFilter{Type: tm.Name, MaxLen: tm.MaxLen}
 		if !s.opts.DisableNeighborIndex && !addedTypes[tm.Name] && s.r.HasNeighbors(tm.Name) {
 			bits := newBloomBits(s.r.NeighborBuckets(tm.Name))
-			ok, err := s.r.ScanNeighborVariants(tm.Name, func(v string) { bloomAdd(bits, variantHash(v)) })
+			ok, err := s.r.ScanNeighborVariants(tm.Name, func(v string) { bloomAdd(bits, strdist.VariantHash(v)) })
 			if err != nil {
 				panic(fmt.Sprintf("od: DiskStore: %v", err))
 			}

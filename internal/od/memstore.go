@@ -295,8 +295,11 @@ func (s *MemStore) routingFilters() []VariantFilter {
 		if ti.neighbor != nil && s.deltas[typ] == nil {
 			f.Covered = true
 			f.Budget = ti.budget
-			f.Bits = newBloomBits(ti.neighbor.NumVariants())
-			ti.neighbor.Variants(func(v string) { bloomAdd(f.Bits, variantHash(v)) })
+			hashes := ti.neighbor.Hashes()
+			f.Bits = newBloomBits(len(hashes))
+			for _, h := range hashes {
+				bloomAdd(f.Bits, h)
+			}
 		}
 		out = append(out, f)
 	}

@@ -69,18 +69,6 @@ func newBloomBits(n int) []uint64 {
 	return make([]uint64, words)
 }
 
-// variantHash is the 64-bit FNV-1a every routing filter hashes bucket
-// keys with — both ends of the wire must agree on it, like the 32-bit
-// fnv1aOcc both ends route occurrence keys with.
-func variantHash(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // bloomAdd sets the key's probe bits (double hashing off the one
 // 64-bit hash).
 func bloomAdd(bits []uint64, h uint64) {
@@ -132,7 +120,7 @@ func (f *VariantFilter) canSkipSimilar(q string, qLen int, theta float64) bool {
 		return false // query out-ranges the indexed tier: full fan-out
 	}
 	for _, v := range strdist.DeletionVariants(q, need) {
-		if bloomHas(f.Bits, variantHash(v)) {
+		if bloomHas(f.Bits, strdist.VariantHash(v)) {
 			return false
 		}
 	}
@@ -150,7 +138,7 @@ func (f *VariantFilter) canSkipExact(v string) bool {
 	if !f.Covered {
 		return false
 	}
-	return !bloomHas(f.Bits, variantHash(v))
+	return !bloomHas(f.Bits, strdist.VariantHash(v))
 }
 
 // addValue folds one value newly added to the member into the
@@ -166,7 +154,7 @@ func (f *VariantFilter) addValue(val string) {
 		return
 	}
 	for _, v := range strdist.DeletionVariants(val, f.Budget) {
-		bloomAdd(f.Bits, variantHash(v))
+		bloomAdd(f.Bits, strdist.VariantHash(v))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/od"
 	"repro/internal/strdist"
@@ -23,9 +24,11 @@ type kernel struct {
 	theta float64
 
 	// Per compared pair.
-	size           int     // |ΩT|, read once per pair
-	simIDF, conIDF float64 // running setSoftIDF sums, in matching order
-	res            Result  // the breakdown, when asked for
+	size           int       // |ΩT|, read once per pair
+	rowA, rowB     [][]int32 // the two objects' posting rows, see Postings
+	simIDF, conIDF float64   // running setSoftIDF sums, in matching order
+	res            Result    // the breakdown, when asked for
+	ownA, ownB     [][]int32 // rows resolved by entry points without a Postings
 
 	// Per matched group.
 	pattern      strdist.Pattern
@@ -46,6 +49,9 @@ func borrowKernel(store od.Store, thetaTuple float64) *kernel {
 func (k *kernel) giveBack() {
 	// Nothing of the caller's stays reachable from the pool.
 	k.store = nil
+	k.rowA, k.rowB = nil, nil
+	clear(k.ownA[:cap(k.ownA)])
+	clear(k.ownB[:cap(k.ownB)])
 	clear(k.res.Similar[:cap(k.res.Similar)])
 	clear(k.res.Contradictory[:cap(k.res.Contradictory)])
 	k.pattern.Set(nil)
@@ -53,9 +59,12 @@ func (k *kernel) giveBack() {
 }
 
 // breakdown compares a and b and returns the full Result in slices of
-// its own, one allocation for both.
+// its own, one allocation for both. It resolves both posting rows into
+// the kernel's scratch: the entry point of callers without a Postings.
 func (k *kernel) breakdown(a, b *od.OD, tr *PairTrace) Result {
-	k.compare(a, b, true, tr)
+	k.ownA = appendRow(k.ownA[:0], k.store, a)
+	k.ownB = appendRow(k.ownB[:0], k.store, b)
+	k.compare(a, b, k.ownA, k.ownB, true, tr)
 	res := k.res
 	ns := len(res.Similar)
 	all := append(append(make([]MatchedPair, 0, ns+len(res.Contradictory)), res.Similar...), res.Contradictory...)
@@ -69,20 +78,22 @@ func (k *kernel) breakdown(a, b *od.OD, tr *PairTrace) Result {
 	return res
 }
 
-// compare is the measure of Section 5.1. With pairs set, the matched
-// pairs, the two sums and the score are left in k.res until the next
-// call; with tr set, the union size behind every softIDF term is
-// appended to it. The softIDF terms are summed as they are matched —
-// comparable types ascending, within a type the similar matches by
-// ascending distance, then the contradictory ones by descending distance
-// — which is the order every earlier version summed them in, so scores
-// are bit-identical whatever is recorded beside them.
-func (k *kernel) compare(a, b *od.OD, pairs bool, tr *PairTrace) float64 {
+// compare is the measure of Section 5.1 over a and b with their posting
+// rows ra and rb. With pairs set, the matched pairs, the two sums and
+// the score are left in k.res until the next call; with tr set, the
+// union size behind every softIDF term is appended to it. The softIDF
+// terms are summed as they are matched — comparable types ascending,
+// within a type the similar matches by ascending distance, then the
+// contradictory ones by descending distance — which is the order every
+// earlier version summed them in, so scores are bit-identical whatever
+// is recorded beside them.
+func (k *kernel) compare(a, b *od.OD, ra, rb [][]int32, pairs bool, tr *PairTrace) float64 {
 	if b.ID < a.ID || (b.ID == a.ID && b.Object < a.Object) {
-		a, b = b, a
+		a, b, ra, rb = b, a, rb, ra
 	}
 	ca, cb := a.Compiled(), b.Compiled()
 	k.size = k.store.Size()
+	k.rowA, k.rowB = ra, rb
 	k.simIDF, k.conIDF = 0, 0
 	var res *Result
 	if pairs {
@@ -208,10 +219,10 @@ func (k *kernel) matchGreedily(g *group, similar bool, res *Result, tr *PairTrac
 func (k *kernel) matched(g *group, p pairDist, similar bool, res *Result, tr *PairTrace) {
 	slotA, slotB := g.as[p.i].Slot, g.bs[p.j].Slot
 	ta, tb := g.ca.NonEmpty[slotA], g.cb.NonEmpty[slotB]
-	oa := k.store.ObjectsWithExact(ta)
+	oa := k.rowA[slotA]
 	u := len(oa)
 	if ta.Value != tb.Value {
-		u = od.UnionSize(oa, k.store.ObjectsWithExact(tb))
+		u = od.UnionSize(oa, k.rowB[slotB])
 	}
 	idf := od.SoftIDFValue(k.size, u)
 	if similar {
@@ -241,4 +252,46 @@ func resetFlags(flags []bool, n int) []bool {
 	flags = slices.Grow(flags[:0], n)[:n]
 	clear(flags)
 	return flags
+}
+
+// Postings is Step 5's posting table for one run of comparisons: per
+// object id, the object's row of posting lists, row[slot] =
+// ObjectsWithExact(NonEmpty[slot]). A row is resolved on the object's
+// first comparison and read by every later one, so a matched tuple pair
+// costs no store lookup: the rows are indexed by (object id, slot) and
+// hash nothing. The store must not change while a Postings is in use,
+// and a Postings holds no more than the store's own posting slices.
+type Postings struct {
+	store od.Store
+	rows  []atomic.Pointer[[][]int32]
+}
+
+// NewPostings returns an empty table over the objects of store with
+// ids below span.
+func NewPostings(store od.Store, span int) *Postings {
+	return &Postings{store: store, rows: make([]atomic.Pointer[[][]int32], span)}
+}
+
+// row returns o's posting row, resolving it on first use. Two workers
+// reaching a fresh row at once may both resolve it; the rows are equal
+// and the first stored wins.
+func (p *Postings) row(o *od.OD) [][]int32 {
+	slot := &p.rows[o.ID]
+	if r := slot.Load(); r != nil {
+		return *r
+	}
+	r := appendRow(make([][]int32, 0, len(o.NonEmptyTuples())), p.store, o)
+	if !slot.CompareAndSwap(nil, &r) {
+		return *slot.Load()
+	}
+	return r
+}
+
+// appendRow appends o's posting row to dst: the one place the kernel
+// asks the store for postings.
+func appendRow(dst [][]int32, store od.Store, o *od.OD) [][]int32 {
+	for _, t := range o.NonEmptyTuples() {
+		dst = append(dst, store.ObjectsWithExact(t))
+	}
+	return dst
 }

@@ -71,6 +71,7 @@ func TestScorePathsBitIdentical(t *testing.T) {
 	for _, k := range []int{6, 14} {
 		store, pairs := corpus(t, 60, k)
 		theta := store.Theta()
+		post := sim.NewPostings(store, store.Size())
 		var tr sim.PairTrace
 		matched := 0
 		for _, p := range pairs {
@@ -79,9 +80,9 @@ func TestScorePathsBitIdentical(t *testing.T) {
 				want := sim.Similarity(store, a, b, theta)
 				matched += len(want.Similar)
 				res, fullTrace := sim.SimilarityTrace(store, a, b, theta)
-				traced := sim.ScoreTrace(store, a, b, theta, &tr)
+				traced := sim.ScoreTrace(post, a, b, theta, &tr)
 				for name, got := range map[string]float64{
-					"Score":             sim.Score(store, a, b, theta),
+					"Score":             sim.Score(post, a, b, theta),
 					"ScoreTrace":        traced,
 					"SimilarityTrace":   res.Score,
 					"ReplayScore":       sim.ReplayScore(store.Size(), tr),
@@ -120,11 +121,12 @@ func TestKernelAllocationFree(t *testing.T) {
 		k := bc.k
 		store, pairs := corpusOn(t, 40, k, bc.newStore)
 		theta := store.Theta()
+		post := sim.NewPostings(store, store.Size())
 		var tr sim.PairTrace
 		score := func() {
 			for _, p := range pairs {
-				sim.Score(store, p[0], p[1], theta)
-				sim.ScoreTrace(store, p[0], p[1], theta, &tr)
+				sim.Score(post, p[0], p[1], theta)
+				sim.ScoreTrace(post, p[0], p[1], theta, &tr)
 			}
 		}
 		filter := func() {
@@ -132,7 +134,7 @@ func TestKernelAllocationFree(t *testing.T) {
 				sim.Filter(store, store.OD(id))
 			}
 		}
-		score() // warm-up: buffers grow to the largest group, the store's cache fills
+		score() // warm-up: buffers grow to the largest group, the posting rows and the store's cache fill
 		filter()
 		if n := testing.AllocsPerRun(5, score); n != 0 {
 			t.Errorf("k=%d on %T: scoring %d pairs allocates %v times", k, store, len(pairs), n)
@@ -152,19 +154,20 @@ func BenchmarkKernelScore(b *testing.B) {
 	}{{"kd6", 6}, {"kd14", 14}} {
 		store, pairs := corpus(b, 250, bc.k)
 		theta := store.Theta()
+		post := sim.NewPostings(store, store.Size())
 		var tr sim.PairTrace
 		b.Run(bc.name+"/score", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p := pairs[i%len(pairs)]
-				scoreSink = sim.Score(store, p[0], p[1], theta)
+				scoreSink = sim.Score(post, p[0], p[1], theta)
 			}
 		})
 		b.Run(bc.name+"/traced", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p := pairs[i%len(pairs)]
-				scoreSink = sim.ScoreTrace(store, p[0], p[1], theta, &tr)
+				scoreSink = sim.ScoreTrace(post, p[0], p[1], theta, &tr)
 			}
 		})
 		b.Run(bc.name+"/similarity", func(b *testing.B) {

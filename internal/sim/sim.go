@@ -65,22 +65,23 @@ func SimilarityTrace(store od.Store, a, b *od.OD, thetaTuple float64) (Result, P
 }
 
 // Score is Similarity(...).Score, bit for bit, without materializing
-// the matched pairs: the score-only path of Step 5.
-func Score(store od.Store, a, b *od.OD, thetaTuple float64) float64 {
-	k := borrowKernel(store, thetaTuple)
+// the matched pairs: the score-only path of Step 5. The postings come
+// from post's rows, and so does the store.
+func Score(post *Postings, a, b *od.OD, thetaTuple float64) float64 {
+	k := borrowKernel(post.store, thetaTuple)
 	defer k.giveBack()
-	return k.compare(a, b, false, nil)
+	return k.compare(a, b, post.row(a), post.row(b), false, nil)
 }
 
 // ScoreTrace is the score of SimilarityTrace without the matched pairs:
 // the union sizes are appended to tr's slices after truncating them, so
 // a caller that keeps few traces scores every pair into one PairTrace
 // and copies the ones it keeps.
-func ScoreTrace(store od.Store, a, b *od.OD, thetaTuple float64, tr *PairTrace) float64 {
-	k := borrowKernel(store, thetaTuple)
+func ScoreTrace(post *Postings, a, b *od.OD, thetaTuple float64, tr *PairTrace) float64 {
+	k := borrowKernel(post.store, thetaTuple)
 	defer k.giveBack()
 	tr.SimU, tr.ConU = tr.SimU[:0], tr.ConU[:0]
-	return k.compare(a, b, false, tr)
+	return k.compare(a, b, post.row(a), post.row(b), false, tr)
 }
 
 // ReplayScore recomputes a traced pair's score under a corpus of the
@@ -236,6 +237,7 @@ func FilterExact(store od.Store, o *od.OD, thetaTuple float64) float64 {
 	}
 	k := borrowKernel(store, thetaTuple)
 	defer k.giveBack()
+	k.ownA = appendRow(k.ownA[:0], store, o)
 	// Per tuple of o, by its slot in o.NonEmptyTuples().
 	n := len(o.NonEmptyTuples())
 	sharedMax := make([]float64, n) // max similar idf against any partner
@@ -256,7 +258,8 @@ func FilterExact(store od.Store, o *od.OD, thetaTuple float64) float64 {
 		if other == nil || other.ID == o.ID {
 			continue
 		}
-		k.compare(o, other, true, nil)
+		k.ownB = appendRow(k.ownB[:0], store, other)
+		k.compare(o, other, k.ownA, k.ownB, true, nil)
 		// The kernel orders its arguments canonically by ID, so o's tuples
 		// sit on the A side iff o has the lower ID.
 		oSlot := func(m MatchedPair) int {

@@ -1,6 +1,7 @@
 package strdist
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -232,5 +233,40 @@ func BenchmarkNeighborIndexLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kernelSink = len(idx.Lookup(values[i%len(values)], -1))
+	}
+}
+
+// artistValues returns n distinct name-like values of 8–20 runes from
+// a fixed seed: the shape of the reference benchmark's detect_cd_mem
+// ARTIST type, which the reference corpus cuts to 20 runes.
+func artistValues(n int) []string {
+	rng := rand.New(rand.NewSource(2005))
+	seen := make(map[string]bool, n)
+	values := make([]string, 0, n)
+	for len(values) < n {
+		b := make([]byte, 8+rng.Intn(13))
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+		}
+		if sp := rng.Intn(len(b)-4) + 2; rng.Intn(3) > 0 {
+			b[sp] = ' '
+		}
+		if v := string(b); !seen[v] {
+			seen[v] = true
+			values = append(values, v)
+		}
+	}
+	return values
+}
+
+// BenchmarkNeighborIndexBuild is the deletion-neighborhood build of
+// one type at detect_cd_mem's ARTIST shape: ~500 values of at most 20
+// runes under budget 2, some 45 k deletion variants.
+func BenchmarkNeighborIndexBuild(b *testing.B) {
+	values := artistValues(515)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kernelSink = len(NewNeighborIndex(values, 2).Hashes())
 	}
 }

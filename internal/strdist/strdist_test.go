@@ -2,6 +2,7 @@ package strdist
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -278,41 +279,69 @@ func TestQuickNormalizedBelowAgrees(t *testing.T) {
 	}
 }
 
-// Property: NeighborIndex(1) finds exactly the strings within 1 edit.
+// Property: at every budget, Candidates holds every value within the
+// budget of the query and Lookup exactly those, with multi-byte runes
+// and invalid UTF-8 (decoded to U+FFFD, as []rune does) among the
+// values; the reference is a brute-force LevenshteinBoundedRunes.
 func TestQuickNeighborIndexComplete(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		values := make([]string, 30)
-		for i := range values {
-			values[i] = randWord(rng)
-		}
-		idx := NewNeighborIndex(values, 1)
-		q := values[rng.Intn(len(values))]
-		got := map[int32]bool{}
-		for _, g := range idx.Lookup(q, -1) {
-			got[g] = true
-		}
-		for i, v := range values {
-			want := Levenshtein(q, v) <= 1
-			if got[int32(i)] != want {
-				return false
+	for budget := 0; budget <= 2; budget++ {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			values := make([]string, 30)
+			for i := range values {
+				values[i] = randWord(rng)
 			}
+			idx := NewNeighborIndex(values, budget)
+			q := values[rng.Intn(len(values))]
+			if rng.Intn(3) == 0 {
+				q = randWord(rng) // a query that may be indexed nowhere
+			}
+			cands := map[int32]bool{}
+			for _, c := range idx.Candidates(nil, q) {
+				cands[c] = true
+			}
+			got := map[int32]bool{}
+			for _, g := range idx.Lookup(q, -1) {
+				got[g] = true
+			}
+			for i, v := range values {
+				_, want := LevenshteinBoundedRunes([]rune(q), []rune(v), budget)
+				if want && !cands[int32(i)] || got[int32(i)] != want {
+					t.Logf("budget %d, query %q, value %q: within %v, candidate %v, found %v",
+						budget, q, v, want, cands[int32(i)], got[int32(i)])
+					return false
+				}
+			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Errorf("budget %d: %v", budget, err)
+		}
 	}
 }
 
-func randWord(rng *rand.Rand) string {
-	letters := "abcd"
-	n := rng.Intn(6) + 1
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = letters[rng.Intn(len(letters))]
+// TestNeighborIndexBuildAllocs pins the flat build: a fixed number of
+// slices however many values and deletion variants the index holds.
+func TestNeighborIndexBuildAllocs(t *testing.T) {
+	small, large := artistValues(50), artistValues(500)
+	a50 := testing.AllocsPerRun(5, func() { NewNeighborIndex(small, 2) })
+	a500 := testing.AllocsPerRun(5, func() { NewNeighborIndex(large, 2) })
+	if a50 != a500 {
+		t.Errorf("NewNeighborIndex allocates %v times for 50 values and %v for 500: want equal", a50, a500)
 	}
-	return string(b)
+}
+
+// randWord draws 1–6 runes over a small alphabet of one-, two- and
+// three-byte runes plus an invalid byte, so deletion variants collide
+// often and cut through multi-byte sequences.
+func randWord(rng *rand.Rand) string {
+	letters := []string{"a", "b", "c", "ä", "€", "\xff"}
+	n := rng.Intn(6) + 1
+	var b strings.Builder
+	for range n {
+		b.WriteString(letters[rng.Intn(len(letters))])
+	}
+	return b.String()
 }
 
 func clip(s string) string {
