@@ -39,22 +39,23 @@ test-disk:
 
 # Distributed-store gate: the whole odrpc transport package (frame
 # codec, loopback parity, version skew, timeouts), the federation
-# parity/fault/persistence suites, and the dist rows of the end-to-end
-# parity and equivalence suites, all under the race detector. Loopback
-# transports only — no sockets open. The CI container is single-core,
-# so partition-parallel wall-time wins only show on multicore hardware.
+# parity/fault/snapshot suites, and the dist rows of the end-to-end
+# parity and equivalence suites, all under the race detector. Every
+# member is an in-process store behind a loopback transport — no
+# sockets open. The CI container is single-core, so partition-parallel
+# wall-time wins only show on multicore hardware.
 test-dist:
 	$(GO) test -race ./internal/od/odrpc/
-	$(GO) test -race -run 'Partition|Federation|Loopback|StoreParity|Equivalence|DistStore|Routing|Replica|Rebalance' \
+	$(GO) test -race -run 'Partition|Federation|Loopback|StoreParity|Equivalence|DistStore|Routing' \
 		./internal/od/... ./internal/core/... ./cmd/dogmatix/...
 
 # Service-layer gate: the daemon's end-to-end lifecycle suites (cold and
 # warm boots, query → update → re-query bit-identity against the
 # one-shot chain on every backend), the concurrency and fault suites
-# (parallel readers, drain-loses-nothing, member-failure-during-update),
-# and the federation generation-snapshot protocol — all under the race
-# detector, plus the dogmatixd flag/boot tests and the client-mode
-# plumbing in the CLI. CI runs this as its own job.
+# (parallel readers, drain-loses-nothing, member-failure-during-update)
+# and the durable-ack contract — all under the race detector, plus the
+# dogmatixd flag/boot tests and the client-mode plumbing in the CLI. CI
+# runs this as its own job.
 test-daemon:
 	$(GO) test -race ./internal/api/... ./cmd/dogmatixd/...
 	$(GO) test -race -run 'Query|Submit|Client' ./cmd/dogmatix/...

@@ -126,7 +126,7 @@ func runSubmit(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("submit: %w", err)
 	}
 	if !resp.Durable {
-		fmt.Fprintln(stderr, "dogmatix: warning: the daemon applied this batch in memory only — the ack is volatile and a daemon restart loses it (serve a persisting backend: -store disk -store-dir, or -store dist -snapshot-root)")
+		fmt.Fprintln(stderr, "dogmatix: warning: the daemon applied this batch in memory only — the ack is volatile and a daemon restart loses it (serve a persisting backend: -store disk -store-dir)")
 	}
 	return printJSON(stdout, resp)
 }

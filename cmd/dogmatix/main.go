@@ -6,8 +6,7 @@
 //	dogmatix -map mapping.txt -type MOVIE [-schema doc.xsd] \
 //	         [-heuristic kd:6] [-ttuple 0.15] [-tcand 0.55] \
 //	         [-filter] [-pairs] [-stages] [-workers 4] \
-//	         [-store mem|disk|dist] \
-//	         [-partitions 3 | -partition-addrs H1:P1,H2:P2] \
+//	         [-store mem|disk|dist] [-partitions 3] \
 //	         [-store-dir DIR] [-reuse-index] \
 //	         [-update] [-remove [N:]OBJECT-PATH]... \
 //	         [-stream] doc1.xml [doc2.xml ...]
@@ -24,17 +23,14 @@
 // disk builds the indexes into odcodec segment files under -store-dir
 // and serves queries from them, so the run's retained memory stays
 // bounded by its caches and the indexes survive the process; dist
-// federates the indexes across partition members behind the odrpc wire
-// protocol — either -partitions in-process members each behind a
-// loopback transport (the single-machine shape, full codec, no
-// sockets), or the odrpc servers listed in -partition-addrs. All three
-// backends produce identical output. The default resolves to dist when
-// -partitions or -partition-addrs is set, and mem otherwise. A
-// federation member failing or hanging mid-run fails the run with a
+// federates the indexes across -partitions in-process members (2 by
+// default), each behind an odrpc loopback transport (full wire codec,
+// no sockets). All three backends produce identical output. The
+// default resolves to dist when -partitions is set, and mem otherwise.
+// A federation member failing or hanging mid-run fails the run with a
 // typed partition error — never a silently incomplete result.
 // -reuse-index and -update serve from single-directory disk snapshots
-// and do not combine with -store dist (persist a federation with
-// od.SavePartitioned).
+// and do not combine with -store dist.
 //
 // -reuse-index enables index persistence across runs: the fresh run
 // saves the finalized indexes (stamped with a corpus fingerprint) and
@@ -83,11 +79,6 @@
 //
 //	dogmatix query  -daemon http://HOST:PORT [-id N | -similar -type T -value V | -metrics | -health]
 //	dogmatix submit -daemon http://HOST:PORT [-remove [N:]OBJECT-PATH]... [doc.xml ...]
-//
-// A third subcommand re-partitions a persisted federation in place of
-// any re-ingestion (see rebalance.go):
-//
-//	dogmatix rebalance -from DIR -to ROOT -partitions N [-hash-seed S]
 package main
 
 import (
@@ -96,7 +87,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/cliopt"
@@ -117,12 +107,6 @@ func main() {
 			return
 		case "submit":
 			if err := runSubmit(os.Args[2:], os.Stdout, os.Stderr); err != nil {
-				fmt.Fprintln(os.Stderr, "dogmatix:", err)
-				os.Exit(1)
-			}
-			return
-		case "rebalance":
-			if err := runRebalance(os.Args[2:], os.Stdout, os.Stderr); err != nil {
 				fmt.Fprintln(os.Stderr, "dogmatix:", err)
 				os.Exit(1)
 			}
@@ -258,12 +242,7 @@ func run(opts options, docs []string, stdout, stderr io.Writer) error {
 		cfg.Snapshot = &core.SnapshotOptions{Dir: opts.StoreDir, Save: true}
 		cfg.Incremental = true
 	} else {
-		newStore, distFed, err := opts.NewStore()
-		if err != nil {
-			return err
-		}
-		cfg.NewStore = newStore
-		fed = distFed
+		cfg.NewStore, fed = opts.NewStore()
 		if opts.ReuseIndex {
 			cfg.Snapshot = &core.SnapshotOptions{Dir: opts.StoreDir, Reuse: true, Save: true}
 			// Record replay traces on the build too, so even the first
@@ -341,52 +320,13 @@ func run(opts options, docs []string, stdout, stderr io.Writer) error {
 // -remove paths to candidate IDs, and run Detector.Update over the new
 // sources. Update's snapshot stage merges the result back to -store-dir.
 func runUpdate(opts options, det *core.Detector, inputs []core.SourceInput) (*core.Result, error) {
-	store, prev, err := opts.AdoptSnapshot()
+	_, prev, err := opts.AdoptSnapshot()
 	if err != nil {
 		return nil, err
 	}
-	removeIDs, err := resolveRemovals(prev, store, opts.removePaths)
+	removeIDs, err := prev.ResolveRemovals(opts.removePaths)
 	if err != nil {
 		return nil, err
 	}
 	return det.Update(prev, core.UpdateBatch{Add: inputs, Remove: removeIDs})
-}
-
-// resolveRemovals maps -remove object paths onto live candidate IDs.
-// The same path can recur across sources, so a removal may qualify the
-// source with an `N:` prefix, N the 0-based source index ("1:/db/rec[3]"
-// removes source 1's candidate); an unqualified path must be
-// unambiguous. A spec that does not start with '/' must carry the
-// prefix: anything else before the colon, a file name say, is an error.
-func resolveRemovals(prev *core.Result, store od.MutableStore, paths []string) ([]int32, error) {
-	var out []int32
-	for _, spec := range paths {
-		path, source := spec, -1
-		if colon := strings.IndexByte(spec, ':'); colon > 0 && spec[0] != '/' {
-			n, err := strconv.Atoi(spec[:colon])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("-remove %s: %q is not a source index — qualify as N:%s, N the 0-based source index", spec, spec[:colon], spec[colon+1:])
-			}
-			source, path = n, spec[colon+1:]
-		}
-		var matches []int32
-		for id, c := range prev.Candidates {
-			if c.Path == path && (source < 0 || c.Source == source) && store.Alive(int32(id)) {
-				matches = append(matches, int32(id))
-			}
-		}
-		switch len(matches) {
-		case 0:
-			return nil, fmt.Errorf("-remove %s: no live candidate has this object path", spec)
-		case 1:
-			out = append(out, matches[0])
-		default:
-			var srcs []string
-			for _, id := range matches {
-				srcs = append(srcs, strconv.Itoa(prev.Candidates[id].Source))
-			}
-			return nil, fmt.Errorf("-remove %s: ambiguous, candidates exist in sources %s — qualify as N:%s, N one of these source indexes", spec, strings.Join(srcs, ", "), path)
-		}
-	}
-	return out, nil
 }

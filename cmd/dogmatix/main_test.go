@@ -8,12 +8,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cliopt"
 	"repro/internal/od"
 	"repro/internal/od/odcodec"
-	"repro/internal/od/odrpc"
 )
 
 // TestValidateFlagCombinations pins the upfront CLI validation: every
@@ -40,15 +38,10 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"reuse-without-dir", func(o *options) { o.ReuseIndex = true }, docs, "-reuse-index needs -store-dir"},
 		{"dir-without-user", func(o *options) { o.StoreDir = "d" }, docs, "-store-dir is set but"},
 		{"negative-partitions", func(o *options) { o.Partitions = -2 }, docs, "-partitions"},
-		{"partitions-and-addrs", func(o *options) { o.Partitions = 2; o.PartitionAddrs = "h:1" }, docs, "exclusive"},
-		{"partitions-with-mem", func(o *options) { o.Store = "mem"; o.Partitions = 2 }, docs, "only apply to -store dist"},
-		{"addrs-with-disk", func(o *options) { o.Store = "disk"; o.StoreDir = "d"; o.PartitionAddrs = "h:1" }, docs, "only apply to -store dist"},
+		{"partitions-with-mem", func(o *options) { o.Store = "mem"; o.Partitions = 2 }, docs, "only applies to -store dist"},
 		{"dist-with-reuse", func(o *options) { o.Store = "dist"; o.ReuseIndex = true }, docs, "does not apply to -store dist"},
 		{"dist-with-dir", func(o *options) { o.Store = "dist"; o.StoreDir = "d" }, docs, "-store-dir does not apply"},
 		{"dist-with-update", func(o *options) { o.Store = "dist"; o.update = true; o.StoreDir = "d" }, docs, "does not apply"},
-		{"negative-rpc-timeout", func(o *options) { o.PartitionAddrs = "h:1"; o.RPCTimeout = -time.Second }, docs, "-rpc-timeout"},
-		{"rpc-timeout-without-dist", func(o *options) { o.RPCTimeout = time.Minute }, docs, "-rpc-timeout only applies"},
-		{"rpc-timeout-with-disk", func(o *options) { o.Store = "disk"; o.StoreDir = "d"; o.RPCTimeout = time.Minute }, docs, "-rpc-timeout only applies"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,6 +70,31 @@ func TestValidateFlagCombinations(t *testing.T) {
 		})
 	}
 
+	// So do the deleted federation flags: dialed members and the member
+	// deadline.
+	for name, c := range map[string]struct {
+		flag string
+		args []string
+	}{
+		"partitions-and-addrs":     {"partition-addrs", []string{"-partitions", "2", "-partition-addrs", "h:1", "a.xml"}},
+		"addrs-with-disk":          {"partition-addrs", []string{"-store", "disk", "-store-dir", "d", "-partition-addrs", "h:1", "a.xml"}},
+		"replicas-on-dist":         {"replicas", []string{"-store", "dist", "-replicas", "1", "a.xml"}},
+		"replica-addrs-on-dist":    {"replica-addrs", []string{"-store", "dist", "-replica-addrs", "h:1", "a.xml"}},
+		"negative-rpc-timeout":     {"rpc-timeout", []string{"-partitions", "2", "-rpc-timeout", "-1s", "a.xml"}},
+		"rpc-timeout-without-dist": {"rpc-timeout", []string{"-rpc-timeout", "1m", "a.xml"}},
+		"rpc-timeout-with-disk":    {"rpc-timeout", []string{"-store", "disk", "-store-dir", "d", "-rpc-timeout", "1m", "a.xml"}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var o options
+			fs := flag.NewFlagSet("dogmatix", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			o.register(fs)
+			if err := fs.Parse(c.args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+c.flag) {
+				t.Fatalf("parse %v = %v, want the undefined-flag error for -%s", c.args, err, c.flag)
+			}
+		})
+	}
+
 	t.Run("defaults-resolve", func(t *testing.T) {
 		o := base
 		if err := o.validate(docs); err != nil || o.Store != cliopt.StoreMem {
@@ -97,27 +115,6 @@ func TestValidateFlagCombinations(t *testing.T) {
 		o.Store = cliopt.StoreDist
 		if err := o.validate(docs); err != nil || o.Partitions != 2 {
 			t.Fatalf("-store dist resolved to %d partitions (%v), want 2", o.Partitions, err)
-		}
-		o = base
-		o.PartitionAddrs = "h1:7001, h2:7001"
-		if err := o.validate(docs); err != nil || o.Store != cliopt.StoreDist || o.Partitions != 0 {
-			t.Fatalf("-partition-addrs resolved to %q/%d (%v), want dist/0", o.Store, o.Partitions, err)
-		}
-		o = base
-		if err := o.validate(docs); err != nil || o.RPCTimeout != odrpc.DefaultTimeout {
-			t.Fatalf("zero -rpc-timeout resolved to %v (%v), want default %v", o.RPCTimeout, err, odrpc.DefaultTimeout)
-		}
-		o = base
-		o.PartitionAddrs = "h:1"
-		o.RPCTimeout = 30 * time.Second
-		if err := o.validate(docs); err != nil || o.RPCTimeout != 30*time.Second {
-			t.Fatalf("-rpc-timeout 30s resolved to %v (%v), want 30s", o.RPCTimeout, err)
-		}
-		o = base
-		o.Partitions = 2
-		o.RPCTimeout = 30 * time.Second
-		if err := o.validate(docs); err != nil || o.RPCTimeout != 30*time.Second {
-			t.Fatalf("-rpc-timeout 30s with loopback members resolved to %v (%v), want 30s", o.RPCTimeout, err)
 		}
 	})
 }
@@ -516,8 +513,7 @@ func TestRunUpdateJSONCandidateCount(t *testing.T) {
 // TestRunDistStore drives the CLI end to end on the distributed
 // backend: a loopback federation at 1 and 3 partitions must emit
 // byte-identical dupcluster XML to the MemStore run on the same
-// corpus, and a remote-address dial failure must surface before any
-// detection work.
+// corpus.
 func TestRunDistStore(t *testing.T) {
 	dir := t.TempDir()
 	docPath := filepath.Join(dir, "db.xml")
@@ -566,14 +562,5 @@ func TestRunDistStore(t *testing.T) {
 		if n := strings.Count(errOut.String(), "dist wire: member="); n != parts {
 			t.Fatalf("partitions=%d stats printed %d wire-counter lines: %s", parts, n, errOut.String())
 		}
-	}
-
-	// A dead remote member fails fast at store construction.
-	opts := base
-	opts.Store = cliopt.StoreDist
-	opts.PartitionAddrs = "127.0.0.1:1" // nothing listens on port 1
-	var out bytes.Buffer
-	if err := run(opts, []string{docPath}, &out, &out); err == nil || !strings.Contains(err.Error(), "dial") {
-		t.Fatalf("dead partition address: err = %v, want dial failure", err)
 	}
 }

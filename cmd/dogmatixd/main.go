@@ -7,10 +7,8 @@
 //	dogmatixd -addr 127.0.0.1:7497 -map mapping.txt -type MOVIE \
 //	          [-schema doc.xsd] [-heuristic kd:6] [-ttuple 0.15] \
 //	          [-tcand 0.55] [-filter] [-workers 4] \
-//	          [-store mem|disk|dist] \
-//	          [-partitions 3 | -partition-addrs H1:P1,H2:P2] \
-//	          [-replicas 1 | -replica-addrs R1a;R1b,R2] \
-//	          [-store-dir DIR] [-reuse-index] [-snapshot-root DIR] \
+//	          [-store mem|disk|dist] [-partitions 3] \
+//	          [-store-dir DIR] [-reuse-index] \
 //	          [-queue-depth 16] [-drain-timeout 30s] \
 //	          [doc1.xml doc2.xml ...]
 //
@@ -18,10 +16,10 @@
 // any of the three backends of the dogmatix CLI (-store mem, disk or
 // dist, identical answers on each); -reuse-index warm-starts from
 // (and saves into) a matching snapshot in -store-dir exactly like the
-// CLI. Without documents it serves persisted state: -store disk
-// adopts the snapshot in -store-dir (the one a previous daemon run or
-// a dogmatix -store disk / -update run left there), and -store dist
-// adopts the last committed generation under -snapshot-root.
+// CLI. Without documents it serves persisted state: it adopts the disk
+// snapshot in -store-dir (the one a previous daemon run or a dogmatix
+// -store disk / -update run left there). The mem and dist backends
+// live in memory and have no persisted state to serve.
 //
 // Endpoints:
 //
@@ -35,12 +33,11 @@
 // Read queries run lock-free against the last published result;
 // updates serialize behind an admission-controlled queue and coalesce
 // into single incremental Update runs. Persistence is part of the ack:
-// a disk-backed daemon persists through the pipeline's snapshot stage,
-// a dist daemon with -snapshot-root commits each update as a new
-// snapshot generation before answering 200. On SIGINT/SIGTERM the
-// daemon drains: in-flight queries finish, every admitted update batch
-// applies and persists, later submissions get a typed 503 with
-// Retry-After.
+// a disk-backed daemon persists through the pipeline's snapshot stage
+// before answering 200; a mem or dist daemon acks with durable=false.
+// On SIGINT/SIGTERM the daemon drains: in-flight queries finish, every
+// admitted update batch applies (and persists), later submissions get
+// a typed 503 with Retry-After.
 //
 // Streaming ingest (-stream) is not offered here: build the snapshot
 // with the dogmatix CLI and serve it with -store disk -store-dir.
@@ -77,7 +74,6 @@ func main() {
 type options struct {
 	cliopt.Options
 	addr         string
-	snapshotRoot string
 	queueDepth   int
 	drainTimeout time.Duration
 }
@@ -86,16 +82,14 @@ type options struct {
 func (o *options) register(fs *flag.FlagSet) {
 	o.Register(fs)
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:7497", "HTTP listen address")
-	fs.StringVar(&o.snapshotRoot, "snapshot-root", "", "with -store dist: root directory for generation-numbered federation snapshots")
 	fs.IntVar(&o.queueDepth, "queue-depth", 16, "max queued update submissions before 503 queue_full")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful shutdown budget for draining queries and queued updates")
 }
 
 // validate resolves defaults and rejects bad flag combinations before
 // anything is opened: the shared rules in cliopt.Options.Validate plus
-// the daemon's serve-without-documents modes, where an empty -store
-// resolves to dist with -snapshot-root or partition flags, and to disk
-// otherwise.
+// the daemon's serve-without-documents mode, where an empty -store
+// resolves to disk, the one backend with persisted state.
 func (o *options) validate(docs []string) error {
 	if o.queueDepth < 1 {
 		return fmt.Errorf("-queue-depth %d < 1", o.queueDepth)
@@ -106,28 +100,17 @@ func (o *options) validate(docs []string) error {
 	serving := len(docs) == 0
 	if serving && o.Store == "" {
 		o.Store = cliopt.StoreDisk
-		if o.snapshotRoot != "" || o.Partitions > 0 || o.PartitionAddrs != "" {
-			o.Store = cliopt.StoreDist
-		}
-	}
-	// Checked before the shared rules default a dist store's partitions.
-	if serving && o.Store == cliopt.StoreDist && (o.Partitions > 0 || o.PartitionAddrs != "") {
-		return fmt.Errorf("-partitions/-partition-addrs only apply when building; serving reopens the members persisted under -snapshot-root")
 	}
 	if err := o.Options.Validate(); err != nil {
 		return err
 	}
 	switch {
-	case o.snapshotRoot != "" && o.Store != cliopt.StoreDist:
-		return fmt.Errorf("-snapshot-root only applies to -store dist (disk snapshots live in -store-dir)")
 	case !serving:
 		return nil
 	case o.ReuseIndex:
 		return fmt.Errorf("-reuse-index rebuilds on a snapshot miss and so needs input documents; to serve an existing snapshot, drop it")
-	case o.Store == cliopt.StoreMem:
+	case o.Store != cliopt.StoreDisk:
 		return fmt.Errorf("no input documents: -store %s has no persisted state to serve", o.Store)
-	case o.Store == cliopt.StoreDist && o.snapshotRoot == "":
-		return fmt.Errorf("no input documents: a dist daemon needs -snapshot-root with a committed snapshot to serve")
 	}
 	return nil
 }
@@ -157,36 +140,14 @@ func buildService(opts options, docs []string) (*boot, error) {
 	cleanup := func() {}
 
 	if len(docs) == 0 {
-		// Serve persisted state.
-		var res *core.Result
-		if opts.Store == cliopt.StoreDist {
-			fdir, fed, err := api.OpenFederationDir(opts.snapshotRoot)
-			if err != nil {
-				return nil, err
-			}
-			// Post-open attachment hydrates every replica from its group
-			// before the daemon serves a single request.
-			if err := opts.AttachReplicas(fed); err != nil {
-				fed.Close()
-				return nil, err
-			}
-			res, err = core.Adopt(opts.TypeName, fed)
-			if err != nil {
-				fed.Close()
-				return nil, err
-			}
-			svcCfg.Persist = fdir.Persist
-			cleanup = func() { fed.Close() }
-		} else {
-			ds, adopted, err := opts.AdoptSnapshot()
-			if err != nil {
-				return nil, err
-			}
-			res = adopted
-			cfg.Snapshot = &core.SnapshotOptions{Dir: opts.StoreDir, Save: true}
-			svcCfg.PipelinePersists = true
-			cleanup = func() { ds.Close() }
+		// Serve the persisted disk snapshot.
+		ds, res, err := opts.AdoptSnapshot()
+		if err != nil {
+			return nil, err
 		}
+		cfg.Snapshot = &core.SnapshotOptions{Dir: opts.StoreDir, Save: true}
+		svcCfg.PipelinePersists = true
+		cleanup = func() { ds.Close() }
 		det, err := core.NewDetector(mapping, cfg)
 		if err != nil {
 			cleanup()
@@ -210,10 +171,7 @@ func buildService(opts options, docs []string) (*boot, error) {
 		if err != nil {
 			return nil, err
 		}
-		newStore, fed, err := opts.NewStore()
-		if err != nil {
-			return nil, err
-		}
+		newStore, fed := opts.NewStore()
 		cfg.NewStore = newStore
 		if fed != nil {
 			cleanup = func() { fed.Close() }
@@ -231,19 +189,6 @@ func buildService(opts options, docs []string) (*boot, error) {
 		if err != nil {
 			cleanup()
 			return nil, err
-		}
-		if opts.Store == cliopt.StoreDist && opts.snapshotRoot != "" {
-			fdir, err := api.CreateFederationDir(opts.snapshotRoot)
-			if err == nil {
-				// The freshly built corpus is generation 1: the daemon
-				// can crash and restart into it before any update.
-				err = fdir.Persist(res)
-			}
-			if err != nil {
-				cleanup()
-				return nil, err
-			}
-			svcCfg.Persist = fdir.Persist
 		}
 		svcCfg.Detector, svcCfg.Result = det, res
 	}

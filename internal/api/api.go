@@ -16,7 +16,7 @@ package api
 // response carries one as JSON, and the client subpackage decodes it
 // back into the same type. Code distinguishes retryable congestion
 // (CodeQueueFull, CodeDraining — RetryAfter says when) from terminal
-// states (CodePartitionUnavailable, CodePersistFailed — the daemon
+// states (CodePartitionUnavailable, CodeUpdateFailed — the daemon
 // refuses further mutations until restarted).
 type Error struct {
 	Status     int    `json:"-"`                     // HTTP status (not serialized; carried by the response line)
@@ -34,7 +34,6 @@ const (
 	CodeQueueFull            = "queue_full"
 	CodeDraining             = "draining"
 	CodePartitionUnavailable = "partition_unavailable"
-	CodePersistFailed        = "persist_failed"
 	CodeUpdateFailed         = "update_failed"
 )
 
@@ -139,11 +138,6 @@ type Health struct {
 	Status string `json:"status"`
 	Type   string `json:"type"`
 	Epoch  int64  `json:"epoch"`
-	// ReplicasDown counts federation group members currently marked down
-	// (federations only). Reads keep serving from the surviving members;
-	// writes are rejected fail-stop while it is non-zero, so a non-zero
-	// count is the operator's signal to rotate the member out.
-	ReplicasDown int `json:"replicas_down,omitempty"`
 }
 
 // StageMetric is one pipeline stage of the last run.
@@ -181,22 +175,14 @@ type RoutingCounters struct {
 	ExactSkips    uint64 `json:"exact_skips"`
 }
 
-// WireCounters mirrors od.WireStats (remote federation members only).
+// WireCounters mirrors od.WireStats (federation members behind a
+// loopback transport).
 type WireCounters struct {
 	RoundTrips uint64 `json:"round_trips"`
 	FramesOut  uint64 `json:"frames_out"`
 	FramesIn   uint64 `json:"frames_in"`
 	BytesOut   uint64 `json:"bytes_out"`
 	BytesIn    uint64 `json:"bytes_in"`
-}
-
-// ReplicaCounters reports one partition group's read availability
-// (od.MemberHealth; federations only).
-type ReplicaCounters struct {
-	Partition int      `json:"partition"`
-	Members   int      `json:"members"` // primary + replicas
-	Down      []int    `json:"down,omitempty"`
-	Errors    []string `json:"errors,omitempty"`
 }
 
 // QueryCounters counts served read queries per endpoint.
@@ -238,7 +224,4 @@ type Metrics struct {
 	// restart (it persists before acknowledging). False on a daemon
 	// without a store directory (-store mem) — its acks are volatile.
 	DurableAcks bool `json:"durable_acks"`
-	// Replicas reports per-partition-group read availability
-	// (federations only).
-	Replicas []ReplicaCounters `json:"replicas,omitempty"`
 }

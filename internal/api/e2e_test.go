@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/api"
@@ -389,173 +388,12 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 }
 
-// flakyPart wraps a federation member and fails every read once
-// killed, so the daemon tests can watch replica failover through the
-// HTTP surface.
-type flakyPart struct {
-	od.Partition
-	dead atomic.Bool
-}
-
-var errKilled = errors.New("injected member failure")
-
-func (p *flakyPart) check() error {
-	if p.dead.Load() {
-		return errKilled
-	}
-	return nil
-}
-
-func (p *flakyPart) ObjectsWithExact(t od.Tuple) ([]int32, error) {
-	if err := p.check(); err != nil {
-		return nil, err
-	}
-	return p.Partition.ObjectsWithExact(t)
-}
-
-func (p *flakyPart) SimilarValues(t od.Tuple) ([]od.ValueMatch, error) {
-	if err := p.check(); err != nil {
-		return nil, err
-	}
-	return p.Partition.SimilarValues(t)
-}
-
-func (p *flakyPart) SimilarValuesBatch(ts []od.Tuple) ([][]od.ValueMatch, error) {
-	if err := p.check(); err != nil {
-		return nil, err
-	}
-	return p.Partition.SimilarValuesBatch(ts)
-}
-
-func (p *flakyPart) RoutingFilters() ([]od.VariantFilter, error) {
-	if err := p.check(); err != nil {
-		return nil, err
-	}
-	return p.Partition.RoutingFilters()
-}
-
-func (p *flakyPart) Stats() ([]od.TypeStats, error) {
-	if err := p.check(); err != nil {
-		return nil, err
-	}
-	return p.Partition.Stats()
-}
-
-func (p *flakyPart) ExportODs(lo, hi int32) ([]*od.OD, error) {
-	if err := p.check(); err != nil {
-		return nil, err
-	}
-	return p.Partition.ExportODs(lo, hi)
-}
-
-func (p *flakyPart) Info() (od.PartitionInfo, error) {
-	if err := p.check(); err != nil {
-		return od.PartitionInfo{}, err
-	}
-	return p.Partition.Info()
-}
-
-// TestDaemonReplicaFailover pins the elastic-federation surface of the
-// daemon: with one replica per partition, killing every primary leaves
-// the daemon answering reads (the fan-outs fail over member by
-// member), /healthz reports the down members while staying 200, and
-// /metrics carries the per-partition replica counters.
-func TestDaemonReplicaFailover(t *testing.T) {
-	fix := newFixture(t)
-	var primaries []*flakyPart
-	cfg := fix.cfg
-	cfg.Incremental = true
-	var fed *od.PartitionedStore
-	cfg.NewStore = func() od.Store {
-		primaries = nil
-		parts := make([]od.Partition, 3)
-		groups := make([][]od.Partition, 3)
-		for i := range parts {
-			p := &flakyPart{Partition: od.LocalPartition{S: od.NewMemStore()}}
-			primaries = append(primaries, p)
-			parts[i] = p
-			groups[i] = []od.Partition{od.LocalPartition{S: od.NewMemStore()}}
-		}
-		fed = od.NewPartitionedStore(parts, 0)
-		if err := fed.AttachReplicas(groups); err != nil {
-			t.Fatal(err)
-		}
-		return fed
-	}
-	svc := startService(t, fix, cfg, api.Config{})
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	cl := client.New(ts.URL)
-	ctx := context.Background()
-
-	healthy, err := cl.Similar(ctx, "ARTIST", fix.artist)
-	if err != nil || len(healthy.Matches) == 0 {
-		t.Fatalf("healthy similar = %+v, %v", healthy, err)
-	}
-	h, err := cl.Health(ctx)
-	if err != nil || h.ReplicasDown != 0 {
-		t.Fatalf("healthy /healthz = %+v, %v", h, err)
-	}
-
-	// Kill every primary. Variant routing off so the next fan-out
-	// provably reaches (and marks down) each member rather than
-	// skipping it by filter.
-	fed.SetVariantRouting(false)
-	for _, p := range primaries {
-		p.dead.Store(true)
-	}
-	// An uncached value forces a full fan-out: the primaries fail, the
-	// replicas answer, and the daemon keeps serving.
-	if _, err := cl.Similar(ctx, "ARTIST", "no-such-artist-zzz"); err != nil {
-		t.Fatalf("similar during failover: %v", err)
-	}
-	again, err := cl.Similar(ctx, "ARTIST", fix.artist)
-	if err != nil || canonMatches(again) != canonMatches(healthy) {
-		t.Fatalf("failover similar = %+v, %v; want the healthy answer", again, err)
-	}
-
-	h, err = cl.Health(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Status != "ok" || h.ReplicasDown != 3 {
-		t.Fatalf("degraded /healthz = %+v, want ok with 3 members down", h)
-	}
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Replicas) != 3 {
-		t.Fatalf("metrics carry %d replica groups, want 3", len(m.Replicas))
-	}
-	down, errs := 0, 0
-	for _, rc := range m.Replicas {
-		if rc.Members != 2 {
-			t.Fatalf("replica group %+v, want 2 members", rc)
-		}
-		down += len(rc.Down)
-		errs += len(rc.Errors)
-	}
-	if down != 3 || errs != 3 {
-		t.Fatalf("replica counters down=%d errors=%d, want 3 down with errors recorded", down, errs)
-	}
-}
-
-// canonMatches canonicalizes a /v1/similar response for comparison.
-func canonMatches(r *api.SimilarResponse) string {
-	var out []string
-	for _, m := range r.Matches {
-		out = append(out, fmt.Sprintf("%s|%.6f|%d", m.Value, m.Dist, len(m.Objects)))
-	}
-	sort.Strings(out)
-	return strings.Join(out, ";")
-}
-
 // TestDaemonDurabilityContract pins the volatile-ack surface: a
 // memory-only daemon acks updates with Durable=false and advertises
-// DurableAcks=false in metrics, while a daemon with a Persist hook (or
-// a persisting pipeline) acks Durable=true — the bit the CLI's
-// volatile-ack warning keys on.
+// DurableAcks=false in metrics, while a daemon whose pipeline persists
+// each update (a DiskStore with Snapshot.Save, configured the way
+// dogmatixd does) acks Durable=true — the bit the CLI's volatile-ack
+// warning keys on.
 func TestDaemonDurabilityContract(t *testing.T) {
 	fix := newFixture(t)
 	cfg := fix.cfg
@@ -577,16 +415,25 @@ func TestDaemonDurabilityContract(t *testing.T) {
 		t.Fatal("volatile daemon advertises durable acks")
 	}
 
-	persists := 0
-	svc2 := startService(t, fix, cfg, api.Config{Persist: func(*core.Result) error { persists++; return nil }})
+	dir := t.TempDir()
+	diskCfg := cfg
+	diskCfg.NewStore = func() od.Store { return od.NewDiskStore(dir) }
+	diskCfg.Snapshot = &core.SnapshotOptions{Dir: dir, Save: true}
+	svc2 := startService(t, fix, diskCfg, api.Config{PipelinePersists: true})
 	ts2 := httptest.NewServer(svc2.Handler())
 	defer ts2.Close()
 	cl2 := client.New(ts2.URL)
-	if r := submitBatch(t, cl2, fix, 1, nil); !r.Durable || !r.Persisted {
+	r := submitBatch(t, cl2, fix, 1, nil)
+	if !r.Durable || !r.Persisted {
 		t.Fatalf("persisting daemon acked durable=%v persisted=%v", r.Durable, r.Persisted)
 	}
-	if persists == 0 {
-		t.Fatal("persist hook never ran")
+	ds, err := od.OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if ds.Size() != r.Live {
+		t.Fatalf("reopened store holds %d live objects, the durable ack reported %d", ds.Size(), r.Live)
 	}
 	m2, err := cl2.Metrics(ctx)
 	if err != nil {
@@ -670,95 +517,6 @@ func TestDaemonRestartDisk(t *testing.T) {
 		t.Errorf("restarted compared=%d patched=%d, one-shot compared=%d patched=%d",
 			restarted.Stats.Compared, restarted.Stats.Patched, want.Stats.Compared, want.Stats.Patched)
 	}
-}
-
-// TestDaemonRestartDist pins the distributed daemon's lifecycle: a
-// cold-built federation persists generation snapshots through
-// FederationDir, a restart adopts the last committed generation, and
-// the post-restart update matches the never-restarted chain.
-func TestDaemonRestartDist(t *testing.T) {
-	fix := newFixture(t)
-	root := t.TempDir() + "/fed"
-
-	cfg := fix.cfg
-	cfg.NewStore = distStore(3)
-	cfg.Incremental = true
-	det, err := core.NewDetector(fix.mapping, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res0, err := det.DetectInputs("DISC", fix.input(t, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fdir, err := api.CreateFederationDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fdir.Persist(res0); err != nil {
-		t.Fatal(err)
-	}
-	svc, err := api.New(api.Config{Detector: det, Result: res0, Persist: fdir.Persist})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Shutdown(context.Background())
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	r1 := submitBatch(t, client.New(ts.URL), fix, 1, nil)
-	if !r1.Persisted {
-		t.Fatal("dist daemon ack did not report persistence")
-	}
-	inMem1 := svc.Result()
-
-	// Restart from the committed generation.
-	fdir2, fed2, err := api.OpenFederationDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fed2.Close()
-	adopted, err := core.Adopt("DISC", fed2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, ok := adopted.StageByName(core.StageAdopt); !ok || st.Items == 0 {
-		t.Fatalf("adopt restored no federation traces (stage %+v, found %v)", st, ok)
-	}
-	det2, err := core.NewDetector(fix.mapping, cfg) // cfg.NewStore unused by Update
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc2, err := api.New(api.Config{Detector: det2, Result: adopted, Persist: fdir2.Persist})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc2.Shutdown(context.Background())
-	ts2 := httptest.NewServer(svc2.Handler())
-	defer ts2.Close()
-	r2 := submitBatch(t, client.New(ts2.URL), fix, 2, fix.removes)
-	if !r2.Persisted {
-		t.Fatal("post-restart dist ack did not report persistence")
-	}
-	restarted := svc2.Result()
-	if restarted.Stats.TraceSource != "disk" {
-		t.Errorf("restarted update TraceSource = %q, want disk", restarted.Stats.TraceSource)
-	}
-
-	res2, err := detUpdate(t, fix, det, inMem1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canonResult(restarted) != canonResult(res2) {
-		t.Errorf("restarted dist daemon diverges from in-process chain\n got: %s\nwant: %s", canonResult(restarted), canonResult(res2))
-	}
-
-	// The persisted chain is reopenable once more: three generations
-	// were committed (initial, batch1, batch2).
-	_, fed3, err := api.OpenFederationDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed3.Close()
 }
 
 // detUpdate applies batch2 + removals on det continuing from prev —

@@ -180,11 +180,6 @@ func (s *Service) handleUpdates(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 	v := s.view.Load()
 	h := &Health{Status: s.status(), Type: v.res.Type, Epoch: v.epoch}
-	s.storeMu.RLock()
-	if fed, ok := v.res.Store.(*od.PartitionedStore); ok {
-		h.ReplicasDown = fed.DownMembers()
-	}
-	s.storeMu.RUnlock()
 	// Draining maps to 503 so load balancers stop routing here; a
 	// degraded daemon still serves reads and stays 200.
 	status := 200
@@ -227,7 +222,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Batches:   s.updBatches.Load(),
 			Coalesced: s.updCoalesced.Load(),
 		},
-		DurableAcks: s.cfg.PipelinePersists || s.cfg.Persist != nil,
+		DurableAcks: s.cfg.PipelinePersists,
 	}
 	for _, st := range v.res.Stages {
 		m.Stages = append(m.Stages, StageMetric{
@@ -256,14 +251,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			for member, wsm := range ws {
 				m.Wire[member] = WireCounters{RoundTrips: wsm.RoundTrips, FramesOut: wsm.FramesOut, FramesIn: wsm.FramesIn, BytesOut: wsm.BytesOut, BytesIn: wsm.BytesIn}
 			}
-		}
-		for _, mh := range fed.ReplicaHealth() {
-			m.Replicas = append(m.Replicas, ReplicaCounters{
-				Partition: mh.Partition,
-				Members:   mh.Members,
-				Down:      mh.Down,
-				Errors:    mh.Errors,
-			})
 		}
 	}
 	s.storeMu.RUnlock()

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,16 +27,9 @@ type Config struct {
 	// Schema, when non-nil, is attached to every document POSTed to
 	// /v1/updates (mirrors the CLI's -xsd).
 	Schema *xsd.Schema
-	// Persist, when non-nil, runs after each successful Update and
-	// before the batch is acknowledged — the federation path
-	// (od.SavePartitioned + Result.SaveTraces) that core's snapshot
-	// stage cannot own. A Persist error acknowledges nothing: the
-	// submissions receive CodePersistFailed and the service stops
-	// accepting mutations (in-memory and on-disk state have diverged).
-	Persist func(*core.Result) error
 	// PipelinePersists declares that the Detector's own snapshot stage
 	// persists each update (Config.Snapshot.Save on a disk store), so
-	// acks may report Persisted without a Persist callback.
+	// acks report Persisted: the batch reached disk before the ack.
 	PipelinePersists bool
 	// QueueDepth bounds the admission queue: submissions beyond it are
 	// rejected with CodeQueueFull instead of buffering unboundedly.
@@ -247,15 +238,15 @@ func (s *Service) drainQueue(subs []*submission) []*submission {
 // apply folds subs into one UpdateBatch, runs Update under the store
 // write lock, persists, publishes the new view and acknowledges every
 // submission. A submission whose removals do not resolve is rejected
-// individually without failing the others; a failed Update or Persist
-// poisons all further mutations (queries keep serving the last view).
+// individually without failing the others; a failed Update poisons all
+// further mutations (queries keep serving the last view).
 func (s *Service) apply(subs []*submission) {
 	v := s.view.Load()
 	var batch core.UpdateBatch
 	scheduled := make(map[int32]bool)
 	applied := subs[:0]
 	for _, sub := range subs {
-		ids, err := resolveRemovals(v.res, sub.remove)
+		ids, err := v.res.ResolveRemovals(sub.remove)
 		if err != nil {
 			s.updRejected.Add(1)
 			sub.done <- applyOutcome{err: &Error{Status: 400, Code: CodeBadRequest, Message: err.Error()}}
@@ -290,24 +281,6 @@ func (s *Service) apply(subs []*submission) {
 		return
 	}
 
-	persisted := s.cfg.PipelinePersists
-	if s.cfg.Persist != nil {
-		if err := s.cfg.Persist(res); err != nil {
-			// The in-memory state advanced but disk did not: publish
-			// the view (reads stay consistent with the store) and
-			// refuse further mutations.
-			serr := &Error{Status: 500, Code: CodePersistFailed, Message: fmt.Sprintf("update applied but not persisted: %v", err)}
-			s.publish(res)
-			s.failMutations(serr)
-			for _, sub := range applied {
-				s.updRejected.Add(1)
-				sub.done <- applyOutcome{err: serr}
-			}
-			return
-		}
-		persisted = true
-	}
-
 	epoch := s.publish(res)
 	nv := s.view.Load()
 	resp := &UpdateResponse{
@@ -320,8 +293,8 @@ func (s *Service) apply(subs []*submission) {
 		Compared:    res.Stats.Compared,
 		Patched:     res.Stats.Patched,
 		TraceSource: res.Stats.TraceSource,
-		Persisted:   persisted,
-		Durable:     persisted,
+		Persisted:   s.cfg.PipelinePersists,
+		Durable:     s.cfg.PipelinePersists,
 	}
 	s.updBatches.Add(1)
 	s.updApplied.Add(uint64(len(applied)))
@@ -415,51 +388,4 @@ func buildView(epoch int64, res *core.Result) *view {
 func (v *view) ref(id int32) ObjectRef {
 	c := v.res.Candidates[id]
 	return ObjectRef{ID: id, Path: c.Path, Source: c.Source}
-}
-
-// resolveRemovals maps removal specs ("path" or "N:path", N the
-// 0-based source index: the CLI's -remove syntax) onto live candidate
-// IDs of res. An unqualified path that matches candidates in several
-// sources is ambiguous; a spec not starting with '/' must carry a
-// numeric N.
-func resolveRemovals(res *core.Result, specs []string) ([]int32, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	store, ok := res.Store.(od.MutableStore)
-	if !ok {
-		return nil, fmt.Errorf("store backend %T does not support removals", res.Store)
-	}
-	var out []int32
-	for _, spec := range specs {
-		path, source := spec, -1
-		if colon := strings.IndexByte(spec, ':'); colon > 0 && spec[0] != '/' {
-			n, err := strconv.Atoi(spec[:colon])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("remove %s: %q is not a source index — qualify as N:%s, N the 0-based source index",
-					spec, spec[:colon], spec[colon+1:])
-			}
-			source, path = n, spec[colon+1:]
-		}
-		var matches []int32
-		for id, c := range res.Candidates {
-			if c.Path == path && (source < 0 || c.Source == source) && store.Alive(int32(id)) {
-				matches = append(matches, int32(id))
-			}
-		}
-		switch len(matches) {
-		case 0:
-			return nil, fmt.Errorf("remove %s: no live candidate has this object path", spec)
-		case 1:
-			out = append(out, matches[0])
-		default:
-			var srcs []string
-			for _, id := range matches {
-				srcs = append(srcs, strconv.Itoa(res.Candidates[id].Source))
-			}
-			return nil, fmt.Errorf("remove %s: ambiguous, candidates exist in sources %s — qualify as N:%s, N one of these source indexes",
-				spec, strings.Join(srcs, ", "), path)
-		}
-	}
-	return out, nil
 }

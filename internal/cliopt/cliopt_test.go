@@ -5,9 +5,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/od/odrpc"
 )
 
 // TestValidate pins the shared flag rules both binaries run: every
@@ -23,25 +20,15 @@ func TestValidate(t *testing.T) {
 	}{
 		{name: "defaults-mem", wantStore: StoreMem},
 		{name: "partitions-imply-dist", mutate: func(o *Options) { o.Partitions = 3 }, wantStore: StoreDist, wantPartitions: 3},
-		{name: "addrs-imply-dist", mutate: func(o *Options) { o.PartitionAddrs = "h1:7001,h2:7001" }, wantStore: StoreDist},
 		{name: "dist-defaults-two-partitions", mutate: func(o *Options) { o.Store = StoreDist }, wantStore: StoreDist, wantPartitions: 2},
 		{name: "disk-with-dir", mutate: func(o *Options) { o.Store = StoreDisk; o.StoreDir = "d" }, wantStore: StoreDisk},
 		{name: "mem-reuse-index", mutate: func(o *Options) { o.ReuseIndex = true; o.StoreDir = "d" }, wantStore: StoreMem},
-		{name: "dist-rpc-timeout", mutate: func(o *Options) { o.Partitions = 2; o.RPCTimeout = time.Second }, wantStore: StoreDist, wantPartitions: 2},
 		{name: "missing-map", mutate: func(o *Options) { o.MapFile = "" }, wantErr: "-map and -type are required"},
 		{name: "missing-type", mutate: func(o *Options) { o.TypeName = "" }, wantErr: "-map and -type are required"},
 		{name: "negative-workers", mutate: func(o *Options) { o.Workers = -1 }, wantErr: "-workers -1 cannot be negative"},
 		{name: "negative-partitions", mutate: func(o *Options) { o.Partitions = -2 }, wantErr: "-partitions -2 cannot be negative"},
-		{name: "negative-replicas", mutate: func(o *Options) { o.Replicas = -1 }, wantErr: "-replicas -1 cannot be negative"},
-		{name: "partitions-and-addrs", mutate: func(o *Options) { o.Partitions = 2; o.PartitionAddrs = "h:1" }, wantErr: "-partitions and -partition-addrs are exclusive"},
-		{name: "replicas-and-addrs", mutate: func(o *Options) { o.Replicas = 1; o.ReplicaAddrs = "h:1" }, wantErr: "-replicas and -replica-addrs are exclusive"},
-		{name: "negative-rpc-timeout", mutate: func(o *Options) { o.Partitions = 2; o.RPCTimeout = -time.Second }, wantErr: "-rpc-timeout -1s is negative"},
 		{name: "unknown-store", mutate: func(o *Options) { o.Store = "sharded" }, wantErr: `unknown -store "sharded" (want mem, disk or dist)`},
-		{name: "partitions-on-mem", mutate: func(o *Options) { o.Store = StoreMem; o.Partitions = 2 }, wantErr: "-partitions/-partition-addrs only apply to -store dist"},
-		{name: "addrs-on-disk", mutate: func(o *Options) { o.Store = StoreDisk; o.StoreDir = "d"; o.PartitionAddrs = "h:1" }, wantErr: "-partitions/-partition-addrs only apply to -store dist"},
-		{name: "replicas-on-mem", mutate: func(o *Options) { o.Store = StoreMem; o.Replicas = 1 }, wantErr: "-replicas/-replica-addrs only apply to -store dist"},
-		{name: "rpc-timeout-on-mem", mutate: func(o *Options) { o.RPCTimeout = time.Minute }, wantErr: "-rpc-timeout only applies to -store dist"},
-		{name: "rpc-timeout-on-disk", mutate: func(o *Options) { o.Store = StoreDisk; o.StoreDir = "d"; o.RPCTimeout = time.Minute }, wantErr: "-rpc-timeout only applies to -store dist"},
+		{name: "partitions-on-mem", mutate: func(o *Options) { o.Store = StoreMem; o.Partitions = 2 }, wantErr: "-partitions only applies to -store dist"},
 		{name: "dist-reuse-index", mutate: func(o *Options) { o.Store = StoreDist; o.ReuseIndex = true; o.StoreDir = "d" }, wantErr: "-reuse-index snapshots a single disk directory; it does not apply to -store dist"},
 		{name: "dist-store-dir", mutate: func(o *Options) { o.Store = StoreDist; o.StoreDir = "d" }, wantErr: "-store-dir does not apply to -store dist"},
 		{name: "disk-without-dir", mutate: func(o *Options) { o.Store = StoreDisk }, wantErr: "-store disk needs -store-dir"},
@@ -67,8 +54,31 @@ func TestValidate(t *testing.T) {
 			if o.Store != tc.wantStore || o.Partitions != tc.wantPartitions {
 				t.Fatalf("resolved -store %q with %d partitions, want %q with %d", o.Store, o.Partitions, tc.wantStore, tc.wantPartitions)
 			}
-			if o.RPCTimeout <= 0 {
-				t.Fatalf("resolved -rpc-timeout %v", o.RPCTimeout)
+		})
+	}
+
+	// The deleted federation flags (dialed members, replicas, the
+	// member deadline) fail at parse time, before validation.
+	for name, args := range map[string][]string{
+		"addrs-imply-dist":     {"-partition-addrs", "h1:7001,h2:7001"},
+		"addrs-on-disk":        {"-store", "disk", "-store-dir", "d", "-partition-addrs", "h:1"},
+		"partitions-and-addrs": {"-partitions", "2", "-partition-addrs", "h:1"},
+		"negative-replicas":    {"-replicas", "-1"},
+		"replicas-on-mem":      {"-store", "mem", "-replicas", "1"},
+		"replicas-and-addrs":   {"-replicas", "1", "-replica-addrs", "h:1"},
+		"dist-rpc-timeout":     {"-partitions", "2", "-rpc-timeout", "1s"},
+		"negative-rpc-timeout": {"-partitions", "2", "-rpc-timeout", "-1s"},
+		"rpc-timeout-on-mem":   {"-rpc-timeout", "1m"},
+		"rpc-timeout-on-disk":  {"-store", "disk", "-store-dir", "d", "-rpc-timeout", "1m"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var o Options
+			fs := flag.NewFlagSet("shared", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			o.Register(fs)
+			args = append([]string{"-map", "m.txt", "-type", "T"}, args...)
+			if err := fs.Parse(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+				t.Fatalf("parse %v = %v, want the undefined-flag error", args, err)
 			}
 		})
 	}
@@ -88,10 +98,10 @@ func TestRegisterDefaults(t *testing.T) {
 	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if o.Store != StoreMem || o.RPCTimeout != odrpc.DefaultTimeout || o.Heuristic != "kd:6" || o.TTuple != 0.15 || o.TCand != 0.55 {
+	if o.Store != StoreMem || o.Heuristic != "kd:6" || o.TTuple != 0.15 || o.TCand != 0.55 {
 		t.Fatalf("defaults resolved to %+v", o)
 	}
-	for _, removed := range []string{"mmap", "spill-ods"} {
+	for _, removed := range []string{"mmap", "spill-ods", "partition-addrs", "replicas", "replica-addrs", "rpc-timeout"} {
 		if fs.Lookup(removed) != nil {
 			t.Errorf("-%s is registered", removed)
 		}

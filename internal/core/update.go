@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/od"
@@ -23,6 +25,55 @@ const StageUpdate = "update"
 type UpdateBatch struct {
 	Add    []SourceInput
 	Remove []int32
+}
+
+// ResolveRemovals maps removal specs onto live candidate IDs of r, in
+// spec order. A spec is an object path, or "N:PATH" with N the 0-based
+// index of the source holding PATH — the same path recurs across
+// sources, so an unqualified path must match candidates of one source
+// only. A spec starting with '/' is always a bare path, whatever colons
+// its predicates carry; anything else before the first colon must be a
+// source index. Every error names the spec it rejects.
+func (r *Result) ResolveRemovals(specs []string) ([]int32, error) {
+	if len(specs) == 0 {
+		return nil, nil
+	}
+	store, ok := r.Store.(od.MutableStore)
+	if !ok {
+		return nil, fmt.Errorf("store backend %T does not support removals", r.Store)
+	}
+	var out []int32
+	for _, spec := range specs {
+		path, source := spec, -1
+		if colon := strings.IndexByte(spec, ':'); colon > 0 && spec[0] != '/' {
+			n, err := strconv.Atoi(spec[:colon])
+			if err != nil || n < 0 {
+				return nil, fmt.Errorf("remove %s: %q is not a source index — qualify as N:%s, N the 0-based source index",
+					spec, spec[:colon], spec[colon+1:])
+			}
+			source, path = n, spec[colon+1:]
+		}
+		var matches []int32
+		for id, c := range r.Candidates {
+			if c.Path == path && (source < 0 || c.Source == source) && store.Alive(int32(id)) {
+				matches = append(matches, int32(id))
+			}
+		}
+		switch len(matches) {
+		case 0:
+			return nil, fmt.Errorf("remove %s: no live candidate has this object path", spec)
+		case 1:
+			out = append(out, matches[0])
+		default:
+			srcs := make([]string, len(matches))
+			for i, id := range matches {
+				srcs[i] = strconv.Itoa(r.Candidates[id].Source)
+			}
+			return nil, fmt.Errorf("remove %s: ambiguous, candidates exist in sources %s — qualify as N:%s, N one of these source indexes",
+				spec, strings.Join(srcs, ", "), path)
+		}
+	}
+	return out, nil
 }
 
 // incState is the replay state Config.Incremental records on a Result:
@@ -231,12 +282,11 @@ func Adopt(typeName string, s od.Store) (*Result, error) {
 // SaveTraces persists the replay traces this result carries (recorded
 // under Config.Incremental) as the trace segment of the snapshot
 // already committed in dir — the manual counterpart of the automatic
-// traces stage, for stores the pipeline cannot snapshot itself: a
-// federation persisted via od.SavePartitioned. Call it right after the
-// snapshot lands; any later rewrite of dir's manifest invalidates the
-// segment, and a later Adopt of the reopened store restores it. Into a
-// DiskStore's own directory, the segment written is the chain the next
-// Update appends to.
+// traces stage. Call it right after the snapshot lands; any later
+// rewrite of dir's manifest invalidates the segment, and a later Adopt
+// of the reopened DiskStore restores it. Into a DiskStore's own
+// directory, the segment written is the chain the next Update appends
+// to.
 func (r *Result) SaveTraces(dir string) error {
 	if r.inc == nil {
 		return fmt.Errorf("core: result carries no replay traces (Config.Incremental off)")

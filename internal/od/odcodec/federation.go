@@ -55,29 +55,7 @@ type Federation struct {
 	// CRC-framed manifest: they can only be stale together with the
 	// fingerprints, which already pin every member to this exact save.
 	RoutingFilters [][]RoutingFilter
-	// Replicas optionally records how many replica members each
-	// partition group carried at save time, index-aligned with the
-	// partitions. Provenance only: replicas hold bit-identical copies of
-	// their partition's segments and never persist from the coordinator,
-	// so a reopening coordinator attaches fresh replicas itself. Nil for
-	// federations saved without replicas.
-	Replicas []int
-	// Rebalanced optionally records that this federation was produced by
-	// streaming an existing federation to a new layout instead of a
-	// fresh ingest, and which layout it came from. Nil for fresh builds.
-	Rebalanced *RebalanceProvenance
 }
-
-// RebalanceProvenance is the manifest record of a rebalance's source
-// layout (od.RebalanceInfo, persisted).
-type RebalanceProvenance struct {
-	FromPartitions int
-	FromSeed       uint32
-}
-
-// maxReplicas caps a decoded per-partition replica count; more is a
-// corrupt manifest, not a deployment.
-const maxReplicas = 1 << 8
 
 // RoutingFilter is the manifest record of one (member, type)
 // variant-routing filter: the bloom bitset over the member's
@@ -130,17 +108,6 @@ func WriteFederation(dir string, f Federation) error {
 	if f.RoutingFilters != nil && len(f.RoutingFilters) != f.Partitions {
 		return fmt.Errorf("odcodec: %d routing filter sets for %d partitions", len(f.RoutingFilters), f.Partitions)
 	}
-	if f.Replicas != nil && len(f.Replicas) != f.Partitions {
-		return fmt.Errorf("odcodec: %d replica counts for %d partitions", len(f.Replicas), f.Partitions)
-	}
-	for i, c := range f.Replicas {
-		if c < 0 || c > maxReplicas {
-			return fmt.Errorf("odcodec: partition %d replica count %d outside [0,%d]", i, c, maxReplicas)
-		}
-	}
-	if r := f.Rebalanced; r != nil && (r.FromPartitions < 1 || r.FromPartitions > maxPartitions) {
-		return fmt.Errorf("odcodec: rebalance provenance from %d partitions", r.FromPartitions)
-	}
 	b := appendUvarint(nil, uint64(f.Partitions))
 	b = appendUvarint(b, uint64(f.HashSeed))
 	b = appendFloat64(b, f.Theta)
@@ -176,29 +143,6 @@ func WriteFederation(dir string, f Federation) error {
 			}
 		}
 	}
-	// Elastic section: replica layout and rebalance provenance, behind
-	// its own presence byte.
-	if f.Replicas == nil && f.Rebalanced == nil {
-		b = append(b, 0)
-	} else {
-		b = append(b, 1)
-		if f.Replicas == nil {
-			b = append(b, 0)
-		} else {
-			b = append(b, 1)
-			for _, c := range f.Replicas {
-				b = appendUvarint(b, uint64(c))
-			}
-		}
-		if f.Rebalanced == nil {
-			b = append(b, 0)
-		} else {
-			b = append(b, 1)
-			b = appendUvarint(b, uint64(f.Rebalanced.FromPartitions))
-			b = appendUvarint(b, uint64(f.Rebalanced.FromSeed))
-		}
-	}
-
 	h := newHeader(kindFederation, Version)
 	crc := crc32.Update(0, crcTable, h)
 	crc = crc32.Update(crc, crcTable, b)
@@ -287,54 +231,10 @@ func ReadFederation(dir string) (Federation, error) {
 			return f, err
 		}
 	}
-	if present, err = br.presence("elastic"); err != nil {
-		return f, err
-	}
-	if present {
-		if err := readElastic(br, &f); err != nil {
-			return f, err
-		}
-	}
 	if br.pos != len(br.buf) {
 		return f, corrupt(FederationFile, "%d trailing bytes", len(br.buf)-br.pos)
 	}
 	return f, nil
-}
-
-// readElastic decodes the replica layout and rebalance provenance,
-// enforcing the writer's bounds.
-func readElastic(br *byteReader, f *Federation) error {
-	present, err := br.presence("replica")
-	if err != nil {
-		return err
-	}
-	if present {
-		f.Replicas = make([]int, f.Partitions)
-		for i := range f.Replicas {
-			if f.Replicas[i], err = br.count(maxReplicas); err != nil {
-				return err
-			}
-		}
-	}
-	if present, err = br.presence("rebalance"); err != nil || !present {
-		return err
-	}
-	from, err := br.count(maxPartitions)
-	if err != nil {
-		return err
-	}
-	if from < 1 {
-		return corrupt(FederationFile, "rebalance provenance from %d partitions", from)
-	}
-	seed, err := br.uvarint()
-	if err != nil {
-		return err
-	}
-	if seed > 1<<32-1 {
-		return corrupt(FederationFile, "rebalance seed %d overflows uint32", seed)
-	}
-	f.Rebalanced = &RebalanceProvenance{FromPartitions: from, FromSeed: uint32(seed)}
-	return nil
 }
 
 // readRoutingFilters decodes the per-partition routing filter sets,

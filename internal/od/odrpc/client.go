@@ -12,9 +12,8 @@ import (
 )
 
 // DefaultTimeout is the per-call deadline the CLI and the benchmarks
-// apply to every federation member they construct — loopback and
-// dialed alike — so a wedged member surfaces as a typed timeout
-// failure instead of a hung process.
+// apply to every federation member they construct, so a wedged member
+// surfaces as a typed timeout failure instead of a hung process.
 const DefaultTimeout = 2 * time.Minute
 
 // pipelineWindow bounds the request frames a pipelined exchange keeps
@@ -31,12 +30,11 @@ const (
 	addODsChunk   = 256
 	removeChunk   = 1 << 16
 	simBatchChunk = 512
-	exportChunk   = 256
 )
 
 // Client speaks the odrpc protocol to one partition server and
 // implements od.Partition, so a PartitionedStore coordinator federates
-// remote members exactly like local ones. One *exchange* is in flight
+// members behind the wire exactly like local ones. One *exchange* is in flight
 // per client at a time (exchanges serialize on an internal mutex; the
 // federation's parallelism comes from fanning out across members), but
 // an exchange pipelines up to pipelineWindow request frames down the
@@ -56,8 +54,8 @@ type Client struct {
 	conn    net.Conn
 	br      *bufio.Reader
 	broken  error
-	backing od.Store      // loopback only; nil for dialed clients
-	srvDone chan struct{} // loopback only: closed when the server goroutine exits
+	backing od.Store      // the store the loopback server wraps
+	srvDone chan struct{} // closed when the server goroutine exits
 
 	statFramesOut  atomic.Uint64
 	statFramesIn   atomic.Uint64
@@ -83,27 +81,10 @@ func (c *Client) WireStats() od.WireStats {
 	}
 }
 
-// Dial connects to a partition server at addr (TCP host:port).
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("odrpc: dial %s: %w", addr, err)
-	}
-	return newClient(conn), nil
-}
-
-// NewClientConn returns a client speaking the protocol over an
-// already-established connection — a unix socket, a TLS session, or a
-// wrapped conn (the dist bench artifact models network RTT this way).
-// The client owns the conn and closes it on Close.
-func NewClientConn(conn net.Conn) *Client {
-	return newClient(conn)
-}
-
 // NewLoopback returns a client wired to a fresh server over an
 // in-process net.Pipe: the full frame codec runs, no sockets are
-// opened. This is the transport of the test suites and of the CLI's
-// single-machine `-store dist` mode; BackingStore exposes the wrapped
+// opened. This is the transport of the test suites and of the
+// binaries' `-store dist` mode; BackingStore exposes the wrapped
 // store so SavePartitioned can persist the member from the
 // coordinator.
 func NewLoopback(s od.Store) *Client {
@@ -119,21 +100,21 @@ func NewLoopback(s od.Store) *Client {
 	return c
 }
 
+// newClient speaks the protocol over conn: NewLoopback's pipe, or a
+// test's scripted server.
 func newClient(conn net.Conn) *Client {
 	return &Client{conn: conn, br: bufio.NewReaderSize(conn, 1<<16)}
 }
 
-// BackingStore implements od.BackingStore: the wrapped store for a
-// loopback client, nil for a dialed one (a remote member persists on
-// its own node).
+// BackingStore implements od.BackingStore: the store the loopback
+// server wraps.
 func (c *Client) BackingStore() od.Store { return c.backing }
 
-// Close implements od.Partition. For a loopback client it also waits
-// (briefly) for the in-process server goroutine to exit, so callers
-// that measure or release the backing store after Close observe the
-// server's reference dropped rather than racing its scheduling; a
-// server wedged inside the backing store is abandoned after a bounded
-// wait.
+// Close implements od.Partition. It also waits (briefly) for the
+// in-process server goroutine to exit, so callers that measure or
+// release the backing store after Close observe the server's reference
+// dropped rather than racing its scheduling; a server wedged inside
+// the backing store is abandoned after a bounded wait.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.broken == nil {
@@ -447,48 +428,6 @@ func (c *Client) SimilarValuesBatch(ts []od.Tuple) ([][]od.ValueMatch, error) {
 	}
 	if len(out) != len(ts) {
 		return nil, badFrame("batch of %d queries answered with %d lists", len(ts), len(out))
-	}
-	return out, nil
-}
-
-// ExportODs implements od.Partition: the window ships as pipelined
-// opExportODs frames — one round trip however many chunks — and the
-// per-chunk shadow slices concatenate back in ID order.
-func (c *Client) ExportODs(lo, hi int32) ([]*od.OD, error) {
-	if lo < 0 || hi < lo {
-		return nil, fmt.Errorf("odrpc: export window [%d,%d)", lo, hi)
-	}
-	if lo == hi {
-		return nil, nil
-	}
-	var reqs []wireReq
-	for a := lo; a < hi; a += exportChunk {
-		b := a + exportChunk
-		if b > hi {
-			b = hi
-		}
-		body := appendUvarint(nil, uint64(uint32(a)))
-		body = appendUvarint(body, uint64(uint32(b)))
-		reqs = append(reqs, wireReq{op: opExportODs, body: body})
-	}
-	bodies, err := c.exchange(reqs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*od.OD, 0, hi-lo)
-	for _, body := range bodies {
-		r := &bodyReader{buf: body}
-		ods, err := r.shadowODs()
-		if err != nil {
-			return nil, err
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		out = append(out, ods...)
-	}
-	if int32(len(out)) != hi-lo {
-		return nil, badFrame("export window of %d slots answered with %d", hi-lo, len(out))
 	}
 	return out, nil
 }

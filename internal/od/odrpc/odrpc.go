@@ -31,8 +31,8 @@
 // per-client wire counters (WireStats) account frames, bytes and round
 // trips for exactly that saving. NewLoopback wires a Client to a
 // Server over an in-process net.Pipe — the full codec runs with no
-// real sockets, which is how every test (and the CLI's single-machine
-// `-store dist` mode) exercises the wire path.
+// real sockets, which is how every test (and the binaries' `-store
+// dist` mode) exercises the wire path.
 package odrpc
 
 import (
@@ -52,8 +52,9 @@ import (
 //
 // Version history: 1 was the strict request/reply protocol; 2 added
 // pipelined frames on one connection plus the opSimilarBatch and
-// opRoutingFilters opcodes; 3 added opExportODs (segment-level
-// rebalancing and replica hydration stream shadows member-to-member).
+// opRoutingFilters opcodes; 3 added opExportODs, since deleted — its
+// opcode value stays unassigned, so a version-3 peer that sends it is
+// refused as a bad frame.
 const Version = 3
 
 // maxFrame caps a frame's payload so a corrupt or hostile length
@@ -83,7 +84,6 @@ const (
 	opRemove
 	opSimilarBatch
 	opRoutingFilters
-	opExportODs
 	opEnd // sentinel: first invalid opcode
 )
 
@@ -319,81 +319,6 @@ func (r *bodyReader) ods() ([]*od.OD, error) {
 	}
 	out := make([]*od.OD, n)
 	for i := range out {
-		o := &od.OD{}
-		if o.Object, err = r.str(); err != nil {
-			return nil, err
-		}
-		src, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		o.Source = int(int32(src))
-		nT, err := r.elems()
-		if err != nil {
-			return nil, err
-		}
-		if nT > 0 {
-			o.Tuples = make([]od.Tuple, nT)
-		}
-		for j := range o.Tuples {
-			t := &o.Tuples[j]
-			if t.Value, err = r.str(); err != nil {
-				return nil, err
-			}
-			if t.Name, err = r.str(); err != nil {
-				return nil, err
-			}
-			if t.Type, err = r.str(); err != nil {
-				return nil, err
-			}
-		}
-		out[i] = o
-	}
-	return out, nil
-}
-
-// appendShadowODs encodes an ExportODs reply: one slot per ID in the
-// requested window, with a presence byte so removed slots (nil) cross
-// the wire distinguishably from empty shadows.
-func appendShadowODs(b []byte, ods []*od.OD) []byte {
-	b = appendUvarint(b, uint64(len(ods)))
-	for _, o := range ods {
-		if o == nil {
-			b = append(b, 0)
-			continue
-		}
-		b = append(b, 1)
-		b = appendString(b, o.Object)
-		b = appendUvarint(b, uint64(uint32(o.Source)))
-		b = appendUvarint(b, uint64(len(o.Tuples)))
-		for _, t := range o.Tuples {
-			b = appendString(b, t.Value)
-			b = appendString(b, t.Name)
-			b = appendString(b, t.Type)
-		}
-	}
-	return b
-}
-
-func (r *bodyReader) shadowODs() ([]*od.OD, error) {
-	n, err := r.elems()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*od.OD, n)
-	for i := range out {
-		if r.pos >= len(r.buf) {
-			return nil, badFrame("shadow slot truncated")
-		}
-		switch present := r.buf[r.pos]; present {
-		case 0:
-			r.pos++
-			continue
-		case 1:
-			r.pos++
-		default:
-			return nil, badFrame("bad shadow presence byte %d", present)
-		}
 		o := &od.OD{}
 		if o.Object, err = r.str(); err != nil {
 			return nil, err

@@ -9,10 +9,8 @@ import (
 )
 
 // Server serves one partition's store over the odrpc protocol. Each
-// connection processes one request at a time (the coordinator
-// serializes calls per member); distinct connections are independent
-// goroutines, so several coordinators — or a coordinator plus a
-// diagnostic client — can share one member.
+// connection (ServeConn) processes one request at a time; the
+// coordinator serializes calls per member.
 //
 // The server is deliberately a thin adapter: every opcode maps onto
 // one Store/MutableStore method, backend panics become error replies
@@ -24,29 +22,11 @@ type Server struct {
 	store od.Store
 }
 
-// maxExportWindow caps one opExportODs request's ID window so a
-// hostile or buggy client cannot make the server materialize an
-// unbounded shadow batch in one frame.
-const maxExportWindow = 1 << 17
-
 // NewServer returns a server over the given store. The store may be in
 // any lifecycle phase: a build-phase store accepts AddODs/Finalize, a
 // finalized one the query set, a MutableStore the mutation batches.
 func NewServer(s od.Store) *Server {
 	return &Server{store: s}
-}
-
-// Serve accepts connections until the listener closes, serving each on
-// its own goroutine. It returns the first Accept error (listener
-// closed included).
-func (s *Server) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		go s.ServeConn(conn)
-	}
 }
 
 // ServeConn serves one connection until EOF, a frame error, or a
@@ -208,31 +188,6 @@ func (s *Server) handle(op byte, body []byte) (resp []byte, err error) {
 			return nil, err
 		}
 		return appendStats(nil, s.store.Stats()), nil
-	case opExportODs:
-		loV, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		hiV, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		span := int32(s.store.Size())
-		if ms, ok := s.store.(od.MutableStore); ok {
-			span = ms.IDSpan()
-		}
-		if hiV > uint64(uint32(span)) || loV > hiV || hiV-loV > maxExportWindow {
-			return nil, fmt.Errorf("export window [%d,%d) invalid for span %d (max %d per request)", loV, hiV, span, maxExportWindow)
-		}
-		lo, hi := int32(loV), int32(hiV)
-		out := make([]*od.OD, 0, hi-lo)
-		for id := lo; id < hi; id++ {
-			out = append(out, s.store.OD(id))
-		}
-		return appendShadowODs(nil, out), nil
 	case opAddAfter:
 		ods, err := r.ods()
 		if err != nil {

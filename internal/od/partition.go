@@ -61,8 +61,8 @@ type PartitionInfo struct {
 // guarantee). The lifecycle methods (AddODs, Finalize,
 // AddAfterFinalize, Remove, Close) are only ever called serially per
 // member, though distinct members see them in parallel. Every method
-// returns an error instead of panicking so a remote member's failure
-// is a value the coordinator can classify — LocalPartition and the
+// returns an error instead of panicking so a member's failure is a
+// value the coordinator can classify — LocalPartition and the
 // odrpc transports both convert backend panics into errors.
 //
 // The member's store sees exactly the Store lifecycle: AddODs during
@@ -93,11 +93,6 @@ type Partition interface {
 	AddAfterFinalize(ods []*OD) error
 	// Remove deletes the given IDs from the member (MutableStore).
 	Remove(ids []int32) error
-	// ExportODs streams the member's shadow objects for IDs in [lo, hi):
-	// one entry per ID, nil at removed slots. Rebalance uses it to move
-	// postings member-to-member without re-ingesting; callers bound the
-	// window themselves (wire transports cap it).
-	ExportODs(lo, hi int32) ([]*OD, error)
 	// Info returns the member's self-description.
 	Info() (PartitionInfo, error)
 	// Close releases the member's connection.
@@ -107,8 +102,8 @@ type Partition interface {
 // BackingStore is the optional Partition extension a coordinator-side
 // save needs: partitions whose store lives in this process (local
 // members, loopback transports) expose it so SavePartitioned can export
-// their segments; genuinely remote members do not, and persist on their
-// own node instead.
+// their segments. A member without it cannot be saved from the
+// coordinator.
 type BackingStore interface {
 	BackingStore() Store
 }
@@ -228,25 +223,6 @@ func (p LocalPartition) Remove(ids []int32) error {
 	})
 }
 
-// ExportODs implements Partition.
-func (p LocalPartition) ExportODs(lo, hi int32) (out []*OD, err error) {
-	err = guardPartition("ExportODs", func() error {
-		span := int32(p.S.Size())
-		if ms, ok := p.S.(MutableStore); ok {
-			span = ms.IDSpan()
-		}
-		if lo < 0 || hi < lo || hi > span {
-			return fmt.Errorf("export window [%d,%d) out of range (span %d)", lo, hi, span)
-		}
-		out = make([]*OD, 0, hi-lo)
-		for id := lo; id < hi; id++ {
-			out = append(out, p.S.OD(id))
-		}
-		return nil
-	})
-	return out, err
-}
-
 // Info implements Partition.
 func (p LocalPartition) Info() (info PartitionInfo, err error) {
 	err = guardPartition("Info", func() error {
@@ -315,38 +291,13 @@ func partitionOf(typ, val string, seed uint32, n int) int {
 // never observable through queries.
 type PartitionedStore struct {
 	parts []Partition
-	// replicas holds the extra read members per partition (nil when the
-	// federation runs unreplicated; otherwise aligned with parts). Every
-	// member of one partition group holds bit-identical state: the build
-	// and mutation fan-outs ship the same shadow stream to all of them,
-	// so a read answered by any group member is the same answer.
-	replicas [][]Partition
-	// health tracks each group member's read availability:
-	// health[i][0] is partition i's primary, health[i][1:] its replicas.
-	// A member is marked down the first time a read against it fails;
-	// reads fail over to the next healthy member, and only a group with
-	// no healthy member left poisons the federation.
-	health [][]*memberHealth
-	seed   uint32
+	seed  uint32
 
 	ods  []*OD // full ODs by ID; nil at removed slots
 	live int
 
 	theta     float64
 	finalized bool
-
-	// fingerprint is the coordinator snapshot's provenance when the
-	// federation was restored by OpenPartitioned ("" otherwise).
-	fingerprint string
-
-	// rebalanced records the layout this federation was streamed out of
-	// when it was produced by Rebalance (nil for fresh builds).
-	rebalanced *RebalanceInfo
-
-	// snapDir is the partitioned-snapshot directory this federation was
-	// restored from ("" for federations built in process). LoadTraces
-	// reads the coordinator-level trace segment from it.
-	snapDir string
 
 	failed atomic.Pointer[PartitionUnavailableError]
 
@@ -390,79 +341,15 @@ func NewPartitionedStore(parts []Partition, seed uint32) *PartitionedStore {
 	if len(parts) == 0 {
 		panic("od: NewPartitionedStore needs at least one partition")
 	}
-	s := &PartitionedStore{parts: parts, seed: seed}
-	s.resetHealth()
-	return s
+	return &PartitionedStore{parts: parts, seed: seed}
 }
 
-// memberHealth is one group member's read-availability record.
-type memberHealth struct {
-	down atomic.Bool
-	// err keeps the first failure that marked the member down.
-	err atomic.Pointer[PartitionUnavailableError]
-}
-
-// resetHealth (re)builds the health table for the current group layout.
-func (s *PartitionedStore) resetHealth() {
-	s.health = make([][]*memberHealth, len(s.parts))
-	for i := range s.parts {
-		group := make([]*memberHealth, s.groupSize(i))
-		for m := range group {
-			group[m] = &memberHealth{}
-		}
-		s.health[i] = group
-	}
-}
-
-// groupSize returns how many members serve partition i (primary plus
-// replicas).
-func (s *PartitionedStore) groupSize(i int) int {
-	if s.replicas == nil {
-		return 1
-	}
-	return 1 + len(s.replicas[i])
-}
-
-// member returns group member m of partition i; member 0 is the
-// primary.
-func (s *PartitionedStore) member(i, m int) Partition {
-	if m == 0 {
-		return s.parts[i]
-	}
-	return s.replicas[i][m-1]
-}
-
-// markDown records a group member's read failure. Concurrent readers
-// may race here; the first recorded error wins and the flag is sticky —
-// a member never comes back within one coordinator's lifetime, because
-// nothing re-verifies that its state still matches the group.
-func (s *PartitionedStore) markDown(i, m int, op string, err error) {
-	h := s.health[i][m]
-	h.err.CompareAndSwap(nil, &PartitionUnavailableError{Partition: i, Op: op, Err: err})
-	h.down.Store(true)
-}
-
-// NumPartitions returns the federation's member count.
-func (s *PartitionedStore) NumPartitions() int { return len(s.parts) }
-
-// HashSeed returns the routing seed the federation was built with.
-func (s *PartitionedStore) HashSeed() uint32 { return s.seed }
-
-// Close releases every member connection — replicas included —
-// returning the first error.
+// Close releases every member connection, returning the first error.
 func (s *PartitionedStore) Close() error {
 	var first error
-	for i, p := range s.parts {
+	for _, p := range s.parts {
 		if err := p.Close(); err != nil && first == nil {
 			first = err
-		}
-		if s.replicas == nil {
-			continue
-		}
-		for _, r := range s.replicas[i] {
-			if err := r.Close(); err != nil && first == nil {
-				first = err
-			}
 		}
 	}
 	return first
@@ -485,35 +372,16 @@ func (s *PartitionedStore) mustBeHealthy() {
 	}
 }
 
-// callRead runs fn against partition i's first healthy group member,
-// failing over to the next replica when an attempt errors (the failed
-// member is marked down with the error recorded). Each attempt runs
-// under the member transport's own deadline — a wedged member costs
-// one -rpc-timeout, then its replica answers. fn may run more than
-// once; callers must make re-running it idempotent (overwriting one
-// result slot is). Only when every member of the group has failed does
-// the federation poison.
+// callRead runs fn against partition i under the member transport's
+// own deadline. A failure poisons the federation.
 func (s *PartitionedStore) callRead(op string, i int, fn func(p Partition) error) *PartitionUnavailableError {
-	var lastErr error
-	for m := 0; m < s.groupSize(i); m++ {
-		if s.health[i][m].down.Load() {
-			continue
-		}
-		err := fn(s.member(i, m))
-		if err == nil {
-			return nil
-		}
-		s.markDown(i, m, op, err)
-		lastErr = err
+	if err := fn(s.parts[i]); err != nil {
+		return s.setFailed(&PartitionUnavailableError{Partition: i, Op: op, Err: err})
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("all %d group members marked down", s.groupSize(i))
-	}
-	return s.setFailed(&PartitionUnavailableError{Partition: i, Op: op, Err: lastErr})
+	return nil
 }
 
-// readFanOut runs fn against every partition in parallel through the
-// group read-failover path.
+// readFanOut runs fn against every partition in parallel.
 func (s *PartitionedStore) readFanOut(op string, fn func(i int, p Partition) error) *PartitionUnavailableError {
 	members := make([]int, len(s.parts))
 	for i := range members {
@@ -523,8 +391,7 @@ func (s *PartitionedStore) readFanOut(op string, fn func(i int, p Partition) err
 }
 
 // readFanOutSome is readFanOut restricted to the listed partition
-// indexes — the routed form the variant filters enable. fn is called
-// with whichever group member of each partition answers.
+// indexes — the routed form the variant filters enable.
 func (s *PartitionedStore) readFanOutSome(op string, members []int, fn func(i int, p Partition) error) *PartitionUnavailableError {
 	if len(members) == 0 {
 		return nil
@@ -547,94 +414,24 @@ func (s *PartitionedStore) readFanOutSome(op string, members []int, fn func(i in
 	return nil
 }
 
-// writeFanOut runs fn once against every member of every partition
-// group — primaries and replicas — in parallel; fn receives the group
-// member index (0 = primary) so callers can give replicas their own
-// payload copies. Writes have no failover: a batch that reached some
-// members but not others would fork the group's bit-identical state,
+// writeFanOut runs fn once against every partition in parallel. A
+// batch that reached some members but not others leaves them diverged,
 // so the first failure poisons the federation (the divergence is never
-// observable through queries). Mutations that should fail cleanly
-// instead of poisoning check degradedError before calling this.
-func (s *PartitionedStore) writeFanOut(op string, fn func(i, m int, p Partition) error) *PartitionUnavailableError {
-	type target struct{ i, m int }
-	var targets []target
-	for i := range s.parts {
-		for m := 0; m < s.groupSize(i); m++ {
-			targets = append(targets, target{i, m})
-		}
-	}
-	errs := make([]error, len(targets))
+// observable through queries).
+func (s *PartitionedStore) writeFanOut(op string, fn func(i int, p Partition) error) *PartitionUnavailableError {
+	errs := make([]error, len(s.parts))
 	var wg sync.WaitGroup
-	for k, tg := range targets {
+	for i, p := range s.parts {
 		wg.Add(1)
-		go func(k int, tg target) {
+		go func(i int, p Partition) {
 			defer wg.Done()
-			errs[k] = fn(tg.i, tg.m, s.member(tg.i, tg.m))
-		}(k, tg)
+			errs[i] = fn(i, p)
+		}(i, p)
 	}
 	wg.Wait()
-	for k, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return s.setFailed(&PartitionUnavailableError{Partition: targets[k].i, Op: op, Err: err})
-		}
-	}
-	return nil
-}
-
-// copyShadowHeaders gives a replica member its own OD headers: every
-// backend assigns IDs by writing o.ID into the struct it was handed,
-// so members of one group must not share them. The tuple slices are
-// immutable after the build and stay shared.
-func copyShadowHeaders(ods []*OD) []*OD {
-	out := make([]*OD, len(ods))
-	for i, o := range ods {
-		cp := *o
-		out[i] = &cp
-	}
-	return out
-}
-
-// memberBatches expands per-partition shadows into per-group-member
-// batches ahead of a write fan-out: the primary takes the original
-// structs, every replica its own header copies. The copies must happen
-// before the goroutines start — group members add in parallel, and the
-// primary writing IDs into the shared structs would race with a
-// replica still copying them.
-func (s *PartitionedStore) memberBatches(shadows [][]*OD) [][][]*OD {
-	out := make([][][]*OD, len(shadows))
-	for i := range shadows {
-		out[i] = make([][]*OD, s.groupSize(i))
-		out[i][0] = shadows[i]
-		for m := 1; m < s.groupSize(i); m++ {
-			out[i][m] = copyShadowHeaders(shadows[i])
-		}
-	}
-	return out
-}
-
-// degradedError returns the typed error a mutation must fail with
-// while any group member is marked down: shipping the batch to the
-// survivors only would fork the replicas' contents, so writes stay
-// fail-stop — the batch is rejected up front, nothing ships, the
-// federation is NOT poisoned, and reads keep serving from the healthy
-// members. Bringing a fresh replica up (AttachReplicas on a new
-// coordinator) lifts the degradation.
-func (s *PartitionedStore) degradedError(op string) error {
-	for i := range s.parts {
-		for m := 0; m < s.groupSize(i); m++ {
-			h := s.health[i][m]
-			if !h.down.Load() {
-				continue
-			}
-			cause := error(nil)
-			if first := h.err.Load(); first != nil {
-				cause = first.Err
-			}
-			return &PartitionUnavailableError{
-				Partition: i,
-				Op:        op,
-				Err:       fmt.Errorf("group member %d is marked down (%v); writes are fail-stop while the federation serves reads degraded", m, cause),
-			}
+			return s.setFailed(&PartitionUnavailableError{Partition: i, Op: op, Err: err})
 		}
 	}
 	return nil
@@ -693,9 +490,9 @@ func (s *PartitionedStore) Finalize(theta float64) {
 	s.theta = theta
 	s.live = len(s.ods)
 
-	batches := s.memberBatches(s.shadowODs(s.ods))
-	err := s.writeFanOut("Finalize", func(i, m int, p Partition) error {
-		if err := p.AddODs(batches[i][m]); err != nil {
+	shadows := s.shadowODs(s.ods)
+	err := s.writeFanOut("Finalize", func(i int, p Partition) error {
+		if err := p.AddODs(shadows[i]); err != nil {
 			return err
 		}
 		if err := p.Finalize(theta); err != nil {
@@ -757,8 +554,7 @@ func (s *PartitionedStore) RoutingStats() RoutingStats {
 }
 
 // MemberWireStats returns the wire counters of every member whose
-// transport counts them (odrpc clients), keyed by member index —
-// "2" for partition 2's primary, "2/r1" for its first replica.
+// transport counts them (odrpc clients), keyed by partition index.
 // In-process members have no wire and are absent.
 func (s *PartitionedStore) MemberWireStats() map[string]WireStats {
 	out := map[string]WireStats{}
@@ -766,84 +562,9 @@ func (s *PartitionedStore) MemberWireStats() map[string]WireStats {
 		if wc, ok := p.(WireCounter); ok {
 			out[strconv.Itoa(i)] = wc.WireStats()
 		}
-		if s.replicas == nil {
-			continue
-		}
-		for m, r := range s.replicas[i] {
-			if wc, ok := r.(WireCounter); ok {
-				out[strconv.Itoa(i)+"/r"+strconv.Itoa(m+1)] = wc.WireStats()
-			}
-		}
 	}
 	return out
 }
-
-// MemberHealth describes one partition group's read availability for
-// operators (/metrics, /healthz).
-type MemberHealth struct {
-	// Partition is the group's partition index.
-	Partition int
-	// Members is the group size (primary plus replicas).
-	Members int
-	// Down lists the group-member indexes marked down (0 = primary).
-	Down []int
-	// Errors holds the first recorded failure per down member, aligned
-	// with Down.
-	Errors []string
-}
-
-// ReplicaHealth snapshots every partition group's availability.
-func (s *PartitionedStore) ReplicaHealth() []MemberHealth {
-	out := make([]MemberHealth, len(s.parts))
-	for i := range s.parts {
-		mh := MemberHealth{Partition: i, Members: s.groupSize(i)}
-		for m := 0; m < mh.Members; m++ {
-			h := s.health[i][m]
-			if !h.down.Load() {
-				continue
-			}
-			mh.Down = append(mh.Down, m)
-			msg := "marked down"
-			if first := h.err.Load(); first != nil {
-				msg = first.Error()
-			}
-			mh.Errors = append(mh.Errors, msg)
-		}
-		out[i] = mh
-	}
-	return out
-}
-
-// DownMembers counts group members currently marked down across the
-// federation.
-func (s *PartitionedStore) DownMembers() int {
-	n := 0
-	for i := range s.parts {
-		for m := 0; m < s.groupSize(i); m++ {
-			if s.health[i][m].down.Load() {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// NumReplicas returns how many replicas each partition carries (0 when
-// unreplicated).
-func (s *PartitionedStore) NumReplicas() int {
-	if s.replicas == nil {
-		return 0
-	}
-	return len(s.replicas[0])
-}
-
-// Fingerprint returns the coordinator snapshot's provenance when this
-// federation was restored or rebalanced from one ("" otherwise).
-func (s *PartitionedStore) Fingerprint() string { return s.fingerprint }
-
-// RebalancedFrom returns the source layout when this federation was
-// produced by Rebalance, nil for fresh builds.
-func (s *PartitionedStore) RebalancedFrom() *RebalanceInfo { return s.rebalanced }
 
 // Size implements Store: live objects only.
 func (s *PartitionedStore) Size() int {
@@ -1177,9 +898,6 @@ func (s *PartitionedStore) AddAfterFinalize(ods []*OD) error {
 	if e := s.failed.Load(); e != nil {
 		return e
 	}
-	if err := s.degradedError("AddAfterFinalize"); err != nil {
-		return err
-	}
 	if len(ods) == 0 {
 		return nil
 	}
@@ -1192,9 +910,8 @@ func (s *PartitionedStore) AddAfterFinalize(ods []*OD) error {
 	tupleTypes(touched, ods)
 	s.bumpEpochs(touched)
 	shadows := s.shadowODs(ods)
-	batches := s.memberBatches(shadows)
-	if err := s.writeFanOut("AddAfterFinalize", func(i, m int, p Partition) error {
-		return p.AddAfterFinalize(batches[i][m])
+	if err := s.writeFanOut("AddAfterFinalize", func(i int, p Partition) error {
+		return p.AddAfterFinalize(shadows[i])
 	}); err != nil {
 		return err
 	}
@@ -1221,9 +938,6 @@ func (s *PartitionedStore) Remove(ids []int32) error {
 	if e := s.failed.Load(); e != nil {
 		return e
 	}
-	if err := s.degradedError("Remove"); err != nil {
-		return err
-	}
 	if err := validateRemovals(s.IDSpan(), s.Alive, ids); err != nil {
 		return err
 	}
@@ -1237,7 +951,7 @@ func (s *PartitionedStore) Remove(ids []int32) error {
 		tupleTypes(touched, []*OD{s.ods[id]})
 	}
 	s.bumpEpochs(touched)
-	if err := s.writeFanOut("Remove", func(i, m int, p Partition) error {
+	if err := s.writeFanOut("Remove", func(i int, p Partition) error {
 		return p.Remove(sorted)
 	}); err != nil {
 		return err

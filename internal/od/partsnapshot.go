@@ -39,8 +39,7 @@ func partitionFingerprint(fedFingerprint string, part, parts int, seed uint32) s
 // commits the whole set.
 //
 // Every member must expose its backing store (local members and
-// loopback transports do); a genuinely remote member persists on its
-// own node, and saving such a federation from the coordinator is
+// loopback transports do); a federation with a member that does not is
 // rejected. A mutated DiskStore member living inside its own target
 // partition directory is also rejected: its in-place merge would keep
 // the ID space while the other members compact, misaligning the
@@ -60,18 +59,6 @@ func SavePartitioned(dir string, s *PartitionedStore, meta SnapshotMeta) error {
 		Theta:            s.theta,
 		PartFingerprints: make([]string, len(s.parts)),
 		RoutingFilters:   make([][]odcodec.RoutingFilter, len(s.parts)),
-	}
-	if s.replicas != nil {
-		fed.Replicas = make([]int, len(s.parts))
-		for i := range s.replicas {
-			fed.Replicas[i] = len(s.replicas[i])
-		}
-	}
-	if s.rebalanced != nil {
-		fed.Rebalanced = &odcodec.RebalanceProvenance{
-			FromPartitions: s.rebalanced.FromPartitions,
-			FromSeed:       s.rebalanced.FromSeed,
-		}
 	}
 	for i, p := range s.parts {
 		backing := p.(BackingStore).BackingStore()
@@ -123,8 +110,7 @@ func SavePartitioned(dir string, s *PartitionedStore, meta SnapshotMeta) error {
 // fingerprint the manifest vouches for.
 //
 // The returned federation is fully mutable and queryable; its members
-// are in-process DiskStores (wrap them behind odrpc servers to serve
-// them to remote coordinators).
+// are in-process DiskStores.
 func OpenPartitioned(dir string) (*PartitionedStore, error) {
 	fed, err := odcodec.ReadFederation(dir)
 	if err != nil {
@@ -194,14 +180,6 @@ func OpenPartitioned(dir string) (*PartitionedStore, error) {
 	s.live = n
 	s.theta = fed.Theta
 	s.finalized = true
-	s.snapDir = dir
-	s.fingerprint = meta.Fingerprint
-	if fed.Rebalanced != nil {
-		s.rebalanced = &RebalanceInfo{
-			FromPartitions: fed.Rebalanced.FromPartitions,
-			FromSeed:       fed.Rebalanced.FromSeed,
-		}
-	}
 	// The manifest carries the filters SavePartitioned computed from
 	// these exact member snapshots (the fingerprints checked above pin
 	// them), so no refetch fan-out is needed.

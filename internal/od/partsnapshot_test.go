@@ -40,8 +40,8 @@ func TestSavePartitionedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.NumPartitions() != 3 || re.HashSeed() != fed.HashSeed() {
-		t.Fatalf("reopened federation has %d partitions, seed %d", re.NumPartitions(), re.HashSeed())
+	if len(re.parts) != 3 || re.seed != fed.seed {
+		t.Fatalf("reopened federation has %d partitions, seed %d", len(re.parts), re.seed)
 	}
 	assertStoreMatchesFresh(t, "partitioned-snapshot", re, fresh)
 
@@ -89,8 +89,8 @@ func TestSavePartitionedSeedRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.HashSeed() != 0xBEEF {
-		t.Fatalf("seed %d after reopen", re.HashSeed())
+	if re.seed != 0xBEEF {
+		t.Fatalf("seed %d after reopen", re.seed)
 	}
 	fresh := freshOver(copyODs(ods), 0.15)
 	assertStoreMatchesFresh(t, "seeded", re, fresh)
@@ -265,7 +265,7 @@ func TestSavePartitionedRejectsRemoteMembers(t *testing.T) {
 	}
 }
 
-// opaquePartition hides the backing store, like a dialed odrpc client.
+// opaquePartition hides the backing store.
 type opaquePartition struct {
 	Partition
 }

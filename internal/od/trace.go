@@ -277,8 +277,8 @@ func encodeSteps(steps []FilterStep) []odcodec.TraceFilterStep {
 }
 
 // LoadTraces restores the trace segment recorded against the snapshot s
-// was opened from. It returns (nil, nil) when the store has no backing
-// snapshot directory or the directory carries no trace file, and a
+// was opened from. It returns (nil, nil) when s is not a DiskStore or
+// its directory carries no trace file, and a
 // non-nil error for every rejected trace — corrupt framing, manifest
 // digest divergence (the snapshot was rewritten after the trace), a
 // DiskStore whose deltas end at another sequence than the trace records
@@ -288,19 +288,11 @@ func encodeSteps(steps []FilterStep) []odcodec.TraceFilterStep {
 // end at. Callers treat any nil TraceSet as "full recompare"; the error
 // only attributes why.
 func LoadTraces(s Store) (*TraceSet, error) {
-	var dir string
-	var ds *DiskStore
-	switch st := s.(type) {
-	case *DiskStore:
-		ds, dir = st, st.dir
-	case *PartitionedStore:
-		if st.snapDir == "" {
-			return nil, nil
-		}
-		dir = st.snapDir
-	default:
+	ds, ok := s.(*DiskStore)
+	if !ok {
 		return nil, nil
 	}
+	dir := ds.dir
 	raw, info, err := odcodec.ReadTraceChain(dir)
 	if err != nil {
 		return nil, err
@@ -315,7 +307,7 @@ func LoadTraces(s Store) (*TraceSet, error) {
 	if raw.ManifestDigest != digest {
 		return nil, fmt.Errorf("od: load traces: trace segment chains to a different snapshot (stale trace)")
 	}
-	if ds != nil && raw.DeltaSeq != ds.DeltaSeq() {
+	if raw.DeltaSeq != ds.DeltaSeq() {
 		return nil, fmt.Errorf("od: load traces: trace describes delta sequence %d, store is at %d", raw.DeltaSeq, ds.DeltaSeq())
 	}
 	if raw.Size != s.Size() {
