@@ -112,7 +112,7 @@ bench-kernel:
 	$(GO) test -run '^$$' -bench 'Kernels|NeighborIndex' -benchmem -benchtime $(BENCHTIME) ./internal/strdist/
 	$(GO) test -run '^$$' -bench 'TypeIndexCollect|NeighborsOf|DiskSimilarValues|DiskObjectsWithExact|ShardedLRUGet' -benchmem -benchtime $(BENCHTIME) ./internal/od/
 	$(GO) test -run '^$$' -bench 'KernelScore|KernelFilter' -benchmem -benchtime $(BENCHTIME) ./internal/sim/
-	$(GO) test -run '^$$' -bench 'DetectKernel|UpdateKernel|Ingest' -benchmem -benchtime $(BENCHTIME) ./internal/core/
+	$(GO) test -run '^$$' -bench 'DetectKernel|UpdateKernel|TraceSegment|Ingest' -benchmem -benchtime $(BENCHTIME) ./internal/core/
 	$(GO) test -run '^$$' -bench 'ParsePaths' -benchmem -benchtime $(BENCHTIME) ./internal/xmltree/
 
 # The reference benchmark (bench/, a Go module of its own, so `make

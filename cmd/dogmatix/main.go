@@ -86,6 +86,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -158,7 +159,14 @@ func (o *options) register(fs *flag.FlagSet) {
 // one-line errors instead of failures deep inside the run: the CLI's
 // own rules here, the shared ones and their defaults in
 // cliopt.Options.Validate. -update resolves an empty -store to disk.
+// Flag parsing stops at the first non-flag argument, so flags after it
+// arrive as documents: then that argument is named as an unknown
+// subcommand instead of failing on the flags it swallowed.
 func (o *options) validate(docs []string) error {
+	if len(docs) > 1 && !strings.HasPrefix(docs[0], "-") &&
+		slices.ContainsFunc(docs[1:], func(d string) bool { return strings.HasPrefix(d, "-") }) {
+		return fmt.Errorf("unknown subcommand %q (want query or submit; flags go before the documents)", docs[0])
+	}
 	if len(docs) == 0 && !(o.update && len(o.removePaths) > 0) {
 		return fmt.Errorf("no input documents")
 	}

@@ -30,6 +30,8 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"missing-map", func(o *options) { o.MapFile = "" }, docs, "-map and -type"},
 		{"missing-type", func(o *options) { o.TypeName = "" }, docs, "-map and -type"},
 		{"no-docs", func(o *options) {}, nil, "no input documents"},
+		{"unknown-subcommand", func(o *options) { o.MapFile, o.TypeName = "", "" }, []string{"rebalance", "-map", "m.txt", "-type", "T"},
+			`unknown subcommand "rebalance" (want query or submit; flags go before the documents)`},
 		{"negative-workers", func(o *options) { o.Workers = -1 }, docs, "-workers"},
 		{"bad-format", func(o *options) { o.format = "yaml" }, docs, "-format"},
 		{"bad-store", func(o *options) { o.Store = "redis" }, docs, "unknown -store"},
@@ -356,8 +358,9 @@ func TestRunUpdateEndToEnd(t *testing.T) {
 // manifest carries the Step 4 bound list earlier version-4 writers
 // persisted (testdata/v4-filter-values/index, written by `dogmatix
 // -filter -store disk -reuse-index` over the corpus beside it): the
-// list is skipped, the trace segment stays bound to the manifest, and
-// the directory warm-starts and -updates like any other.
+// list is skipped and the directory warm-starts and -updates like any
+// other. Its trace segment is a retired frame kind, so the first warm
+// start recompares and rewrites it, and replay resumes from there.
 func TestRunFilterValuesManifest(t *testing.T) {
 	fixture := filepath.Join("testdata", "v4-filter-values")
 	corpus := filepath.Join(fixture, "corpus.xml")
@@ -415,17 +418,22 @@ func TestRunFilterValuesManifest(t *testing.T) {
 
 	warm := base
 	warm.Store, warm.StoreDir, warm.ReuseIndex, warm.stats = cliopt.StoreDisk, copyIndex(), true, true
-	var warmOut, warmErr bytes.Buffer
-	if err := run(warm, []string{corpus}, &warmOut, &warmErr); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"warm-start=true", "compared=0", "traces=disk"} {
-		if !strings.Contains(warmErr.String(), want) {
-			t.Errorf("-reuse-index stats = %q, want %s", warmErr.String(), want)
+	for n, wants := range [][]string{
+		{"warm-start=true", "traces=none"},
+		{"warm-start=true", "compared=0", "traces=disk"},
+	} {
+		var warmOut, warmErr bytes.Buffer
+		if err := run(warm, []string{corpus}, &warmOut, &warmErr); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if warmOut.String() != ref.String() {
-		t.Errorf("warm start diverges from a fresh run\n got: %s\nwant: %s", warmOut.String(), ref.String())
+		for _, want := range wants {
+			if !strings.Contains(warmErr.String(), want) {
+				t.Errorf("-reuse-index run %d stats = %q, want %s", n+1, warmErr.String(), want)
+			}
+		}
+		if warmOut.String() != ref.String() {
+			t.Errorf("warm start %d diverges from a fresh run\n got: %s\nwant: %s", n+1, warmOut.String(), ref.String())
+		}
 	}
 
 	dir := t.TempDir()
@@ -449,7 +457,7 @@ func TestRunFilterValuesManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	upd := base
-	upd.update, upd.StoreDir, upd.stats = true, copyIndex(), true
+	upd.update, upd.StoreDir, upd.stats = true, warm.StoreDir, true
 	upd.removePaths = []string{"/db/rec[6]"}
 	var updOut, updErr bytes.Buffer
 	if err := run(upd, []string{doc2}, &updOut, &updErr); err != nil {

@@ -47,7 +47,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/heuristics"
 	"repro/internal/od"
-	"repro/internal/sim"
 	"repro/internal/xmlstream"
 	"repro/internal/xmltree"
 	"repro/internal/xsd"
@@ -404,7 +403,7 @@ func (d *Detector) DetectInputs(typeName string, inputs ...SourceInput) (*Result
 		res:      &Result{Type: typeName, SourceCount: len(inputs)},
 	}
 	if d.cfg.Incremental {
-		p.inc = &incState{pairs: map[int64]sim.PairTrace{}}
+		p.inc = newIncState()
 	}
 	if d.cfg.Snapshot != nil && d.cfg.Snapshot.Reuse {
 		if err := p.runOne(pipelineStage{StageWarmStart, (*pipelineRun).warmStart}); err != nil {

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/heuristics"
 	"repro/internal/od"
+	"repro/internal/od/odcodec"
 )
 
 // BenchmarkDetectKernel is Dataset 1 at the reference benchmark's
@@ -158,4 +161,105 @@ func BenchmarkUpdateKernel(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTraceSegment meters the trace segment on the same corpus,
+// built on a DiskStore persisting into its own directory with replay
+// traces, then extended by one single-document update. Its rows: save
+// is a whole write of the updated state (Result.SaveTraces, one frame
+// patching the empty state), append the frame that update appends
+// (od.AppendTraces against the build's one-frame chain, the file cut
+// back to that chain before each iteration, outside the timer), and
+// load od.LoadTraces of the resulting two-frame chain. B/op is each
+// operation's allocation; trace-B is the file a whole write leaves and
+// frame-B the bytes one appended frame adds.
+//
+//	go test ./internal/core -run xxx -bench TraceSegment -benchmem
+func BenchmarkTraceSegment(b *testing.B) {
+	ds, err := experiments.BuildDataset1(500, 2005, dirty.Dataset1Params())
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := heuristics.Experiment(1, heuristics.KClosestDescendants(6))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	det, err := core.NewDetector(ds.Mapping, core.Config{
+		Heuristic:   h,
+		ThetaTuple:  experiments.ThetaTuple,
+		ThetaCand:   experiments.ThetaCand,
+		UseFilter:   true,
+		Workers:     1,
+		Incremental: true,
+		NewStore:    func() od.Store { return od.NewDiskStore(dir) },
+		Snapshot:    &core.SnapshotOptions{Dir: dir, Save: true},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	built, err := det.Detect("DISC", core.Source{Doc: ds.Doc, Schema: ds.Schema})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tracePath := filepath.Join(dir, odcodec.TraceFile)
+	base, err := os.ReadFile(tracePath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, chain, err := odcodec.ReadTraceChain(dir)
+	if err != nil || chain.Frames != 1 {
+		b.Fatalf("the build left a chain of %d frames (err %v), want one", chain.Frames, err)
+	}
+	post := core.Source{Name: "post", Doc: datagen.FreeDBToXML(datagen.FreeDB(501, 2006)[500:]), Schema: ds.Schema}
+	updated, err := det.Update(built, core.UpdateBatch{Add: []core.SourceInput{post}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	up := core.TraceUpdateOf(built, updated)
+	fileSize := func() float64 {
+		st, err := os.Stat(tracePath)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return float64(st.Size())
+	}
+
+	b.Run("save", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := updated.SaveTraces(dir); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(fileSize(), "trace-B")
+	})
+	b.Run("append", func(b *testing.B) {
+		if err := os.WriteFile(tracePath, base, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := os.Truncate(tracePath, int64(len(base))); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			c, err := od.AppendTraces(dir, updated.Store, chain.TraceChain, up)
+			if err != nil || c.Frames != 2 {
+				b.Fatalf("append left %d frames (err %v), want two", c.Frames, err)
+			}
+		}
+		b.ReportMetric(fileSize()-float64(len(base)), "frame-B")
+	})
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ts, err := od.LoadTraces(updated.Store)
+			if err != nil || ts == nil || ts.Chain.Frames != 2 {
+				b.Fatalf("load of the two-frame chain failed: %v", err)
+			}
+		}
+	})
+	updated.Store.(*od.DiskStore).Close()
 }

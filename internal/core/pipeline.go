@@ -130,7 +130,7 @@ type pipelineRun struct {
 	// rescored, dropped and refiltered are what the run changed in
 	// prev's replay state — pair keys compared for real, prev pair keys
 	// the patch loop dropped, filter slots recorded anew or cleared: the
-	// traces stage's delta frame, with nothing diffed. Collected only
+	// traces stage's patch frame, with nothing diffed. Collected only
 	// when traces are recorded against a prev.
 	rescored   []int64
 	dropped    []int64
@@ -386,12 +386,12 @@ func (p *pipelineRun) reduce() (int, error) {
 	if cfg.UseFilter || cfg.KeepFilterValues {
 		var prevSteps [][]sim.FilterStep
 		if p.prev != nil {
-			prevSteps = p.prev.filter
+			prevSteps = p.prev.Filter
 		}
 		filterValues := make([]float64, span)
 		var refiltered []bool // per slot: its trace was recorded anew or cleared
 		if p.inc != nil {
-			p.inc.filter = make([][]sim.FilterStep, span)
+			p.inc.Filter = make([][]sim.FilterStep, span)
 			if p.prev != nil {
 				refiltered = make([]bool, span)
 			}
@@ -401,7 +401,7 @@ func (p *pipelineRun) reduce() (int, error) {
 			if !p.alive[i] {
 				filterValues[i] = math.NaN()
 				if refiltered != nil {
-					refiltered[i] = i < len(p.prev.filter) && p.prev.filter[i] != nil
+					refiltered[i] = i < len(p.prev.Filter) && p.prev.Filter[i] != nil
 				}
 				return
 			}
@@ -418,7 +418,7 @@ func (p *pipelineRun) reduce() (int, error) {
 				filterValues[i] = sim.Filter(p.store, p.store.OD(id))
 			}
 			if p.inc != nil {
-				p.inc.filter[i] = steps
+				p.inc.Filter[i] = steps
 			}
 			if refiltered != nil {
 				refiltered[i] = !replayable
@@ -470,7 +470,7 @@ func (p *pipelineRun) compare() (int, error) {
 	var list []int32
 	for id := int32(0); id < int32(span); id++ {
 		if p.alive[id] && (id >= p.newFrom || p.exactDirty[id] || p.prev == nil ||
-			int(id) >= len(p.prev.alive) || !p.prev.alive[id]) {
+			int(id) >= len(p.prev.Alive) || !p.prev.Alive[id]) {
 			inR[id] = true
 			list = append(list, id)
 		}
@@ -531,7 +531,7 @@ func (p *pipelineRun) compare() (int, error) {
 		p.res.Stats.Compared += outs[b].compared
 		if p.inc != nil {
 			for _, tp := range outs[b].traces {
-				p.inc.pairs[tp.key] = tp.tr
+				p.inc.Pairs[tp.key] = tp.tr
 				if p.prev != nil {
 					p.rescored = append(p.rescored, tp.key)
 				}
@@ -545,11 +545,11 @@ func (p *pipelineRun) compare() (int, error) {
 	if p.prev != nil {
 		var patched batchOut
 		liveN := p.store.Size()
-		for key, tr := range p.prev.pairs {
-			i, j := unpairKey(key)
+		for key, tr := range p.prev.Pairs {
+			i, j := od.UnpairKey(key)
 			if !p.alive[i] || !p.alive[j] || inR[i] || inR[j] {
 				if p.inc != nil {
-					if _, rescored := p.inc.pairs[key]; !rescored {
+					if _, rescored := p.inc.Pairs[key]; !rescored {
 						p.dropped = append(p.dropped, key)
 					}
 				}
@@ -558,7 +558,7 @@ func (p *pipelineRun) compare() (int, error) {
 			p.res.Stats.Patched++
 			patched.classify(&cfg, i, j, sim.ReplayScore(liveN, tr))
 			if p.inc != nil {
-				p.inc.pairs[key] = tr
+				p.inc.Pairs[key] = tr
 			}
 		}
 		outs = append(outs, patched)
@@ -585,7 +585,7 @@ func sortPairsByID(pairs []Pair) {
 	})
 }
 
-// tracedPair is one compared pair's replay trace, keyed by pairKey.
+// tracedPair is one compared pair's replay trace, keyed by od.PairKey.
 type tracedPair struct {
 	key int64
 	tr  sim.PairTrace
@@ -625,7 +625,7 @@ func (p *pipelineRun) scorePair(out *batchOut, post *sim.Postings, oi, oj *od.OD
 	score := sim.ScoreTrace(post, oi, oj, p.d.cfg.ThetaTuple, tr)
 	if ns := len(tr.SimU); ns > 0 {
 		unions := append(append(make([]int32, 0, ns+len(tr.ConU)), tr.SimU...), tr.ConU...)
-		out.traces = append(out.traces, tracedPair{key: pairKey(i, j), tr: sim.PairTrace{SimU: unions[:ns:ns], ConU: unions[ns:]}})
+		out.traces = append(out.traces, tracedPair{key: od.PairKey(i, j), tr: sim.PairTrace{SimU: unions[:ns:ns], ConU: unions[ns:]}})
 	}
 	return score
 }
@@ -649,20 +649,20 @@ func (p *pipelineRun) clusterPairs() (int, error) {
 // stage committed is the one the segment chains to. Item count is the
 // number of pair traces persisted.
 func (p *pipelineRun) persistTraces() (int, error) {
-	p.inc.size, p.inc.alive = p.store.Size(), p.alive
+	p.inc.Size, p.inc.Alive = p.store.Size(), p.alive
 	up := &od.TraceUpdate{
-		Cur:      p.inc.traceSet(),
+		Cur:      p.inc.TraceSet,
 		Rescored: p.rescored, Dropped: p.dropped, Refiltered: p.refiltered,
 	}
 	if p.prev != nil {
-		up.Prev = p.prev.traceSet()
+		up.Prev = p.prev.TraceSet
 	}
 	chain, err := od.AppendTraces(p.d.cfg.Snapshot.Dir, p.store, p.chain, up)
 	if err != nil {
 		return 0, fmt.Errorf("core: traces: %w", err)
 	}
-	p.inc.chain = chain
-	return len(p.inc.pairs), nil
+	p.inc.Chain = chain
+	return len(p.inc.Pairs), nil
 }
 
 // newStore builds the configured Store backend (MemStore by default).

@@ -235,7 +235,7 @@ func (p *pipelineRun) snapshot() (int, error) {
 		return 0, err
 	}
 	if p.inc != nil {
-		p.inc.fp = fp // seed for Update's chained provenance
+		p.inc.Fingerprint = fp // seed for Update's chained provenance
 	}
 	if err := od.Save(p.d.cfg.Snapshot.Dir, p.store, od.SnapshotMeta{Fingerprint: fp}); err != nil {
 		return 0, fmt.Errorf("core: snapshot: %w", err)

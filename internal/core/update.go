@@ -78,38 +78,23 @@ func (r *Result) ResolveRemovals(specs []string) ([]int32, error) {
 
 // incState is the replay state Config.Incremental records on a Result:
 // everything Update needs to patch the untouched portion of the previous
-// answer bit-identically instead of recomputing it.
+// answer bit-identically instead of recomputing it. It is the trace set
+// the od layer persists — its Chain is the shape of the trace chain it
+// was written as (the traces stage, Result.SaveTraces) or read from
+// (Adopt) — plus where it came from.
 type incState struct {
-	size  int    // |ΩT| when the state was recorded
-	fp    string // fingerprint chain head ("" = no provenance)
-	alive []bool // post-reduce survival per ID (filter applied)
-	// pairs holds one trace per compared pair with at least one similar
-	// match, keyed by pairKey. A pair's trace stays valid while neither
-	// endpoint's exact tuple postings change.
-	pairs map[int64]sim.PairTrace
-	// filter holds per-ID bound traces (nil when no bounds were
-	// computed). A trace stays valid while no posting of a value
-	// θtuple-similar to one of the object's tuples changes.
-	filter [][]sim.FilterStep
+	*od.TraceSet
 	// origin attributes where the state came from: "memory" for states
 	// recorded by an in-process run, "disk" for states Adopt restored
 	// from a persisted trace segment. Surfaced as Stats.TraceSource on
 	// the Update that consumes it.
 	origin string
-	// chain is the shape of the persisted trace chain this state was
-	// written as (the traces stage, Result.SaveTraces) or read from
-	// (Adopt); zero when it was never persisted.
-	chain od.TraceChain
 }
 
-// traceSet is the state as the od layer persists it.
-func (s *incState) traceSet() *od.TraceSet {
-	return &od.TraceSet{Fingerprint: s.fp, Size: s.size, Alive: s.alive, Pairs: s.pairs, Filter: s.filter}
+// newIncState is the empty state a run records its traces into.
+func newIncState() *incState {
+	return &incState{TraceSet: &od.TraceSet{Pairs: map[int64]sim.PairTrace{}}}
 }
-
-func pairKey(i, j int32) int64 { return int64(i)<<32 | int64(uint32(j)) }
-
-func unpairKey(k int64) (int32, int32) { return int32(k >> 32), int32(uint32(k)) }
 
 // updateCtx threads an Update run's batch state through its update
 // stage. The replay state Steps 4–6 read (prev, newFrom, the dirty
@@ -204,11 +189,11 @@ func (d *Detector) Update(prev *Result, batch UpdateBatch) (*Result, error) {
 		exactDirty:  map[int32]bool{},
 		filterDirty: map[int32]bool{},
 	}
-	if ds, ok := ms.(*od.DiskStore); ok && prev.inc != nil && prev.inc.chain.DeltaSeq == ds.DeltaSeq() {
-		p.chain = prev.inc.chain
+	if ds, ok := ms.(*od.DiskStore); ok && prev.inc != nil && prev.inc.Chain.DeltaSeq == ds.DeltaSeq() {
+		p.chain = prev.inc.Chain
 	}
 	if d.cfg.Incremental {
-		p.inc = &incState{pairs: map[int64]sim.PairTrace{}}
+		p.inc = newIncState()
 	}
 	res.Stats.TraceSource = "none"
 	if prev.inc != nil {
@@ -264,15 +249,7 @@ func Adopt(typeName string, s od.Store) (*Result, error) {
 	// an error: the traces are a pure cache of replayable work.
 	items := 0
 	if ts, err := od.LoadTraces(s); err == nil && ts != nil {
-		res.inc = &incState{
-			size:   ts.Size,
-			fp:     ts.Fingerprint,
-			alive:  ts.Alive,
-			pairs:  ts.Pairs,
-			filter: ts.Filter,
-			origin: "disk",
-			chain:  ts.Chain,
-		}
+		res.inc = &incState{TraceSet: ts, origin: "disk"}
 		items = len(ts.Pairs)
 	}
 	res.Stages = append(res.Stages, StageStats{Name: StageAdopt, Items: items, Elapsed: time.Since(begin)})
@@ -291,12 +268,12 @@ func (r *Result) SaveTraces(dir string) error {
 	if r.inc == nil {
 		return fmt.Errorf("core: result carries no replay traces (Config.Incremental off)")
 	}
-	chain, err := od.SaveTraces(dir, r.Store, r.inc.traceSet())
+	chain, err := od.SaveTraces(dir, r.Store, r.inc.TraceSet)
 	if err != nil {
 		return err
 	}
 	if ds, ok := r.Store.(*od.DiskStore); ok && ds.InDir(dir) {
-		r.inc.chain = chain
+		r.inc.Chain = chain
 	}
 	return nil
 }
@@ -307,11 +284,11 @@ func (p *pipelineRun) finishIncState() {
 	if p.inc == nil {
 		return
 	}
-	p.inc.size = p.store.Size()
-	p.inc.alive = p.alive
+	p.inc.Size = p.store.Size()
+	p.inc.Alive = p.alive
 	p.inc.origin = "memory"
-	if p.prev != nil && p.inc.fp == "" {
-		p.inc.fp = p.prev.fp
+	if p.prev != nil && p.inc.Fingerprint == "" {
+		p.inc.Fingerprint = p.prev.Fingerprint
 	}
 	p.res.inc = p.inc
 }
@@ -430,8 +407,8 @@ func (p *pipelineRun) updateSnapshot() (int, error) {
 	ds, _ := p.store.(*od.DiskStore)
 	prevFP := ""
 	fromManifest := false
-	if p.prev != nil && p.prev.fp != "" {
-		prevFP = p.prev.fp
+	if p.prev != nil && p.prev.Fingerprint != "" {
+		prevFP = p.prev.Fingerprint
 	} else if ds != nil {
 		prevFP, fromManifest = ds.Fingerprint(), true
 	}
@@ -455,7 +432,7 @@ func (p *pipelineRun) updateSnapshot() (int, error) {
 		fp = hex.EncodeToString(h.Sum(nil))
 	}
 	if p.inc != nil {
-		p.inc.fp = fp
+		p.inc.Fingerprint = fp
 	}
 	if ds != nil && ds.InDir(dir) && (empty || p.inc != nil && !p.d.cfg.FilterOnly && p.chain.Appendable()) {
 		return 0, nil

@@ -15,7 +15,7 @@ import (
 //
 //   - Occurrence postings are kept canonical at all times: AddAfterFinalize
 //     appends the new (always larger) IDs in place, Remove copy-splices
-//     them out, so ObjectsWithExact and SoftIDF never consult a delta.
+//     them out, so ObjectsWithExact never consults a delta.
 //   - Distinct-value tables are overlaid: values that appeared after
 //     Finalize live in a per-type typeDelta scanned linearly at query
 //     time, values whose posting lists emptied are skipped by looking at

@@ -858,17 +858,6 @@ func (s *DiskStore) verify(out []ValueMatch, typ string, q query, c *odcodec.Cur
 	return out
 }
 
-// SoftIDF implements Store.
-func (s *DiskStore) SoftIDF(a, b Tuple) float64 {
-	s.mustBeFinal()
-	return softIDF(s.size, OccUnion(s, a, b))
-}
-
-// SoftIDFSingle implements Store.
-func (s *DiskStore) SoftIDFSingle(t Tuple) float64 {
-	return s.SoftIDF(t, t)
-}
-
 // Neighbors implements Store.
 func (s *DiskStore) Neighbors(id int32) []int32 {
 	s.mustBeFinal()

@@ -61,12 +61,12 @@ func assertStoreParity(t *testing.T, ref, got Store, label string) {
 			if !equalMatches(vr, vg) {
 				t.Fatalf("%s: SimilarValues(%v) diverge:\nref: %v\ngot: %v", label, tup, vr, vg)
 			}
-			if gr, gg := ref.SoftIDFSingle(tup), got.SoftIDFSingle(tup); gr != gg {
+			if gr, gg := softIDFOf(ref, tup, tup), softIDFOf(got, tup, tup); gr != gg {
 				t.Fatalf("%s: SoftIDFSingle(%v) diverge: %v vs %v", label, tup, gr, gg)
 			}
 			for _, m := range vr {
 				other := Tuple{Value: m.Value, Type: tup.Type}
-				if gr, gg := ref.SoftIDF(tup, other), got.SoftIDF(tup, other); gr != gg {
+				if gr, gg := softIDFOf(ref, tup, other), softIDFOf(got, tup, other); gr != gg {
 					t.Fatalf("%s: SoftIDF(%v, %v) diverge: %v vs %v", label, tup, other, gr, gg)
 				}
 			}

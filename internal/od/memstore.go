@@ -218,19 +218,6 @@ func (s *MemStore) SimilarValues(t Tuple) []ValueMatch {
 	return out
 }
 
-// SoftIDF implements Store: log(|ΩT| / |O_odti ∪ O_odtj|), natural log.
-// The tuples must carry the same type; if either tuple never occurs the
-// union counts it as one phantom occurrence so the value stays finite.
-func (s *MemStore) SoftIDF(a, b Tuple) float64 {
-	s.mustBeFinal()
-	return softIDF(s.Size(), OccUnion(s, a, b))
-}
-
-// SoftIDFSingle implements Store.
-func (s *MemStore) SoftIDFSingle(t Tuple) float64 {
-	return s.SoftIDF(t, t)
-}
-
 // Neighbors implements Store.
 func (s *MemStore) Neighbors(id int32) []int32 {
 	s.mustBeFinal()

@@ -132,7 +132,7 @@ func assertStoreMatchesFresh(t *testing.T, name string, mut MutableStore, fresh 
 			if got, want := remapMatches(mut.SimilarValues(tu)), fresh.SimilarValues(tu); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: SimilarValues(%v)=%v, fresh=%v", name, tu, got, want)
 			}
-			if got, want := mut.SoftIDFSingle(tu), fresh.SoftIDFSingle(tu); got != want {
+			if got, want := softIDFOf(mut, tu, tu), softIDFOf(fresh, tu, tu); got != want {
 				t.Fatalf("%s: SoftIDFSingle(%v)=%v, fresh=%v", name, tu, got, want)
 			}
 		}

@@ -247,10 +247,6 @@ type Store interface {
 	// including the exact value itself if present — ordered by ascending
 	// distance, then lexicographically.
 	SimilarValues(t Tuple) []ValueMatch
-	// SoftIDF implements Definition 8 for a pair of similar tuples.
-	SoftIDF(a, b Tuple) float64
-	// SoftIDFSingle is softIDF of a tuple paired with itself.
-	SoftIDFSingle(t Tuple) float64
 	// Neighbors returns the ids of all objects (excluding self) sharing at
 	// least one exact-or-similar non-empty tuple value of a common type
 	// with object id — the lossless blocking set for Step 5.
@@ -296,28 +292,12 @@ type MutableStore interface {
 	IDSpan() int32
 }
 
-// SoftIDFValue exposes the Definition 8 computation — log(size/union)
-// with the phantom-occurrence guard — for callers that replay cached
-// union sizes against a changed |ΩT| (see internal/sim's trace replay).
-// SoftIDFValue(s.Size(), OccUnion(s, a, b)) equals s.SoftIDF(a, b) bit
-// for bit on every backend.
+// SoftIDFValue is Definition 8: log(|ΩT| / |O_odti ∪ O_odtj|), natural
+// log, from the corpus size and the union of the two tuples' exact
+// occurrence postings (UnionSize). If neither tuple occurs the union
+// counts one phantom occurrence so the value stays finite. The pipeline
+// computes it from unions it read or replays (see internal/sim).
 func SoftIDFValue(size, union int) float64 {
-	return softIDF(size, union)
-}
-
-// OccUnion returns |occ(a) ∪ occ(b)|, the union-cardinality argument of
-// Definition 8, from the store's exact occurrence postings.
-func OccUnion(s Store, a, b Tuple) int {
-	oa := s.ObjectsWithExact(a)
-	if a.Type == b.Type && a.Value == b.Value {
-		return len(oa)
-	}
-	return UnionSize(oa, s.ObjectsWithExact(b))
-}
-
-// softIDF computes log(|ΩT| / union) with the phantom-occurrence guard of
-// Definition 8, shared by every Store implementation.
-func softIDF(size, union int) float64 {
 	if union == 0 {
 		union = 1
 	}

@@ -109,22 +109,29 @@ func TestSimilarValuesEmptyAndUnknownType(t *testing.T) {
 	}
 }
 
+// softIDFOf is Definition 8 for two tuples of s, computed the way the
+// pipeline computes it: SoftIDFValue over the union of their exact
+// occurrence postings.
+func softIDFOf(s Store, a, b Tuple) float64 {
+	return SoftIDFValue(s.Size(), UnionSize(s.ObjectsWithExact(a), s.ObjectsWithExact(b)))
+}
+
 func TestSoftIDF(t *testing.T) {
 	s := buildStore(t)
 	year99 := Tuple{Value: "1999", Type: "YEAR"}
 	// 1999 occurs in 2 of 3 objects: idf = ln(3/2)
-	if got, want := s.SoftIDFSingle(year99), math.Log(1.5); math.Abs(got-want) > 1e-12 {
+	if got, want := softIDFOf(s, year99, year99), math.Log(1.5); math.Abs(got-want) > 1e-12 {
 		t.Errorf("softIDF(1999) = %v, want %v", got, want)
 	}
 	// pair (The Matrix, Matrix): occurs in objects {0} ∪ {1} -> ln(3/2)
 	a := Tuple{Value: "The Matrix", Type: "TITLE"}
 	b := Tuple{Value: "Matrix", Type: "TITLE"}
-	if got, want := s.SoftIDF(a, b), math.Log(1.5); math.Abs(got-want) > 1e-12 {
+	if got, want := softIDFOf(s, a, b), math.Log(1.5); math.Abs(got-want) > 1e-12 {
 		t.Errorf("softIDF(pair) = %v, want %v", got, want)
 	}
 	// unique tuple: ln(3/1)
 	uniq := Tuple{Value: "Signs", Type: "TITLE"}
-	if got, want := s.SoftIDFSingle(uniq), math.Log(3); math.Abs(got-want) > 1e-12 {
+	if got, want := softIDFOf(s, uniq, uniq), math.Log(3); math.Abs(got-want) > 1e-12 {
 		t.Errorf("softIDF(Signs) = %v, want %v", got, want)
 	}
 }
@@ -132,7 +139,7 @@ func TestSoftIDF(t *testing.T) {
 func TestSoftIDFPhantomTuple(t *testing.T) {
 	s := buildStore(t)
 	ghost := Tuple{Value: "never seen", Type: "TITLE"}
-	got := s.SoftIDF(ghost, ghost)
+	got := softIDFOf(s, ghost, ghost)
 	if math.IsInf(got, 0) || math.IsNaN(got) {
 		t.Errorf("phantom softIDF = %v", got)
 	}
@@ -303,7 +310,7 @@ func TestQuickSoftIDFNonNegative(t *testing.T) {
 		s.Finalize(0.3)
 		a := tuples[rng.Intn(len(tuples))]
 		b := tuples[rng.Intn(len(tuples))]
-		ab, ba := s.SoftIDF(a, b), s.SoftIDF(b, a)
+		ab, ba := softIDFOf(s, a, b), softIDFOf(s, b, a)
 		return ab >= 0 && math.Abs(ab-ba) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

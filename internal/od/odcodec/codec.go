@@ -69,11 +69,10 @@ import (
 	"math"
 )
 
-// Version is the on-disk format version new snapshots are written at.
-// Readers accept MinReadVersion through Version and reject anything
-// else: a snapshot written by a future binary — or by one that predates
-// MinReadVersion — is refused rather than misdecoded, and a rebuild is
-// always possible because snapshots are rebuildable caches, not
+// Version is the on-disk format version snapshots are written at, and
+// the only one readers accept: a snapshot written by a future binary —
+// or by an older one — is refused rather than misdecoded, and a rebuild
+// is always possible because snapshots are rebuildable caches, not
 // archives.
 // Version 2 added the manifest's delta watermark and the append-only
 // delta segments that carry post-Finalize mutations; version 3 added
@@ -84,12 +83,7 @@ import (
 // handles, moved index value bytes into that heap, and added the
 // persisted deletion-neighborhood segment (neighbor.odx) with a
 // fourth manifest stamp.
-const (
-	Version = 4
-	// MinReadVersion is the oldest snapshot version this binary still
-	// reads: the current one only, so every decoder has one layout.
-	MinReadVersion = 4
-)
+const Version = 4
 
 // Segment kinds, one per file.
 const (
@@ -100,12 +94,12 @@ const (
 	kindDelta      = 5
 	kindFederation = 6
 	kindNeighbor   = 7
-	// 8 and 9 framed trace segments before every trace frame recorded
-	// the delta sequence it describes; a file carrying them is refused
-	// like any other foreign kind, and the next update recompares fully
-	// and rewrites the trace.
-	kindTrace      = 10
-	kindTraceDelta = 11
+	// 8 to 11 framed trace segments in earlier layouts: 8 and 9 before
+	// every frame recorded its delta sequence, 10 (a whole state) and 11
+	// (a delta against it) before every frame became a patch. A file
+	// carrying them is refused like any other foreign kind, and the next
+	// update recompares fully and rewrites the trace.
+	kindTrace = 12
 )
 
 // Segment file names within a snapshot directory. Delta segments are
@@ -367,8 +361,8 @@ func verifyFraming(file string, size int64, header []byte, kind byte) (int64, er
 	if [4]byte(header[:4]) != magic {
 		return 0, corrupt(file, "bad magic %q", header[:4])
 	}
-	if v := header[4]; v < MinReadVersion || v > Version {
-		return 0, corrupt(file, "unsupported format version %d (this binary reads %d..%d)", v, MinReadVersion, Version)
+	if v := header[4]; v != Version {
+		return 0, corrupt(file, "unsupported format version %d (this binary reads %d)", v, Version)
 	}
 	if header[5] != kind {
 		return 0, corrupt(file, "segment kind %d, want %d", header[5], kind)

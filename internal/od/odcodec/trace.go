@@ -22,68 +22,139 @@ import (
 // corruption or absence merely downgrades the next Update to a full
 // recompare.
 //
-// Physically the file is a frame chain: one full kindTrace frame (the
-// base) optionally followed by kindTraceDelta frames, each carrying
-// only what one update batch changed — removed and re-scored pairs,
-// touched filter slots, the new alive bitmap — plus the CRC of the
-// frame it extends, so a delta can never replay against the wrong
-// predecessor. Every frame records the store delta sequence its state
-// describes, which binds the chain to the unmerged delta segments a
-// reopen replays on top of the manifest. An update batch appends a
-// delta (O_APPEND + fsync) instead of rewriting the whole segment;
-// WriteTrace starts the chain over as a single frame. A torn append
-// corrupts only the tail, which rejects the whole chain — the usual
-// full-recompare downgrade, never a wrong replay.
+// Physically the file is a chain of frames of one kind, kindTrace.
+// Every frame is a patch: the state after one write, expressed against
+// the state the preceding frames accumulate to — removed and re-scored
+// pairs, changed filter slots, the new alive bitmap and header — plus
+// the CRC of the frame it extends, so a patch can never apply to the
+// wrong predecessor. The first frame links to CRC 0 and patches the
+// empty state, so a whole rewrite is simply the patch from nothing, and
+// the reader folds every frame the same way. Every frame records the
+// store delta sequence its state describes, which binds the chain to
+// the unmerged delta segments a reopen replays on top of the manifest.
+// An update batch appends one frame (O_APPEND + fsync) instead of
+// rewriting the whole segment. A torn append corrupts only the tail,
+// which rejects the whole chain — the usual full-recompare downgrade,
+// never a wrong replay.
 
 // TraceFile is the trace segment's file name within a snapshot
 // directory.
 const TraceFile = "trace.odx"
 
-// TraceSet is the persisted incremental-replay state of one snapshot.
+// MaxTraceFrames bounds the trace chain: the update whose frame would
+// make the chain this long rewrites it as one frame instead — after
+// merging its delta segments, on a DiskStore in its own directory — so
+// the load cost and the deltas a reopen replays are bounded by the
+// chain, not by update history.
+const MaxTraceFrames = 8
+
+// TraceSet is the replay state of one finished detection or update run
+// over a store, in that store's ID space: the form the od layer and
+// the detector hold in memory, and the state a trace chain folds to.
 type TraceSet struct {
-	// ManifestDigest chains the traces to the snapshot they were
-	// recorded against: the SHA-256 of the manifest file's bytes at
-	// write time. Any later Save or UpdateMeta rewrites the manifest and
-	// thereby invalidates the traces, including a crash between the
-	// snapshot commit and the trace write.
-	ManifestDigest string
-	// Fingerprint is the corpus-chain fingerprint of the run that
-	// recorded the traces ("" when the snapshot carries no provenance).
-	// It seeds the update fingerprint chain across restarts; binding is
-	// by ManifestDigest and DeltaSeq, not by it.
+	// Fingerprint is the corpus-chain fingerprint of the run ("" when
+	// the run carried no provenance); it seeds the update fingerprint
+	// chain across restarts. Binding is by Chain, not by it.
 	Fingerprint string
-	// DeltaSeq is the sequence of the last store delta segment the
-	// traces describe (the manifest's watermark when none is unmerged).
-	DeltaSeq uint64
-	// Size is the live object count of the store the traces describe.
+	// Size is the store's live object count |ΩT|.
 	Size int
-	// Alive is the recording run's post-reduce survival per slot of the
-	// store's ID space (len(Alive) == IDSpan): false for removed IDs
-	// and for objects the Step 4 filter pruned.
+	// Alive is the run's post-reduce survival per slot over
+	// [0, IDSpan): false for removed IDs and for objects the Step 4
+	// filter pruned. Survivors are always store-live, but not every
+	// live object survives.
 	Alive []bool
-	// Filters holds per-slot filter-bound traces, index-aligned with
-	// Alive; a nil slot means no trace was recorded for that object.
-	// Filters itself is nil when the run replayed persisted filter
-	// values and recorded no bound traces at all.
-	Filters [][]TraceFilterStep
-	// Pairs holds one similarity trace per scored pair, strictly
-	// ascending by Key.
-	Pairs []TracePair
+	// Pairs maps pair keys (int64(i)<<32|j, i<j) to similarity traces:
+	// one per compared pair with at least one similar match, both
+	// endpoints survivors. A trace stays valid while neither endpoint's
+	// exact tuple postings change.
+	Pairs map[int64]PairTrace
+	// Filter holds per-slot filter-bound traces (nil slot = none
+	// recorded); nil entirely when the run computed no bounds. A trace
+	// stays valid while no posting of a value θtuple-similar to one of
+	// the object's tuples changes.
+	Filter [][]TraceFilterStep
+	// Chain is the shape of the persisted chain the set was read from
+	// or last written as; zero for a set never persisted. Writers
+	// ignore it and return the shape they leave.
+	Chain TraceChain
 }
 
-// TracePair is one pair's similarity trace: the pair key
-// (int64(i)<<32|j with i<j, cast to uint64) and the |O_a ∪ O_b| union
-// sizes of its similar and contradictory matches, in match order.
-type TracePair struct {
-	Key  uint64
-	SimU []int32
-	ConU []int32
+// PairTrace records what one comparison took from the store: the
+// occurrence-union sizes behind each matched pair's softIDF term, in
+// accumulation order. The matching itself depends only on the two ODs'
+// tuple values (edit distances, deterministic tie-breaks) — never on
+// the store — so as long as neither OD's exact tuple postings change,
+// the score under a different corpus size |ΩT| replays from the trace
+// bit-identically.
+type PairTrace struct {
+	SimU []int32 // |O_a ∪ O_b| per similar match (ODT≈), in match order
+	ConU []int32 // likewise for contradictory matches (ODT≠)
 }
 
-// TraceFilterStep is one step of an object's filter-bound trace.
+// TraceFilterStep is one non-empty tuple's contribution to a traced
+// filter bound: whether the tuple was shared and the occurrence-union
+// size its softIDF term derives from. While none of the postings behind
+// a tuple's θtuple-similar values change, the bound under a new corpus
+// size replays from the steps bit-identically.
 type TraceFilterStep struct {
 	Shared bool
 	Union  int32
+}
+
+// TraceChain is the shape of a persisted trace chain: what the next
+// append must link to, and the store state the chain describes. The
+// zero value means no chain is known.
+type TraceChain struct {
+	Frames         int    // frames in the chain; 0 = none known
+	LastCRC        uint32 // footer CRC of the last frame
+	DeltaSeq       uint64 // store delta sequence the chain describes
+	ManifestDigest string // manifest the chain is bound to
+}
+
+// Appendable reports whether an update may extend the chain by one
+// frame: a chain is known and stays below MaxTraceFrames.
+func (c TraceChain) Appendable() bool { return c.Frames > 0 && c.Frames+1 < MaxTraceFrames }
+
+// TraceFrame is one patch of the trace chain: the state after one
+// write, against the state the chain accumulates to before it (the
+// empty state for a chain's first frame).
+type TraceFrame struct {
+	// ManifestDigest (the SHA-256 of the manifest the state was recorded
+	// against), Fingerprint, DeltaSeq and Size replace the accumulated
+	// values; DeltaSeq never moves backwards along a chain.
+	ManifestDigest string
+	Fingerprint    string
+	DeltaSeq       uint64
+	Size           int
+	// Alive is the whole survival bitmap. Its span may grow along a
+	// chain (IDs are never renumbered by an in-place update) but never
+	// shrink.
+	Alive []bool
+	// HasFilter reports that the patched state records filter-bound
+	// traces; without it the state has none and Filter must be empty.
+	HasFilter bool
+	// Filter lists the slots whose traces changed, strictly ascending;
+	// nil Steps clears a slot.
+	Filter []TraceFilterSlot
+	// Removed lists pair keys deleted from the accumulated state,
+	// strictly ascending. Every key must exist — a miss rejects the
+	// chain.
+	Removed []int64
+	// Pairs lists added or re-scored pair traces, strictly ascending by
+	// Key; an existing key is replaced.
+	Pairs []TracePair
+}
+
+// TraceFilterSlot is one changed filter slot of a TraceFrame.
+type TraceFilterSlot struct {
+	Slot  int32
+	Steps []TraceFilterStep // nil clears the slot's trace
+}
+
+// TracePair is one added or re-scored pair trace of a TraceFrame.
+type TracePair struct {
+	Key int64
+	PairTrace
 }
 
 // ManifestDigest returns the SHA-256 hex digest of the committed
@@ -110,122 +181,134 @@ func ManifestDeltaSeq(dir string) (uint64, error) {
 	return meta.DeltaSeq, nil
 }
 
-// WriteTrace atomically persists a trace set as a one-frame chain:
-// written to a temporary name, synced, renamed into place, directory
-// synced — a crash mid-write never leaves a half trace under the
-// committed name. It returns the frame's CRC, the link the next
-// AppendTraceDelta extends.
-func WriteTrace(dir string, ts *TraceSet) (uint32, error) {
-	span := len(ts.Alive)
-	if ts.Size < 0 || ts.Size > span {
-		return 0, fmt.Errorf("odcodec: trace size %d outside [0,%d]", ts.Size, span)
+// WriteTraceFrame persists f as the frame after chain c in dir and
+// returns the chain it leaves. With no chain known (c.Frames == 0) it
+// starts the chain over: the one-frame file is written to a temporary
+// name, synced, renamed into place and the directory synced, so a crash
+// mid-write never leaves a half trace under the committed name.
+// Otherwise it appends the frame, linked to c.LastCRC, with a single
+// write and an fsync; a crash mid-append leaves a torn tail that fails
+// frame validation and downgrades the next load to a full recompare,
+// exactly like a missing trace. An invalid frame is refused before any
+// byte lands on disk.
+func WriteTraceFrame(dir string, c TraceChain, f *TraceFrame) (TraceChain, error) {
+	var prevCRC uint32
+	if c.Frames > 0 {
+		prevCRC = c.LastCRC
 	}
-	if ts.Filters != nil && len(ts.Filters) != span {
-		return 0, fmt.Errorf("odcodec: %d filter traces for span %d", len(ts.Filters), span)
-	}
-	b := appendString(nil, ts.ManifestDigest)
-	b = appendString(b, ts.Fingerprint)
-	b = appendUvarint(b, ts.DeltaSeq)
-	b = appendUvarint(b, uint64(ts.Size))
-	b = appendUvarint(b, uint64(span))
-	b = appendAliveBitmap(b, ts.Alive)
-	if ts.Filters == nil {
-		b = append(b, 0)
-	} else {
-		b = append(b, 1)
-		var err error
-		for _, steps := range ts.Filters {
-			if b, err = appendFilterSlot(b, steps); err != nil {
-				return 0, err
-			}
-		}
-	}
-	b, err := appendTracePairs(b, ts.Pairs, span)
+	payload, err := encodeTraceFrame(prevCRC, f)
 	if err != nil {
-		return 0, err
+		return TraceChain{}, err
 	}
-
 	h := newHeader(kindTrace, Version)
 	crc := crc32.Update(0, crcTable, h)
-	crc = crc32.Update(crc, crcTable, b)
-	out := append(h, b...)
+	crc = crc32.Update(crc, crcTable, payload)
+	out := append(h, payload...)
 	out = append(out, newFooter(crc)...)
 
 	path := filepath.Join(dir, TraceFile)
-	f, err := os.Create(path + tmpSuffix)
+	var file *os.File
+	if c.Frames == 0 {
+		file, err = os.Create(path + tmpSuffix)
+	} else {
+		file, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	}
 	if err != nil {
-		return 0, fmt.Errorf("odcodec: %w", err)
+		return TraceChain{}, fmt.Errorf("odcodec: write trace: %w", err)
 	}
-	if _, err := f.Write(out); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("odcodec: %w", err)
+	if _, err := file.Write(out); err != nil {
+		file.Close()
+		return TraceChain{}, fmt.Errorf("odcodec: write trace: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("odcodec: %w", err)
+	if err := file.Sync(); err != nil {
+		file.Close()
+		return TraceChain{}, fmt.Errorf("odcodec: write trace: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("odcodec: %w", err)
+	if err := file.Close(); err != nil {
+		return TraceChain{}, fmt.Errorf("odcodec: write trace: %w", err)
 	}
-	if err := os.Rename(path+tmpSuffix, path); err != nil {
-		return 0, fmt.Errorf("odcodec: %w", err)
+	if c.Frames == 0 {
+		if err := os.Rename(path+tmpSuffix, path); err != nil {
+			return TraceChain{}, fmt.Errorf("odcodec: write trace: %w", err)
+		}
+		if err := syncDir(dir); err != nil {
+			return TraceChain{}, err
+		}
 	}
-	if err := syncDir(dir); err != nil {
-		return 0, err
-	}
-	return crc, nil
+	return TraceChain{Frames: c.Frames + 1, LastCRC: crc, DeltaSeq: f.DeltaSeq, ManifestDigest: f.ManifestDigest}, nil
 }
 
-// appendAliveBitmap packs a survival slice into its wire bitmap.
-func appendAliveBitmap(b []byte, alive []bool) []byte {
-	bitmap := make([]byte, (len(alive)+7)/8)
-	for i, a := range alive {
+// encodeTraceFrame validates f and encodes its payload. Every ascending
+// list — filter slots, removed keys, pair keys — is written as gaps from
+// a start of -1, so each gap is positive.
+func encodeTraceFrame(prevCRC uint32, f *TraceFrame) ([]byte, error) {
+	span := len(f.Alive)
+	if f.Size < 0 || f.Size > span {
+		return nil, fmt.Errorf("odcodec: trace size %d outside [0,%d]", f.Size, span)
+	}
+	if !f.HasFilter && len(f.Filter) > 0 {
+		return nil, fmt.Errorf("odcodec: trace frame without filter traces updates %d filter slots", len(f.Filter))
+	}
+	b := binary.LittleEndian.AppendUint32(nil, prevCRC)
+	b = appendString(b, f.ManifestDigest)
+	b = appendString(b, f.Fingerprint)
+	b = appendUvarint(b, f.DeltaSeq)
+	b = appendUvarint(b, uint64(f.Size))
+	b = appendUvarint(b, uint64(span))
+	bitmap := make([]byte, (span+7)/8)
+	for i, a := range f.Alive {
 		if a {
 			bitmap[i/8] |= 1 << (i % 8)
 		}
 	}
-	return append(b, bitmap...)
-}
-
-// appendFilterSlot encodes one slot's filter-bound trace: 0 for a nil
-// slot, otherwise len+1 followed by the steps.
-func appendFilterSlot(b []byte, steps []TraceFilterStep) ([]byte, error) {
-	if steps == nil {
-		return appendUvarint(b, 0), nil
+	b = append(b, bitmap...)
+	if f.HasFilter {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
 	}
-	b = appendUvarint(b, uint64(len(steps))+1)
-	for _, st := range steps {
-		if st.Union < 0 {
-			return nil, fmt.Errorf("odcodec: negative filter union %d", st.Union)
-		}
-		v := uint64(st.Union) << 1
-		if st.Shared {
-			v |= 1
-		}
-		b = appendUvarint(b, v)
-	}
-	return b, nil
-}
 
-// appendTracePairs encodes a pair-trace list: count, then
-// delta-encoded keys (strictly ascending) with their union slices.
-func appendTracePairs(b []byte, pairs []TracePair, span int) ([]byte, error) {
-	b = appendUvarint(b, uint64(len(pairs)))
-	var prevKey uint64
-	for n, p := range pairs {
-		i, j := int64(p.Key>>32), int64(p.Key&math.MaxUint32)
-		if i >= j || j >= int64(span) {
-			return nil, fmt.Errorf("odcodec: trace pair key (%d,%d) invalid for span %d", i, j, span)
+	b = appendUvarint(b, uint64(len(f.Filter)))
+	prev := int64(-1)
+	for _, u := range f.Filter {
+		if u.Slot < 0 || int(u.Slot) >= span || int64(u.Slot) <= prev {
+			return nil, fmt.Errorf("odcodec: trace filter slot %d not ascending within span %d", u.Slot, span)
 		}
-		if n == 0 {
-			b = appendUvarint(b, p.Key)
-		} else {
-			if p.Key <= prevKey {
-				return nil, fmt.Errorf("odcodec: trace pair keys not strictly ascending")
+		b = appendUvarint(b, uint64(int64(u.Slot)-prev))
+		prev = int64(u.Slot)
+		if u.Steps == nil {
+			b = appendUvarint(b, 0)
+			continue
+		}
+		b = appendUvarint(b, uint64(len(u.Steps))+1)
+		for _, st := range u.Steps {
+			if st.Union < 0 {
+				return nil, fmt.Errorf("odcodec: negative filter union %d", st.Union)
 			}
-			b = appendUvarint(b, p.Key-prevKey)
+			v := uint64(st.Union) << 1
+			if st.Shared {
+				v |= 1
+			}
+			b = appendUvarint(b, v)
 		}
-		prevKey = p.Key
+	}
+
+	var err error
+	b = appendUvarint(b, uint64(len(f.Removed)))
+	prev = -1
+	for _, key := range f.Removed {
+		if b, err = appendPairKey(b, key, prev, span); err != nil {
+			return nil, err
+		}
+		prev = key
+	}
+	b = appendUvarint(b, uint64(len(f.Pairs)))
+	prev = -1
+	for _, p := range f.Pairs {
+		if b, err = appendPairKey(b, p.Key, prev, span); err != nil {
+			return nil, err
+		}
+		prev = p.Key
 		for _, us := range [2][]int32{p.SimU, p.ConU} {
 			b = appendUvarint(b, uint64(len(us)))
 			for _, u := range us {
@@ -239,133 +322,18 @@ func appendTracePairs(b []byte, pairs []TracePair, span int) ([]byte, error) {
 	return b, nil
 }
 
-// TraceDelta is one append-friendly increment of the trace chain: the
-// replay state after one update batch, expressed against the state the
-// preceding frames accumulate to. PrevCRC binds it to the exact frame
-// it extends.
-type TraceDelta struct {
-	// PrevCRC is the footer CRC of the frame this delta extends — the
-	// chain link. A delta appended after a concurrent rewrite can never
-	// masquerade as part of the new chain.
-	PrevCRC uint32
-	// ManifestDigest, Fingerprint, DeltaSeq and Size supersede the
-	// accumulated values; DeltaSeq never moves backwards.
-	ManifestDigest string
-	Fingerprint    string
-	DeltaSeq       uint64
-	Size           int
-	// Alive is the full post-update survival bitmap. Its span may grow
-	// (IDs are never renumbered by an in-place update) but never shrink.
-	Alive []bool
-	// DropFilters reports that the new state records no filter-bound
-	// traces at all (TraceSet.Filters == nil). Mutually exclusive with
-	// FilterUpdates.
-	DropFilters bool
-	// FilterUpdates lists the filter slots whose traces changed,
-	// strictly ascending by Slot; nil Steps clears a slot.
-	FilterUpdates []TraceFilterUpdate
-	// RemovedPairs lists pair keys deleted from the accumulated state,
-	// strictly ascending. Every key must exist — a miss rejects the
-	// chain.
-	RemovedPairs []uint64
-	// Pairs lists added or re-scored pair traces, strictly ascending by
-	// Key; an existing key is replaced.
-	Pairs []TracePair
-}
-
-// TraceFilterUpdate is one changed filter slot of a TraceDelta.
-type TraceFilterUpdate struct {
-	Slot  int32
-	Steps []TraceFilterStep // nil clears the slot's trace
-}
-
-// AppendTraceDelta appends one delta frame to the trace chain in dir
-// and returns the new frame's CRC. The base frame must already exist —
-// a delta without a predecessor is meaningless. The frame is written
-// with a single write and fsynced; a crash mid-append leaves a torn
-// tail that fails frame validation and downgrades the next load to a
-// full recompare, exactly like a missing trace.
-func AppendTraceDelta(dir string, d *TraceDelta) (uint32, error) {
-	span := len(d.Alive)
-	if d.Size < 0 || d.Size > span {
-		return 0, fmt.Errorf("odcodec: trace delta size %d outside [0,%d]", d.Size, span)
+// appendPairKey appends a pair key as its gap to the previous key of an
+// ascending list, refusing a key that is not a valid pair of the span
+// or not above prev.
+func appendPairKey(b []byte, key, prev int64, span int) ([]byte, error) {
+	i, j := key>>32, key&math.MaxUint32
+	if i < 0 || i >= j || j >= int64(span) {
+		return nil, fmt.Errorf("odcodec: trace pair key (%d,%d) invalid for span %d", i, j, span)
 	}
-	if d.DropFilters && len(d.FilterUpdates) > 0 {
-		return 0, fmt.Errorf("odcodec: trace delta both drops filters and updates %d slots", len(d.FilterUpdates))
+	if key <= prev {
+		return nil, fmt.Errorf("odcodec: trace pair keys not strictly ascending")
 	}
-
-	b := binary.LittleEndian.AppendUint32(nil, d.PrevCRC)
-	b = appendString(b, d.ManifestDigest)
-	b = appendString(b, d.Fingerprint)
-	b = appendUvarint(b, d.DeltaSeq)
-	b = appendUvarint(b, uint64(d.Size))
-	b = appendUvarint(b, uint64(span))
-	b = appendAliveBitmap(b, d.Alive)
-	if d.DropFilters {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendUvarint(b, uint64(len(d.FilterUpdates)))
-	prevSlot := int32(-1)
-	for _, u := range d.FilterUpdates {
-		if u.Slot < 0 || int(u.Slot) >= span {
-			return 0, fmt.Errorf("odcodec: trace delta filter slot %d outside span %d", u.Slot, span)
-		}
-		if u.Slot <= prevSlot {
-			return 0, fmt.Errorf("odcodec: trace delta filter slots not strictly ascending")
-		}
-		b = appendUvarint(b, uint64(u.Slot-prevSlot))
-		prevSlot = u.Slot
-		var err error
-		if b, err = appendFilterSlot(b, u.Steps); err != nil {
-			return 0, err
-		}
-	}
-	b = appendUvarint(b, uint64(len(d.RemovedPairs)))
-	var prevKey uint64
-	for n, key := range d.RemovedPairs {
-		i, j := int64(key>>32), int64(key&math.MaxUint32)
-		if i >= j || j >= int64(span) {
-			return 0, fmt.Errorf("odcodec: trace delta removes invalid pair key (%d,%d) for span %d", i, j, span)
-		}
-		if n == 0 {
-			b = appendUvarint(b, key)
-		} else {
-			if key <= prevKey {
-				return 0, fmt.Errorf("odcodec: trace delta removed keys not strictly ascending")
-			}
-			b = appendUvarint(b, key-prevKey)
-		}
-		prevKey = key
-	}
-	var err error
-	if b, err = appendTracePairs(b, d.Pairs, span); err != nil {
-		return 0, err
-	}
-
-	h := newHeader(kindTraceDelta, Version)
-	crc := crc32.Update(0, crcTable, h)
-	crc = crc32.Update(crc, crcTable, b)
-	out := append(h, b...)
-	out = append(out, newFooter(crc)...)
-
-	f, err := os.OpenFile(filepath.Join(dir, TraceFile), os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		return 0, fmt.Errorf("odcodec: append trace delta: %w", err)
-	}
-	if _, err := f.Write(out); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("odcodec: append trace delta: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("odcodec: append trace delta: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("odcodec: append trace delta: %w", err)
-	}
-	return crc, nil
+	return appendUvarint(b, uint64(key-prev)), nil
 }
 
 // LastTraceCRC returns the footer CRC of the trace chain's last frame,
@@ -395,31 +363,24 @@ func LastTraceCRC(dir string) (uint32, error) {
 	return binary.LittleEndian.Uint32(footer[:4]), nil
 }
 
-// ReadTrace loads and fully verifies the trace chain in dir,
-// accumulating every delta frame into the final replay state. Returns
-// (nil, nil) when no trace file exists; corruption anywhere in the
-// chain — including a torn appended tail — is a *CorruptError. The
-// caller checks the manifest digest and delta sequence — ReadTrace only
-// validates the encoding.
+// ReadTrace loads and fully verifies the trace chain in dir, folding
+// every frame into the final replay state, whose Chain records the
+// chain's shape. Returns (nil, nil) when no trace file exists;
+// corruption anywhere in the chain — including a torn appended tail —
+// is a *CorruptError. The caller checks the manifest digest and delta
+// sequence — ReadTrace only validates the encoding.
 func ReadTrace(dir string) (*TraceSet, error) {
 	ts, _, err := ReadTraceChain(dir)
 	return ts, err
 }
 
-// TraceChainInfo describes the physical shape of a trace chain.
+// TraceChainInfo is a trace chain's shape plus its file size.
 type TraceChainInfo struct {
-	// Frames is the chain length: 1 for a freshly written trace, +1 per
-	// appended delta.
-	Frames int
-	// LastCRC is the footer CRC of the last frame — the value the next
-	// AppendTraceDelta must link to.
-	LastCRC uint32
-	// Bytes is the file size.
+	TraceChain
 	Bytes int64
 }
 
-// ReadTraceChain is ReadTrace plus the chain shape, which a reader
-// hands on so the next update can append to the chain it loaded.
+// ReadTraceChain is ReadTrace plus the chain's shape and file size.
 func ReadTraceChain(dir string) (*TraceSet, TraceChainInfo, error) {
 	var info TraceChainInfo
 	buf, err := os.ReadFile(filepath.Join(dir, TraceFile))
@@ -432,14 +393,17 @@ func ReadTraceChain(dir string) (*TraceSet, TraceChainInfo, error) {
 	if int64(len(buf)) > 1<<33 {
 		return nil, info, corrupt(TraceFile, "implausible trace size %d", len(buf))
 	}
-	var ts *TraceSet
+	if len(buf) == 0 {
+		return nil, info, corrupt(TraceFile, "empty trace chain")
+	}
+	ts := &TraceSet{}
 	for off := 0; off < len(buf); {
 		// The payload is self-delimiting, so the frame boundary is only
 		// known after decoding; the CRC over the decoded extent must then
 		// match the footer exactly where the decoder stopped. A flipped
 		// byte either breaks decoding or moves/fails the CRC — both
-		// reject. Decoded values are never used unless the whole chain
-		// verifies.
+		// reject. The folded state is never returned unless the whole
+		// chain verifies.
 		if len(buf)-off < headerSize+footerSize {
 			return nil, info, corrupt(TraceFile, "truncated trace frame at offset %d", off)
 		}
@@ -447,32 +411,15 @@ func ReadTraceChain(dir string) (*TraceSet, TraceChainInfo, error) {
 		if [4]byte(h[:4]) != magic {
 			return nil, info, corrupt(TraceFile, "bad magic %q at offset %d", h[:4], off)
 		}
-		if v := h[4]; v < MinReadVersion || v > Version {
-			return nil, info, corrupt(TraceFile, "unsupported format version %d (this binary reads %d..%d)", v, MinReadVersion, Version)
+		if v := h[4]; v != Version {
+			return nil, info, corrupt(TraceFile, "unsupported format version %d (this binary reads %d)", v, Version)
 		}
-		wantKind := byte(kindTrace)
-		if off > 0 {
-			wantKind = kindTraceDelta
-		}
-		if h[5] != wantKind {
-			return nil, info, corrupt(TraceFile, "frame kind %d at offset %d, want %d", h[5], off, wantKind)
+		if h[5] != kindTrace {
+			return nil, info, corrupt(TraceFile, "frame kind %d at offset %d, want %d", h[5], off, kindTrace)
 		}
 		br := &byteReader{buf: buf[off+headerSize:], file: TraceFile}
-		if off == 0 {
-			if ts, err = decodeTraceBase(br); err != nil {
-				return nil, info, err
-			}
-		} else {
-			d, err := decodeTraceDelta(br)
-			if err != nil {
-				return nil, info, err
-			}
-			if d.PrevCRC != info.LastCRC {
-				return nil, info, corrupt(TraceFile, "delta frame at offset %d links to CRC %08x, previous frame is %08x", off, d.PrevCRC, info.LastCRC)
-			}
-			if err := applyTraceDelta(ts, d); err != nil {
-				return nil, info, err
-			}
+		if err := foldTraceFrame(br, ts, off); err != nil {
+			return nil, info, err
 		}
 		end := off + headerSize + br.pos
 		if end+footerSize > len(buf) {
@@ -482,335 +429,202 @@ func ReadTraceChain(dir string) (*TraceSet, TraceChainInfo, error) {
 		if err := checkFooter(TraceFile, buf[end:end+footerSize], crc); err != nil {
 			return nil, info, err
 		}
-		info.Frames++
-		info.LastCRC = crc
+		ts.Chain.Frames++
+		ts.Chain.LastCRC = crc
 		off = end + footerSize
 	}
-	if ts == nil {
-		return nil, info, corrupt(TraceFile, "empty trace chain")
-	}
-	info.Bytes = int64(len(buf))
+	info.TraceChain, info.Bytes = ts.Chain, int64(len(buf))
 	return ts, info, nil
 }
 
-// decodeTraceBase decodes one full trace-set payload, advancing br to
-// the frame's payload end.
-func decodeTraceBase(br *byteReader) (*TraceSet, error) {
+// foldTraceFrame decodes the frame payload at br and applies it to ts,
+// advancing br to the payload end. Every structural mismatch — a link
+// to another CRC than the previous frame's, a shrinking span, a delta
+// sequence moving backwards, removing a pair the chain never recorded —
+// rejects the chain as corrupt. The first frame patches the empty state
+// and keeps what it decodes as the state's own slices and map.
+func foldTraceFrame(br *byteReader, ts *TraceSet, off int) error {
+	if br.pos+4 > len(br.buf) {
+		return corrupt(TraceFile, "frame at offset %d too short for chain CRC", off)
+	}
+	if link := binary.LittleEndian.Uint32(br.buf[br.pos:]); link != ts.Chain.LastCRC {
+		return corrupt(TraceFile, "frame at offset %d links to CRC %08x, previous frame is %08x", off, link, ts.Chain.LastCRC)
+	}
+	br.pos += 4
 	var err error
-	ts := &TraceSet{}
-	if ts.ManifestDigest, err = br.str(); err != nil {
-		return nil, err
+	if ts.Chain.ManifestDigest, err = br.str(); err != nil {
+		return err
 	}
 	if ts.Fingerprint, err = br.str(); err != nil {
-		return nil, err
+		return err
 	}
-	if ts.DeltaSeq, err = br.uvarint(); err != nil {
-		return nil, err
-	}
-	size, err := br.count(maxCount)
+	seq, err := br.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ts.Size = size
+	if seq < ts.Chain.DeltaSeq {
+		return corrupt(TraceFile, "frame rewinds delta sequence %d to %d", ts.Chain.DeltaSeq, seq)
+	}
+	ts.Chain.DeltaSeq = seq
+	if ts.Size, err = br.count(maxCount); err != nil {
+		return err
+	}
 	span, err := br.count(maxCount)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if span < len(ts.Alive) {
+		return corrupt(TraceFile, "frame shrinks span %d to %d", len(ts.Alive), span)
+	}
+	if ts.Size > span {
+		return corrupt(TraceFile, "size %d exceeds span %d", ts.Size, span)
 	}
 	nBitmap := (span + 7) / 8
 	if br.pos+nBitmap > len(br.buf) {
-		return nil, corrupt(TraceFile, "alive bitmap of %d bytes overruns payload", nBitmap)
+		return corrupt(TraceFile, "alive bitmap of %d bytes overruns payload", nBitmap)
 	}
 	ts.Alive = make([]bool, span)
 	for i := range ts.Alive {
 		ts.Alive[i] = br.buf[br.pos+i/8]&(1<<(i%8)) != 0
 	}
 	br.pos += nBitmap
-	if ts.Size > span {
-		return nil, corrupt(TraceFile, "size %d exceeds span %d", ts.Size, span)
-	}
-	if br.pos >= len(br.buf) {
-		return nil, corrupt(TraceFile, "missing filter-presence byte")
-	}
-	switch present := br.buf[br.pos]; present {
-	case 0, 1:
-		br.pos++
-		if present == 1 {
-			ts.Filters = make([][]TraceFilterStep, span)
-			for i := range ts.Filters {
-				if ts.Filters[i], err = readFilterSlot(br); err != nil {
-					return nil, err
-				}
-			}
-		}
-	default:
-		return nil, corrupt(TraceFile, "bad filter-presence byte %d", present)
-	}
-	if ts.Pairs, err = readTracePairs(br, span); err != nil {
-		return nil, err
-	}
-	return ts, nil
-}
 
-// readFilterSlot decodes one slot's filter-bound trace (the inverse of
-// appendFilterSlot): nil for an absent trace, else the steps.
-func readFilterSlot(br *byteReader) ([]TraceFilterStep, error) {
-	m, err := br.count(len(br.buf) - br.pos + 1)
+	hasFilter, err := br.presence("filter")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if m == 0 {
-		return nil, nil
+	nSlots, err := br.count(min(span, len(br.buf)-br.pos))
+	if err != nil {
+		return err
 	}
-	steps := make([]TraceFilterStep, m-1)
-	for k := range steps {
-		v, err := br.uvarint()
+	switch {
+	case !hasFilter && nSlots > 0:
+		return corrupt(TraceFile, "frame without filter traces updates %d filter slots", nSlots)
+	case !hasFilter:
+		ts.Filter = nil
+	case len(ts.Filter) < span || ts.Filter == nil:
+		grown := make([][]TraceFilterStep, span)
+		copy(grown, ts.Filter)
+		ts.Filter = grown
+	}
+	slot := int64(-1)
+	for range nSlots {
+		if slot, err = readGap(br, slot); err != nil {
+			return err
+		}
+		if slot >= int64(span) {
+			return corrupt(TraceFile, "filter slot %d invalid for span %d", slot, span)
+		}
+		m, err := br.count(len(br.buf) - br.pos + 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		u := v >> 1
-		if u > math.MaxInt32 {
-			return nil, corrupt(TraceFile, "filter union %d overflows int32", u)
+		if m == 0 {
+			ts.Filter[slot] = nil
+			continue
 		}
-		steps[k] = TraceFilterStep{Shared: v&1 == 1, Union: int32(u)}
+		steps := make([]TraceFilterStep, m-1)
+		for k := range steps {
+			v, err := br.uvarint()
+			if err != nil {
+				return err
+			}
+			u := v >> 1
+			if u > math.MaxInt32 {
+				return corrupt(TraceFile, "filter union %d overflows int32", u)
+			}
+			steps[k] = TraceFilterStep{Shared: v&1 == 1, Union: int32(u)}
+		}
+		ts.Filter[slot] = steps
 	}
-	return steps, nil
-}
 
-// readTracePairs decodes a pair-trace list (the inverse of
-// appendTracePairs).
-func readTracePairs(br *byteReader, span int) ([]TracePair, error) {
-	// Every pair costs at least 3 payload bytes (key delta + two
-	// lengths), so the remaining bytes bound the count before any
-	// allocation.
-	nPairs, err := br.count(min(maxCount, (len(br.buf)-br.pos)/3+1))
+	// Every key costs at least one payload byte and every pair at least
+	// three (key gap + two lengths), so the remaining bytes bound each
+	// count before any allocation.
+	nRemoved, err := br.count(min(maxCount, len(br.buf)-br.pos))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if nPairs == 0 {
-		return nil, nil
+	key := int64(-1)
+	for range nRemoved {
+		if key, err = readPairKey(br, key, span); err != nil {
+			return err
+		}
+		if _, ok := ts.Pairs[key]; !ok {
+			return corrupt(TraceFile, "frame removes pair (%d,%d) the chain never recorded", key>>32, key&math.MaxUint32)
+		}
+		delete(ts.Pairs, key)
 	}
-	pairs := make([]TracePair, nPairs)
-	var prevKey uint64
-	for n := range pairs {
-		d, err := br.uvarint()
-		if err != nil {
-			return nil, err
+	nPairs, err := br.count(min(maxCount, (len(br.buf)-br.pos)/3))
+	if err != nil {
+		return err
+	}
+	if ts.Pairs == nil {
+		ts.Pairs = make(map[int64]PairTrace, nPairs)
+	}
+	// The union slices are carved from shared chunks, one allocation per
+	// chunk instead of one per slice: a load then triggers few
+	// collections, and none of them rescans the growing map. A chunk
+	// stays alive while any pair it holds does.
+	var chunk []int32
+	key = -1
+	for range nPairs {
+		if key, err = readPairKey(br, key, span); err != nil {
+			return err
 		}
-		key := d
-		if n > 0 {
-			if d == 0 {
-				return nil, corrupt(TraceFile, "zero pair-key delta at pair %d", n)
-			}
-			key = prevKey + d
-			if key < prevKey {
-				return nil, corrupt(TraceFile, "pair-key overflow at pair %d", n)
-			}
-		}
-		prevKey = key
-		i, j := int64(key>>32), int64(key&math.MaxUint32)
-		if i >= j || j >= int64(span) {
-			return nil, corrupt(TraceFile, "pair key (%d,%d) invalid for span %d", i, j, span)
-		}
-		p := &pairs[n]
-		p.Key = key
-		for side, dst := range [2]*[]int32{&p.SimU, &p.ConU} {
+		var tr PairTrace
+		for side, dst := range [2]*[]int32{&tr.SimU, &tr.ConU} {
 			m, err := br.count(min(maxCount, len(br.buf)-br.pos))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if m == 0 {
 				continue
 			}
-			us := make([]int32, m)
+			if len(chunk) < m {
+				chunk = make([]int32, max(m, 4096))
+			}
+			us := chunk[:m:m]
+			chunk = chunk[m:]
 			for k := range us {
 				v, err := br.uvarint()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if v > math.MaxInt32 {
-					return nil, corrupt(TraceFile, "trace union %d overflows int32 (pair %d side %d)", v, n, side)
+					return corrupt(TraceFile, "trace union %d overflows int32 (pair (%d,%d) side %d)", v, key>>32, key&math.MaxUint32, side)
 				}
 				us[k] = int32(v)
 			}
 			*dst = us
 		}
-	}
-	return pairs, nil
-}
-
-// decodeTraceDelta decodes one delta-frame payload, advancing br to
-// the frame's payload end.
-func decodeTraceDelta(br *byteReader) (*TraceDelta, error) {
-	if br.pos+4 > len(br.buf) {
-		return nil, corrupt(TraceFile, "delta frame too short for chain CRC")
-	}
-	d := &TraceDelta{PrevCRC: binary.LittleEndian.Uint32(br.buf[br.pos:])}
-	br.pos += 4
-	var err error
-	if d.ManifestDigest, err = br.str(); err != nil {
-		return nil, err
-	}
-	if d.Fingerprint, err = br.str(); err != nil {
-		return nil, err
-	}
-	if d.DeltaSeq, err = br.uvarint(); err != nil {
-		return nil, err
-	}
-	if d.Size, err = br.count(maxCount); err != nil {
-		return nil, err
-	}
-	span, err := br.count(maxCount)
-	if err != nil {
-		return nil, err
-	}
-	nBitmap := (span + 7) / 8
-	if br.pos+nBitmap > len(br.buf) {
-		return nil, corrupt(TraceFile, "alive bitmap of %d bytes overruns payload", nBitmap)
-	}
-	d.Alive = make([]bool, span)
-	for i := range d.Alive {
-		d.Alive[i] = br.buf[br.pos+i/8]&(1<<(i%8)) != 0
-	}
-	br.pos += nBitmap
-	if d.Size > span {
-		return nil, corrupt(TraceFile, "size %d exceeds span %d", d.Size, span)
-	}
-	if br.pos >= len(br.buf) {
-		return nil, corrupt(TraceFile, "missing drop-filters byte")
-	}
-	switch drop := br.buf[br.pos]; drop {
-	case 0, 1:
-		d.DropFilters = drop == 1
-		br.pos++
-	default:
-		return nil, corrupt(TraceFile, "bad drop-filters byte %d", drop)
-	}
-	nUpd, err := br.count(min(span, len(br.buf)-br.pos+1))
-	if err != nil {
-		return nil, err
-	}
-	if d.DropFilters && nUpd > 0 {
-		return nil, corrupt(TraceFile, "delta both drops filters and updates %d slots", nUpd)
-	}
-	if nUpd > 0 {
-		d.FilterUpdates = make([]TraceFilterUpdate, nUpd)
-		prevSlot := int64(-1)
-		for i := range d.FilterUpdates {
-			gap, err := br.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			slot := prevSlot + int64(gap)
-			if gap == 0 || slot >= int64(span) {
-				return nil, corrupt(TraceFile, "filter-update slot %d invalid for span %d", slot, span)
-			}
-			prevSlot = slot
-			d.FilterUpdates[i].Slot = int32(slot)
-			if d.FilterUpdates[i].Steps, err = readFilterSlot(br); err != nil {
-				return nil, err
-			}
-		}
-	}
-	nRm, err := br.count(min(maxCount, len(br.buf)-br.pos+1))
-	if err != nil {
-		return nil, err
-	}
-	if nRm > 0 {
-		d.RemovedPairs = make([]uint64, nRm)
-		var prevKey uint64
-		for n := range d.RemovedPairs {
-			g, err := br.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			key := g
-			if n > 0 {
-				if g == 0 {
-					return nil, corrupt(TraceFile, "zero removed-key delta at %d", n)
-				}
-				key = prevKey + g
-				if key < prevKey {
-					return nil, corrupt(TraceFile, "removed-key overflow at %d", n)
-				}
-			}
-			prevKey = key
-			i, j := int64(key>>32), int64(key&math.MaxUint32)
-			if i >= j || j >= int64(span) {
-				return nil, corrupt(TraceFile, "removed pair key (%d,%d) invalid for span %d", i, j, span)
-			}
-			d.RemovedPairs[n] = key
-		}
-	}
-	if d.Pairs, err = readTracePairs(br, span); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// applyTraceDelta folds one decoded delta into the accumulated state.
-// Every structural mismatch — shrinking span, a delta sequence moving
-// backwards, removing a pair the chain never recorded — rejects the
-// chain as corrupt.
-func applyTraceDelta(ts *TraceSet, d *TraceDelta) error {
-	span := len(d.Alive)
-	if span < len(ts.Alive) {
-		return corrupt(TraceFile, "delta shrinks span %d to %d", len(ts.Alive), span)
-	}
-	if d.DeltaSeq < ts.DeltaSeq {
-		return corrupt(TraceFile, "delta rewinds delta sequence %d to %d", ts.DeltaSeq, d.DeltaSeq)
-	}
-	ts.ManifestDigest = d.ManifestDigest
-	ts.Fingerprint = d.Fingerprint
-	ts.DeltaSeq = d.DeltaSeq
-	ts.Size = d.Size
-	ts.Alive = d.Alive
-
-	switch {
-	case d.DropFilters:
-		ts.Filters = nil
-	case ts.Filters == nil && len(d.FilterUpdates) == 0:
-		// no filter traces before or after
-	default:
-		grown := make([][]TraceFilterStep, span)
-		copy(grown, ts.Filters)
-		ts.Filters = grown
-		for _, u := range d.FilterUpdates {
-			ts.Filters[u.Slot] = u.Steps
-		}
-	}
-
-	if len(d.RemovedPairs) > 0 {
-		kept := make([]TracePair, 0, len(ts.Pairs))
-		ri := 0
-		for _, p := range ts.Pairs {
-			if ri < len(d.RemovedPairs) && d.RemovedPairs[ri] == p.Key {
-				ri++
-				continue
-			}
-			kept = append(kept, p)
-		}
-		if ri != len(d.RemovedPairs) {
-			return corrupt(TraceFile, "delta removes %d pairs the chain never recorded", len(d.RemovedPairs)-ri)
-		}
-		ts.Pairs = kept
-	}
-	if len(d.Pairs) > 0 {
-		merged := make([]TracePair, 0, len(ts.Pairs)+len(d.Pairs))
-		ui := 0
-		for _, p := range ts.Pairs {
-			for ui < len(d.Pairs) && d.Pairs[ui].Key < p.Key {
-				merged = append(merged, d.Pairs[ui])
-				ui++
-			}
-			if ui < len(d.Pairs) && d.Pairs[ui].Key == p.Key {
-				merged = append(merged, d.Pairs[ui])
-				ui++
-				continue
-			}
-			merged = append(merged, p)
-		}
-		merged = append(merged, d.Pairs[ui:]...)
-		ts.Pairs = merged
+		ts.Pairs[key] = tr
 	}
 	return nil
+}
+
+// readGap decodes the next element of an ascending list from its
+// positive gap to prev.
+func readGap(br *byteReader, prev int64) (int64, error) {
+	g, err := br.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if g == 0 || g > 1<<62 {
+		return 0, corrupt(TraceFile, "bad gap %d after %d in an ascending list", g, prev)
+	}
+	return prev + int64(g), nil
+}
+
+// readPairKey decodes the next key of an ascending pair-key list and
+// checks that it is a valid pair of the span.
+func readPairKey(br *byteReader, prev int64, span int) (int64, error) {
+	key, err := readGap(br, prev)
+	if err != nil {
+		return 0, err
+	}
+	if i, j := key>>32, key&math.MaxUint32; i >= j || j >= int64(span) {
+		return 0, corrupt(TraceFile, "pair key (%d,%d) invalid for span %d", i, j, span)
+	}
+	return key, nil
 }

@@ -319,17 +319,6 @@ func assertVersionRefused(t *testing.T, version byte) {
 	}
 }
 
-// TestWriterVersionValidated: the writer refuses versions outside the
-// readable window, so a snapshot this binary cannot reopen is never
-// produced.
-func TestWriterVersionValidated(t *testing.T) {
-	for _, v := range []int{0, MinReadVersion - 1, Version + 1} {
-		if _, err := NewWriterVersion(t.TempDir(), v); err == nil {
-			t.Errorf("NewWriterVersion(%d) accepted", v)
-		}
-	}
-}
-
 // FuzzNeighborIndexRoundTrip feeds arbitrary value tables and queries
 // through the persisted neighbor segment and checks the verified
 // candidate set against the in-memory strdist.NeighborIndex over the

@@ -95,16 +95,6 @@ type sparseRef struct {
 // NewWriter starts a snapshot in dir at the current format version,
 // creating the directory if needed.
 func NewWriter(dir string) (*Writer, error) {
-	return NewWriterVersion(dir, Version)
-}
-
-// NewWriterVersion starts a snapshot at an explicit format version and
-// refuses every version this binary could not read back — today all but
-// Version.
-func NewWriterVersion(dir string, version int) (*Writer, error) {
-	if version < MinReadVersion || version > Version {
-		return nil, fmt.Errorf("odcodec: cannot write format version %d (supported: %d..%d)", version, MinReadVersion, Version)
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("odcodec: %w", err)
 	}

@@ -313,52 +313,6 @@ func (c *Client) SimilarValues(t od.Tuple) ([]od.ValueMatch, error) {
 	return ms, r.done()
 }
 
-// SoftIDF queries the member-local Definition 8 value. The federation
-// computes softIDF at the coordinator (|ΩT| is federation-level), but
-// the protocol serves it so a member is a complete, individually
-// queryable store.
-func (c *Client) SoftIDF(a, b od.Tuple) (float64, error) {
-	body, err := c.call(opSoftIDF, appendTupleKey(appendTupleKey(nil, a), b))
-	if err != nil {
-		return 0, err
-	}
-	r := &bodyReader{buf: body}
-	v, err := r.float64()
-	if err != nil {
-		return 0, err
-	}
-	return v, r.done()
-}
-
-// SoftIDFSingle is SoftIDF of a tuple with itself, member-local.
-func (c *Client) SoftIDFSingle(t od.Tuple) (float64, error) {
-	body, err := c.call(opSoftIDFSingle, appendTupleKey(nil, t))
-	if err != nil {
-		return 0, err
-	}
-	r := &bodyReader{buf: body}
-	v, err := r.float64()
-	if err != nil {
-		return 0, err
-	}
-	return v, r.done()
-}
-
-// Neighbors queries the member-local blocking set — the union of the
-// member's similar-value object sets over the object's owned tuples.
-func (c *Client) Neighbors(id int32) ([]int32, error) {
-	body, err := c.call(opNeighbors, appendUvarint(nil, uint64(uint32(id))))
-	if err != nil {
-		return nil, err
-	}
-	r := &bodyReader{buf: body}
-	ids, err := r.postings()
-	if err != nil {
-		return nil, err
-	}
-	return ids, r.done()
-}
-
 // Stats implements od.Partition.
 func (c *Client) Stats() ([]od.TypeStats, error) {
 	body, err := c.call(opStats, nil)

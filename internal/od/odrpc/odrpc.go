@@ -1,6 +1,6 @@
 // Package odrpc is the network transport of the distributed OD store:
 // it serves one partition's queries (ObjectsWithExact, SimilarValues,
-// SoftIDF/SoftIDFSingle, Neighbors, Stats) and mutations
+// Stats, the routing filters) and mutations
 // (AddODs/Finalize during the build phase, AddAfterFinalize/Remove
 // afterwards) over a length-prefixed, odcodec-framed binary protocol.
 //
@@ -54,7 +54,8 @@ import (
 // pipelined frames on one connection plus the opSimilarBatch and
 // opRoutingFilters opcodes; 3 added opExportODs, since deleted — its
 // opcode value stays unassigned, so a version-3 peer that sends it is
-// refused as a bad frame.
+// refused as a bad frame, and so are the values of the member-local
+// softIDF, softIDF-single and neighbors queries no coordinator sent.
 const Version = 3
 
 // maxFrame caps a frame's payload so a corrupt or hostile length
@@ -76,9 +77,9 @@ const (
 	opFinalize
 	opExact
 	opSimilar
-	opSoftIDF
-	opSoftIDFSingle
-	opNeighbors
+	_ // 7, 8, 9: retired member-local softIDF, softIDF-single and
+	_ // neighbors queries; unassigned, refused like any unknown opcode
+	_
 	opStats
 	opAddAfter
 	opRemove
@@ -161,7 +162,7 @@ func readFrame(r io.Reader) (op byte, body []byte, err error) {
 		return 0, nil, &VersionError{Got: payload[4], Want: Version}
 	}
 	op = payload[5]
-	if op >= opEnd {
+	if op >= opEnd || op > opSimilar && op < opStats {
 		return 0, nil, badFrame("unknown opcode %d", op)
 	}
 	crc := crc32.ChecksumIEEE(payload[:n-4])

@@ -95,15 +95,6 @@ func TestLoopbackServesStoreBitIdentically(t *testing.T) {
 	if !reflect.DeepEqual(sts, ref.Stats()) {
 		t.Errorf("Stats diverge:\nwire: %+v\nref:  %+v", sts, ref.Stats())
 	}
-	for id := int32(0); id < int32(ref.Size()); id++ {
-		got, err := client.Neighbors(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ref.Neighbors(id)) {
-			t.Fatalf("Neighbors(%d) diverge", id)
-		}
-	}
 	for _, o := range ref.ODs() {
 		for _, tup := range o.NonEmptyTuples() {
 			ids, err := client.ObjectsWithExact(tup)
@@ -119,23 +110,6 @@ func TestLoopbackServesStoreBitIdentically(t *testing.T) {
 			}
 			if !reflect.DeepEqual(ms, ref.SimilarValues(tup)) {
 				t.Fatalf("SimilarValues(%v) diverge:\nwire: %v\nref:  %v", tup, ms, ref.SimilarValues(tup))
-			}
-			g, err := client.SoftIDFSingle(tup)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g != ref.SoftIDFSingle(tup) {
-				t.Fatalf("SoftIDFSingle(%v) diverge", tup)
-			}
-			for _, m := range ms {
-				other := od.Tuple{Value: m.Value, Type: tup.Type}
-				g, err := client.SoftIDF(tup, other)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if g != ref.SoftIDF(tup, other) {
-					t.Fatalf("SoftIDF(%v,%v) diverge", tup, other)
-				}
 			}
 		}
 	}
@@ -215,41 +189,44 @@ func copyODs(ods []*od.OD) []*od.OD {
 	return out
 }
 
-// TestExportODsWire pins the retirement of protocol version 3's export
-// opcode: every other opcode keeps its value, and a frame carrying the
-// retired value is refused as unknown — by readFrame, and by a serving
-// connection, which replies with an error naming it and hangs up.
+// TestExportODsWire pins the retired opcodes: protocol version 3's
+// export opcode and the member-local softIDF, softIDF-single and
+// neighbors queries. Every other opcode keeps its value, and a frame
+// carrying a retired value is refused as unknown — by readFrame, and by
+// a serving connection, which replies with an error naming it and
+// hangs up.
 func TestExportODsWire(t *testing.T) {
-	ops := []byte{opErr, opOK, opInfo, opAddODs, opFinalize, opExact, opSimilar, opSoftIDF,
-		opSoftIDFSingle, opNeighbors, opStats, opAddAfter, opRemove, opSimilarBatch, opRoutingFilters}
-	for want, op := range ops {
-		if int(op) != want {
+	for want, op := range map[byte]byte{0: opErr, 1: opOK, 2: opInfo, 3: opAddODs, 4: opFinalize, 5: opExact,
+		6: opSimilar, 10: opStats, 11: opAddAfter, 12: opRemove, 13: opSimilarBatch, 14: opRoutingFilters} {
+		if op != want {
 			t.Fatalf("opcode %d moved to %d", want, op)
 		}
 	}
-	const retired = 15 // opExportODs in protocol version 3
-	if opEnd != retired {
-		t.Fatalf("opEnd = %d, want the retired export opcode %d", opEnd, retired)
+	if opEnd != 15 {
+		t.Fatalf("opEnd = %d, want the retired export opcode 15", opEnd)
 	}
-	frame := validFrame(t, retired, appendUvarint(appendUvarint(nil, 0), 4))
-	if _, _, err := readFrame(bytes.NewReader(frame)); err == nil || !strings.Contains(err.Error(), "unknown opcode 15") {
-		t.Fatalf("readFrame(retired opcode) = %v, want an unknown-opcode frame error", err)
-	}
+	for _, retired := range []byte{7, 8, 9, 15} {
+		unknown := fmt.Sprintf("unknown opcode %d", retired)
+		frame := validFrame(t, retired, appendUvarint(appendUvarint(nil, 0), 4))
+		if _, _, err := readFrame(bytes.NewReader(frame)); err == nil || !strings.Contains(err.Error(), unknown) {
+			t.Fatalf("readFrame(retired opcode %d) = %v, want an unknown-opcode frame error", retired, err)
+		}
 
-	store := od.NewMemStore()
-	store.Finalize(0.15)
-	var out bytes.Buffer
-	NewServer(store).ServeConn(&scriptedConn{in: bytes.NewReader(append(frame, validFrame(t, opInfo, nil)...)), out: &out})
-	op, body, err := readFrame(&out)
-	if err != nil || op != opErr {
-		t.Fatalf("server reply to the retired opcode: op %d, err %v; want an error reply", op, err)
-	}
-	r := &bodyReader{buf: body}
-	if msg, err := r.str(); err != nil || !strings.Contains(msg, "unknown opcode 15") {
-		t.Fatalf("server error reply %q (%v), want it to name the unknown opcode", msg, err)
-	}
-	if out.Len() != 0 {
-		t.Fatal("server kept serving the connection after a retired opcode")
+		store := od.NewMemStore()
+		store.Finalize(0.15)
+		var out bytes.Buffer
+		NewServer(store).ServeConn(&scriptedConn{in: bytes.NewReader(append(frame, validFrame(t, opInfo, nil)...)), out: &out})
+		op, body, err := readFrame(&out)
+		if err != nil || op != opErr {
+			t.Fatalf("server reply to retired opcode %d: op %d, err %v; want an error reply", retired, op, err)
+		}
+		r := &bodyReader{buf: body}
+		if msg, err := r.str(); err != nil || !strings.Contains(msg, unknown) {
+			t.Fatalf("server error reply %q (%v), want it to name the unknown opcode %d", msg, err, retired)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("server kept serving the connection after retired opcode %d", retired)
+		}
 	}
 }
 
@@ -463,8 +440,11 @@ func TestLoopbackFederationSaves(t *testing.T) {
 			if got, want := re.ObjectsWithExact(tup), fed.ObjectsWithExact(tup); !reflect.DeepEqual(got, want) {
 				t.Fatalf("ObjectsWithExact(%v) diverges after reopen: %v vs %v", tup, got, want)
 			}
-			if got, want := re.SoftIDFSingle(tup), fed.SoftIDFSingle(tup); got != want {
-				t.Fatalf("SoftIDFSingle(%v) diverges after reopen", tup)
+			softIDF := func(s od.Store) float64 {
+				return od.SoftIDFValue(s.Size(), od.UnionSize(s.ObjectsWithExact(tup), s.ObjectsWithExact(tup)))
+			}
+			if got, want := softIDF(re), softIDF(fed); got != want {
+				t.Fatalf("softIDF(%v) diverges after reopen", tup)
 			}
 		}
 	}

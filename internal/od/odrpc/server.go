@@ -152,37 +152,6 @@ func (s *Server) handle(op byte, body []byte) (resp []byte, err error) {
 			return nil, err
 		}
 		return appendFilters(nil, od.RoutingFilters(s.store)), nil
-	case opSoftIDF:
-		a, err := r.tupleKey()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.tupleKey()
-		if err != nil {
-			return nil, err
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		return appendFloat64(nil, s.store.SoftIDF(a, b)), nil
-	case opSoftIDFSingle:
-		t, err := r.tupleKey()
-		if err != nil {
-			return nil, err
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		return appendFloat64(nil, s.store.SoftIDFSingle(t)), nil
-	case opNeighbors:
-		id, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		return appendPostings(nil, s.store.Neighbors(int32(id))), nil
 	case opStats:
 		if err := r.done(); err != nil {
 			return nil, err

@@ -822,20 +822,6 @@ func (s *PartitionedStore) PrefetchSimilar(ts []Tuple) {
 	}
 }
 
-// SoftIDF implements Store. Definition 8's |ΩT| is the federation size
-// — a quantity no single partition knows — so the coordinator fetches
-// the two posting lists (each owned by exactly one member, cached) and
-// computes log(|ΩT|/union) itself, bit-identical to MemStore.
-func (s *PartitionedStore) SoftIDF(a, b Tuple) float64 {
-	s.mustBeFinal()
-	return SoftIDFValue(s.Size(), OccUnion(s, a, b))
-}
-
-// SoftIDFSingle implements Store.
-func (s *PartitionedStore) SoftIDFSingle(t Tuple) float64 {
-	return s.SoftIDF(t, t)
-}
-
 // Neighbors implements Store: the shared neighborsOf over the
 // coordinator's full object and the federated SimilarValues.
 func (s *PartitionedStore) Neighbors(id int32) []int32 {

@@ -93,12 +93,12 @@ func TestPartitionedStoreParity(t *testing.T) {
 						if !equalMatches(vm, vf) {
 							t.Fatalf("SimilarValues(%v) diverge:\nmem: %v\nfed: %v", tup, vm, vf)
 						}
-						if gm, gf := mem.SoftIDFSingle(tup), fed.SoftIDFSingle(tup); gm != gf {
+						if gm, gf := softIDFOf(mem, tup, tup), softIDFOf(fed, tup, tup); gm != gf {
 							t.Fatalf("SoftIDFSingle(%v) diverge: %v vs %v", tup, gm, gf)
 						}
 						for _, m := range vm {
 							other := Tuple{Value: m.Value, Type: tup.Type}
-							if gm, gf := mem.SoftIDF(tup, other), fed.SoftIDF(tup, other); gm != gf {
+							if gm, gf := softIDFOf(mem, tup, other), softIDFOf(fed, tup, other); gm != gf {
 								t.Fatalf("SoftIDF(%v, %v) diverge: %v vs %v", tup, other, gm, gf)
 							}
 						}

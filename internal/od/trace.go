@@ -3,7 +3,6 @@ package od
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/od/odcodec"
 )
@@ -13,83 +12,31 @@ import (
 // — alongside a snapshot, so a fresh process can replay them through
 // Detector.Update instead of recomparing every surviving pair. The
 // trace segment is bound to the exact store state it describes by
-// manifest digest and delta sequence (see odcodec.TraceSet): a later
+// manifest digest and delta sequence (see odcodec.TraceChain): a later
 // Save or UpdateMeta rewrites the manifest, a later delta segment moves
 // the store past the sequence, and either rejects the segment; a
 // missing, stale or corrupt trace file only downgrades the next update
-// to a full recompare. An update of a DiskStore in its own directory
-// appends one delta frame per batch (AppendTraces), encoded from what
-// the batch itself changed — the file is never read back to diff.
+// to a full recompare. Every write is one patch frame (traceFrame): a
+// whole write (SaveTraces) is the patch from the empty state, and an
+// update of a DiskStore in its own directory appends the patch from
+// the state its chain holds (AppendTraces), built from what the batch
+// itself changed — the file is never read back to diff.
 
-// PairTrace records what one comparison took from the store: the
-// occurrence-union sizes behind each matched pair's softIDF term, in
-// accumulation order. The matching itself depends only on the two ODs'
-// tuple values (edit distances, deterministic tie-breaks) — never on
-// the store — so as long as neither OD's exact tuple postings change,
-// the score under a different corpus size |ΩT| replays from the trace
-// bit-identically (sim.ReplayScore).
-type PairTrace struct {
-	SimU []int32 // |O_a ∪ O_b| per similar match (ODT≈), in match order
-	ConU []int32 // likewise for contradictory matches (ODT≠)
-}
-
-// FilterStep is one non-empty tuple's contribution to a traced filter
-// bound: whether the tuple was shared and the occurrence-union size its
-// softIDF term derives from. While none of the postings behind a
-// tuple's θtuple-similar values change, the bound under a new corpus
-// size replays from the steps bit-identically (sim.ReplayFilter).
-type FilterStep struct {
-	Shared bool
-	Union  int32
-}
-
-// TraceSet is the replay state of one finished detection or update run
-// over a store, in that store's ID space.
-type TraceSet struct {
-	// Fingerprint is the corpus-chain fingerprint of the run ("" when
-	// the run carried no provenance); it seeds the update fingerprint
-	// chain across restarts.
-	Fingerprint string
-	// Size is the store's live object count.
-	Size int
-	// Alive is the run's post-reduce survival per slot over
-	// [0, IDSpan): false for removed IDs and for objects the Step 4
-	// filter pruned. Survivors are always store-live, but not every
-	// live object survives.
-	Alive []bool
-	// Pairs maps pair keys (int64(i)<<32|j, i<j) to similarity traces.
-	// Both endpoints must be survivors.
-	Pairs map[int64]PairTrace
-	// Filter holds per-slot filter-bound traces (nil slot = none
-	// recorded); nil entirely when the run computed no bounds (no
-	// UseFilter, no KeepFilterValues).
-	Filter [][]FilterStep
-	// Chain is the shape of the persisted chain LoadTraces read the set
-	// from (zero for a set built in memory). SaveTraces and AppendTraces
-	// ignore it and return the shape they leave.
-	Chain TraceChain
-}
-
-// TraceChain is the shape of a persisted trace chain: what the next
-// append must link to, and the store state the chain describes. The
-// zero value means no chain is known.
-type TraceChain struct {
-	Frames         int    // frames in the chain; 0 = none known
-	LastCRC        uint32 // footer CRC of the last frame
-	DeltaSeq       uint64 // store delta sequence the chain describes
-	ManifestDigest string // manifest the chain is bound to
-}
-
-// maxTraceFrames bounds the trace chain: the update whose frame would
-// make the chain this long rewrites it as one frame instead — after
-// merging its delta segments, on a DiskStore in its own directory — so
-// the load cost and the deltas a reopen replays are bounded by the
-// chain, not by update history.
-const maxTraceFrames = 8
-
-// Appendable reports whether an update may extend the chain by one
-// delta frame: a chain is known and stays below maxTraceFrames.
-func (c TraceChain) Appendable() bool { return c.Frames > 0 && c.Frames+1 < maxTraceFrames }
+// The replay state has one form from the detector to the disk: the
+// codec's.
+type (
+	// TraceSet is the replay state of one finished detection or update
+	// run over a store, in that store's ID space.
+	TraceSet = odcodec.TraceSet
+	// TraceChain is the shape of a persisted trace chain.
+	TraceChain = odcodec.TraceChain
+	// PairTrace is one compared pair's similarity trace (replayed by
+	// sim.ReplayScore).
+	PairTrace = odcodec.PairTrace
+	// FilterStep is one step of an object's filter-bound trace
+	// (replayed by sim.ReplayFilter).
+	FilterStep = odcodec.TraceFilterStep
+)
 
 // SaveTraces persists ts as the whole trace segment of the snapshot
 // already committed in dir, remapping IDs exactly the way Save mapped
@@ -99,24 +46,16 @@ func (c TraceChain) Appendable() bool { return c.Frames > 0 && c.Frames+1 < maxT
 // live-compacted for every exported backend (MemStore,
 // foreign-directory DiskStore, PartitionedStore coordinator). Call it
 // after Save/SavePartitioned — the segment chains to the manifest those
-// committed. It returns the one-frame chain it wrote.
+// committed. It returns the one-frame chain it wrote: the patch from
+// the empty state, with every slot holding a filter trace refiltered
+// and every pair between survivors rescored.
 func SaveTraces(dir string, s Store, ts *TraceSet) (TraceChain, error) {
-	span := storeSpan(s)
-	if len(ts.Alive) != span {
-		return TraceChain{}, fmt.Errorf("od: save traces: %d alive slots for ID span %d", len(ts.Alive), span)
-	}
-	if ts.Filter != nil && len(ts.Filter) != span {
-		return TraceChain{}, fmt.Errorf("od: save traces: %d filter traces for ID span %d", len(ts.Filter), span)
+	if err := checkTraceSpan(s, ts); err != nil {
+		return TraceChain{}, fmt.Errorf("od: save traces: %w", err)
 	}
 	digest, err := odcodec.ManifestDigest(dir)
 	if err != nil {
 		return TraceChain{}, fmt.Errorf("od: save traces: %w", err)
-	}
-
-	out := &odcodec.TraceSet{
-		ManifestDigest: digest,
-		Fingerprint:    ts.Fingerprint,
-		Size:           ts.Size,
 	}
 	// A kept ID space carries every slot and the delta sequence the
 	// store's live state ends at. A compacted one carries the store's
@@ -125,41 +64,31 @@ func SaveTraces(dir string, s Store, ts *TraceSet) (TraceChain, error) {
 	// their slots, and the manifest's delta watermark: a store reopened
 	// from the export has nothing to replay.
 	ids := snapshotIDs(dir, s)
-	slots := s.Size()
+	var seq uint64
 	if ids.keep {
-		slots = span
-		out.DeltaSeq = s.(*DiskStore).DeltaSeq()
-	} else if out.DeltaSeq, err = odcodec.ManifestDeltaSeq(dir); err != nil {
+		seq = s.(*DiskStore).DeltaSeq()
+	} else if seq, err = odcodec.ManifestDeltaSeq(dir); err != nil {
 		return TraceChain{}, fmt.Errorf("od: save traces: %w", err)
 	}
-	live := aliveFunc(s)
-	out.Alive = make([]bool, slots)
-	if ts.Filter != nil {
-		out.Filters = make([][]odcodec.TraceFilterStep, slots)
-	}
-	for id := int32(0); id < int32(span); id++ {
-		if ids.keep || live(id) {
-			out.Alive[ids.id(id)] = ts.Alive[id]
-			if out.Filters != nil {
-				out.Filters[ids.id(id)] = encodeSteps(ts.Filter[id])
-			}
+	var refiltered []int32
+	for slot, steps := range ts.Filter {
+		if steps != nil && ids.id(int32(slot)) >= 0 {
+			refiltered = append(refiltered, int32(slot))
 		}
 	}
-	out.Pairs = make([]odcodec.TracePair, 0, len(ts.Pairs))
-	for key, tr := range ts.Pairs {
-		i, j := int32(key>>32), int32(key&0xffffffff)
-		if int(j) >= span || !ts.Alive[i] || !ts.Alive[j] {
-			continue // defensive: a non-survivor endpoint can never replay
+	rescored := make([]int64, 0, len(ts.Pairs))
+	for key := range ts.Pairs {
+		if i, j := UnpairKey(key); int(j) < len(ts.Alive) && ts.Alive[i] && ts.Alive[j] {
+			rescored = append(rescored, key) // a non-survivor endpoint can never replay
 		}
-		key = int64(ids.id(i))<<32 | int64(uint32(ids.id(j)))
-		out.Pairs = append(out.Pairs, odcodec.TracePair{Key: uint64(key), SimU: tr.SimU, ConU: tr.ConU})
 	}
-	sort.Slice(out.Pairs, func(a, b int) bool { return out.Pairs[a].Key < out.Pairs[b].Key })
-	crc, err := odcodec.WriteTrace(dir, out)
+	f := traceFrame(ts, ids, s.Size(), refiltered, nil, rescored)
+	f.ManifestDigest, f.DeltaSeq = digest, seq
+	chain, err := odcodec.WriteTraceFrame(dir, TraceChain{}, f)
 	if err != nil {
 		return TraceChain{}, fmt.Errorf("od: save traces: %w", err)
 	}
-	return TraceChain{Frames: 1, LastCRC: crc, DeltaSeq: out.DeltaSeq, ManifestDigest: digest}, nil
+	return chain, nil
 }
 
 // TraceUpdate is what one update batch changed in the replay state, as
@@ -172,7 +101,7 @@ type TraceUpdate struct {
 	// Dropped the keys of Prev.Pairs missing from Cur.Pairs; every other
 	// pair trace is the same in both states. Refiltered lists the slots
 	// whose filter trace the batch recorded anew or cleared. The lists
-	// come in any order; AppendTraces sorts them in place.
+	// come in any order; the frame builder sorts them in place.
 	Rescored, Dropped []int64
 	Refiltered        []int32
 }
@@ -181,23 +110,19 @@ type TraceUpdate struct {
 // the chain it leaves. For a DiskStore in its own directory whose chain
 // c the file still ends in — the last frame's CRC, read alone, and the
 // manifest digest match c — it writes nothing when the batch changed
-// nothing, and otherwise appends one delta frame holding only up's
-// changes, encoded from memory against up.Prev. Everything else (other
-// backends, a foreign directory, no chain, a chain at maxTraceFrames, a
-// file rewritten behind c) rewrites the whole segment, so the call is
-// always safe and both paths accumulate to the same replay state.
+// nothing, and otherwise appends the patch from up.Prev holding only
+// up's changes. Everything else (other backends, a foreign directory,
+// no chain, a chain at odcodec.MaxTraceFrames, a file rewritten behind
+// c) rewrites the whole segment, so the call is always safe and both
+// paths accumulate to the same replay state.
 func AppendTraces(dir string, s Store, c TraceChain, up *TraceUpdate) (TraceChain, error) {
 	ds, ok := s.(*DiskStore)
 	if !ok || !ds.InDir(dir) || c.Frames == 0 || up.Prev == nil {
 		return SaveTraces(dir, s, up.Cur)
 	}
 	prev, cur := up.Prev, up.Cur
-	span := storeSpan(s)
-	if len(cur.Alive) != span {
-		return TraceChain{}, fmt.Errorf("od: append traces: %d alive slots for ID span %d", len(cur.Alive), span)
-	}
-	if cur.Filter != nil && len(cur.Filter) != span {
-		return TraceChain{}, fmt.Errorf("od: append traces: %d filter traces for ID span %d", len(cur.Filter), span)
+	if err := checkTraceSpan(s, cur); err != nil {
+		return TraceChain{}, fmt.Errorf("od: append traces: %w", err)
 	}
 	digest, err := odcodec.ManifestDigest(dir)
 	if err != nil {
@@ -215,37 +140,77 @@ func AppendTraces(dir string, s Store, c TraceChain, up *TraceUpdate) (TraceChai
 	if !c.Appendable() {
 		return SaveTraces(dir, s, cur)
 	}
-
-	d := &odcodec.TraceDelta{
-		PrevCRC:        c.LastCRC,
-		ManifestDigest: digest,
-		Fingerprint:    cur.Fingerprint,
-		DeltaSeq:       seq,
-		Size:           cur.Size,
-		Alive:          cur.Alive,
-		DropFilters:    prev.Filter != nil && cur.Filter == nil,
-	}
-	if cur.Filter != nil {
-		slices.Sort(up.Refiltered)
-		for _, slot := range up.Refiltered {
-			d.FilterUpdates = append(d.FilterUpdates, odcodec.TraceFilterUpdate{Slot: slot, Steps: encodeSteps(cur.Filter[slot])})
-		}
-	}
-	slices.Sort(up.Dropped)
-	for _, key := range up.Dropped {
-		d.RemovedPairs = append(d.RemovedPairs, uint64(key))
-	}
-	slices.Sort(up.Rescored)
-	for _, key := range up.Rescored {
-		tr := cur.Pairs[key]
-		d.Pairs = append(d.Pairs, odcodec.TracePair{Key: uint64(key), SimU: tr.SimU, ConU: tr.ConU})
-	}
-	crc, err := odcodec.AppendTraceDelta(dir, d)
+	f := traceFrame(cur, idPlan{keep: true}, s.Size(), up.Refiltered, up.Dropped, up.Rescored)
+	f.ManifestDigest, f.DeltaSeq = digest, seq
+	chain, err := odcodec.WriteTraceFrame(dir, c, f)
 	if err != nil {
 		return TraceChain{}, fmt.Errorf("od: append traces: %w", err)
 	}
-	return TraceChain{Frames: c.Frames + 1, LastCRC: crc, DeltaSeq: seq, ManifestDigest: digest}, nil
+	return chain, nil
 }
+
+// traceFrame builds the patch that takes the previous state to cur:
+// cur's header and survival, the refiltered slots' traces, the dropped
+// keys and the rescored pairs, numbered by ids — whose remap keeps
+// order, so the sorted lists stay sorted — over a store of live
+// objects. It sorts the lists in place; the caller sets the digest and
+// delta sequence.
+func traceFrame(cur *TraceSet, ids idPlan, live int, refiltered []int32, dropped, rescored []int64) *odcodec.TraceFrame {
+	f := &odcodec.TraceFrame{
+		Fingerprint: cur.Fingerprint,
+		Size:        cur.Size,
+		Alive:       cur.Alive,
+		HasFilter:   cur.Filter != nil,
+	}
+	if ids.remap != nil {
+		f.Alive = make([]bool, live)
+		for id, to := range ids.remap {
+			if to >= 0 {
+				f.Alive[to] = cur.Alive[id]
+			}
+		}
+	}
+	key := func(k int64) int64 {
+		i, j := UnpairKey(k)
+		return PairKey(ids.id(i), ids.id(j))
+	}
+	if f.HasFilter {
+		slices.Sort(refiltered)
+		f.Filter = make([]odcodec.TraceFilterSlot, len(refiltered))
+		for n, slot := range refiltered {
+			f.Filter[n] = odcodec.TraceFilterSlot{Slot: ids.id(slot), Steps: cur.Filter[slot]}
+		}
+	}
+	slices.Sort(dropped)
+	for _, k := range dropped {
+		f.Removed = append(f.Removed, key(k))
+	}
+	slices.Sort(rescored)
+	f.Pairs = make([]odcodec.TracePair, len(rescored))
+	for n, k := range rescored {
+		f.Pairs[n] = odcodec.TracePair{Key: key(k), PairTrace: cur.Pairs[k]}
+	}
+	return f
+}
+
+// checkTraceSpan requires a trace set to cover exactly the store's ID
+// span.
+func checkTraceSpan(s Store, ts *TraceSet) error {
+	span := storeSpan(s)
+	if len(ts.Alive) != span {
+		return fmt.Errorf("%d alive slots for ID span %d", len(ts.Alive), span)
+	}
+	if ts.Filter != nil && len(ts.Filter) != span {
+		return fmt.Errorf("%d filter traces for ID span %d", len(ts.Filter), span)
+	}
+	return nil
+}
+
+// PairKey is the key of pair (i, j), i < j, in TraceSet.Pairs.
+func PairKey(i, j int32) int64 { return int64(i)<<32 | int64(uint32(j)) }
+
+// UnpairKey splits a pair key into its two IDs.
+func UnpairKey(k int64) (int32, int32) { return int32(k >> 32), int32(uint32(k)) }
 
 // storeSpan is the store's ID span: IDSpan for mutable backends, the
 // live count for stores with no hole-bearing ID space.
@@ -264,18 +229,6 @@ func aliveFunc(s Store) func(int32) bool {
 	return func(int32) bool { return true }
 }
 
-// encodeSteps converts one slot's filter-bound trace; nil stays nil.
-func encodeSteps(steps []FilterStep) []odcodec.TraceFilterStep {
-	if steps == nil {
-		return nil
-	}
-	enc := make([]odcodec.TraceFilterStep, len(steps))
-	for k, st := range steps {
-		enc[k] = odcodec.TraceFilterStep{Shared: st.Shared, Union: st.Union}
-	}
-	return enc
-}
-
 // LoadTraces restores the trace segment recorded against the snapshot s
 // was opened from. It returns (nil, nil) when s is not a DiskStore or
 // its directory carries no trace file, and a
@@ -292,66 +245,40 @@ func LoadTraces(s Store) (*TraceSet, error) {
 	if !ok {
 		return nil, nil
 	}
-	dir := ds.dir
-	raw, info, err := odcodec.ReadTraceChain(dir)
-	if err != nil {
+	ts, err := odcodec.ReadTrace(ds.dir)
+	if err != nil || ts == nil {
 		return nil, err
 	}
-	if raw == nil {
-		return nil, nil
-	}
-	digest, err := odcodec.ManifestDigest(dir)
+	digest, err := odcodec.ManifestDigest(ds.dir)
 	if err != nil {
 		return nil, fmt.Errorf("od: load traces: %w", err)
 	}
-	if raw.ManifestDigest != digest {
+	if ts.Chain.ManifestDigest != digest {
 		return nil, fmt.Errorf("od: load traces: trace segment chains to a different snapshot (stale trace)")
 	}
-	if raw.DeltaSeq != ds.DeltaSeq() {
-		return nil, fmt.Errorf("od: load traces: trace describes delta sequence %d, store is at %d", raw.DeltaSeq, ds.DeltaSeq())
+	if ts.Chain.DeltaSeq != ds.DeltaSeq() {
+		return nil, fmt.Errorf("od: load traces: trace describes delta sequence %d, store is at %d", ts.Chain.DeltaSeq, ds.DeltaSeq())
 	}
-	if raw.Size != s.Size() {
-		return nil, fmt.Errorf("od: load traces: trace describes %d live objects, store has %d", raw.Size, s.Size())
+	if ts.Size != s.Size() {
+		return nil, fmt.Errorf("od: load traces: trace describes %d live objects, store has %d", ts.Size, s.Size())
 	}
-	if span := storeSpan(s); len(raw.Alive) != span {
-		return nil, fmt.Errorf("od: load traces: trace spans %d slots, store spans %d", len(raw.Alive), span)
+	if span := storeSpan(s); len(ts.Alive) != span {
+		return nil, fmt.Errorf("od: load traces: trace spans %d slots, store spans %d", len(ts.Alive), span)
 	}
 	// Survivors must still be live slots. (The trace's survivor set is
 	// a subset of the live set — filter-pruned objects are live but not
 	// survivors — so the check is one-directional; size and span above
 	// already pin the live state itself.)
 	alive := aliveFunc(s)
-	for id, a := range raw.Alive {
+	for id, a := range ts.Alive {
 		if a && !alive(int32(id)) {
 			return nil, fmt.Errorf("od: load traces: trace survivor %d is not live in the store", id)
 		}
 	}
-	ts := &TraceSet{
-		Fingerprint: raw.Fingerprint,
-		Size:        raw.Size,
-		Alive:       raw.Alive,
-		Pairs:       make(map[int64]PairTrace, len(raw.Pairs)),
-		Chain:       TraceChain{Frames: info.Frames, LastCRC: info.LastCRC, DeltaSeq: raw.DeltaSeq, ManifestDigest: raw.ManifestDigest},
-	}
-	if raw.Filters != nil {
-		ts.Filter = make([][]FilterStep, len(raw.Filters))
-		for i, steps := range raw.Filters {
-			if steps == nil {
-				continue
-			}
-			dec := make([]FilterStep, len(steps))
-			for k, st := range steps {
-				dec[k] = FilterStep{Shared: st.Shared, Union: st.Union}
-			}
-			ts.Filter[i] = dec
+	for key := range ts.Pairs {
+		if i, j := UnpairKey(key); !ts.Alive[i] || !ts.Alive[j] {
+			delete(ts.Pairs, key) // defensive: the codec validated the span, not liveness
 		}
-	}
-	for _, p := range raw.Pairs {
-		i, j := int32(p.Key>>32), int32(p.Key&0xffffffff)
-		if !raw.Alive[i] || !raw.Alive[j] {
-			continue // defensive: codec validated the span, not liveness
-		}
-		ts.Pairs[int64(p.Key)] = PairTrace{SimU: p.SimU, ConU: p.ConU}
 	}
 	return ts, nil
 }

@@ -91,13 +91,13 @@ func TestTracesRoundTripDiskIdentity(t *testing.T) {
 }
 
 // TestAppendTracesChain pins the append path end to end on an identity
-// DiskStore: each AppendTraces call adds one delta frame holding only
+// DiskStore: each AppendTraces call adds one patch frame holding only
 // the changes its TraceUpdate lists, LoadTraces returns exactly the new
 // state and the chain shape the writer reported (the chain and a whole
 // rewrite are indistinguishable to readers), a batch that changed
 // nothing writes nothing, the frame that would make the chain
-// maxTraceFrames long rewrites it as one frame instead, and a chain the
-// file no longer ends in is rewritten, never appended to.
+// odcodec.MaxTraceFrames long rewrites it as one frame instead, and a
+// chain the file no longer ends in is rewritten, never appended to.
 func TestAppendTracesChain(t *testing.T) {
 	dir := t.TempDir()
 	ds := NewDiskStore(dir)
@@ -178,7 +178,7 @@ func TestAppendTracesChain(t *testing.T) {
 		return next, up
 	}
 
-	for n := 1; n < maxTraceFrames-1; n++ {
+	for n := 1; n < odcodec.MaxTraceFrames-1; n++ {
 		next, up := step(n)
 		if chain, err = AppendTraces(dir, ds, chain, up); err != nil {
 			t.Fatal(err)
@@ -208,14 +208,14 @@ func TestAppendTracesChain(t *testing.T) {
 		t.Fatal("an unchanged state was written to the chain")
 	}
 
-	// The frame that would make the chain maxTraceFrames long rewrites
-	// it as one frame instead.
-	next, up := step(maxTraceFrames)
+	// The frame that would make the chain odcodec.MaxTraceFrames long
+	// rewrites it as one frame instead.
+	next, up := step(odcodec.MaxTraceFrames)
 	if chain, err = AppendTraces(dir, ds, chain, up); err != nil {
 		t.Fatal(err)
 	}
 	if got := frames(); got != 1 || chain.Frames != 1 {
-		t.Fatalf("a chain of %d frames grew to %d instead of being rewritten", maxTraceFrames-1, got)
+		t.Fatalf("a chain of %d frames grew to %d instead of being rewritten", odcodec.MaxTraceFrames-1, got)
 	}
 	assertSame("rewritten", next, chain)
 	cur = next
@@ -227,7 +227,7 @@ func TestAppendTracesChain(t *testing.T) {
 	if _, err := SaveTraces(dir, ds, other); err != nil {
 		t.Fatal(err)
 	}
-	next, up = step(maxTraceFrames + 1)
+	next, up = step(odcodec.MaxTraceFrames + 1)
 	if chain, err = AppendTraces(dir, ds, stale, up); err != nil {
 		t.Fatal(err)
 	}
@@ -453,8 +453,9 @@ func TestLoadTracesRejections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw.DeltaSeq++
-		if _, err := odcodec.WriteTrace(dir, raw); err != nil {
+		f := traceFrame(raw, idPlan{}, raw.Size, nil, nil, nil)
+		f.ManifestDigest, f.DeltaSeq = raw.Chain.ManifestDigest, raw.Chain.DeltaSeq+1
+		if _, err := odcodec.WriteTraceFrame(dir, TraceChain{}, f); err != nil {
 			t.Fatal(err)
 		}
 		rejectedForSequence(t, re, "another delta sequence")
